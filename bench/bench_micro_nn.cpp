@@ -150,6 +150,7 @@ std::vector<GemmRow> run_gemm_suite(std::size_t n_threads) {
     const Op ops[] = {
         {"nn", seed::gemm_nn, nn::gemm_nn},
         {"nt", seed::gemm_nt, nn::gemm_nt},
+        {"nt_decode", seed::gemm_nt, nn::gemm_nt_decode},
         {"tn", seed::gemm_tn, nn::gemm_tn},
     };
     const auto tiers = available_tiers();

@@ -10,7 +10,7 @@
 #   scripts/check.sh ubsan       # UBSan build (recovery disabled) + full suite
 #   scripts/check.sh asan        # ASan build + full suite
 #   scripts/check.sh tsan        # TSan build + concurrency-labeled tests
-#   scripts/check.sh simd        # Release build; parity+determinism per forced SIMD tier
+#   scripts/check.sh simd        # Release build; parity, determinism, row invariance per SIMD tier
 #   scripts/check.sh quant       # quant-labeled tests (int8/fp16 decode) per forced SIMD tier
 #   scripts/check.sh serve       # serve-labeled tests + daemon smoke (loadtest, clean drain)
 #   scripts/check.sh router      # 2 backends + router; kill one mid-load, assert clean failover
@@ -145,10 +145,13 @@ stage_simd() {
     local tiers
     tiers="$(host_simd_tiers)"
     echo "host tiers: $tiers"
+    # Besides kernel parity and thread determinism, the row-invariance pins
+    # (decoder churn, SlotBatch co-residents) and the training kernels run
+    # with each tier forced as the process default.
     for t in $tiers; do
         echo "-- CPT_SIMD=$t: parity + determinism suites"
-        CPT_SIMD="$t" run_ctest "$ROOT/build-check-simd" \
-            -R 'SimdParity|GemmBitExact|ParallelDeterminism'
+        CPT_SIMD="$t" run_ctest "$ROOT/build-check-simd" -R \
+            'SimdParity|GemmBitExact|ParallelDeterminism|ChurnRowMap|SlotBatchInvariance|TrainKernels'
     done
 }
 

@@ -170,12 +170,14 @@ public:
     // enforcement) at the next compaction.
     //
     // Determinism: a stream's content is a pure function of the Rng passed
-    // to admit() — independent of when the stream was admitted, which other
-    // streams share the batch, and CPT_THREADS (the decoder windows
-    // per-row attention and positions; see nn/infer.hpp). Admitting
-    // serially pre-forked RNGs therefore reproduces generate_batch()
-    // byte-for-byte, which is the single-slice deterministic-mode contract
-    // (pinned by tests/serve_test.cpp).
+    // to admit() — independent of when the stream was admitted, which and
+    // how many other streams share the batch, and CPT_THREADS (the decoder
+    // windows per-row attention and positions, see nn/infer.hpp, and its
+    // projections run the batch-invariant gemm_nt_decode). Pinned on every
+    // SIMD tier by tests/nn_infer_test.cpp (alone vs among 15 co-residents).
+    // Admitting serially pre-forked RNGs therefore reproduces
+    // generate_batch() byte-for-byte, which is the single-slice
+    // deterministic-mode contract (pinned by tests/serve_test.cpp).
     class SlotBatch {
     public:
         struct Finished {

@@ -180,7 +180,61 @@ void micro_nt_edge(const float* a, const float* b, float* c, std::size_t ldc, st
     }
 }
 
-template <MicroNtFn kFixed>
+// One A row x kNrRow B rows. The fixed trip counts keep the kNrRow
+// independent accumulators in registers, where the runtime-bounded edge
+// kernel would leave short row tiles (m < kMr, every m = 1 decode row
+// included) latency-bound on one chain. Same single ascending-k chain per
+// element as the reference.
+constexpr std::size_t kNrRow = 8;
+
+using MicroNtRowFn = void (*)(const float*, const float*, float*, std::size_t);
+
+void micro_nt_row_scalar(const float* a, const float* b, float* c, std::size_t k_dim) {
+    float acc[kNrRow] = {};
+    for (std::size_t k = 0; k < k_dim; ++k) {
+        const float av = a[k];
+        for (std::size_t j = 0; j < kNrRow; ++j) acc[j] += av * b[j * k_dim + k];
+    }
+    for (std::size_t j = 0; j < kNrRow; ++j) c[j] += acc[j];
+}
+
+#if defined(__SSE2__)
+void micro_nt_row_sse2(const float* a, const float* b, float* c, std::size_t k_dim) {
+    // Each 4x4 block of B (four B rows x four k) is transposed in registers,
+    // so lane j of acc[g] carries column 4g + j's single ascending-k chain
+    // without a per-element gather.
+    __m128 acc[2] = {};
+    std::size_t k = 0;
+    for (; k + 4 <= k_dim; k += 4) {
+        const __m128 av[4] = {_mm_set1_ps(a[k]), _mm_set1_ps(a[k + 1]), _mm_set1_ps(a[k + 2]),
+                              _mm_set1_ps(a[k + 3])};
+        for (std::size_t g = 0; g < 2; ++g) {
+            const float* bg = b + 4 * g * k_dim + k;
+            __m128 t0 = _mm_loadu_ps(bg);
+            __m128 t1 = _mm_loadu_ps(bg + k_dim);
+            __m128 t2 = _mm_loadu_ps(bg + 2 * k_dim);
+            __m128 t3 = _mm_loadu_ps(bg + 3 * k_dim);
+            _MM_TRANSPOSE4_PS(t0, t1, t2, t3);
+            acc[g] = _mm_add_ps(acc[g], _mm_mul_ps(av[0], t0));
+            acc[g] = _mm_add_ps(acc[g], _mm_mul_ps(av[1], t1));
+            acc[g] = _mm_add_ps(acc[g], _mm_mul_ps(av[2], t2));
+            acc[g] = _mm_add_ps(acc[g], _mm_mul_ps(av[3], t3));
+        }
+    }
+    for (; k < k_dim; ++k) {
+        const __m128 av = _mm_set1_ps(a[k]);
+        for (std::size_t g = 0; g < 2; ++g) {
+            const float* bg = b + 4 * g * k_dim + k;
+            const __m128 bv = _mm_set_ps(bg[3 * k_dim], bg[2 * k_dim], bg[k_dim], bg[0]);
+            acc[g] = _mm_add_ps(acc[g], _mm_mul_ps(av, bv));
+        }
+    }
+    _mm_storeu_ps(c, _mm_add_ps(_mm_loadu_ps(c), acc[0]));
+    _mm_storeu_ps(c + 4, _mm_add_ps(_mm_loadu_ps(c + 4), acc[1]));
+}
+#endif
+
+template <MicroNtFn kFixed, MicroNtRowFn kRow>
 void gemm_nt_rows(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim,
                   std::size_t r0, std::size_t r1) {
     for (std::size_t m0 = r0; m0 < r1; m0 += kMr) {
@@ -191,6 +245,12 @@ void gemm_nt_rows(const float* a, const float* b, float* c, std::size_t k_dim, s
         if (mr == kMr) {
             for (; j0 + kNrNt <= n_dim; j0 += kNrNt) {
                 kFixed(atile, b + j0 * k_dim, crow + j0, n_dim, k_dim, k_dim, k_dim);
+            }
+        } else {
+            for (; j0 + kNrRow <= n_dim; j0 += kNrRow) {
+                for (std::size_t i = 0; i < mr; ++i) {
+                    kRow(atile + i * k_dim, b + j0 * k_dim, crow + i * n_dim + j0, k_dim);
+                }
             }
         }
         for (; j0 < n_dim; j0 += kNrNt) {
@@ -257,11 +317,11 @@ void gemm_tn_rows(const float* a, const float* b, float* c, std::size_t m_dim, s
     }
 }
 
-// ---- GEMV fast paths (m == 1) -------------------------------------------------
-// Decode-shaped matmuls are a single output row; the blocked drivers above
-// waste their register tile on them (and the NT gather kernel is actively
-// slower than the seed loop — the PR-1 regression). These paths run on the
-// calling thread: one row is far below any useful parallel grain.
+// ---- NN/TN GEMV fast paths (m == 1) -------------------------------------------
+// A single output row wastes the blocked drivers' register tile. These paths
+// run on the calling thread: one row is far below any useful parallel grain.
+// (NT decode rows go through gemm_nt_decode instead, whose contract is that
+// a row's bits never depend on m.)
 //
 // nn/tn with m == 1 are the same computation: c[n] += sum_k a[k] * B[k,n]
 // with a contiguous (A is [1,K] or [K,1]). One ascending-k accumulator per
@@ -346,57 +406,6 @@ void gemv_nn_sse2(const float* a, const float* b, float* c, std::size_t k_dim, s
 }
 #endif
 
-// nt with m == 1: one dot per output along contiguous k. Multiple
-// accumulators reassociate the sum (tolerance vs the reference, pinned by
-// tests); still deterministic — single-threaded and fixed order per shape.
-
-float dot4_scalar(const float* a, const float* b, std::size_t k_dim) {
-    float s0 = 0.0f;
-    float s1 = 0.0f;
-    float s2 = 0.0f;
-    float s3 = 0.0f;
-    std::size_t i = 0;
-    for (; i + 4 <= k_dim; i += 4) {
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
-    }
-    float s = (s0 + s1) + (s2 + s3);
-    for (; i < k_dim; ++i) s += a[i] * b[i];
-    return s;
-}
-
-void gemv_nt_scalar(const float* a, const float* b, float* c, std::size_t k_dim,
-                    std::size_t n_dim) {
-    for (std::size_t n = 0; n < n_dim; ++n) c[n] += dot4_scalar(a, b + n * k_dim, k_dim);
-}
-
-#if defined(__SSE2__)
-float dot_sse2(const float* a, const float* b, std::size_t k_dim) {
-    __m128 acc0 = _mm_setzero_ps();
-    __m128 acc1 = _mm_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 8 <= k_dim; i += 8) {
-        acc0 = _mm_add_ps(acc0, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-        acc1 = _mm_add_ps(acc1, _mm_mul_ps(_mm_loadu_ps(a + i + 4), _mm_loadu_ps(b + i + 4)));
-    }
-    for (; i + 4 <= k_dim; i += 4) {
-        acc0 = _mm_add_ps(acc0, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-    }
-    __m128 s = _mm_add_ps(acc0, acc1);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    float r = _mm_cvtss_f32(s);
-    for (; i < k_dim; ++i) r += a[i] * b[i];
-    return r;
-}
-
-void gemv_nt_sse2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim) {
-    for (std::size_t n = 0; n < n_dim; ++n) c[n] += dot_sse2(a, b + n * k_dim, k_dim);
-}
-#endif
-
 void gemv_nn_dispatch(const float* a, const float* b, float* c, std::size_t k_dim,
                       std::size_t n_dim, SimdTier tier) {
     switch (tier) {
@@ -416,31 +425,14 @@ void gemv_nn_dispatch(const float* a, const float* b, float* c, std::size_t k_di
     gemv_nn_scalar(a, b, c, k_dim, n_dim);
 }
 
-void gemv_nt_dispatch(const float* a, const float* b, float* c, std::size_t k_dim,
-                      std::size_t n_dim, SimdTier tier) {
-    switch (tier) {
-        case SimdTier::kAvx2:
-            detail::gemv_nt_avx2(a, b, c, k_dim, n_dim);
-            return;
-        case SimdTier::kSse2:
-#if defined(__SSE2__)
-            gemv_nt_sse2(a, b, c, k_dim, n_dim);
-            return;
-#else
-            break;
-#endif
-        case SimdTier::kScalar:
-            break;
-    }
-    gemv_nt_scalar(a, b, c, k_dim, n_dim);
-}
-
 #if defined(__SSE2__)
 constexpr MicroNnFn kMicroNnSse2 = micro_nn_fixed_sse2;
 constexpr MicroNtFn kMicroNtSse2 = micro_nt_fixed_sse2;
+constexpr MicroNtRowFn kMicroNtRowSse2 = micro_nt_row_sse2;
 #else
 constexpr MicroNnFn kMicroNnSse2 = micro_nn_fixed_scalar;
 constexpr MicroNtFn kMicroNtSse2 = micro_nt_fixed_scalar;
+constexpr MicroNtRowFn kMicroNtRowSse2 = micro_nt_row_scalar;
 #endif
 
 }  // namespace
@@ -471,10 +463,6 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
              std::size_t n_dim, util::ThreadPool* pool) {
     if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
     const SimdTier tier = util::active_simd_tier();
-    if (m_dim == 1) {
-        gemv_nt_dispatch(a, b, c, k_dim, n_dim, tier);
-        return;
-    }
     if (tier == SimdTier::kAvx2) {
         detail::gemm_nt_avx2(a, b, c, m_dim, k_dim, n_dim, pick(pool));
         return;
@@ -482,11 +470,23 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
     const bool sse2 = tier == SimdTier::kSse2;
     pick(pool).parallel_for(m_dim, row_grain(k_dim, n_dim), [&](std::size_t r0, std::size_t r1) {
         if (sse2) {
-            gemm_nt_rows<kMicroNtSse2>(a, b, c, k_dim, n_dim, r0, r1);
+            gemm_nt_rows<kMicroNtSse2, kMicroNtRowSse2>(a, b, c, k_dim, n_dim, r0, r1);
         } else {
-            gemm_nt_rows<micro_nt_fixed_scalar>(a, b, c, k_dim, n_dim, r0, r1);
+            gemm_nt_rows<micro_nt_fixed_scalar, micro_nt_row_scalar>(a, b, c, k_dim, n_dim,
+                                                                    r0, r1);
         }
     });
+}
+
+void gemm_nt_decode(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
+                    std::size_t n_dim, util::ThreadPool* pool) {
+    if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
+    if (util::active_simd_tier() == SimdTier::kAvx2) {
+        detail::gemm_nt_decode_avx2(a, b, c, m_dim, k_dim, n_dim, pick(pool));
+        return;
+    }
+    // scalar/sse2 gemm_nt is the reference chain for every m, m = 1 included.
+    gemm_nt(a, b, c, m_dim, k_dim, n_dim, pool);
 }
 
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,

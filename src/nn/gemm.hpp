@@ -1,9 +1,9 @@
 // Cache-blocked, register-tiled, multi-threaded GEMM kernels for the nn
 // substrate, dispatched at runtime across three SIMD tiers (scalar, SSE2,
 // AVX2+FMA — see util/cpu.hpp), plus the naive reference kernels they are
-// tested against. Matmuls with m == 1 (the decode-shaped hot path of
-// autoregressive sampling) route through dedicated single-threaded GEMV
-// kernels instead of the blocked drivers.
+// tested against. nn/tn matmuls with m == 1 route through dedicated
+// single-threaded GEMV kernels instead of the blocked drivers; the inference
+// fast path's NT products (decode rows) go through gemm_nt_decode.
 //
 // All kernels ACCUMULATE into C (callers zero it or rely on fresh tensors)
 // and share one accumulation contract: the floating-point operations
@@ -14,8 +14,7 @@
 // Tier-relative numerics:
 //   * scalar / sse2: a single ascending-k accumulator per element, added to
 //     C exactly once — BIT-IDENTICAL to the reference kernels for every
-//     shape (pinned by tests/nn_gemm_test.cpp), except the nt m == 1 GEMV,
-//     which uses a multi-accumulator dot (tolerance vs the reference).
+//     shape (pinned by tests/nn_gemm_test.cpp).
 //   * avx2: FMA and fixed-tree reductions — tolerance vs the reference,
 //     still byte-stable across thread counts (tests/nn_simd_parity_test.cpp).
 //
@@ -42,6 +41,19 @@ void gemm_nn(const float* a, const float* b, float* c, std::size_t m_dim, std::s
 // C[M,N] += A[M,K] * B^T where B is stored [N,K]
 void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
              std::size_t n_dim, util::ThreadPool* pool = nullptr);
+
+// The inference fast path's NT product (Linear/Mlp::forward_rows: decoder
+// projections, the model heads, the speculative verify window), same
+// semantics as gemm_nt. Row r of C is additionally bit-identical to the
+// 1-row product of A's row r for EVERY m: a decode row's bits never depend
+// on how many other rows share the batch. On scalar/sse2 this is gemm_nt (the
+// reference chain); on avx2 it runs pack-free register tiles whose
+// per-element chain is one 8-wide FMA chain in ascending k, the fixed hsum8
+// tree, then a scalar fma tail. (avx2 gemm_nt instead packs B once per call
+// and runs one scalar FMA chain per element: faster at training shapes,
+// slower for a handful of rows, and different bits.)
+void gemm_nt_decode(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
+                    std::size_t n_dim, util::ThreadPool* pool = nullptr);
 
 // C[M,N] += A^T * B where A is stored [K,M], B is [K,N]
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,

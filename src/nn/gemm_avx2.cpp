@@ -107,11 +107,12 @@ void gemm_bcast_rows(const float* a, const float* b, float* c, std::size_t m_dim
     }
 }
 
-// ---- NT: k-contiguous dot kernels --------------------------------------------
+// ---- NT decode: batch-invariant, pack-free row tiles -------------------------
 // Every output element uses one canonical sequence — a single 8-wide FMA
 // chain in ascending k, hsum8, then a scalar std::fma tail — no matter which
-// micro-kernel computes it. Register tiles only change how A/B loads are
-// shared, so chunk boundaries and row pairing never change an element's bits.
+// tile computes it. Tiles only change how A/B loads are shared, so the row
+// count, the row tiling and the thread split never change an element's bits:
+// row r of an m-row product equals the 1-row product of A's row r.
 
 float dot_fma(const float* a, const float* b, std::size_t k_dim) {
     const std::size_t k8 = k_dim & ~std::size_t{7};
@@ -124,67 +125,56 @@ float dot_fma(const float* a, const float* b, std::size_t k_dim) {
     return s;
 }
 
-// One A row x eight B rows (the m == 1 GEMV path): 8 chains, A load shared
-// across all columns.
-void nt_row8(const float* a, const float* b, std::size_t ldb, std::size_t k_dim, float* c) {
-    __m256 acc[8] = {};
-    const std::size_t k8 = k_dim & ~std::size_t{7};
-    for (std::size_t i = 0; i < k8; i += 8) {
-        const __m256 va = _mm256_loadu_ps(a + i);
-        for (std::size_t j = 0; j < 8; ++j) {
-            acc[j] = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + j * ldb + i), acc[j]);
-        }
-    }
-    for (std::size_t j = 0; j < 8; ++j) {
-        const float* brow = b + j * ldb;
-        float s = hsum8(acc[j]);
-        for (std::size_t t = k8; t < k_dim; ++t) s = std::fma(a[t], brow[t], s);
-        c[j] += s;
-    }
-}
-
-void gemm_nt_row(const float* arow, const float* b, float* crow, std::size_t k_dim,
-                 std::size_t n_dim) {
-    std::size_t j0 = 0;
-    for (; j0 + 8 <= n_dim; j0 += 8) nt_row8(arow, b + j0 * k_dim, k_dim, k_dim, crow + j0);
-    for (; j0 < n_dim; ++j0) crow[j0] += dot_fma(arow, b + j0 * k_dim, k_dim);
-}
-
-// M A rows x two B rows per k-step: the B stream is shared across all M rows,
-// so weight traffic for an M-row tile matches a single GEMV pass instead of
-// scaling with M. Every element still gets the canonical chain (one 8-wide
-// FMA chain in ascending k, hsum8, scalar fma tail), so the result is
-// bit-identical to M separate gemm_nt_row calls. M <= 7 keeps the register
-// budget at M*2 accumulators + one A + two B vectors.
+// M A rows x W B rows per k-step, over columns [j0, j1): the B stream is
+// shared across all M rows, so weight traffic for an M-row tile matches a
+// single GEMV pass instead of scaling with M. Short tiles take more columns
+// (W = 8 at one row, 4 at two or three) so every tile keeps at least 8
+// independent FMA chains in flight. Without a k tail the M * W sums reduce
+// four at a time through hsum8x4, which is hsum8 bit for bit; columns left
+// over below W take dot_fma.
 template <std::size_t M>
 void nt_tile_cols(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim,
                   std::size_t j0, std::size_t j1) {
+    constexpr std::size_t W = M == 1 ? 8 : M <= 3 ? 4 : 2;
+    constexpr std::size_t kSums = M * W;
     const std::size_t k8 = k_dim & ~std::size_t{7};
     std::size_t j = j0;
-    for (; j + 2 <= j1; j += 2) {
-        const float* b0 = b + j * k_dim;
-        const float* b1 = b0 + k_dim;
-        __m256 acc[M][2];
-        for (std::size_t r = 0; r < M; ++r) acc[r][0] = acc[r][1] = _mm256_setzero_ps();
+    for (; j + W <= j1; j += W) {
+        const float* bt = b + j * k_dim;
+        __m256 acc[kSums];
+        for (std::size_t s = 0; s < kSums; ++s) acc[s] = _mm256_setzero_ps();
         for (std::size_t i = 0; i < k8; i += 8) {
-            const __m256 vb0 = _mm256_loadu_ps(b0 + i);
-            const __m256 vb1 = _mm256_loadu_ps(b1 + i);
+            __m256 vb[W];
+            for (std::size_t w = 0; w < W; ++w) vb[w] = _mm256_loadu_ps(bt + w * k_dim + i);
             for (std::size_t r = 0; r < M; ++r) {
                 const __m256 va = _mm256_loadu_ps(a + r * k_dim + i);
-                acc[r][0] = _mm256_fmadd_ps(va, vb0, acc[r][0]);
-                acc[r][1] = _mm256_fmadd_ps(va, vb1, acc[r][1]);
+                for (std::size_t w = 0; w < W; ++w) {
+                    acc[r * W + w] = _mm256_fmadd_ps(va, vb[w], acc[r * W + w]);
+                }
             }
         }
+        if (k8 == k_dim) {
+            alignas(16) float sums[kSums];
+            std::size_t s = 0;
+            for (; s + 4 <= kSums; s += 4) {
+                _mm_store_ps(sums + s, hsum8x4(acc[s], acc[s + 1], acc[s + 2], acc[s + 3]));
+            }
+            for (; s < kSums; ++s) sums[s] = hsum8(acc[s]);
+            for (std::size_t r = 0; r < M; ++r) {
+                for (std::size_t w = 0; w < W; ++w) c[r * n_dim + j + w] += sums[r * W + w];
+            }
+            continue;
+        }
+        // A k tail needs its scalar fmas between the reduction and the store;
+        // kept off the path above, whose fixed trip counts unroll fully.
         for (std::size_t r = 0; r < M; ++r) {
             const float* arow = a + r * k_dim;
-            float s0 = hsum8(acc[r][0]);
-            float s1 = hsum8(acc[r][1]);
-            for (std::size_t t = k8; t < k_dim; ++t) {
-                s0 = std::fma(arow[t], b0[t], s0);
-                s1 = std::fma(arow[t], b1[t], s1);
+            for (std::size_t w = 0; w < W; ++w) {
+                const float* brow = bt + w * k_dim;
+                float v = hsum8(acc[r * W + w]);
+                for (std::size_t t = k8; t < k_dim; ++t) v = std::fma(arow[t], brow[t], v);
+                c[r * n_dim + j + w] += v;
             }
-            c[r * n_dim + j] += s0;
-            c[r * n_dim + j + 1] += s1;
         }
     }
     for (; j < j1; ++j) {
@@ -195,23 +185,38 @@ void nt_tile_cols(const float* a, const float* b, float* c, std::size_t k_dim, s
     }
 }
 
-// Column slice [j0, j1) of an m_dim < 8 NT product in a single row tile, so
-// each B row in the slice is streamed exactly once regardless of m. The A
-// broadcast register is consumed immediately after its two FMAs, so the live
-// set is 2m accumulators + two B vectors + one A vector — 17 registers at
-// m == 7, close enough that any spill stays L1-resident and cheap next to
-// the weight traffic this saves.
-void nt_small_cols(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                   std::size_t n_dim, std::size_t j0, std::size_t j1) {
-    switch (m_dim) {
-        case 7: nt_tile_cols<7>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 6: nt_tile_cols<6>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 5: nt_tile_cols<5>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 4: nt_tile_cols<4>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 3: nt_tile_cols<3>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 2: nt_tile_cols<2>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 1: nt_tile_cols<1>(a, b, c, k_dim, n_dim, j0, j1); break;
-        default: break;
+// Rows per full decode tile: 2 * kMrDecode accumulators + two B vectors +
+// one A vector stay within the 16 ymm registers.
+constexpr std::size_t kMrDecode = 6;
+// Bytes of B one column block spans, so a block stays L1-resident while
+// every row tile streams it.
+constexpr std::size_t kDecodeBlockBytes = 16 * 1024;
+
+// Columns [j0, j1) of an NT decode product, all m rows: blocked over
+// columns, then full row tiles, then one short tile for the m % kMrDecode
+// remainder rows.
+void nt_decode_cols(const float* a, const float* b, float* c, std::size_t m_dim,
+                    std::size_t k_dim, std::size_t n_dim, std::size_t j0, std::size_t j1) {
+    // A multiple of 8 columns, so blocks split no tile of any width.
+    const std::size_t block =
+        std::max<std::size_t>(8, (kDecodeBlockBytes / (sizeof(float) * k_dim)) & ~std::size_t{7});
+    const std::size_t rem = m_dim % kMrDecode;
+    const std::size_t full = m_dim - rem;
+    const float* atail = a + full * k_dim;
+    float* ctail = c + full * n_dim;
+    for (std::size_t jb = j0; jb < j1; jb += block) {
+        const std::size_t je = std::min(j1, jb + block);
+        for (std::size_t r = 0; r < full; r += kMrDecode) {
+            nt_tile_cols<kMrDecode>(a + r * k_dim, b, c + r * n_dim, k_dim, n_dim, jb, je);
+        }
+        switch (rem) {
+            case 5: nt_tile_cols<5>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            case 4: nt_tile_cols<4>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            case 3: nt_tile_cols<3>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            case 2: nt_tile_cols<2>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            case 1: nt_tile_cols<1>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            default: break;
+        }
     }
 }
 
@@ -231,28 +236,28 @@ void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
     });
 }
 
+void gemm_nt_decode_avx2(const float* a, const float* b, float* c, std::size_t m_dim,
+                         std::size_t k_dim, std::size_t n_dim, util::ThreadPool& pool) {
+    // Parallel over columns, so each thread streams its B slice once for all
+    // rows: decode is weight-bandwidth bound, and per-row B re-reads would
+    // make an m-row step (or speculative verify window) cost ~m GEMVs.
+    const std::size_t col_grain = util::grain_for(2 * k_dim * m_dim, kMinChunkFlops);
+    pool.parallel_for(n_dim, col_grain, [&](std::size_t j0, std::size_t j1) {
+        nt_decode_cols(a, b, c, m_dim, k_dim, n_dim, j0, j1);
+    });
+}
+
 void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
                   std::size_t n_dim, util::ThreadPool& pool) {
-    if (m_dim < 8) {
-        // Too few rows to amortise a B transpose (the pack is ~1/m of the
-        // packed path's work). Decode at these shapes is weight-bandwidth
-        // bound, so parallelise over columns and let each thread stream its
-        // B slice once for the whole row tile: the speculative decode window
-        // (DESIGN.md §16) lives here, and per-row B re-reads would make an
-        // m-row window cost ~m GEMVs. Bits match the per-row dot kernels,
-        // so this branch stays interchangeable with gemm_nt_row.
-        const std::size_t col_grain = util::grain_for(2 * k_dim * m_dim, kMinChunkFlops);
-        pool.parallel_for(n_dim, col_grain, [&](std::size_t j0, std::size_t j1) {
-            nt_small_cols(a, b, c, m_dim, k_dim, n_dim, j0, j1);
-        });
-        return;
-    }
     // Dot-style NT kernels pay a horizontal reduction per output element — at
-    // decode/training k (64–256) that is ~a third of the work. Instead pack
-    // each kNc-wide B panel transposed into [k x nb] and reuse the broadcast
+    // training k (64–256) that is ~a third of the work. Instead pack each
+    // kNc-wide B panel transposed into [k x nb] and reuse the broadcast
     // micro-kernels: no reductions, and the per-element chain (one FMA per
     // ascending k) is the same as the NN path, so thread-count invariance is
     // unchanged. The pack buffer is thread_local and reused across calls.
+    // At training shapes this edges out the pack-free decode tiles (1024 x
+    // 64 x 64, one thread: 51 against 48 GFLOP/s); the per-call pack only
+    // loses when m is a handful of rows, which is the decode entry's job.
     static thread_local std::vector<float> bt;
     for (std::size_t n0 = 0; n0 < n_dim; n0 += kNc) {
         const std::size_t nb = std::min(kNc, n_dim - n0);
@@ -336,10 +341,6 @@ void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, s
         for (std::size_t k = 0; k < k_dim; ++k) acc = std::fma(a[k], b[k * n_dim + j0], acc);
         c[j0] += acc;
     }
-}
-
-void gemv_nt_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim) {
-    gemm_nt_row(a, b, c, k_dim, n_dim);
 }
 
 // ---- Int8 GEMV dots (quantized decode path) -----------------------------------
@@ -452,12 +453,15 @@ void gemm_nt_avx2(const float*, const float*, float*, std::size_t, std::size_t, 
                   util::ThreadPool&) {
     missing();
 }
+void gemm_nt_decode_avx2(const float*, const float*, float*, std::size_t, std::size_t,
+                         std::size_t, util::ThreadPool&) {
+    missing();
+}
 void gemm_tn_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t,
                   util::ThreadPool&) {
     missing();
 }
 void gemv_nn_avx2(const float*, const float*, float*, std::size_t, std::size_t) { missing(); }
-void gemv_nt_avx2(const float*, const float*, float*, std::size_t, std::size_t) { missing(); }
 void gemv_q8_dots_avx2(const std::uint8_t*, const std::int8_t*, std::int32_t*, std::size_t,
                        std::size_t) {
     missing();

@@ -207,10 +207,15 @@ void gelu_rows(float* x, std::size_t n, util::ThreadPool* pool) {
 
 void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d,
                     util::ThreadPool* pool) {
+    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
     pick(pool).parallel_for(rows, util::grain_for(26 * d), [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
             float* row = y + r * d;
-            for (std::size_t j = 0; j < d; ++j) row[j] = gelu_scalar(row[j] + bias[j]);
+            if (avx2) {
+                detail::bias_gelu_row_avx2(row, bias, d);
+            } else {
+                for (std::size_t j = 0; j < d; ++j) row[j] = gelu_scalar(row[j] + bias[j]);
+            }
         }
     });
 }
@@ -378,12 +383,16 @@ void col_sum_rows(const float* src, float* dst, std::size_t rows, std::size_t d,
 void bias_gelu_backward_rows(const float* x, const float* bias, const float* g, float* dx,
                              float* scratch, std::size_t rows, std::size_t d,
                              util::ThreadPool* pool) {
+    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
     pick(pool).parallel_for(rows, util::grain_for(30 * d), [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
             const float* xrow = x + r * d;
             const float* grow = g + r * d;
             float* srow = scratch + r * d;
-            if (dx != nullptr) {
+            if (avx2) {
+                detail::bias_gelu_backward_row_avx2(xrow, bias, grow,
+                                                    dx != nullptr ? dx + r * d : nullptr, srow, d);
+            } else if (dx != nullptr) {
                 float* dxrow = dx + r * d;
                 for (std::size_t j = 0; j < d; ++j) {
                     const float t = grow[j] * gelu_grad_scalar(xrow[j] + bias[j]);

@@ -7,8 +7,9 @@
 // Numerics: on the scalar and sse2 tiers every function below performs the
 // exact per-element operation order the pre-dispatch code performed, so those
 // tiers remain bit-identical to the historical outputs. The avx2 tier may
-// reassociate reductions and use FMA; within that tier results are still a
-// pure function of (element index, shape), never of thread count.
+// reassociate reductions, use FMA, and evaluate GELU through a vectorised
+// exp; within that tier results are still a pure function of (element
+// index, shape), never of thread count.
 #pragma once
 
 #include <cmath>
@@ -94,7 +95,9 @@ void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t 
                    util::ThreadPool* pool = nullptr);
 // x[i] = gelu(x[i]) in place.
 void gelu_rows(float* x, std::size_t n, util::ThreadPool* pool = nullptr);
-// Fused epilogue for fc1: y[r,j] = gelu(y[r,j] + bias[j]).
+// Fused epilogue for fc1: y[r,j] = gelu(y[r,j] + bias[j]). gelu_scalar bit
+// for bit on scalar/sse2; on avx2 an 8-wide x * sigmoid(2u) with a
+// vectorised exp, within 1e-6 of gelu_scalar (pinned over [-10, 10]).
 void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d,
                     util::ThreadPool* pool = nullptr);
 
@@ -155,7 +158,8 @@ void col_sum_rows(const float* src, float* dst, std::size_t rows, std::size_t d,
 // Fused bias+GELU backward: recomputes u = x[r,j] + bias[j] (no stored
 // pre-activation), writes t = g[r,j] * gelu'(u) into scratch [rows, d] and
 // accumulates dx[r,j] += t (dx may be null). The caller reduces scratch with
-// col_sum_rows for dbias.
+// col_sum_rows for dbias. avx2 uses the forward's sigmoid form (within 1e-4
+// relative of gelu_grad_scalar).
 void bias_gelu_backward_rows(const float* x, const float* bias, const float* g, float* dx,
                              float* scratch, std::size_t rows, std::size_t d,
                              util::ThreadPool* pool = nullptr);

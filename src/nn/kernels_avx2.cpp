@@ -3,6 +3,7 @@
 // and determinism conventions shared by both AVX2 translation units.
 #include "simd_detail.hpp"
 
+#include "kernels.hpp"
 #include "util/check.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -196,6 +197,103 @@ void add_bias_row_avx2(float* row, const float* bias, std::size_t d) {
         _mm256_storeu_ps(row + i, _mm256_add_ps(_mm256_loadu_ps(row + i), _mm256_loadu_ps(bias + i)));
     }
     for (; i < d; ++i) row[i] += bias[i];
+}
+
+// ---- GELU ----------------------------------------------------------------------
+// gelu(x) = 0.5x(1 + tanh(u)) = x * sigmoid(2u) = x / (1 + e), with
+// u = sqrt(2/pi)(x + 0.044715x^3) and e = exp(-2u). u is computed in the
+// scalar gelu_scalar's operation order; only the tanh is replaced, by the
+// vectorised exp below. Row tails go through the same 8-lane formula on a
+// padded copy, so an element's bits never depend on its column.
+
+namespace {
+
+// exp over 8 lanes, within ~1 ulp: n = round(x log2 e), r = x - n ln2 (ln2
+// split in two so n * hi is exact), a degree-6 polynomial for exp(r) on
+// |r| <= ln2/2, then scaling by 2^n through the exponent bits. The clamp
+// keeps 2^n a normal float, so large |x| saturates instead of overflowing.
+inline __m256 exp8(__m256 x) {
+    x = _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(-87.3f)), _mm256_set1_ps(88.3f));
+    const __m256 n = _mm256_round_ps(_mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
+                                     _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
+    r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+    __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+    p = _mm256_add_ps(_mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r), _mm256_set1_ps(1.0f));
+    const __m256i bits =
+        _mm256_slli_epi32(_mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
+    return _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
+}
+
+// e = exp(-2u) for the GELU argument x.
+inline __m256 gelu_exp8(__m256 x) {
+    const __m256 ax = _mm256_mul_ps(_mm256_set1_ps(kernels::kGeluA), x);
+    const __m256 cube = _mm256_mul_ps(_mm256_mul_ps(ax, x), x);
+    const __m256 u = _mm256_mul_ps(_mm256_set1_ps(kernels::kGeluC), _mm256_add_ps(x, cube));
+    return exp8(_mm256_mul_ps(_mm256_set1_ps(-2.0f), u));
+}
+
+inline __m256 gelu8(__m256 x) {
+    return _mm256_div_ps(x, _mm256_add_ps(_mm256_set1_ps(1.0f), gelu_exp8(x)));
+}
+
+// g * gelu'(x), with s = sigmoid(2u) = 1 / (1 + e) and 1 - s = e * s:
+// gelu'(x) = s + 2x s (1 - s) du, du = sqrt(2/pi)(1 + 3 * 0.044715x^2) —
+// gelu_grad_scalar's formula with 0.5(1 + t) = s and 1 - t^2 = 4s(1 - s).
+inline __m256 gelu_grad_mul8(__m256 x, __m256 g) {
+    const __m256 e = gelu_exp8(x);
+    const __m256 s = _mm256_div_ps(_mm256_set1_ps(1.0f), _mm256_add_ps(_mm256_set1_ps(1.0f), e));
+    const __m256 x2 = _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(3.0f * kernels::kGeluA), x), x);
+    const __m256 du =
+        _mm256_mul_ps(_mm256_set1_ps(kernels::kGeluC), _mm256_add_ps(_mm256_set1_ps(1.0f), x2));
+    const __m256 two_xs = _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(2.0f), x), s);
+    const __m256 grad = _mm256_fmadd_ps(_mm256_mul_ps(two_xs, _mm256_mul_ps(e, s)), du, s);
+    return _mm256_mul_ps(g, grad);
+}
+
+}  // namespace
+
+void bias_gelu_row_avx2(float* row, const float* bias, std::size_t d) {
+    std::size_t i = 0;
+    for (; i + 8 <= d; i += 8) {
+        _mm256_storeu_ps(row + i,
+                         gelu8(_mm256_add_ps(_mm256_loadu_ps(row + i), _mm256_loadu_ps(bias + i))));
+    }
+    if (i == d) return;
+    const std::size_t rest = d - i;
+    alignas(32) float buf[8] = {};
+    for (std::size_t j = 0; j < rest; ++j) buf[j] = row[i + j] + bias[i + j];
+    _mm256_store_ps(buf, gelu8(_mm256_load_ps(buf)));
+    std::copy_n(buf, rest, row + i);
+}
+
+void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float* g, float* dx,
+                                 float* scratch, std::size_t d) {
+    std::size_t i = 0;
+    for (; i + 8 <= d; i += 8) {
+        const __m256 u = _mm256_add_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(bias + i));
+        const __m256 t = gelu_grad_mul8(u, _mm256_loadu_ps(g + i));
+        _mm256_storeu_ps(scratch + i, t);
+        if (dx != nullptr) _mm256_storeu_ps(dx + i, _mm256_add_ps(_mm256_loadu_ps(dx + i), t));
+    }
+    if (i == d) return;
+    const std::size_t rest = d - i;
+    alignas(32) float bx[8] = {};
+    alignas(32) float bg[8] = {};
+    for (std::size_t j = 0; j < rest; ++j) {
+        bx[j] = x[i + j] + bias[i + j];
+        bg[j] = g[i + j];
+    }
+    _mm256_store_ps(bx, gelu_grad_mul8(_mm256_load_ps(bx), _mm256_load_ps(bg)));
+    for (std::size_t j = 0; j < rest; ++j) {
+        scratch[i + j] = bx[j];
+        if (dx != nullptr) dx[i + j] += bx[j];
+    }
 }
 
 // ---- fp16 KV-cache kernels ----------------------------------------------------
@@ -525,6 +623,11 @@ float reduce_max_avx2(const float*, std::size_t) { missing(); }
 void scale_avx2(float*, std::size_t, float) { missing(); }
 void layer_norm_row_avx2(const float*, float*, const float*, const float*, std::size_t, float,
                          float*) {
+    missing();
+}
+void bias_gelu_row_avx2(float*, const float*, std::size_t) { missing(); }
+void bias_gelu_backward_row_avx2(const float*, const float*, const float*, float*, float*,
+                                 std::size_t) {
     missing();
 }
 void add_bias_row_avx2(float*, const float*, std::size_t) { missing(); }

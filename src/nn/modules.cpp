@@ -47,10 +47,11 @@ Var Linear::forward(const Var& x) const {
 
 void Linear::forward_rows(const float* x, float* y, std::size_t rows,
                           util::ThreadPool* pool) const {
-    // Rows are pre-filled with the bias, then the NT kernel accumulates
-    // x W^T; per-row arithmetic is independent of the batch/thread split.
+    // Rows are pre-filled with the bias, then the decode NT kernel
+    // accumulates x W^T; a row's bits are independent of the row count and
+    // the thread split.
     kernels::fill_bias_rows(y, bias_->value.data().data(), rows, out_, pool);
-    gemm_nt(x, weight_->value.data().data(), y, rows, in_, out_, pool);
+    gemm_nt_decode(x, weight_->value.data().data(), y, rows, in_, out_, pool);
 }
 
 void Linear::collect(const std::string& prefix, std::vector<NamedParam>& out) const {
@@ -89,7 +90,8 @@ void Mlp::forward_rows(const float* x, float* hidden, float* y, std::size_t rows
     // GELU epilogue: gelu(dot + bias), the same per-element value and order
     // forward() computes via matmul -> add_bias -> gelu.
     std::fill_n(hidden, rows * h, 0.0f);
-    gemm_nt(x, fc1_.weight()->value.data().data(), hidden, rows, fc1_.in_features(), h, pool);
+    gemm_nt_decode(x, fc1_.weight()->value.data().data(), hidden, rows, fc1_.in_features(), h,
+                   pool);
     kernels::bias_gelu_rows(hidden, fc1_.bias()->value.data().data(), rows, h, pool);
     fc2_.forward_rows(hidden, y, rows, pool);
 }

@@ -45,9 +45,9 @@ public:
     void collect(const std::string& prefix, std::vector<NamedParam>& out) const override;
 
     // Inference fast path (no autograd graph): y = x W^T + b over row-major
-    // x [rows, in], y [rows, out]. Overwrites y; same per-element arithmetic
-    // as forward() (bias + ascending-k dot), so decoder-vs-forward
-    // equivalence is preserved.
+    // x [rows, in], y [rows, out]. Overwrites y. Runs gemm_nt_decode, so a
+    // row's bits never depend on `rows`; equal to forward() bit for bit on
+    // scalar/sse2 and within FMA tolerance on avx2.
     void forward_rows(const float* x, float* y, std::size_t rows,
                       util::ThreadPool* pool = nullptr) const;
 

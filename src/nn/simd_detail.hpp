@@ -28,12 +28,13 @@ void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
                   std::size_t n_dim, util::ThreadPool& pool);
 void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
                   std::size_t n_dim, util::ThreadPool& pool);
+// The batch-invariant NT decode product (gemm.hpp gemm_nt_decode).
+void gemm_nt_decode_avx2(const float* a, const float* b, float* c, std::size_t m_dim,
+                         std::size_t k_dim, std::size_t n_dim, util::ThreadPool& pool);
 
-// GEMV fast paths (m == 1, single caller thread — decode-shaped work is far
-// too small to shard). nn: c[n] += sum_k a[k] * B[k,n] with B row-major
-// [K,N]. nt: c[n] += dot(a, B[n,:]) with B row-major [N,K].
+// NN GEMV fast path (m == 1, single caller thread — decode-shaped work is
+// far too small to shard): c[n] += sum_k a[k] * B[k,n] with B row-major [K,N].
 void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim);
-void gemv_nt_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim);
 
 // Fused elementwise helpers used by kernels.cpp's per-row dispatch.
 float dot_avx2(const float* a, const float* b, std::size_t n);
@@ -56,6 +57,12 @@ void scale_avx2(float* x, std::size_t n, float s);
 void layer_norm_row_avx2(const float* in, float* out, const float* gain, const float* bias,
                          std::size_t d, float eps, float* stats2);
 void add_bias_row_avx2(float* row, const float* bias, std::size_t d);
+// One fused bias+GELU row, row[j] = gelu(row[j] + bias[j]), evaluated as
+// x * sigmoid(2u) with a vectorised exp (within 1e-6 of gelu_scalar).
+void bias_gelu_row_avx2(float* row, const float* bias, std::size_t d);
+// One bias+GELU backward row (semantics in kernels.hpp; dx may be null).
+void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float* g, float* dx,
+                                 float* scratch, std::size_t d);
 
 // Int8 decode path (quant.cpp): idot[j] = sum_k a[k] * w[j,k] over 7-bit
 // offset-64 activation codes and int8 weights — VPMADDUBSW + VPMADDWD, exact

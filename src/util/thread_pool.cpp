@@ -46,19 +46,47 @@ ChunkPlan plan_chunks(std::size_t n, std::size_t grain, std::size_t threads) {
 // variable between regions. Chunk c (c >= 1) is executed by worker c - 1 and
 // chunk 0 by the caller, so assignment is static and deterministic.
 struct ThreadPool::Impl {
+    using RegionFn = std::function<void(std::size_t, std::size_t, std::size_t)>;
+
     std::vector<std::thread> workers;
+    // Owned by the external (non-worker) caller driving the workers, from
+    // publish() through collect(). The region state below is a single slot,
+    // so a second external caller — e.g. another serve Engine sharing the
+    // global pool — waits here instead of overwriting a region in flight.
+    Mutex region_mu;
     Mutex mu;
     CondVar start_cv;
     CondVar done_cv;
 
     // Region state, guarded by mu.
     std::uint64_t generation CPT_GUARDED_BY(mu) = 0;
-    const std::function<void(std::size_t, std::size_t, std::size_t)>* fn CPT_GUARDED_BY(mu) =
-        nullptr;
+    const RegionFn* fn CPT_GUARDED_BY(mu) = nullptr;
     ChunkPlan plan CPT_GUARDED_BY(mu);
     std::size_t pending CPT_GUARDED_BY(mu) = 0;
     std::exception_ptr error CPT_GUARDED_BY(mu);
     bool shutdown CPT_GUARDED_BY(mu) = false;
+
+    // Hands chunks 1.. of `p` to the workers.
+    void publish(const RegionFn* f, const ChunkPlan& p) CPT_REQUIRES(region_mu)
+        CPT_EXCLUDES(mu) {
+        {
+            LockGuard lock(mu);
+            fn = f;
+            plan = p;
+            pending = p.chunks - 1;
+            error = nullptr;
+            ++generation;
+        }
+        start_cv.notify_all();
+    }
+
+    // Waits for the workers' chunks; returns the first exception they threw.
+    std::exception_ptr collect() CPT_REQUIRES(region_mu) CPT_EXCLUDES(mu) {
+        LockGuard lock(mu);
+        while (pending != 0) done_cv.wait(mu);
+        fn = nullptr;
+        return error;
+    }
 
     void worker_loop(std::size_t worker_id) {
         tls_in_worker = true;
@@ -129,15 +157,8 @@ void ThreadPool::parallel_chunks(
         return;
     }
 
-    {
-        LockGuard lock(impl_->mu);
-        impl_->fn = &fn;
-        impl_->plan = plan;
-        impl_->pending = plan.chunks - 1;
-        impl_->error = nullptr;
-        ++impl_->generation;
-    }
-    impl_->start_cv.notify_all();
+    LockGuard region(impl_->region_mu);
+    impl_->publish(&fn, plan);
 
     // The caller is lane 0.
     std::exception_ptr my_error;
@@ -151,13 +172,8 @@ void ThreadPool::parallel_chunks(
     }
     tls_in_worker = was_in_worker;
 
-    std::exception_ptr err;
-    {
-        LockGuard lock(impl_->mu);
-        while (impl_->pending != 0) impl_->done_cv.wait(impl_->mu);
-        impl_->fn = nullptr;
-        err = my_error ? my_error : impl_->error;
-    }
+    std::exception_ptr err = impl_->collect();
+    if (my_error) err = my_error;
     if (err) std::rethrow_exception(err);
 }
 

@@ -15,6 +15,10 @@
 // sampler splitting a generation round across decoders) transparently
 // serializes the inner nn-kernel parallelism.
 //
+// Several external threads may share one pool (serve Engines share the
+// global pool): their regions take turns owning the workers, one region at a
+// time, and each runs the same static chunking it would run alone.
+//
 // The global pool is sized by the CPT_THREADS environment variable (default:
 // hardware concurrency) and is created lazily on first use.
 #pragma once

@@ -1,12 +1,12 @@
 // Bit-exactness of the blocked/threaded GEMM kernels against the naive
 // reference kernels (see the accumulation contract in src/nn/gemm.hpp),
 // pinned per SIMD tier. On the scalar and sse2 tiers the comparison is
-// memcmp, not tolerance: those kernels must produce the same bits as the
-// reference for every shape and every thread count, because sampler/world-gen
-// determinism across CPT_THREADS rests on it. The one carve-out is the m = 1
-// NT decode GEMV, whose multi-accumulator dot is tolerance-vs-reference but
-// still byte-stable across thread counts. Cross-tier behaviour (including
-// avx2) is covered by nn_simd_parity_test.
+// memcmp, not tolerance: those kernels — gemm_nt_decode and every m = 1
+// shape included — must produce the same bits as the reference for every
+// shape and every thread count, because sampler/world-gen determinism across
+// CPT_THREADS rests on it. The decode NT entry is also pinned batch-invariant
+// on every tier, avx2 included: row r of an m-row product equals the 1-row
+// product of that row. Cross-tier tolerance is nn_simd_parity_test's job.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -61,8 +61,14 @@ struct Kernel {
     GemmFn blocked;
     RefFn ref;
     const char* name;
-    bool nt = false;
 };
+
+// The SIMD tiers this host can run.
+std::vector<util::SimdTier> available_tiers() {
+    auto tiers = bit_exact_tiers();
+    if (util::simd_tier_available(util::SimdTier::kAvx2)) tiers.push_back(util::SimdTier::kAvx2);
+    return tiers;
+}
 
 void check_shape(const Kernel& kernel, std::size_t m, std::size_t k, std::size_t n,
                  std::mt19937& gen) {
@@ -82,22 +88,14 @@ void check_shape(const Kernel& kernel, std::size_t m, std::size_t k, std::size_t
 
     // Thread-count invariance is unconditional.
     expect_bitwise_equal(c_p4, c_p1, kernel.name, m, k, n);
-    if (kernel.nt && m == 1) {
-        // The NT decode GEMV reassociates the dot across accumulators:
-        // tolerance vs the reference, bits vs itself (checked above).
-        for (std::size_t i = 0; i < c_ref.size(); ++i) {
-            EXPECT_NEAR(c_p1[i], c_ref[i], 1e-4f)
-                << kernel.name << " gemv at shape (1, " << k << ", " << n << ") index " << i;
-        }
-        return;
-    }
     expect_bitwise_equal(c_p1, c_ref, kernel.name, m, k, n);
 }
 
 const Kernel kKernels[] = {
-    {gemm_nn, gemm_nn_ref, "gemm_nn", false},
-    {gemm_nt, gemm_nt_ref, "gemm_nt", true},
-    {gemm_tn, gemm_tn_ref, "gemm_tn", false},
+    {gemm_nn, gemm_nn_ref, "gemm_nn"},
+    {gemm_nt, gemm_nt_ref, "gemm_nt"},
+    {gemm_tn, gemm_tn_ref, "gemm_tn"},
+    {gemm_nt_decode, gemm_nt_ref, "gemm_nt_decode"},
 };
 
 TEST(GemmBitExactTest, ModelScaleShapes) {
@@ -144,6 +142,53 @@ TEST(GemmBitExactTest, NonMultipleOfBlockSizes) {
         TierGuard guard(tier);
         for (const auto& k : kKernels) {
             for (const auto& s : shapes) check_shape(k, s[0], s[1], s[2], gen);
+        }
+    }
+}
+
+TEST(GemmBitExactTest, DecodeNtMatchesReferenceForEveryRowCount) {
+    std::mt19937 gen(21);
+    const Kernel decode{gemm_nt_decode, gemm_nt_ref, "gemm_nt_decode"};
+    for (util::SimdTier tier : bit_exact_tiers()) {
+        TierGuard guard(tier);
+        for (std::size_t m = 1; m <= 37; ++m) {
+            check_shape(decode, m, 33, 29, gen);
+            check_shape(decode, m, 64, 40, gen);
+        }
+    }
+}
+
+// Row r of an m-row decode product equals the 1-row product of A's row r,
+// bit for bit, on every tier and thread count: a decode row's bits never
+// depend on how many rows share the batch. The shapes cover a k tail (37),
+// odd column counts, and row counts on both sides of every row tile.
+TEST(GemmBitExactTest, DecodeNtRowsAreBatchInvariant) {
+    std::mt19937 gen(22);
+    const std::size_t ks_ns[][2] = {{64, 70}, {37, 33}, {256, 64}, {9, 64}};
+    util::ThreadPool pool1(1);
+    util::ThreadPool pool4(4);
+    for (util::SimdTier tier : available_tiers()) {
+        TierGuard guard(tier);
+        for (const auto& kn : ks_ns) {
+            const std::size_t k = kn[0], n = kn[1];
+            for (std::size_t m : {1, 7, 8, 11, 32, 128}) {
+                const auto a = random_floats(m * k, gen);
+                const auto b = random_floats(k * n, gen);
+                const auto c0 = random_floats(m * n, gen);
+                for (util::ThreadPool* pool : {&pool1, &pool4}) {
+                    auto c = c0;
+                    gemm_nt_decode(a.data(), b.data(), c.data(), m, k, n, pool);
+                    for (std::size_t r = 0; r < m; ++r) {
+                        const auto first = c0.begin() + static_cast<std::ptrdiff_t>(r * n);
+                        std::vector<float> row(first, first + static_cast<std::ptrdiff_t>(n));
+                        gemm_nt_decode(a.data() + r * k, b.data(), row.data(), 1, k, n, &pool1);
+                        ASSERT_EQ(std::memcmp(row.data(), c.data() + r * n, n * sizeof(float)), 0)
+                            << "tier " << util::simd_tier_name(tier) << " row " << r << " of m = "
+                            << m << " (k " << k << ", n " << n << ", " << pool->threads()
+                            << " threads)";
+                    }
+                }
+            }
         }
     }
 }

@@ -1,19 +1,45 @@
 // Tests pinning the KV-cached TransformerDecoder to the autograd forward:
 // step-by-step decoding must reproduce Transformer::forward()'s last-position
-// outputs, including after compaction — plus the admit/evict churn property:
-// under any randomized schedule of admissions and compactions, every live
-// row's output is byte-identical to a fresh decoder fed the same stream.
+// outputs, including after compaction — plus the row-invariance contract, on
+// every SIMD tier: under any randomized schedule of admissions and
+// compactions, every live row's output is byte-identical to a fresh decoder
+// fed the same stream, and a SlotBatch stream is byte-identical whether it
+// decodes alone or among 15 co-residents.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <random>
 
 #include "core/model.hpp"
 #include "core/sampler.hpp"
 #include "nn/infer.hpp"
+#include "trace/synthetic.hpp"
+#include "util/cpu.hpp"
 
 namespace cpt::nn {
 namespace {
+
+using util::SimdTier;
+
+// Pins the active SIMD tier for a scope and restores the previous one.
+class TierGuard {
+public:
+    explicit TierGuard(SimdTier tier) : prev_(util::set_simd_tier(tier)) {}
+    ~TierGuard() { util::set_simd_tier(prev_); }
+    TierGuard(const TierGuard&) = delete;
+    TierGuard& operator=(const TierGuard&) = delete;
+
+private:
+    SimdTier prev_;
+};
+
+std::vector<SimdTier> available_tiers() {
+    std::vector<SimdTier> tiers{SimdTier::kScalar};
+    if (util::simd_tier_available(SimdTier::kSse2)) tiers.push_back(SimdTier::kSse2);
+    if (util::simd_tier_available(SimdTier::kAvx2)) tiers.push_back(SimdTier::kAvx2);
+    return tiers;
+}
 
 TransformerConfig small_config() {
     TransformerConfig cfg;
@@ -116,13 +142,14 @@ TEST(TransformerDecoderTest, RejectsOverflowAndBadShapes) {
 // decoder fed that row's token history from position 0 (the invariance that
 // lets a serving scheduler refill freed slots mid-decode). Exercised in both
 // KV modes — fp32 and fp16 storage — because the fp16 path indexes the same
-// phys_[r] map through its own half-width buffers.
+// phys_[r] map through its own half-width buffers. The capacity of 12 lets
+// the batch cross 8 rows, where kernels have switched row tiles.
 void run_churn_property(const DecodeOptions& opts, unsigned schedule_seed) {
     util::Rng rng(6);
     TransformerConfig cfg = small_config();
     cfg.max_seq_len = 20;
     const Transformer model(cfg, rng);
-    const std::size_t cap = 4;
+    const std::size_t cap = 12;
     const std::size_t dt = cfg.d_token;
     const std::size_t dm = cfg.d_model;
 
@@ -205,19 +232,87 @@ void run_churn_property(const DecodeOptions& opts, unsigned schedule_seed) {
             ASSERT_EQ(std::memcmp(h.data().data(), log.outputs.data() + t * dm,
                                   dm * sizeof(float)),
                       0)
-                << "stream " << s << " step " << t << " of " << len;
+                << "tier " << util::simd_tier_name(util::active_simd_tier()) << " stream " << s
+                << " step " << t << " of " << len;
         }
     }
 }
 
 TEST(TransformerDecoderTest, ChurnRowMapPropertyFp32Kv) {
-    for (unsigned seed : {101u, 202u, 303u}) run_churn_property(DecodeOptions{}, seed);
+    for (SimdTier tier : available_tiers()) {
+        TierGuard guard(tier);
+        for (unsigned seed : {101u, 202u, 303u}) run_churn_property(DecodeOptions{}, seed);
+    }
 }
 
 TEST(TransformerDecoderTest, ChurnRowMapPropertyFp16Kv) {
     DecodeOptions opts;
     opts.kv_fp16 = true;
-    for (unsigned seed : {404u, 505u, 606u}) run_churn_property(opts, seed);
+    for (SimdTier tier : available_tiers()) {
+        TierGuard guard(tier);
+        for (unsigned seed : {404u, 505u, 606u}) run_churn_property(opts, seed);
+    }
+}
+
+// The SlotBatch determinism contract as stated in core/sampler.hpp: a
+// stream's content is a pure function of its Rng, whichever other streams
+// share the batch. Each target Rng is decoded alone, then admitted among 15
+// co-residents; the two streams must match byte for byte on every tier.
+TEST(SlotBatchInvarianceTest, StreamAloneEqualsStreamAmongFifteenCoResidents) {
+    trace::SyntheticWorldConfig wcfg;
+    wcfg.population = {30, 0, 0};
+    wcfg.seed = 23;
+    const auto world = trace::SyntheticWorldGenerator(wcfg).generate();
+    const auto tok = core::Tokenizer::fit(world);
+    core::CptGptConfig cfg;
+    cfg.d_model = 16;
+    cfg.heads = 2;
+    cfg.mlp_hidden = 32;
+    cfg.blocks = 2;
+    cfg.max_seq_len = 24;
+    cfg.head_hidden = 16;
+    util::Rng init(8);
+    const core::CptGpt model(tok, cfg, init);  // untrained: the contract is structural
+    const core::Sampler sampler(model, tok, world.initial_event_distribution());
+    using Finished = core::Sampler::SlotBatch::Finished;
+    constexpr std::size_t kCoResidents = 15;
+
+    for (SimdTier tier : available_tiers()) {
+        TierGuard guard(tier);
+        util::Rng root(99);
+        for (std::uint64_t target = 0; target < 3; ++target) {
+            const util::Rng rng = root.fork(1000 + target);
+            auto alone = sampler.make_slot_batch(1);
+            alone.admit(rng, "target", target);
+            std::vector<Finished> solo;
+            while (alone.live() > 0) alone.step(solo);
+            ASSERT_EQ(solo.size(), 1u);
+
+            auto shared = sampler.make_slot_batch(kCoResidents + 1);
+            for (std::uint64_t i = 0; i < kCoResidents; ++i) {
+                if (i == kCoResidents / 2) shared.admit(rng, "target", target);
+                shared.admit(root.fork(i), "co-" + std::to_string(i), 100 + i);
+            }
+            std::vector<Finished> fin;
+            while (shared.live() > 0) shared.step(fin);
+            ASSERT_EQ(fin.size(), kCoResidents + 1);
+            const trace::Stream* got = nullptr;
+            for (const auto& f : fin) {
+                if (f.ticket == target) got = &f.stream;
+            }
+            ASSERT_NE(got, nullptr);
+            const auto& want = solo[0].stream.events;
+            ASSERT_EQ(got->events.size(), want.size())
+                << "tier " << util::simd_tier_name(tier) << " target " << target;
+            for (std::size_t j = 0; j < want.size(); ++j) {
+                EXPECT_EQ(got->events[j].type, want[j].type);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got->events[j].timestamp),
+                          std::bit_cast<std::uint64_t>(want[j].timestamp))
+                    << "tier " << util::simd_tier_name(tier) << " target " << target << " event "
+                    << j;
+            }
+        }
+    }
 }
 
 TEST(CptGptDecodeTest, DecodeStepMatchesForwardHeads) {

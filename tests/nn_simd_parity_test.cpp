@@ -72,11 +72,11 @@ using GemmFn = void (*)(const float*, const float*, float*, std::size_t, std::si
                         util::ThreadPool*);
 
 // Every tier must agree with the scalar tier within tolerance, and with
-// itself (bitwise) across thread counts — for all three layouts, including
-// the m = 1 shapes routed to the GEMV fast path.
+// itself (bitwise) across thread counts — for all three layouts and the
+// decode NT entry, including the m = 1 shapes routed to the GEMV fast path.
 TEST(SimdParityTest, GemmAgreesAcrossTiers) {
-    const GemmFn fns[] = {gemm_nn, gemm_nt, gemm_tn};
-    const char* names[] = {"gemm_nn", "gemm_nt", "gemm_tn"};
+    const GemmFn fns[] = {gemm_nn, gemm_nt, gemm_tn, gemm_nt_decode};
+    const char* names[] = {"gemm_nn", "gemm_nt", "gemm_tn", "gemm_nt_decode"};
     const std::size_t shapes[][3] = {
         {1, 64, 256}, {1, 128, 128}, {1, 9, 64},  {1, 300, 31},
         {4, 16, 16},  {37, 48, 70},  {128, 64, 256}, {33, 17, 255},
@@ -89,7 +89,7 @@ TEST(SimdParityTest, GemmAgreesAcrossTiers) {
         const auto a = random_floats(m * k, gen);
         const auto b = random_floats(k * n, gen);
         const auto c0 = random_floats(m * n, gen);
-        for (std::size_t f = 0; f < 3; ++f) {
+        for (std::size_t f = 0; f < std::size(fns); ++f) {
             std::vector<float> scalar_out;
             for (SimdTier tier : available_tiers()) {
                 TierGuard guard(tier);
@@ -133,6 +133,9 @@ TEST(SimdParityTest, FusedKernelsAgreeAcrossTiers) {
     const std::size_t rows = 13;
     const std::size_t d = 100;  // exercises both the vector body and the tail
     const auto x = random_floats(rows * d, gen);
+    // GELU inputs span [-10, 10]: exp saturation on both sides, not just the
+    // near-linear middle.
+    const auto xg = random_floats(rows * d, gen, -10.0f, 10.0f);
     const auto gain = random_floats(d, gen, 0.5f, 1.5f);
     const auto bias = random_floats(d, gen);
     util::ThreadPool pool1(1);
@@ -163,8 +166,11 @@ TEST(SimdParityTest, FusedKernelsAgreeAcrossTiers) {
         kernels::add_bias_rows(biased4.data(), bias.data(), rows, d, &pool4);
         expect_same_bits(biased, biased4, "add_bias_rows threads");
 
-        auto bg = x;
+        auto bg = xg;
         kernels::bias_gelu_rows(bg.data(), bias.data(), rows, d, &pool1);
+        auto bg4 = xg;
+        kernels::bias_gelu_rows(bg4.data(), bias.data(), rows, d, &pool4);
+        expect_same_bits(bg, bg4, "bias_gelu_rows threads");
 
         const float dot = kernels::dot(x.data(), x.data() + d, d);
         std::vector<float> ax(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(d));

@@ -102,6 +102,36 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
     EXPECT_EQ(n.load(), 64u);
 }
 
+// Two external threads share one pool (as serve Engines share the global
+// pool). Each region writes per-chunk partial sums into its own caller's
+// buffer; a region published over another one in flight would run the wrong
+// function or plan, and the sums would come out wrong (or the run would
+// crash, or race under TSan).
+TEST(ThreadPoolTest, ConcurrentExternalCallersGetExactSums) {
+    ThreadPool pool(4);
+    constexpr std::size_t kRegions = 2000;
+    constexpr std::size_t kItems = 64;
+    std::size_t bad[2] = {0, 0};
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < 2; ++t) {
+        callers.emplace_back([&pool, &bad, t] {
+            const std::size_t scale = t + 1;
+            for (std::size_t region = 0; region < kRegions; ++region) {
+                std::size_t partial[4] = {0, 0, 0, 0};
+                pool.parallel_chunks(kItems, 1, [&](std::size_t c, std::size_t b, std::size_t e) {
+                    for (std::size_t i = b; i < e; ++i) partial[c] += scale * i + region;
+                });
+                const std::size_t got = partial[0] + partial[1] + partial[2] + partial[3];
+                const std::size_t want = scale * (kItems * (kItems - 1) / 2) + kItems * region;
+                if (got != want) ++bad[t];
+            }
+        });
+    }
+    for (auto& c : callers) c.join();
+    EXPECT_EQ(bad[0], 0u);
+    EXPECT_EQ(bad[1], 0u);
+}
+
 TEST(ThreadPoolTest, GrainForTargetsMinimumChunkCost) {
     EXPECT_EQ(grain_for(16384), 1u);
     EXPECT_EQ(grain_for(1, 100), 100u);
