@@ -1,15 +1,20 @@
 // Training-path throughput: Trainer::train driven through the arena-backed
 // tape, SIMD backward kernels, and fused optimizer, reported as optimizer
 // steps/sec and window-tokens/sec per available SIMD tier (speedup vs the
-// scalar baseline), plus thread-scaling rows and the Design-3 parallel
-// per-slice fine-tune cost through HubTrainer. Emits BENCH_train.json next to
-// the binary.
+// scalar baseline), plus thread-scaling rows at 1-4 threads (training is
+// data-parallel over fixed window shards, so every row trains the same bytes)
+// and the Design-3 parallel per-slice fine-tune cost through HubTrainer. Emits
+// BENCH_train.json next to the binary, stamped with the host it ran on.
 //
 // The model is untrained and the data synthetic — training throughput depends
 // on shapes, not weight values — so the bench needs no checkpoint and runs in
 // well under a minute.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/hub_trainer.hpp"
@@ -29,6 +34,20 @@ std::vector<util::SimdTier> available_tiers() {
     if (util::simd_tier_available(util::SimdTier::kSse2)) tiers.push_back(util::SimdTier::kSse2);
     if (util::simd_tier_available(util::SimdTier::kAvx2)) tiers.push_back(util::SimdTier::kAvx2);
     return tiers;
+}
+
+std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            if (colon != std::string::npos) {
+                return line.substr(line.find_first_not_of(' ', colon + 1));
+            }
+        }
+    }
+    return "unknown";
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -75,6 +94,7 @@ struct TrainRow {
     double tokens_per_sec = 0.0;
     double epoch_seconds = 0.0;
     double speedup = 0.0;  // vs the section's baseline row
+    double final_loss = 0.0;
 };
 
 TrainRow run_train(const trace::Dataset& world, util::SimdTier tier, std::size_t threads) {
@@ -92,6 +112,7 @@ TrainRow run_train(const trace::Dataset& world, util::SimdTier tier, std::size_t
     row.steps_per_sec = static_cast<double>(r.steps) / row.seconds;
     row.tokens_per_sec = static_cast<double>(r.tokens) / row.seconds;
     row.epoch_seconds = row.seconds / r.epochs_run;
+    row.final_loss = r.train_loss.back();
     return row;
 }
 
@@ -122,19 +143,20 @@ int main() {
     // tests/train_determinism_test.cpp); only wall-clock may move.
     const char* active = util::simd_tier_name(util::active_simd_tier());
     std::vector<TrainRow> thread_rows;
-    std::vector<std::size_t> thread_counts{1};
-    if (configured > 1) thread_counts.push_back(configured);
-    if (configured != 2) thread_counts.push_back(2);
-    for (std::size_t t : thread_counts) {
+    for (std::size_t t = 1; t <= 4; ++t) {
         util::set_global_threads(t);
-        TrainRow row = run_train(world, util::active_simd_tier(), t);
-        thread_rows.push_back(row);
+        thread_rows.push_back(run_train(world, util::active_simd_tier(), t));
     }
-    for (auto& r : thread_rows) r.speedup = r.steps_per_sec / thread_rows.front().steps_per_sec;
+    bool same_loss = true;
+    for (auto& r : thread_rows) {
+        r.speedup = r.steps_per_sec / thread_rows.front().steps_per_sec;
+        same_loss = same_loss && r.final_loss == thread_rows.front().final_loss;
+    }
     for (const auto& r : thread_rows) {
         std::printf("train tier %-6s  threads %zu  %.2f s  -> %6.1f steps/s  (%.2fx vs 1 thread)\n",
                     r.tier, r.threads, r.seconds, r.steps_per_sec, r.speedup);
     }
+    std::printf("final train loss identical across thread counts: %s\n", same_loss ? "yes" : "NO");
 
     // Design-3 hub fine-tune: pretrain one model, fine-tune one copy per
     // hour slice through HubTrainer (worker-parallel across slices).
@@ -175,13 +197,19 @@ int main() {
     }
     const auto mdl = bench_model();
     const auto tcfg = bench_train_config();
+    const char* threads_env = std::getenv("CPT_THREADS");
     std::fprintf(f,
-                 "{\n  \"bench\": \"train\",\n  \"threads_configured\": %zu,\n"
+                 "{\n  \"bench\": \"train\",\n"
+                 "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, \"simd\": \"%s\", "
+                 "\"cpt_threads\": \"%s\", \"build\": \"%s\"},\n"
+                 "  \"threads_configured\": %zu,\n"
                  "  \"model\": {\"d_model\": %zu, \"mlp_hidden\": %zu, \"blocks\": %zu},\n"
                  "  \"train\": {\"batch_size\": %zu, \"window\": %zu, \"epochs\": %d},\n"
                  "  \"tier_rows\": [\n",
-                 configured, mdl.d_model, mdl.mlp_hidden, mdl.blocks, tcfg.batch_size,
-                 tcfg.window, tcfg.max_epochs);
+                 cpu_model().c_str(), std::thread::hardware_concurrency(), active,
+                 threads_env ? threads_env : "unset", CPT_BENCH_BUILD_TYPE, configured,
+                 mdl.d_model, mdl.mlp_hidden, mdl.blocks, tcfg.batch_size, tcfg.window,
+                 tcfg.max_epochs);
     for (std::size_t i = 0; i < tier_rows.size(); ++i) {
         const auto& r = tier_rows[i];
         std::fprintf(f,
@@ -192,13 +220,15 @@ int main() {
                      r.tokens_per_sec, r.epoch_seconds, r.speedup,
                      i + 1 < tier_rows.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"thread_rows\": [\n");
+    std::fprintf(f, "  ],\n  \"thread_rows_identical_loss\": %s,\n  \"thread_rows\": [\n",
+                 same_loss ? "true" : "false");
     for (std::size_t i = 0; i < thread_rows.size(); ++i) {
         const auto& r = thread_rows[i];
         std::fprintf(f,
                      "    {\"tier\": \"%s\", \"threads\": %zu, \"seconds\": %.4f, "
-                     "\"steps_per_sec\": %.2f, \"speedup_vs_1_thread\": %.3f}%s\n",
-                     active, r.threads, r.seconds, r.steps_per_sec, r.speedup,
+                     "\"steps_per_sec\": %.2f, \"speedup_vs_1_thread\": %.3f, "
+                     "\"final_loss\": %.9g}%s\n",
+                     active, r.threads, r.seconds, r.steps_per_sec, r.speedup, r.final_loss,
                      i + 1 < thread_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"hub_fine_tune\": {\"slices\": %zu, \"wall_seconds\": %.4f, "

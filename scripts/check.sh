@@ -9,12 +9,12 @@
 #   scripts/check.sh sa          # cpt_sa project-invariant linter + static-labeled tests
 #   scripts/check.sh ubsan       # UBSan build (recovery disabled) + full suite
 #   scripts/check.sh asan        # ASan build + full suite
-#   scripts/check.sh tsan        # TSan build + concurrency-labeled tests
+#   scripts/check.sh tsan        # TSan build + concurrency-labeled tests + sharded training
 #   scripts/check.sh simd        # Release build; parity, determinism, row invariance per SIMD tier
 #   scripts/check.sh quant       # quant-labeled tests (int8/fp16 decode) per forced SIMD tier
 #   scripts/check.sh serve       # serve-labeled tests + daemon smoke (loadtest, clean drain)
 #   scripts/check.sh router      # 2 backends + router; kill one mid-load, assert clean failover
-#   scripts/check.sh train       # train-labeled tests, then rerun determinism with CPT_THREADS=2
+#   scripts/check.sh train       # train-labeled tests, then rerun determinism with CPT_THREADS=2 and 3
 #   scripts/check.sh scale       # scale-labeled tests + 50k-UE streaming smoke under an RSS bound
 #   scripts/check.sh spec        # spec-labeled tests (speculative-decode identities) per SIMD tier
 #
@@ -120,9 +120,12 @@ stage_asan() {
 }
 
 stage_tsan() {
-    echo "== stage: tsan (thread sanitizer, concurrency-labeled tests) =="
+    echo "== stage: tsan (thread sanitizer, concurrency-labeled tests, sharded training) =="
     configure_and_build "$ROOT/build-check-tsan" -DCPT_SANITIZE=thread
     run_ctest "$ROOT/build-check-tsan" -L concurrency
+    # The training determinism suite is labeled train, not concurrency, but it
+    # is what drives the data-parallel shard lanes concurrently.
+    run_ctest "$ROOT/build-check-tsan" -R 'TrainDeterminism'
 }
 
 host_simd_tiers() {
@@ -354,13 +357,15 @@ stage_router() {
 }
 
 stage_train() {
-    echo "== stage: train (labeled tests, then determinism rerun with CPT_THREADS=2) =="
+    echo "== stage: train (labeled tests, then determinism rerun with CPT_THREADS=2 and 3) =="
     local dir="$ROOT/build-check-train"
     configure_and_build "$dir"
     run_ctest "$dir" -L train
     # The training-path determinism contract says CPT_THREADS is a pure
-    # performance knob; rerun the pinning suite with a pool configured.
+    # performance knob; rerun the pinning suite with a pool configured, once
+    # at 3 threads, where 4-window shards and pool lanes do not divide evenly.
     CPT_THREADS=2 run_ctest "$dir" -R 'TrainDeterminism'
+    CPT_THREADS=3 run_ctest "$dir" -R 'TrainDeterminism'
 }
 
 stage_spec() {

@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 
 #include "nn/graph_lint.hpp"
 #include "nn/optim.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cpt::core {
 
@@ -119,6 +121,155 @@ void fill_batch(Batch& batch, const std::vector<EncodedStream>& streams,
     }
 }
 
+// Windows per data-parallel shard (DESIGN.md §11). A constant, not a
+// TrainConfig field or env var: the shard boundaries fix every floating-point
+// reduction of a step, so the trained bytes depend on the data and the config
+// alone, never on CPT_THREADS.
+constexpr std::size_t kShardWindows = 4;
+
+struct LossParts {
+    double total = 0.0;
+    double event_ce = 0.0;
+    double ia = 0.0;
+    double stop_ce = 0.0;
+
+    void add(const LossParts& o, double weight = 1.0) {
+        total += weight * o.total;
+        event_ce += weight * o.event_ce;
+        ia += weight * o.ia;
+        stop_ce += weight * o.stop_ce;
+    }
+};
+
+// The data-parallel batch step. A batch is cut into fixed shards of
+// kShardWindows windows, and each shard runs forward (and backward) on its own
+// global_pool() lane with its own tape arena, batch buffer and model: shard 0
+// runs the master, every other shard a replica refreshed from the master's
+// weights. Each shard's loss is scaled by its share of the batch's target
+// positions, so the shard losses and gradients sum to the full-batch ones;
+// the gradients are summed into the master's in ascending shard order. Nested
+// ops run inline on a lane, and inside an outer parallel region (HubTrainer
+// workers) the shards run serially with the same bytes.
+class ShardedStep {
+public:
+    ShardedStep(CptGpt& master, const Tokenizer& tokenizer, const TrainConfig& config,
+                std::size_t max_windows)
+        : master_(&master),
+          config_(&config),
+          d_token_(tokenizer.d_token()),
+          params_(master.parameters()),
+          shards_((max_windows + kShardWindows - 1) / kShardWindows) {
+        shards_[0].params = params_;
+        for (std::size_t s = 1; s < shards_.size(); ++s) {
+            util::Rng unused(0);  // the replica's init is overwritten by copy_weights
+            shards_[s].replica = std::make_unique<CptGpt>(tokenizer, master.config(), unused);
+            shards_[s].params = shards_[s].replica->parameters();
+        }
+    }
+
+    // The weighted loss over `windows` (at most max_windows) of `source`. With
+    // `backprop`, the master's parameter grads are overwritten with its
+    // gradient.
+    LossParts run(std::span<const Window> windows, const std::vector<EncodedStream>& source,
+                  bool backprop) {
+        const std::size_t count = (windows.size() + kShardWindows - 1) / kShardWindows;
+        CPT_CHECK_LE(count, shards_.size(), " ShardedStep: batch exceeds its shard capacity");
+        std::size_t targets = 0;
+        for (const Window& w : windows) targets += w.targets;
+        util::global_pool().parallel_for(count, 1, [&](std::size_t s0, std::size_t s1) {
+            for (std::size_t s = s0; s < s1; ++s) {
+                const std::size_t first = s * kShardWindows;
+                const auto shard_windows =
+                    windows.subspan(first, std::min(kShardWindows, windows.size() - first));
+                run_shard(s, shard_windows, source, targets, backprop);
+            }
+        });
+        LossParts parts;
+        for (std::size_t s = 0; s < count; ++s) parts.add(shards_[s].parts);
+        if (backprop) {
+            for (std::size_t p = 0; p < params_.size(); ++p) {
+                for (std::size_t s = 1; s < count; ++s) {
+                    const nn::Tensor& grad = shards_[s].params[p]->grad;
+                    if (grad.numel() > 0) params_[p]->ensure_grad().add_(grad);
+                }
+            }
+        }
+        return parts;
+    }
+
+    // The master's weights moved: every replica re-copies them before its
+    // next shard.
+    void weights_changed() { ++version_; }
+
+private:
+    struct Shard {
+        std::unique_ptr<CptGpt> replica;  // null for shard 0, which runs the master
+        std::vector<nn::Var> params;      // of the shard's model
+        std::uint64_t synced = 0;         // version_ the replica's weights were copied at
+        nn::TapeArena arena;
+        Batch batch;
+        LossParts parts;  // already scaled by the shard's target share
+    };
+
+    void run_shard(std::size_t index, std::span<const Window> windows,
+                   const std::vector<EncodedStream>& source, std::size_t batch_targets,
+                   bool backprop) {
+        Shard& shard = shards_[index];
+        const CptGpt& model = shard.replica ? *shard.replica : *master_;
+        if (shard.replica && shard.synced != version_) {
+            copy_weights(*master_, *shard.replica);
+            shard.synced = version_;
+        }
+        fill_batch(shard.batch, source, windows, config_->window, d_token_, kShardWindows);
+        std::size_t targets = 0;
+        for (const Window& w : windows) targets += w.targets;
+        const double share = static_cast<double>(targets) / static_cast<double>(batch_targets);
+        {
+            nn::ArenaScope tape_scope(shard.arena);
+            const Batch& batch = shard.batch;
+            nn::Var tokens = nn::make_var(batch.tokens);
+            const auto out = model.forward(tokens);
+            nn::Var event_ce = nn::cross_entropy(out.event_logits, batch.event_targets);
+            nn::Var ia_loss =
+                model.config().distribution_head
+                    ? nn::gaussian_nll(out.ia_mu, out.ia_logvar, batch.ia_targets, batch.ia_mask)
+                    : nn::mse_masked(out.ia_mu, batch.ia_targets, batch.ia_mask);
+            nn::Var stop_ce = nn::cross_entropy(out.stop_logits, batch.stop_targets);
+            nn::Var loss = nn::add(nn::scale(event_ce, config_->w_event),
+                                   nn::add(nn::scale(ia_loss, config_->w_interarrival),
+                                           nn::scale(stop_ce, config_->w_stop)));
+            CPT_CHECK_FINITE(loss->value[0], "Trainer: shard loss");
+            shard.parts = {};
+            shard.parts.add({loss->value[0], event_ce->value[0], ia_loss->value[0],
+                             stop_ce->value[0]},
+                            share);
+            // In debug-check builds, lint shard 0's first tape: a structural
+            // problem (detached param, dead gradient path) is a property of the
+            // model wiring, not of any particular batch.
+            if (index == 0 && !linted_) {
+                linted_ = true;
+                const auto lint = nn::lint_graph(loss, params_);
+                if (!lint.clean()) util::warn(lint.summary());
+            }
+            if (backprop) {
+                nn::zero_grad(shard.params);
+                nn::backward(nn::scale(loss, static_cast<float>(share)));
+            }
+        }
+        // The graph (and every arena tensor it pinned) is released; reclaim
+        // the shard's buffers for its next batch.
+        shard.arena.reset();
+    }
+
+    CptGpt* master_;
+    const TrainConfig* config_;
+    std::size_t d_token_;
+    std::vector<nn::Var> params_;  // the master's
+    std::vector<Shard> shards_;
+    std::uint64_t version_ = 1;
+    bool linted_ = !util::kDebugChecksEnabled;
+};
+
 }  // namespace
 
 Trainer::Trainer(CptGpt& model, const Tokenizer& tokenizer, TrainConfig config)
@@ -181,68 +332,10 @@ TrainResult Trainer::train(const trace::Dataset& data) {
 
     auto train_windows = make_windows(train_streams, config_.window);
     const auto val_windows = make_windows(val_streams, config_.window);
-    const std::size_t d_token = tokenizer_->d_token();
-    const bool dist_head = model_->config().distribution_head;
 
-    auto params = model_->parameters();
-    nn::Adam opt(params, config_.lr);
-
-    struct LossParts {
-        double total = 0.0;
-        double event_ce = 0.0;
-        double ia = 0.0;
-        double stop_ce = 0.0;
-    };
-
-    // In debug-check builds, lint the very first tape once: a structural
-    // problem (detached param, dead gradient path) is a property of the model
-    // wiring, not of any particular batch.
-    bool graph_linted = !util::kDebugChecksEnabled;
-
+    nn::Adam opt(model_->parameters(), config_.lr);
+    ShardedStep step(*model_, *tokenizer_, config_, config_.batch_size);
     TrainResult result;
-
-    // One arena and one batch buffer for the whole run: the tape's tensor
-    // shapes repeat every step, so after the first batch the graph is built
-    // entirely from recycled storage.
-    nn::TapeArena arena;
-    Batch batch;
-
-    auto batch_loss = [&](bool backprop) -> LossParts {
-        LossParts parts;
-        {
-            nn::ArenaScope tape_scope(arena);
-            nn::Var tokens = nn::make_var(batch.tokens);
-            const auto out = model_->forward(tokens);
-            nn::Var event_ce = nn::cross_entropy(out.event_logits, batch.event_targets);
-            nn::Var ia_loss =
-                dist_head
-                    ? nn::gaussian_nll(out.ia_mu, out.ia_logvar, batch.ia_targets, batch.ia_mask)
-                    : nn::mse_masked(out.ia_mu, batch.ia_targets, batch.ia_mask);
-            nn::Var stop_ce = nn::cross_entropy(out.stop_logits, batch.stop_targets);
-            nn::Var loss = nn::add(nn::scale(event_ce, config_.w_event),
-                                   nn::add(nn::scale(ia_loss, config_.w_interarrival),
-                                           nn::scale(stop_ce, config_.w_stop)));
-            if (!graph_linted) {
-                graph_linted = true;
-                const auto lint = nn::lint_graph(loss, params);
-                if (!lint.clean()) util::warn(lint.summary());
-            }
-            parts = LossParts{loss->value[0], event_ce->value[0], ia_loss->value[0],
-                              stop_ce->value[0]};
-            CPT_CHECK_FINITE(parts.total, "Trainer: batch loss");
-            if (backprop) {
-                opt.zero_grad();
-                nn::backward(loss);
-                // Fused clip+update: one gradient pass instead of three.
-                opt.step_clipped(config_.grad_clip);
-                ++result.steps;
-            }
-        }
-        // The graph (and every arena tensor it pinned) is released; reclaim
-        // the step's buffers for the next one.
-        arena.reset();
-        return parts;
-    };
 
     auto run_epoch = [&](const std::vector<Window>& windows, bool backprop,
                          const std::vector<EncodedStream>& source) -> LossParts {
@@ -250,24 +343,19 @@ TrainResult Trainer::train(const trace::Dataset& data) {
         std::size_t batches = 0;
         for (std::size_t i = 0; i < windows.size(); i += config_.batch_size) {
             const std::size_t count = std::min(config_.batch_size, windows.size() - i);
-            fill_batch(batch, source, {windows.data() + i, count}, config_.window, d_token,
-                       config_.batch_size);
-            const LossParts p = batch_loss(backprop);
-            if (backprop) result.tokens += count * config_.window;
-            total.total += p.total;
-            total.event_ce += p.event_ce;
-            total.ia += p.ia;
-            total.stop_ce += p.stop_ce;
+            total.add(step.run({windows.data() + i, count}, source, backprop));
+            if (backprop) {
+                // Fused clip+update: one gradient pass instead of three.
+                opt.step_clipped(config_.grad_clip);
+                step.weights_changed();
+                ++result.steps;
+                result.tokens += count * config_.window;
+            }
             ++batches;
         }
-        if (batches) {
-            const auto n = static_cast<double>(batches);
-            total.total /= n;
-            total.event_ce /= n;
-            total.ia /= n;
-            total.stop_ce /= n;
-        }
-        return total;
+        LossParts mean;
+        if (batches) mean.add(total, 1.0 / static_cast<double>(batches));
+        return mean;
     };
 
     double best_val = std::numeric_limits<double>::max();
@@ -299,6 +387,14 @@ TrainResult Trainer::train(const trace::Dataset& data) {
     }
     result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return result;
+}
+
+double Trainer::batch_gradient(const trace::Dataset& data) {
+    const auto streams = encode_streams(data, *tokenizer_, config_.max_stream_len);
+    CPT_CHECK(!streams.empty(), "Trainer::batch_gradient: no trainable streams");
+    const auto windows = make_windows(streams, config_.window);
+    ShardedStep step(*model_, *tokenizer_, config_, windows.size());
+    return step.run(windows, streams, true).total;
 }
 
 TrainResult Trainer::fine_tune(const trace::Dataset& data, double lr_scale, double epoch_scale) {

@@ -64,8 +64,17 @@ public:
     static float cosine_lr(const TrainConfig& config, int epoch);
 
     // Trains from the model's current weights (so calling it on a pretrained
-    // model IS transfer learning).
+    // model IS transfer learning). Each step is data-parallel over fixed
+    // shards of windows (DESIGN.md §11); the trained bytes do not depend on
+    // CPT_THREADS.
     TrainResult train(const trace::Dataset& data);
+
+    // Runs every window of `data`'s trainable streams as one batch (no
+    // validation split, no shuffle) through train()'s sharded step, leaves the
+    // batch gradient in the model's parameter grads, and returns the weighted
+    // loss. No optimizer step; lets tests compare the sharded gradient with a
+    // single-tape reference.
+    double batch_gradient(const trace::Dataset& data);
 
     // Convenience for Design 3: fine-tunes with a reduced epoch budget and
     // learning rate. `epoch_scale` in (0, 1].

@@ -34,7 +34,7 @@ using Var = std::shared_ptr<Node>;
 // and then reuse the freed buffers instead of hitting the allocator — the
 // training-path analogue of the decoder's zero-alloc DecodeScratch arena.
 //
-// Usage (see core/trainer.cpp): create one TapeArena per training loop, open
+// Usage (see core/trainer.cpp): create one TapeArena per training shard, open
 // an ArenaScope for each step's tape, release the step's graph (let the loss
 // Var go out of scope), then call reset() to reclaim the step's buffers.
 // Buffers still referenced after reset() — parameter gradients, cached loss

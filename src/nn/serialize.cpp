@@ -16,6 +16,10 @@ constexpr char kMagic[4] = {'C', 'P', 'T', 'W'};
 constexpr std::uint32_t kVersionF32 = 1;
 constexpr std::uint32_t kVersionDtyped = 2;
 
+// Largest tensor rank a section may declare; every model tensor is rank <= 3,
+// and the bound keeps a corrupt rank field from sizing a huge Shape.
+constexpr std::uint32_t kMaxRank = 8;
+
 // Per-entry dtype codes (version >= 2).
 constexpr std::uint8_t kDtypeF32 = 0;
 constexpr std::uint8_t kDtypeQ8 = 1;
@@ -80,8 +84,10 @@ void save_parameters_impl(const std::string& path, const std::vector<NamedParam>
 
 void load_parameters_impl(const std::string& path, const std::vector<NamedParam>& params,
                           QuantSections* quant_out) {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) throw std::runtime_error("load_parameters: cannot open '" + path + "'");
+    const auto file_size = static_cast<std::uint64_t>(in.tellg());
+    in.seekg(0);
     char magic[4];
     in.read(magic, sizeof(magic));
     if (!in || std::string_view(magic, 4) != std::string_view(kMagic, 4)) {
@@ -99,8 +105,20 @@ void load_parameters_impl(const std::string& path, const std::vector<NamedParam>
     std::size_t loaded = 0;
     if (quant_out) quant_out->clear();
 
+    // Length fields are checked before they size any allocation, so a corrupt
+    // checkpoint fails with an error naming the section instead of a huge
+    // allocation.
+    auto corrupt = [&](std::uint32_t section, const std::string& what) {
+        return std::runtime_error("load_parameters: section " + std::to_string(section) +
+                                  " in '" + path + "': " + what);
+    };
     for (std::uint32_t i = 0; i < count; ++i) {
         const auto name_len = read_pod<std::uint32_t>(in, path);
+        const auto left = file_size - static_cast<std::uint64_t>(in.tellg());
+        if (name_len > left) {
+            throw corrupt(i, "name length " + std::to_string(name_len) + " exceeds the " +
+                                 std::to_string(left) + " bytes left");
+        }
         std::string name(name_len, '\0');
         in.read(name.data(), name_len);
         if (!in) throw std::runtime_error("load_parameters: truncated file '" + path + "'");
@@ -111,6 +129,10 @@ void load_parameters_impl(const std::string& path, const std::vector<NamedParam>
                                      " for section '" + name + "' in '" + path + "'");
         }
         const auto rank = read_pod<std::uint32_t>(in, path);
+        if (rank > kMaxRank) {
+            throw corrupt(i, "rank " + std::to_string(rank) + " exceeds the maximum " +
+                                 std::to_string(kMaxRank));
+        }
         Shape shape(rank);
         for (auto& d : shape) d = static_cast<std::size_t>(read_pod<std::uint64_t>(in, path));
         const std::size_t numel = shape_numel(shape);

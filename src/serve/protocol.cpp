@@ -119,6 +119,11 @@ void expect_type(Reader& r, MsgType want) {
     if (got != want) throw std::runtime_error("protocol: unexpected message type");
 }
 
+// Wire sizes: an event is an f64 timestamp and a u8 type; a stream carries at
+// least its u16 id length, device, hour and u32 event count.
+constexpr std::size_t kEventBytes = 9;
+constexpr std::size_t kStreamHeaderBytes = 8;
+
 void write_stream(Writer& w, const trace::Stream& s) {
     w.str16(s.ue_id);
     w.u8(static_cast<std::uint8_t>(s.device));
@@ -136,6 +141,7 @@ trace::Stream read_stream(Reader& r) {
     s.device = static_cast<trace::DeviceType>(r.u8());
     s.hour_of_day = r.u8();
     const std::uint32_t n = r.u32();
+    r.need(n * kEventBytes);
     s.events.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         const double t = r.f64();
@@ -198,6 +204,7 @@ GenerateResponse decode_generate_response(std::span<const std::uint8_t> payload)
     resp.status = static_cast<Status>(r.u8());
     resp.error = r.str16();
     const std::uint32_t n = r.u32();
+    r.need(n * kStreamHeaderBytes);
     resp.streams.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) resp.streams.push_back(read_stream(r));
     r.expect_end();

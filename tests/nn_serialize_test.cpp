@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -37,7 +38,11 @@ void expect_error_containing(F&& f, const std::string& needle) {
 
 struct SerializeFixture : ::testing::Test {
     void SetUp() override {
-        path = (std::filesystem::temp_directory_path() / "cpt_serialize_test.ckpt").string();
+        // One file per test: ctest runs the fixture's tests as concurrent
+        // processes.
+        const std::string test = testing::UnitTest::GetInstance()->current_test_info()->name();
+        path = (std::filesystem::temp_directory_path() / ("cpt_serialize_test_" + test + ".ckpt"))
+                   .string();
         std::filesystem::remove(path);
     }
     void TearDown() override { std::filesystem::remove(path); }
@@ -122,6 +127,50 @@ TEST_F(SerializeFixture, MissingParameterIsCountedNotSilentlySkipped) {
     one.push_back({"layer.weight", make_param(Tensor::randn(rng, {4, 3}, 1.0f))});
     save_parameters(path, one);
     expect_error_containing([&] { load_parameters(path, two_params(rng)); }, "covers 1 of 2");
+}
+
+// Inflating a section's name length or rank must fail before that field sizes
+// an allocation, with an error naming the section.
+TEST_F(SerializeFixture, InflatedLengthFieldsNameTheSection) {
+    util::Rng rng(19);
+    const auto params = two_params(rng);
+    save_parameters(path, params);
+    const auto clean = slurp();
+    auto read_u32 = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, clean.data() + at, sizeof(v));
+        return v;
+    };
+    // v1 layout: magic, version, count, then per section: u32 name length,
+    // name, u32 rank, u64 dims, f32 data.
+    std::vector<std::size_t> name_len_at;
+    std::vector<std::size_t> rank_at;
+    std::size_t at = 12;
+    for (const auto& np : params) {
+        name_len_at.push_back(at);
+        at += 4 + read_u32(at);
+        rank_at.push_back(at);
+        at += 4 + 8 * read_u32(at) + 4 * np.param->value.numel();
+    }
+    ASSERT_EQ(at, clean.size());
+
+    auto expect_rejected = [&](std::size_t offset, std::uint32_t value, std::size_t section,
+                               const std::string& field) {
+        auto bytes = clean;
+        std::memcpy(bytes.data() + offset, &value, sizeof(value));
+        dump(bytes);
+        SCOPED_TRACE(field + " = " + std::to_string(value));
+        expect_error_containing([&] { load_parameters(path, two_params(rng)); },
+                                "section " + std::to_string(section));
+        expect_error_containing([&] { load_parameters(path, two_params(rng)); }, field);
+    };
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        const auto left = static_cast<std::uint32_t>(clean.size() - name_len_at[i] - 4);
+        expect_rejected(name_len_at[i], left + 1, i, "name length");
+        expect_rejected(name_len_at[i], 0xFFFFFFFFu, i, "name length");
+        expect_rejected(rank_at[i], 9, i, "rank");
+        expect_rejected(rank_at[i], 0xFFFFFFFFu, i, "rank");
+    }
 }
 
 TEST_F(SerializeFixture, MissingFileThrows) {

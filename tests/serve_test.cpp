@@ -290,6 +290,36 @@ TEST(ServeProtocolTest, GenerateResponseRoundTripAndTruncationThrows) {
     EXPECT_THROW(serve::peek_type(std::span<const std::uint8_t>()), std::runtime_error);
 }
 
+// Inflated stream and event counts must be rejected against the bytes left
+// before they size a reserve().
+TEST(ServeProtocolTest, InflatedCountsAreRejectedBeforeAllocating) {
+    serve::GenerateResponse resp;
+    resp.error = "e";
+    trace::Stream s;
+    s.ue_id = "ue-1";
+    s.events.push_back({0.0, 3});
+    s.events.push_back({1.5, 7});
+    resp.streams.push_back(s);
+    const auto clean = serve::encode_generate_response(resp);
+    // type, status, error (u16 length + bytes), stream count; then the stream:
+    // id (u16 length + bytes), device, hour, event count.
+    const std::size_t streams_at = 1 + 1 + 2 + resp.error.size();
+    const std::size_t events_at = streams_at + 4 + 2 + s.ue_id.size() + 1 + 1;
+    ASSERT_EQ(events_at + 4 + 9 * s.events.size(), clean.size());
+    for (const auto& [offset, value] :
+         {std::pair{streams_at, 0xFFFFFFFFu}, std::pair{streams_at, 0x10000000u},
+          std::pair{events_at, 0xFFFFFFFFu}, std::pair{events_at, 3u}}) {
+        auto bytes = clean;
+        for (int i = 0; i < 4; ++i) bytes[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+        try {
+            (void)serve::decode_generate_response(bytes);
+            ADD_FAILURE() << "offset " << offset << " count " << value << " decoded";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+        }
+    }
+}
+
 TEST(ServeProtocolTest, StatsRoundTrip) {
     const auto req = serve::encode_stats_request();
     EXPECT_EQ(serve::peek_type(req), serve::MsgType::kStatsRequest);
