@@ -1,38 +1,23 @@
-// Continuous batching vs drain-then-refill over the SlotBatch scheduler core
-// (the decode loop cpt-serve's engines run). Same mixed-length workload, same
-// per-stream RNGs — the generated streams are identical in every mode (the
-// SlotBatch determinism contract), only the slot scheduling differs:
+// Serving-path throughput over the SlotBatch decode loop cpt-serve's engines
+// run: a mixed-length workload through the continuous scheduler (finished
+// slots are refilled at the next step boundary, so the batch stays full of
+// real work), in fp32 and through the int8 weight-quantized path. The
+// workload is bimodal (many short streams, a few near-context-length ones).
+// The untrained model's stop head is biased hard toward "continue" so stream
+// lengths are exactly the per-stream caps and both precisions decode the
+// same token count. Stream completion latency is measured from bench start
+// (all requests are pending at t0).
 //
-//   * drain_then_refill: classic static batching. A round of requests is
-//     admitted as a unit and the batch stays B-wide until the round's slowest
-//     stream finishes — slots whose stream ended early keep decoding padding
-//     that is thrown away (the cost profile of a naive batch-generate server,
-//     which pads every sequence to the longest in the batch). Only then is
-//     the next round admitted.
-//   * drain_compacted: static rounds, but finished rows are compacted out
-//     mid-round (what a server built directly on Sampler::generate_batch
-//     would cost). Reported alongside for transparency: on a single core
-//     with row-proportional kernels, compaction alone recovers most of the
-//     padding waste — the remaining gap to continuous is tile granularity
-//     and per-step overhead, not wasted rows.
-//   * continuous: finished slots are refilled at the next step boundary
-//     (first pending stream whose length cap still fits the shared context),
-//     so the batch stays full of real work and no round barrier exists.
+// Static batching and a thread-per-connection listener are not re-measured:
+// bench_results/BENCH_serve.json records them (continuous 8.1x over padded
+// drain-then-refill; epoll 256 connections against the threaded 64).
 //
-// The workload is bimodal (many short streams, a few near-context-length
-// ones) — the shape that most punishes drain-style batching. The untrained
-// model's stop head is biased hard toward "continue" so stream lengths are
-// exactly the per-stream caps, making the comparison deterministic. Stream
-// completion latency is measured from bench start (all requests are pending
-// at t0), so round barriers show up in the percentiles.
+// Two TCP-level sections (DESIGN.md §15) run the real Server behind the
+// epoll listener:
 //
-// On top of the scheduler comparison, two TCP-level sections (DESIGN.md §15):
-//
-//   * transport ladder: the same Server behind the thread-per-connection
-//     listener and behind the epoll event loop, at 16/64/256 concurrent
-//     connections under a fixed open-loop offered load — thread-per-conn is
-//     capped by its thread budget, the epoll loop carries the whole ladder
-//     on two event threads;
+//   * transport ladder: 16/64/256 concurrent connections under a fixed
+//     open-loop offered load, reporting the most connections that still meet
+//     the SLO;
 //   * open-loop sweep: offered rates at fractions of the measured
 //     closed-loop capacity, reporting p50/p95/p99 from the scheduled arrival
 //     and the max rate that still meets the SLO.
@@ -59,7 +44,7 @@
 #include "core/sampler.hpp"
 #include "core/spec_drafter.hpp"
 #include "core/tokenizer.hpp"
-#include "serve/client.hpp"
+#include "serve/event_loop.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "trace/synthetic.hpp"
@@ -76,9 +61,6 @@ constexpr std::size_t kStreams = 256;
 constexpr std::size_t kShortLen = 4;
 constexpr std::size_t kLongLen = 120;
 constexpr std::size_t kLongEvery = 11;  // ~1 in 11 streams is long (24 of 256)
-// Padding rows (static batching's discarded compute) carry tickets above this
-// bit so the accounting can tell them from real streams.
-constexpr std::uint64_t kPadTicket = std::uint64_t{1} << 63;
 
 struct Job {
     util::Rng rng{1};
@@ -107,7 +89,7 @@ struct RunResult {
     std::size_t streams = 0;
     std::size_t tokens = 0;
     std::size_t steps = 0;
-    std::size_t row_steps = 0;  // decoded rows summed over steps, padding included
+    std::size_t row_steps = 0;  // decoded rows summed over steps
     double seconds = 0.0;
     double streams_per_sec = 0.0;
     double tokens_per_sec = 0.0;
@@ -115,13 +97,12 @@ struct RunResult {
 };
 
 // Folds the newly finished entries of `fin` (from `*seen` on) into the
-// latency histogram and the real-stream counters.
+// latency histogram and the stream counters.
 void absorb_finished(RunResult& r, const std::vector<core::Sampler::SlotBatch::Finished>& fin,
                      std::size_t* seen, Clock::time_point t0) {
     const double now = std::chrono::duration<double>(Clock::now() - t0).count();
     for (; *seen < fin.size(); ++*seen) {
         const auto& f = fin[*seen];
-        if (f.ticket >= kPadTicket) continue;  // discarded padding row
         ++r.streams;
         r.tokens += f.stream.events.size();
         r.latency.record(now);
@@ -170,70 +151,6 @@ RunResult run_continuous(const core::Sampler& sampler, std::size_t capacity = kS
     return finalize(r, t0);
 }
 
-// Static batching (the drain-then-refill baseline): admit a round, keep the
-// batch B-wide until the round's slowest stream finishes — freed slots are
-// immediately re-occupied by padding rows whose output is discarded, exactly
-// the wasted compute a padded batch-generate pays — then admit the next round.
-RunResult run_drain_refill(const core::Sampler& sampler) {
-    auto jobs = make_workload();
-    auto batch = sampler.make_slot_batch(kSlotCapacity);
-    std::vector<core::Sampler::SlotBatch::Finished> fin;
-    std::size_t seen = 0;
-    util::Rng pad_root(7777);
-    std::uint64_t pad_serial = 0;
-    RunResult r;
-    const auto t0 = Clock::now();
-    while (!jobs.empty()) {
-        std::size_t round_len = 0;
-        while (batch.free_slots() > 0 && !jobs.empty()) {
-            round_len = std::max(round_len, jobs.front().max_len);
-            admit_job(batch, jobs.front());
-            jobs.pop_front();
-        }
-        for (std::size_t s = 0; s < round_len; ++s) {
-            // Refill slots freed mid-round with padding that dies exactly at
-            // the round boundary, keeping the forward B-wide throughout
-            // (streams need >= 2 tokens, so the round's last step cannot be
-            // padded — one step of partial width out of round_len).
-            while (round_len - s >= 2 && batch.free_slots() > 0) {
-                core::Sampler::SlotBatch::AdmitParams params;
-                params.max_len = round_len - s;
-                batch.admit(pad_root.fork(pad_serial), "pad", kPadTicket + pad_serial, params);
-                ++pad_serial;
-            }
-            r.row_steps += batch.live();
-            batch.step(fin);
-            ++r.steps;
-            absorb_finished(r, fin, &seen, t0);
-        }
-    }
-    return finalize(r, t0);
-}
-
-// Static rounds with mid-round compaction: finished rows are dropped (no
-// padding), but the next round still waits for the slowest stream.
-RunResult run_drain_compacted(const core::Sampler& sampler) {
-    auto jobs = make_workload();
-    auto batch = sampler.make_slot_batch(kSlotCapacity);
-    std::vector<core::Sampler::SlotBatch::Finished> fin;
-    std::size_t seen = 0;
-    RunResult r;
-    const auto t0 = Clock::now();
-    while (!jobs.empty()) {
-        while (batch.free_slots() > 0 && !jobs.empty()) {
-            admit_job(batch, jobs.front());
-            jobs.pop_front();
-        }
-        while (batch.live() > 0) {
-            r.row_steps += batch.live();
-            batch.step(fin);
-            ++r.steps;
-            absorb_finished(r, fin, &seen, t0);
-        }
-    }
-    return finalize(r, t0);
-}
-
 // One point of the speculative-decode sweep: the continuous schedule run at a
 // given slot capacity and spec_k, with the accept-rate / tokens-per-forward
 // decomposition from the batch's stage counters.
@@ -268,14 +185,13 @@ void json_row(std::FILE* f, const char* name, const RunResult& r, bool last) {
 
 // ---- TCP transport ladder + open-loop sweep (DESIGN.md §15) ----------------
 //
-// Both listeners front the same Server instance and see the same open-loop
-// offered load, so only the transport differs. A point is "sustained" when
-// every request succeeded and p99 latency — measured from the scheduled
-// arrival, so queueing the server caused is charged to it — met the SLO.
+// The epoll listener fronts a real Server under open-loop offered load. A
+// point is "sustained" when every request succeeded and p99 latency —
+// measured from the scheduled arrival, so queueing the server caused is
+// charged to it — met the SLO.
 
-constexpr double kSloP99Seconds = 0.25;    // serving SLO for "sustained"
-constexpr double kLadderRps = 200.0;       // fixed offered load for the ladder
-constexpr std::size_t kThreadBudget = 64;  // threaded listener's connection cap
+constexpr double kSloP99Seconds = 0.25;  // serving SLO for "sustained"
+constexpr double kLadderRps = 200.0;     // fixed offered load for the ladder
 constexpr std::size_t kLadder[] = {16, 64, 256};
 
 struct TransportPoint {
@@ -325,18 +241,18 @@ std::size_t sustained_connections(const std::vector<TransportPoint>& pts) {
     return best;
 }
 
-void print_transport_row(const char* transport, const TransportPoint& p) {
+void print_transport_row(const TransportPoint& p) {
     const auto pct = p.r.latency.percentiles();
-    std::printf("  %-8s %4zu conns: %4zu ok %4zu failed   p50 %.4fs  p99 %.4fs\n", transport,
-                p.connections, p.r.ok, p.r.failed, pct.p50, pct.p99);
+    std::printf("  epoll %4zu conns: %4zu ok %4zu failed   p50 %.4fs  p99 %.4fs\n", p.connections,
+                p.r.ok, p.r.failed, pct.p50, pct.p99);
 }
 
-void json_transport_row(std::FILE* f, const char* transport, const TransportPoint& p, bool last) {
+void json_transport_row(std::FILE* f, const TransportPoint& p, bool last) {
     const auto pct = p.r.latency.percentiles();
     std::fprintf(f,
-                 "      {\"transport\": \"%s\", \"connections\": %zu, \"ok\": %zu, "
+                 "      {\"transport\": \"epoll\", \"connections\": %zu, \"ok\": %zu, "
                  "\"failed\": %zu, \"p50\": %.4f, \"p99\": %.4f}%s\n",
-                 transport, p.connections, p.r.ok, p.r.failed, pct.p50, pct.p99, last ? "" : ",");
+                 p.connections, p.r.ok, p.r.failed, pct.p50, pct.p99, last ? "" : ",");
 }
 
 void json_open_row(std::FILE* f, const OpenPoint& p, bool last) {
@@ -370,8 +286,8 @@ int main() {
     core::CptGpt model(tok, cfg, init);
 
     // Bias the stop head hard toward "continue" so every stream runs to its
-    // per-job cap: lengths are then exact, and all three schedules process
-    // the same real token count.
+    // per-job cap: lengths are then exact, and both precisions process the
+    // same token count.
     for (const auto& np : model.named_parameters("cptgpt.")) {
         if (np.name == "cptgpt.stop_head.fc2.bias") {
             auto bias = np.param->value.data();
@@ -398,10 +314,6 @@ int main() {
 
     run_continuous(sampler);  // warm-up
     const RunResult cont = run_continuous(sampler);
-    const RunResult drain = run_drain_refill(sampler);
-    const RunResult compacted = run_drain_compacted(sampler);
-    const double speedup = cont.streams_per_sec / drain.streams_per_sec;
-    const double speedup_vs_compacted = cont.streams_per_sec / compacted.streams_per_sec;
 
     // Same continuous schedule through the int8 weight-quantized decode path
     // with fp16 KV (DESIGN.md §12). The forced stop bias caps every stream's
@@ -424,24 +336,18 @@ int main() {
     }
 
     print_row("continuous", cont);
-    print_row("drain_then_refill", drain);
-    print_row("drain_compacted", compacted);
     print_row("continuous_int8", cont_int8);
-    std::printf("speedup (continuous / drain_then_refill): %.2fx\n", speedup);
-    std::printf("speedup (continuous / drain_compacted):   %.2fx\n", speedup_vs_compacted);
-    std::printf("speedup (continuous int8 / fp32):         %.2fx\n", int8_speedup);
+    std::printf("speedup (continuous int8 / fp32): %.2fx\n", int8_speedup);
     std::printf("memory: weights fp32 %zu B -> int8 %zu B; kv fp32 %zu B -> fp16 %zu B "
                 "(capacity %zu)\n",
                 weights_fp32_bytes, weights_int8_bytes, kv_fp32_bytes, kv_fp16_bytes,
                 kSlotCapacity);
-    if (cont.streams != kStreams || drain.streams != kStreams || compacted.streams != kStreams ||
-        cont_int8.streams != kStreams || cont_int8.tokens != cont.tokens ||
-        cont.tokens != drain.tokens || cont.tokens != compacted.tokens) {
+    if (cont.streams != kStreams || cont_int8.streams != kStreams ||
+        cont_int8.tokens != cont.tokens) {
         std::fprintf(stderr,
-                     "bench_serve: schedules disagree on the workload "
-                     "(continuous %zu/%zu, drain %zu/%zu, compacted %zu/%zu)\n",
-                     cont.streams, cont.tokens, drain.streams, drain.tokens, compacted.streams,
-                     compacted.tokens);
+                     "bench_serve: precisions disagree on the workload "
+                     "(fp32 %zu/%zu, int8 %zu/%zu)\n",
+                     cont.streams, cont.tokens, cont_int8.streams, cont_int8.tokens);
         return 1;
     }
 
@@ -510,7 +416,7 @@ int main() {
     }
 
     // Publish the (stop-biased) model into a scratch hub so the real Server —
-    // hub load, admission queue, engine threads — is what both listeners front.
+    // hub load, admission queue, engine threads — is what the listener fronts.
     const std::string hub_dir = (std::filesystem::temp_directory_path() /
                                  ("cpt_bench_serve_hub_" + std::to_string(::getpid())))
                                     .string();
@@ -523,15 +429,6 @@ int main() {
     serve_cfg.slot_capacity = kSlotCapacity;
     serve_cfg.queue_capacity = 1024;  // 256 concurrent conns must not trip kQueueFull
     serve::Server server(serve_cfg);
-
-    std::vector<TransportPoint> threaded_pts;
-    {
-        serve::ThreadedTcpServer srv(server, "127.0.0.1", 0, kThreadBudget);
-        std::thread acceptor([&srv] { srv.serve_forever(); });
-        threaded_pts = run_ladder(srv.port(), 1000);
-        srv.stop();
-        acceptor.join();
-    }
 
     std::vector<TransportPoint> epoll_pts;
     serve::LoadgenResult closed_cap;
@@ -561,12 +458,7 @@ int main() {
     server.drain();
     std::filesystem::remove_all(hub_dir);
 
-    const std::size_t threaded_sustained = sustained_connections(threaded_pts);
     const std::size_t epoll_sustained = sustained_connections(epoll_pts);
-    const double conn_ratio =
-        threaded_sustained > 0
-            ? static_cast<double>(epoll_sustained) / static_cast<double>(threaded_sustained)
-            : 0.0;
     double max_sustainable_rps = 0.0;
     for (const auto& p : open_pts) {
         if (p.r.failed == 0 && p.r.latency.percentiles().p99 <= kSloP99Seconds) {
@@ -574,13 +466,10 @@ int main() {
         }
     }
 
-    std::printf("transport ladder (open loop, %.0f req/s offered, SLO p99 <= %.0f ms, "
-                "thread budget %zu):\n",
-                kLadderRps, kSloP99Seconds * 1e3, kThreadBudget);
-    for (const auto& p : threaded_pts) print_transport_row("threaded", p);
-    for (const auto& p : epoll_pts) print_transport_row("epoll", p);
-    std::printf("sustained connections: threaded %zu, epoll %zu (%.1fx)\n", threaded_sustained,
-                epoll_sustained, conn_ratio);
+    std::printf("transport ladder (open loop, %.0f req/s offered, SLO p99 <= %.0f ms):\n",
+                kLadderRps, kSloP99Seconds * 1e3);
+    for (const auto& p : epoll_pts) print_transport_row(p);
+    std::printf("sustained connections: epoll %zu\n", epoll_sustained);
     std::printf("open-loop sweep (closed-loop capacity %.1f req/s over 16 conns):\n",
                 closed_cap.achieved_rps);
     for (const auto& p : open_pts) {
@@ -606,16 +495,13 @@ int main() {
                  cfg.d_model, cfg.mlp_hidden, cfg.blocks, cfg.max_seq_len, kStreams, kShortLen,
                  kLongLen, kSlotCapacity);
     json_row(f, "continuous", cont, false);
-    json_row(f, "drain_then_refill", drain, false);
-    json_row(f, "drain_compacted", compacted, false);
     json_row(f, "continuous_int8", cont_int8, true);
     std::fprintf(f,
                  "  ],\n  \"memory\": {\"weights_fp32_bytes\": %zu, \"weights_int8_bytes\": %zu, "
                  "\"kv_fp32_bytes\": %zu, \"kv_fp16_bytes\": %zu, \"kv_capacity\": %zu},\n"
-                 "  \"speedup\": %.3f,\n  \"speedup_vs_compacted\": %.3f,\n"
                  "  \"int8_speedup\": %.3f,\n",
                  weights_fp32_bytes, weights_int8_bytes, kv_fp32_bytes, kv_fp16_bytes,
-                 kSlotCapacity, speedup, speedup_vs_compacted, int8_speedup);
+                 kSlotCapacity, int8_speedup);
     std::fprintf(f, "  \"spec_sweep\": {\n    \"rows\": [\n");
     for (std::size_t i = 0; i < spec_rows.size(); ++i) {
         const auto& s = spec_rows[i];
@@ -630,18 +516,16 @@ int main() {
     std::fprintf(f, "    ]\n  },\n");
     std::fprintf(f,
                  "  \"transport\": {\n"
-                 "    \"offered_rps\": %.1f, \"slo_p99_seconds\": %.3f, \"thread_budget\": %zu,\n"
+                 "    \"offered_rps\": %.1f, \"slo_p99_seconds\": %.3f,\n"
                  "    \"rows\": [\n",
-                 kLadderRps, kSloP99Seconds, kThreadBudget);
-    for (const auto& p : threaded_pts) json_transport_row(f, "threaded", p, false);
+                 kLadderRps, kSloP99Seconds);
     for (std::size_t i = 0; i < epoll_pts.size(); ++i) {
-        json_transport_row(f, "epoll", epoll_pts[i], i + 1 == epoll_pts.size());
+        json_transport_row(f, epoll_pts[i], i + 1 == epoll_pts.size());
     }
     std::fprintf(f,
                  "    ],\n"
-                 "    \"sustained_connections\": {\"threaded\": %zu, \"epoll\": %zu},\n"
-                 "    \"connection_ratio\": %.2f\n  },\n",
-                 threaded_sustained, epoll_sustained, conn_ratio);
+                 "    \"sustained_connections\": {\"epoll\": %zu}\n  },\n",
+                 epoll_sustained);
     std::fprintf(f,
                  "  \"open_loop\": {\n"
                  "    \"closed_loop_capacity_rps\": %.1f, \"slo_p99_seconds\": %.3f,\n"

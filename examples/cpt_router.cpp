@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/client.hpp"
+#include "serve/event_loop.hpp"
 #include "serve/router.hpp"
 #include "util/cli.hpp"
 #include "util/signal.hpp"

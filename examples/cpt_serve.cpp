@@ -21,7 +21,7 @@
 
 #include "core/model_hub.hpp"
 #include "core/trainer.hpp"
-#include "serve/client.hpp"
+#include "serve/event_loop.hpp"
 #include "serve/server.hpp"
 #include "trace/synthetic.hpp"
 #include "util/cli.hpp"

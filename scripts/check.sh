@@ -375,9 +375,11 @@ stage_spec() {
     local tiers
     tiers="$(host_simd_tiers)"
     echo "host tiers: $tiers"
-    # The spec label pins byte-identities (forced all-reject vs plain, greedy
-    # at every spec_k, SlotBatch vs generate_batch, KV rollback) that must
-    # hold on every SIMD tier — the rejection rule and rollback are pure
+    # The spec label pins byte-identities of the speculative branch of the
+    # one SlotBatch decode step (forced all-reject vs plain, greedy at every
+    # spec_k, refill schedules vs admit-all generate_batch, KV rollback, the
+    # length cap) that must hold on every SIMD tier — the rejection rule and
+    # rollback are pure
     # bookkeeping over tier-shared math, so a tier-dependent failure means a
     # real divergence, not tolerance noise. CPT_THREADS=2 reruns the suite
     # with the pool engaged: row-partitioned kernels must keep the same

@@ -100,9 +100,8 @@ std::size_t sample_logits(std::span<const float> logits, double temperature, dou
 }
 
 // One stream's next (event, interarrival, stop) draw from row `i` of a
-// decode-step prediction. Factored out so generate_batch and SlotBatch
-// consume randomness in exactly the same order — the byte-identity between
-// the two is a documented contract (tests/serve_test.cpp).
+// decode-step prediction: the plain draw, and the pass-A draw of every row
+// that did not speculate this step.
 struct RowSample {
     cellular::EventId event;
     double interarrival;
@@ -134,54 +133,20 @@ RowSample sample_row(const CptGpt::DecodeOutput& pred, std::size_t i, std::size_
     return out;
 }
 
-// Accumulates wall-clock into `*slot` on destruction; no-op when `slot` is
-// null, so untimed generate_batch calls never touch the clock.
+// Accumulates wall-clock into `slot` on destruction.
 class StageTimer {
 public:
-    explicit StageTimer(double* slot)
-        : slot_(slot), t0_(slot ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{}) {}
+    explicit StageTimer(double& slot) : slot_(slot), t0_(std::chrono::steady_clock::now()) {}
     ~StageTimer() {
-        if (slot_) {
-            *slot_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-                          .count();
-        }
+        slot_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
     }
     StageTimer(const StageTimer&) = delete;
     StageTimer& operator=(const StageTimer&) = delete;
 
 private:
-    double* slot_;
+    double& slot_;
     std::chrono::steady_clock::time_point t0_;
 };
-
-// One in-flight stream of a batched decode. `next_token` holds the last
-// committed token, fed to the decoder on the next round.
-struct ActiveStream {
-    trace::Stream stream;
-    util::Rng rng;
-    std::vector<float> next_token;
-    double t = 0.0;
-};
-
-ActiveStream bootstrap_stream(const Tokenizer& tokenizer, std::span<const double> initial_dist,
-                              const SamplerConfig& config, util::Rng rng,
-                              const std::string& ue_prefix, std::size_t serial) {
-    ActiveStream a{.stream = {}, .rng = rng, .next_token = {}, .t = 0.0};
-    char id[64];
-    std::snprintf(id, sizeof(id), "%s-%06zu", ue_prefix.c_str(), serial);
-    a.stream.ue_id = id;
-    a.stream.device = config.device;
-    a.stream.hour_of_day = config.hour_of_day;
-    // Bootstrap token (§4.5): sampled initial event, interarrival 0, stop 0.
-    const std::size_t d_token = tokenizer.d_token();
-    const auto first_event = static_cast<cellular::EventId>(a.rng.categorical(initial_dist));
-    a.next_token.resize(d_token, 0.0f);
-    tokenizer.encode_token(first_event, 0.0, false,
-                           std::span<float>(a.next_token.data(), d_token));
-    a.stream.events.push_back({0.0, first_event});
-    return a;
-}
 
 // ---- Speculative decode (DESIGN.md §16) ------------------------------------
 
@@ -293,319 +258,26 @@ void draft_row(const SpecDrafter& drafter, const trace::Stream& stream, std::siz
 
 }  // namespace
 
-std::vector<trace::Stream> Sampler::generate_batch(std::span<util::Rng> rngs,
-                                                   const std::string& ue_prefix,
-                                                   std::size_t first_serial,
-                                                   StageTimes* times) const {
-    if (spec_enabled()) return generate_batch_spec(rngs, ue_prefix, first_serial, times);
-    const std::size_t batch = rngs.size();
-    const std::size_t d_token = tokenizer_->d_token();
-    const std::size_t num_events = tokenizer_->num_event_types();
-    const bool dist_head = model_->config().distribution_head;
-
-    std::vector<ActiveStream> active;
-    active.reserve(batch);
-    {
-        StageTimer timer(times ? &times->bootstrap : nullptr);
-        for (std::size_t i = 0; i < batch; ++i) {
-            active.push_back(bootstrap_stream(*tokenizer_, initial_event_dist_, config_,
-                                              rngs[i], ue_prefix, first_serial + i));
-        }
-    }
-
-    // Incremental decoding: each step feeds one new token per active stream
-    // into the KV-cached decoder; finished streams are compacted away.
-    // Everything on the per-step path — the input tensor, the decoder and
-    // head scratch, and the sampling buffers — is allocated once up front,
-    // so the steady-state loop is allocation-free outside of stream output.
-    nn::TransformerDecoder decoder = model_->make_decoder(batch, config_.precision);
-    CptGpt::DecodeScratch decode_scratch = model_->make_decode_scratch(batch, config_.precision);
-    SampleScratch sample_scratch;
-    nn::Tensor input_full({batch, d_token});
-    nn::Tensor input = input_full;
-    std::vector<std::size_t> keep_rows;
-    keep_rows.reserve(batch);
-    std::vector<trace::Stream> done;
-    done.reserve(batch);
-    while (!active.empty() && decoder.length() + 1 < config_.max_stream_len) {
-        const std::size_t b = active.size();
-        if (input.dim(0) != b) input = input_full.first_rows(b);
-        {
-            auto dst = input.data();
-            for (std::size_t i = 0; i < b; ++i) {
-                std::copy(active[i].next_token.begin(), active[i].next_token.end(),
-                          dst.begin() + static_cast<std::ptrdiff_t>(i * d_token));
-            }
-        }
-        const CptGpt::DecodeOutput* pred = nullptr;
-        {
-            StageTimer timer(times ? &times->decode : nullptr);
-            pred = &model_->decode_step(decoder, input, decode_scratch);
-        }
-        if (times) ++times->steps;
-
-        keep_rows.clear();
-        std::size_t live = 0;  // rows of `active` kept, compacted in place
-        {
-            StageTimer timer(times ? &times->sample : nullptr);
-            for (std::size_t i = 0; i < b; ++i) {
-                ActiveStream& a = active[i];
-                const RowSample s = sample_row(*pred, i, num_events, dist_head, *tokenizer_,
-                                               config_.temperature, config_.top_p, a.rng,
-                                               sample_scratch);
-                a.t += s.interarrival;
-                a.stream.events.push_back({a.t, s.event});
-                if (s.stop || a.stream.events.size() >= config_.max_stream_len) {
-                    done.push_back(std::move(a.stream));
-                    continue;
-                }
-                tokenizer_->encode_token(s.event, s.interarrival, false,
-                                         std::span<float>(a.next_token.data(), d_token));
-                keep_rows.push_back(i);
-                if (live != i) active[live] = std::move(a);
-                ++live;
-            }
-        }
-        if (live != b) {
-            StageTimer timer(times ? &times->compact : nullptr);
-            decoder.compact(keep_rows);
-            active.resize(live);
-        }
-    }
-    for (auto& a : active) done.push_back(std::move(a.stream));  // hit the length cap
-    return done;
-}
-
-std::vector<trace::Stream> Sampler::generate_batch_spec(std::span<util::Rng> rngs,
-                                                        const std::string& ue_prefix,
-                                                        std::size_t first_serial,
-                                                        StageTimes* times) const {
-    const std::size_t batch = rngs.size();
-    const std::size_t d_token = tokenizer_->d_token();
-    const std::size_t num_events = tokenizer_->num_event_types();
-    const bool dist_head = model_->config().distribution_head;
-    const std::size_t max_t = model_->config().max_seq_len;
-    const std::size_t d = config_.spec_k - 1;  // drafted tokens per round
-    const SpecDrafter& drafter = *config_.drafter;
-
-    std::vector<ActiveStream> active;
-    active.reserve(batch);
-    {
-        StageTimer timer(times ? &times->bootstrap : nullptr);
-        for (std::size_t i = 0; i < batch; ++i) {
-            active.push_back(bootstrap_stream(*tokenizer_, initial_event_dist_, config_,
-                                              rngs[i], ue_prefix, first_serial + i));
-        }
-    }
-
-    nn::TransformerDecoder decoder = model_->make_decoder(batch, config_.precision, d);
-    CptGpt::DecodeScratch decode_scratch =
-        model_->make_decode_scratch(batch * d, config_.precision);
-    SampleScratch sample_scratch;
-    SpecDrafter::Scratch draft_scratch;
-    nn::Tensor input_full({batch, d_token});
-    nn::Tensor input = input_full;
-    nn::Tensor window_full({batch * d, d_token});
-    std::vector<SpecDrafter::Draft> drafts(batch * d);
-    std::vector<std::size_t> counts;
-    std::vector<std::uint8_t> drafted(batch);
-    std::vector<std::uint8_t> matched(batch);
-    std::vector<std::uint8_t> finished(batch);
-    std::vector<cellular::EventId> ctx;
-    std::vector<std::size_t> keep_rows;
-    keep_rows.reserve(batch);
-    std::vector<trace::Stream> done;
-    done.reserve(batch);
-
-    while (!active.empty()) {
-        const std::size_t b = active.size();
-        // ---- Draft: propose d tokens per eligible row. Rows decoding
-        // greedily (temperature == 0), rows one commit from their cap, and
-        // rows whose verify window would overflow the KV context sit the
-        // round out as plain one-token rows.
-        {
-            StageTimer timer(times ? &times->draft : nullptr);
-            for (std::size_t i = 0; i < b; ++i) {
-                ActiveStream& a = active[i];
-                const std::size_t events = a.stream.events.size();
-                const bool eligible = config_.temperature > 0.0 &&
-                                      events + 1 < config_.max_stream_len &&
-                                      events + d <= max_t;
-                drafted[i] = eligible ? 1 : 0;
-                if (!eligible) continue;
-                if (config_.spec_force_reject) {
-                    // Keep the stream RNG byte-identical to the plain path:
-                    // these drafts only exist to exercise verify + rollback.
-                    util::Rng throwaway(0x5eed);
-                    draft_row(drafter, a.stream, d, throwaway, draft_scratch, ctx,
-                              &drafts[i * d]);
-                } else {
-                    draft_row(drafter, a.stream, d, a.rng, draft_scratch, ctx, &drafts[i * d]);
-                }
-                if (times) times->spec_proposed += d;
-            }
-        }
-
-        // ---- Pass A: the regular one-token step — bit-exact with the plain
-        // path since the GEMM shapes are identical — doubling as the
-        // verifier of the first draft.
-        if (input.dim(0) != b) input = input_full.first_rows(b);
-        {
-            auto dst = input.data();
-            for (std::size_t i = 0; i < b; ++i) {
-                std::copy(active[i].next_token.begin(), active[i].next_token.end(),
-                          dst.begin() + static_cast<std::ptrdiff_t>(i * d_token));
-            }
-        }
-        const CptGpt::DecodeOutput* pred = nullptr;
-        {
-            StageTimer timer(times ? &times->decode : nullptr);
-            pred = &model_->decode_step(decoder, input, decode_scratch);
-        }
-        if (times) ++times->steps;
-
-        {
-            StageTimer timer(times ? &times->sample : nullptr);
-            for (std::size_t i = 0; i < b; ++i) {
-                ActiveStream& a = active[i];
-                SpecSample r;
-                if (drafted[i] != 0 && !config_.spec_force_reject) {
-                    r = spec_sample_position(*pred, i, num_events, *tokenizer_,
-                                             config_.temperature, config_.top_p, drafter,
-                                             &drafts[i * d], a.stream.events.back().type,
-                                             a.rng, sample_scratch);
-                } else {
-                    r.s = sample_row(*pred, i, num_events, dist_head, *tokenizer_,
-                                     config_.temperature, config_.top_p, a.rng,
-                                     sample_scratch);
-                }
-                a.t += r.s.interarrival;
-                a.stream.events.push_back({a.t, r.s.event});
-                finished[i] =
-                    r.s.stop || a.stream.events.size() >= config_.max_stream_len ? 1 : 0;
-                matched[i] = r.accepted && finished[i] == 0 ? 1 : 0;
-                if (matched[i] != 0 && times) ++times->spec_accepted;
-                if (finished[i] == 0) {
-                    tokenizer_->encode_token(r.s.event, r.s.interarrival, false,
-                                             std::span<float>(a.next_token.data(), d_token));
-                }
-            }
-        }
-
-        // ---- Pass B: one packed multi-token forward verifies the remaining
-        // drafts of every row whose pass-A token matched its first draft.
-        counts.assign(b, 0);
-        std::size_t wrows = 0;
-        for (std::size_t i = 0; i < b; ++i) {
-            const bool verify = matched[i] != 0 ||
-                                (config_.spec_verify_all && drafted[i] != 0 &&
-                                 finished[i] == 0);
-            if (verify) {
-                counts[i] = d;
-                wrows += d;
-            }
-        }
-        const CptGpt::DecodeOutput* pred_w = nullptr;
-        if (wrows > 0) {
-            StageTimer timer(times ? &times->verify : nullptr);
-            nn::Tensor window = window_full.first_rows(wrows);
-            auto dst = window.data();
-            std::size_t wb = 0;
-            for (std::size_t i = 0; i < b; ++i) {
-                if (counts[i] == 0) continue;
-                for (std::size_t j = 0; j < d; ++j) {
-                    const SpecDrafter::Draft& c = drafts[i * d + j];
-                    tokenizer_->encode_token(
-                        c.event,
-                        tokenizer_->unscale_interarrival(static_cast<double>(c.scaled_ia)),
-                        false, dst.subspan((wb + j) * d_token, d_token));
-                }
-                wb += d;
-            }
-            pred_w = &model_->decode_window(decoder, window, counts, decode_scratch);
-            if (times) ++times->verify_steps;
-        }
-        if (wrows > 0) {
-            StageTimer timer(times ? &times->sample : nullptr);
-            std::size_t base = 0;
-            for (std::size_t i = 0; i < b; ++i) {
-                if (counts[i] == 0) continue;
-                ActiveStream& a = active[i];
-                const std::size_t len_a = decoder.row_length(i) - d;  // before the window
-                if (matched[i] == 0) {
-                    decoder.rollback_row(i, len_a);  // verify_all row: discard everything
-                    base += d;
-                    continue;
-                }
-                // Sequential accept chain over window positions: position j's
-                // logits follow draft j; its candidate is draft j+1, except
-                // the last position, which samples a free bonus token.
-                std::size_t valid = 1;  // draft 0 was committed in pass A and stays fed
-                for (std::size_t j = 0; j < d; ++j) {
-                    const SpecDrafter::Draft* cand =
-                        j + 1 < d ? &drafts[i * d + j + 1] : nullptr;
-                    const SpecSample r = spec_sample_position(
-                        *pred_w, base + j, num_events, *tokenizer_, config_.temperature,
-                        config_.top_p, drafter, cand, drafts[i * d + j].event, a.rng,
-                        sample_scratch);
-                    a.t += r.s.interarrival;
-                    a.stream.events.push_back({a.t, r.s.event});
-                    finished[i] =
-                        r.s.stop || a.stream.events.size() >= config_.max_stream_len ? 1 : 0;
-                    if (r.accepted) {
-                        valid = j + 2;
-                        if (times) ++times->spec_accepted;
-                    } else {
-                        valid = j + 1;
-                    }
-                    if (finished[i] != 0) break;
-                    if (!r.accepted) {
-                        // Rejected (or the bonus position): this token is the
-                        // new pending token; later drafts are dead context.
-                        tokenizer_->encode_token(
-                            r.s.event, r.s.interarrival, false,
-                            std::span<float>(a.next_token.data(), d_token));
-                        break;
-                    }
-                }
-                if (finished[i] == 0) decoder.rollback_row(i, len_a + valid);
-                base += d;
-            }
-        }
-
-        // ---- Retire finished rows and compact the survivors.
-        keep_rows.clear();
-        std::size_t live = 0;
-        for (std::size_t i = 0; i < b; ++i) {
-            if (finished[i] != 0) {
-                done.push_back(std::move(active[i].stream));
-                continue;
-            }
-            keep_rows.push_back(i);
-            if (live != i) active[live] = std::move(active[i]);
-            ++live;
-        }
-        if (live != b) {
-            StageTimer timer(times ? &times->compact : nullptr);
-            decoder.compact(keep_rows);
-            active.resize(live);
-        }
-    }
-    return done;
-}
-
-// ---- SlotBatch: continuous-batching decode session -------------------------
+// ---- SlotBatch: the one decode loop -----------------------------------------
 
 struct Sampler::SlotBatch::Impl {
     struct Slot {
         trace::Stream stream;
         util::Rng rng{0};
-        std::vector<float> next_token;
+        std::vector<float> next_token;  // last committed token, fed next step
         double t = 0.0;
         std::uint64_t ticket = 0;
         std::size_t max_len = 0;
         double temperature = 1.0;
         double top_p = 1.0;
+
+        // Appends a committed token; true when it ends the stream (sampled
+        // stop, or the token that reaches the length cap).
+        bool commit(const RowSample& r) {
+            t += r.interarrival;
+            stream.events.push_back({t, r.event});
+            return r.stop || stream.events.size() >= max_len;
+        }
     };
 
     explicit Impl(const Sampler& s, std::size_t cap)
@@ -616,22 +288,17 @@ struct Sampler::SlotBatch::Impl {
           scratch(s.model_->make_decode_scratch(cap * spec_w, s.config_.precision)),
           input_full({cap, s.tokenizer_->d_token()}),
           input(input_full),
-          window_full({cap * spec_w, s.tokenizer_->d_token()}) {
+          window_full({cap * spec_w, s.tokenizer_->d_token()}),
+          drafted(cap),
+          matched(cap),
+          finished(cap) {
         decoder.reset();  // start with every slot free
         slots.reserve(cap);
         keep_rows.reserve(cap);
-        if (s.spec_enabled()) {
-            drafts.resize(cap * spec_w);
-            drafted.resize(cap);
-            matched.resize(cap);
-            finished.resize(cap);
-        }
+        if (s.spec_enabled()) drafts.resize(cap * spec_w);
     }
 
-    // Speculative variant of step(), taken when the sampler has spec_k > 1:
-    // the same draft + verify + rollback round as generate_batch_spec, with
-    // per-slot temperature / top_p / max_len (DESIGN.md §16).
-    std::size_t step_spec(std::vector<Finished>& out);
+    std::size_t step(std::vector<Finished>& out);
 
     const Sampler* sampler;
     std::size_t capacity;
@@ -644,15 +311,196 @@ struct Sampler::SlotBatch::Impl {
     nn::Tensor window_full;  // packed verify-window tokens (spec only)
     std::vector<SpecDrafter::Draft> drafts;
     std::vector<std::size_t> counts;
-    std::vector<std::uint8_t> drafted;
-    std::vector<std::uint8_t> matched;
-    std::vector<std::uint8_t> finished;
+    std::vector<std::uint8_t> drafted;   // per row: drafted this step
+    std::vector<std::uint8_t> matched;   // per row: pass A reproduced draft 0
+    std::vector<std::uint8_t> finished;  // per row: stream ended this step
     std::vector<cellular::EventId> ctx;
     SpecDrafter::Scratch draft_scratch;
     std::vector<Slot> slots;  // index == decoder row
     std::vector<std::size_t> keep_rows;
-    StageTimes times;  // accumulated over every step(); see stage_times()
+    StageTimes times;  // accumulated over every admit() and step(); see stage_times()
 };
+
+// The one decode step (paper §4.5 plus DESIGN.md §16): an optional draft,
+// pass A (one token per row), pass B (only when some row verifies), then
+// retire and compact. A plain step drafts no row, so every row samples
+// through sample_row and pass B never runs.
+std::size_t Sampler::SlotBatch::Impl::step(std::vector<Finished>& out) {
+    const Sampler& s = *sampler;
+    const SamplerConfig& cfg = s.config_;
+    const Tokenizer& tok = *s.tokenizer_;
+    const std::size_t b = slots.size();
+    const std::size_t d_token = tok.d_token();
+    const std::size_t num_events = tok.num_event_types();
+    const bool dist_head = s.model_->config().distribution_head;
+    const std::size_t d = spec_w;
+
+    // ---- Draft: propose d tokens per eligible row. Rows decoding greedily
+    // (temperature == 0), rows one commit from their cap, and rows whose
+    // verify window would overflow the KV context sit the step out as plain
+    // one-token rows.
+    std::fill_n(drafted.begin(), b, std::uint8_t{0});
+    if (s.spec_enabled()) {
+        StageTimer timer(times.draft);
+        const std::size_t max_t = s.model_->config().max_seq_len;
+        for (std::size_t i = 0; i < b; ++i) {
+            Slot& slot = slots[i];
+            const std::size_t events = slot.stream.events.size();
+            const bool eligible =
+                slot.temperature > 0.0 && events + 1 < slot.max_len && events + d <= max_t;
+            if (!eligible) continue;
+            drafted[i] = 1;
+            if (cfg.spec_force_reject) {
+                // Keep the stream RNG byte-identical to the plain path: these
+                // drafts only exist to exercise verify + rollback.
+                util::Rng throwaway(0x5eed);
+                draft_row(*cfg.drafter, slot.stream, d, throwaway, draft_scratch, ctx,
+                          &drafts[i * d]);
+            } else {
+                draft_row(*cfg.drafter, slot.stream, d, slot.rng, draft_scratch, ctx,
+                          &drafts[i * d]);
+            }
+            times.spec_proposed += d;
+        }
+    }
+
+    // ---- Pass A: one token per row, doubling as the verifier of each
+    // drafted row's first draft (bit-exact with a plain step: the GEMM
+    // shapes are identical).
+    if (input.dim(0) != b) input = input_full.first_rows(b);
+    {
+        auto dst = input.data();
+        for (std::size_t i = 0; i < b; ++i) {
+            std::copy(slots[i].next_token.begin(), slots[i].next_token.end(),
+                      dst.begin() + static_cast<std::ptrdiff_t>(i * d_token));
+        }
+    }
+    const CptGpt::DecodeOutput* pred = nullptr;
+    {
+        StageTimer timer(times.decode);
+        pred = &s.model_->decode_step(decoder, input, scratch);
+    }
+    ++times.steps;
+
+    {
+        StageTimer timer(times.sample);
+        for (std::size_t i = 0; i < b; ++i) {
+            Slot& slot = slots[i];
+            SpecSample r;
+            if (drafted[i] != 0 && !cfg.spec_force_reject) {
+                r = spec_sample_position(*pred, i, num_events, tok, slot.temperature,
+                                         slot.top_p, *cfg.drafter, &drafts[i * d],
+                                         slot.stream.events.back().type, slot.rng,
+                                         sample_scratch);
+            } else {
+                r.s = sample_row(*pred, i, num_events, dist_head, tok, slot.temperature,
+                                 slot.top_p, slot.rng, sample_scratch);
+            }
+            finished[i] = slot.commit(r.s) ? 1 : 0;
+            matched[i] = r.accepted && finished[i] == 0 ? 1 : 0;
+            if (matched[i] != 0) ++times.spec_accepted;
+            if (finished[i] == 0) {
+                tok.encode_token(r.s.event, r.s.interarrival, false,
+                                 std::span<float>(slot.next_token));
+            }
+        }
+    }
+
+    // ---- Pass B: one packed multi-token forward verifies the remaining
+    // drafts of every row whose pass-A token matched its first draft.
+    counts.assign(b, 0);
+    std::size_t wrows = 0;
+    for (std::size_t i = 0; i < b; ++i) {
+        const bool verify = matched[i] != 0 ||
+                            (cfg.spec_verify_all && drafted[i] != 0 && finished[i] == 0);
+        if (verify) {
+            counts[i] = d;
+            wrows += d;
+        }
+    }
+    if (wrows > 0) {
+        const CptGpt::DecodeOutput* pred_w = nullptr;
+        {
+            StageTimer timer(times.verify);
+            nn::Tensor window = window_full.first_rows(wrows);
+            auto dst = window.data();
+            std::size_t wb = 0;
+            for (std::size_t i = 0; i < b; ++i) {
+                if (counts[i] == 0) continue;
+                for (std::size_t j = 0; j < d; ++j) {
+                    const SpecDrafter::Draft& c = drafts[i * d + j];
+                    tok.encode_token(c.event,
+                                     tok.unscale_interarrival(static_cast<double>(c.scaled_ia)),
+                                     false, dst.subspan((wb + j) * d_token, d_token));
+                }
+                wb += d;
+            }
+            pred_w = &s.model_->decode_window(decoder, window, counts, scratch);
+            ++times.verify_steps;
+        }
+        StageTimer timer(times.sample);
+        std::size_t base = 0;
+        for (std::size_t i = 0; i < b; ++i) {
+            if (counts[i] == 0) continue;
+            Slot& slot = slots[i];
+            const std::size_t len_a = decoder.row_length(i) - d;  // before the window
+            if (matched[i] == 0) {
+                decoder.rollback_row(i, len_a);  // verify_all row: discard everything
+                base += d;
+                continue;
+            }
+            // Sequential accept chain over window positions: position j's
+            // logits follow draft j; its candidate is draft j+1, except the
+            // last position, which samples a free bonus token.
+            std::size_t valid = 1;  // draft 0 was committed in pass A and stays fed
+            for (std::size_t j = 0; j < d; ++j) {
+                const SpecDrafter::Draft* cand = j + 1 < d ? &drafts[i * d + j + 1] : nullptr;
+                const SpecSample r = spec_sample_position(
+                    *pred_w, base + j, num_events, tok, slot.temperature, slot.top_p,
+                    *cfg.drafter, cand, drafts[i * d + j].event, slot.rng, sample_scratch);
+                finished[i] = slot.commit(r.s) ? 1 : 0;
+                if (r.accepted) {
+                    valid = j + 2;
+                    ++times.spec_accepted;
+                } else {
+                    valid = j + 1;
+                }
+                if (finished[i] != 0) break;
+                if (!r.accepted) {
+                    // Rejected (or the bonus position): this token is the new
+                    // pending token; later drafts are dead context.
+                    tok.encode_token(r.s.event, r.s.interarrival, false,
+                                     std::span<float>(slot.next_token));
+                    break;
+                }
+            }
+            if (finished[i] == 0) decoder.rollback_row(i, len_a + valid);
+            base += d;
+        }
+    }
+
+    // ---- Retire finished streams and compact the survivors.
+    keep_rows.clear();
+    std::size_t done = 0;
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < b; ++i) {
+        Slot& slot = slots[i];
+        if (finished[i] != 0) {
+            out.push_back({std::move(slot.stream), slot.ticket, false});
+            ++done;
+            continue;
+        }
+        keep_rows.push_back(i);
+        if (live != i) slots[live] = std::move(slot);
+        ++live;
+    }
+    if (live != b) {
+        StageTimer timer(times.compact);
+        decoder.compact(keep_rows);
+        slots.resize(live);
+    }
+    return done;
+}
 
 Sampler::SlotBatch::SlotBatch(const Sampler& sampler, std::size_t capacity)
     : impl_(std::make_unique<Impl>(sampler, capacity)) {
@@ -685,6 +533,7 @@ void Sampler::SlotBatch::admit(util::Rng rng, std::string ue_id, std::uint64_t t
     if (params.top_p > 0.0) {
         CPT_CHECK_LE(params.top_p, 1.0, " SlotBatch::admit: top_p must be in (0, 1]");
     }
+    StageTimer timer(im.times.bootstrap);
     im.decoder.admit(1);
 
     const Sampler& s = *im.sampler;
@@ -698,242 +547,17 @@ void Sampler::SlotBatch::admit(util::Rng rng, std::string ue_id, std::uint64_t t
     slot.stream.ue_id = std::move(ue_id);
     slot.stream.device = s.config_.device;
     slot.stream.hour_of_day = s.config_.hour_of_day;
-    // Bootstrap token (§4.5), identical to generate_batch: sampled initial
-    // event, interarrival 0, stop 0.
+    // Bootstrap token (§4.5): sampled initial event, interarrival 0, stop 0.
     const auto first_event = static_cast<cellular::EventId>(
         slot.rng.categorical(std::span<const double>(s.initial_event_dist_)));
     slot.next_token.resize(d_token, 0.0f);
-    s.tokenizer_->encode_token(first_event, 0.0, false,
-                               std::span<float>(slot.next_token.data(), d_token));
+    s.tokenizer_->encode_token(first_event, 0.0, false, std::span<float>(slot.next_token));
     slot.stream.events.push_back({0.0, first_event});
     im.slots.push_back(std::move(slot));
 }
 
 std::size_t Sampler::SlotBatch::step(std::vector<Finished>& out) {
-    Impl& im = *impl_;
-    if (im.slots.empty()) return 0;
-    if (im.sampler->spec_enabled()) return im.step_spec(out);
-    const Sampler& s = *im.sampler;
-    const std::size_t b = im.slots.size();
-    const std::size_t d_token = s.tokenizer_->d_token();
-    const std::size_t num_events = s.tokenizer_->num_event_types();
-    const bool dist_head = s.model_->config().distribution_head;
-
-    if (im.input.dim(0) != b) im.input = im.input_full.first_rows(b);
-    {
-        auto dst = im.input.data();
-        for (std::size_t i = 0; i < b; ++i) {
-            std::copy(im.slots[i].next_token.begin(), im.slots[i].next_token.end(),
-                      dst.begin() + static_cast<std::ptrdiff_t>(i * d_token));
-        }
-    }
-    const CptGpt::DecodeOutput* pred = nullptr;
-    {
-        StageTimer timer(&im.times.decode);
-        pred = &s.model_->decode_step(im.decoder, im.input, im.scratch);
-    }
-    ++im.times.steps;
-
-    im.keep_rows.clear();
-    std::size_t finished = 0;
-    std::size_t live = 0;
-    {
-        StageTimer timer(&im.times.sample);
-        for (std::size_t i = 0; i < b; ++i) {
-            Impl::Slot& slot = im.slots[i];
-            const RowSample rs = sample_row(*pred, i, num_events, dist_head, *s.tokenizer_,
-                                            slot.temperature, slot.top_p, slot.rng,
-                                            im.sample_scratch);
-            slot.t += rs.interarrival;
-            slot.stream.events.push_back({slot.t, rs.event});
-            if (rs.stop || slot.stream.events.size() >= slot.max_len) {
-                out.push_back({std::move(slot.stream), slot.ticket, false});
-                ++finished;
-                continue;
-            }
-            s.tokenizer_->encode_token(rs.event, rs.interarrival, false,
-                                       std::span<float>(slot.next_token.data(), d_token));
-            im.keep_rows.push_back(i);
-            if (live != i) im.slots[live] = std::move(slot);
-            ++live;
-        }
-    }
-    if (live != b) {
-        StageTimer timer(&im.times.compact);
-        im.decoder.compact(im.keep_rows);
-        im.slots.resize(live);
-    }
-    return finished;
-}
-
-std::size_t Sampler::SlotBatch::Impl::step_spec(std::vector<Finished>& out) {
-    const Sampler& s = *sampler;
-    const SamplerConfig& cfg = s.config_;
-    const std::size_t b = slots.size();
-    const std::size_t d_token = s.tokenizer_->d_token();
-    const std::size_t num_events = s.tokenizer_->num_event_types();
-    const bool dist_head = s.model_->config().distribution_head;
-    const std::size_t max_t = s.model_->config().max_seq_len;
-    const std::size_t d = spec_w;
-    const SpecDrafter& drafter = *cfg.drafter;
-
-    // ---- Draft (same eligibility as generate_batch_spec, per-slot knobs).
-    {
-        StageTimer timer(&times.draft);
-        for (std::size_t i = 0; i < b; ++i) {
-            Slot& slot = slots[i];
-            const std::size_t events = slot.stream.events.size();
-            const bool eligible =
-                slot.temperature > 0.0 && events + 1 < slot.max_len && events + d <= max_t;
-            drafted[i] = eligible ? 1 : 0;
-            if (!eligible) continue;
-            if (cfg.spec_force_reject) {
-                util::Rng throwaway(0x5eed);
-                draft_row(drafter, slot.stream, d, throwaway, draft_scratch, ctx,
-                          &drafts[i * d]);
-            } else {
-                draft_row(drafter, slot.stream, d, slot.rng, draft_scratch, ctx,
-                          &drafts[i * d]);
-            }
-            times.spec_proposed += d;
-        }
-    }
-
-    // ---- Pass A.
-    if (input.dim(0) != b) input = input_full.first_rows(b);
-    {
-        auto dst = input.data();
-        for (std::size_t i = 0; i < b; ++i) {
-            std::copy(slots[i].next_token.begin(), slots[i].next_token.end(),
-                      dst.begin() + static_cast<std::ptrdiff_t>(i * d_token));
-        }
-    }
-    const CptGpt::DecodeOutput* pred = nullptr;
-    {
-        StageTimer timer(&times.decode);
-        pred = &s.model_->decode_step(decoder, input, scratch);
-    }
-    ++times.steps;
-
-    {
-        StageTimer timer(&times.sample);
-        for (std::size_t i = 0; i < b; ++i) {
-            Slot& slot = slots[i];
-            SpecSample r;
-            if (drafted[i] != 0 && !cfg.spec_force_reject) {
-                r = spec_sample_position(*pred, i, num_events, *s.tokenizer_,
-                                         slot.temperature, slot.top_p, drafter,
-                                         &drafts[i * d], slot.stream.events.back().type,
-                                         slot.rng, sample_scratch);
-            } else {
-                r.s = sample_row(*pred, i, num_events, dist_head, *s.tokenizer_,
-                                 slot.temperature, slot.top_p, slot.rng, sample_scratch);
-            }
-            slot.t += r.s.interarrival;
-            slot.stream.events.push_back({slot.t, r.s.event});
-            finished[i] = r.s.stop || slot.stream.events.size() >= slot.max_len ? 1 : 0;
-            matched[i] = r.accepted && finished[i] == 0 ? 1 : 0;
-            if (matched[i] != 0) ++times.spec_accepted;
-            if (finished[i] == 0) {
-                s.tokenizer_->encode_token(r.s.event, r.s.interarrival, false,
-                                           std::span<float>(slot.next_token.data(), d_token));
-            }
-        }
-    }
-
-    // ---- Pass B.
-    counts.assign(b, 0);
-    std::size_t wrows = 0;
-    for (std::size_t i = 0; i < b; ++i) {
-        const bool verify = matched[i] != 0 ||
-                            (cfg.spec_verify_all && drafted[i] != 0 && finished[i] == 0);
-        if (verify) {
-            counts[i] = d;
-            wrows += d;
-        }
-    }
-    const CptGpt::DecodeOutput* pred_w = nullptr;
-    if (wrows > 0) {
-        StageTimer timer(&times.verify);
-        nn::Tensor window = window_full.first_rows(wrows);
-        auto dst = window.data();
-        std::size_t wb = 0;
-        for (std::size_t i = 0; i < b; ++i) {
-            if (counts[i] == 0) continue;
-            for (std::size_t j = 0; j < d; ++j) {
-                const SpecDrafter::Draft& c = drafts[i * d + j];
-                s.tokenizer_->encode_token(
-                    c.event,
-                    s.tokenizer_->unscale_interarrival(static_cast<double>(c.scaled_ia)),
-                    false, dst.subspan((wb + j) * d_token, d_token));
-            }
-            wb += d;
-        }
-        pred_w = &s.model_->decode_window(decoder, window, counts, scratch);
-        ++times.verify_steps;
-    }
-    if (wrows > 0) {
-        StageTimer timer(&times.sample);
-        std::size_t base = 0;
-        for (std::size_t i = 0; i < b; ++i) {
-            if (counts[i] == 0) continue;
-            Slot& slot = slots[i];
-            const std::size_t len_a = decoder.row_length(i) - d;  // before the window
-            if (matched[i] == 0) {
-                decoder.rollback_row(i, len_a);  // verify_all row: discard everything
-                base += d;
-                continue;
-            }
-            std::size_t valid = 1;  // draft 0 was committed in pass A and stays fed
-            for (std::size_t j = 0; j < d; ++j) {
-                const SpecDrafter::Draft* cand = j + 1 < d ? &drafts[i * d + j + 1] : nullptr;
-                const SpecSample r = spec_sample_position(
-                    *pred_w, base + j, num_events, *s.tokenizer_, slot.temperature,
-                    slot.top_p, drafter, cand, drafts[i * d + j].event, slot.rng,
-                    sample_scratch);
-                slot.t += r.s.interarrival;
-                slot.stream.events.push_back({slot.t, r.s.event});
-                finished[i] = r.s.stop || slot.stream.events.size() >= slot.max_len ? 1 : 0;
-                if (r.accepted) {
-                    valid = j + 2;
-                    ++times.spec_accepted;
-                } else {
-                    valid = j + 1;
-                }
-                if (finished[i] != 0) break;
-                if (!r.accepted) {
-                    s.tokenizer_->encode_token(
-                        r.s.event, r.s.interarrival, false,
-                        std::span<float>(slot.next_token.data(), d_token));
-                    break;
-                }
-            }
-            if (finished[i] == 0) decoder.rollback_row(i, len_a + valid);
-            base += d;
-        }
-    }
-
-    // ---- Retire finished streams and compact the survivors.
-    keep_rows.clear();
-    std::size_t done = 0;
-    std::size_t live = 0;
-    for (std::size_t i = 0; i < b; ++i) {
-        Slot& slot = slots[i];
-        if (finished[i] != 0) {
-            out.push_back({std::move(slot.stream), slot.ticket, false});
-            ++done;
-            continue;
-        }
-        keep_rows.push_back(i);
-        if (live != i) slots[live] = std::move(slot);
-        ++live;
-    }
-    if (live != b) {
-        StageTimer timer(&times.compact);
-        decoder.compact(keep_rows);
-        slots.resize(live);
-    }
-    return done;
+    return impl_->slots.empty() ? 0 : impl_->step(out);
 }
 
 const Sampler::StageTimes& Sampler::SlotBatch::stage_times() const { return impl_->times; }
@@ -960,6 +584,27 @@ std::size_t Sampler::SlotBatch::evict(const std::function<bool(std::uint64_t)>& 
         im.slots.resize(live);
     }
     return dropped;
+}
+
+std::vector<trace::Stream> Sampler::generate_batch(std::span<util::Rng> rngs,
+                                                   const std::string& ue_prefix,
+                                                   std::size_t first_serial,
+                                                   StageTimes* times) const {
+    if (rngs.empty()) return {};
+    SlotBatch batch(*this, rngs.size());
+    char id[64];
+    for (std::size_t i = 0; i < rngs.size(); ++i) {
+        std::snprintf(id, sizeof(id), "%s-%06zu", ue_prefix.c_str(), first_serial + i);
+        batch.admit(rngs[i], id, i);
+    }
+    std::vector<SlotBatch::Finished> finished;
+    finished.reserve(rngs.size());
+    while (batch.live() > 0) batch.step(finished);
+    if (times) *times += batch.stage_times();
+    std::vector<trace::Stream> done;
+    done.reserve(finished.size());
+    for (auto& f : finished) done.push_back(std::move(f.stream));
+    return done;
 }
 
 trace::Stream Sampler::sample_stream(const std::string& ue_id, util::Rng& rng) const {

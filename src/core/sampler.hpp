@@ -13,10 +13,12 @@
 // legitimately rare events (ATCH/DTCH are ~0.1% of real traffic), so the
 // default is raw sampling (top_p = 1.0), matching the paper's inference.
 //
-// generate() runs streams in parallel batches: all active streams share the
-// same context length, so one [B, T, d_token] forward serves B streams per
-// step, which is roughly an order of magnitude faster than per-stream loops
-// on CPU.
+// There is one decode loop: SlotBatch. Its step feeds one token per live
+// stream through the KV-cached decoder, so one batched forward serves every
+// stream — roughly an order of magnitude faster than per-stream loops on
+// CPU — and retires the streams that finished. Speculative decode (spec_k >
+// 1) is a branch inside that step. generate_batch() is admit-all over a
+// SlotBatch, stepped until empty; generate() runs such batches in parallel.
 //
 // Determinism across thread counts: every stream's RNG is forked from the
 // caller's RNG serially, salted by the stream's absolute serial index, before
@@ -94,13 +96,14 @@ public:
     Sampler(const CptGpt& model, const Tokenizer& tokenizer,
             std::vector<double> initial_event_dist, SamplerConfig config = {});
 
-    // Wall-clock attribution of a generate_batch call, summed across decode
-    // steps. The stages partition the batch loop: `bootstrap` covers RNG
-    // bootstrap draws and first-token encoding, `decode` the KV-cached
-    // transformer + head forward, `sample` the per-row categorical/normal
-    // draws and next-token re-encoding, `compact` the KV-cache compaction of
-    // finished rows. bench_e2e_generate uses this to attribute tier-to-tier
-    // differences to a stage instead of guessing from end-to-end totals.
+    // Wall-clock attribution of a generate_batch call or a SlotBatch, summed
+    // across admits and decode steps. The stages partition the loop:
+    // `bootstrap` covers admit() (RNG bootstrap draw and first-token
+    // encoding), `decode` the KV-cached transformer + head forward, `sample`
+    // the per-row categorical/normal draws and next-token re-encoding,
+    // `compact` the KV-cache compaction of finished rows. bench_e2e_generate
+    // uses this to attribute tier-to-tier differences to a stage instead of
+    // guessing from end-to-end totals.
     // Speculative decode (spec_k > 1) adds two stages and three counters:
     // `draft` covers the n-gram proposals, `verify` the batched multi-token
     // verify forwards (window encoding + GEMMs), `verify_steps` how many of
@@ -150,23 +153,23 @@ public:
     std::size_t generate_to(trace::ColumnarWriter& writer, std::size_t n, util::Rng& rng,
                             const std::string& ue_prefix = "cptgpt") const;
 
-    // Runs one batched decode over `rngs.size()` streams whose RNGs were
-    // pre-forked by the caller; stream i is labelled `first_serial + i`
-    // (ue_id "<ue_prefix>-%06zu"). Public so serving-layer schedulers and
-    // their tests can pin SlotBatch output against the drain-style batch.
-    // When `times` is non-null, per-stage wall-clock is accumulated into it
-    // (timers only run when requested, so the default path pays nothing).
+    // Decodes `rngs.size()` streams whose RNGs were pre-forked by the caller:
+    // admits every RNG into a SlotBatch of that capacity (stream i labelled
+    // `first_serial + i`, ue_id "<ue_prefix>-%06zu"), steps until none is
+    // live, and returns the streams in completion order. An empty span
+    // returns {}. When `times` is non-null, the batch's stage times are
+    // added into it.
     std::vector<trace::Stream> generate_batch(std::span<util::Rng> rngs,
                                               const std::string& ue_prefix,
                                               std::size_t first_serial,
                                               StageTimes* times = nullptr) const;
 
-    // Continuous-batching decode session over this sampler's model — the
-    // slot-refill entry point beside generate_batch() that src/serve builds
-    // on. Slots are decoder rows: admit() fills free slots at step
-    // boundaries (including slots that finished streams freed mid-decode),
-    // step() advances every live stream by one token and hands back the
-    // streams that completed, evict() drops live streams (deadline
+    // Continuous-batching decode session over this sampler's model — the one
+    // decode loop, which generate_batch() and src/serve both drive. Slots are
+    // decoder rows: admit() fills free slots at step boundaries (including
+    // slots that finished streams freed mid-decode), step() advances every
+    // live stream by one token (up to spec_k when speculating) and hands
+    // back the streams that completed, evict() drops live streams (deadline
     // enforcement) at the next compaction.
     //
     // Determinism: a stream's content is a pure function of the Rng passed
@@ -175,8 +178,8 @@ public:
     // windows per-row attention and positions, see nn/infer.hpp, and its
     // projections run the batch-invariant gemm_nt_decode). Pinned on every
     // SIMD tier by tests/nn_infer_test.cpp (alone vs among 15 co-residents).
-    // Admitting serially pre-forked RNGs therefore reproduces
-    // generate_batch() byte-for-byte, which is the single-slice
+    // Admitting serially pre-forked RNGs under any refill schedule therefore
+    // reproduces generate_batch() byte-for-byte, which is the single-slice
     // deterministic-mode contract (pinned by tests/serve_test.cpp).
     class SlotBatch {
     public:
@@ -228,11 +231,12 @@ public:
         std::size_t evict(const std::function<bool(std::uint64_t)>& pred,
                           std::vector<Finished>& out);
 
-        // Wall-clock attribution accumulated over every step() since
-        // construction: `decode` is the KV-cached transformer + head forward,
-        // `sample` the per-row draws, `compact` the cache compaction, and
-        // `steps` the step() calls that ran a decode. The serve layer folds
-        // decode / steps into per-slice stats (decode_ms_per_step).
+        // Wall-clock attribution accumulated over every admit() and step()
+        // since construction (StageTimes above): `bootstrap` is admit(),
+        // `decode` the KV-cached transformer + head forward, `sample` the
+        // per-row draws, `compact` the cache compaction, and `steps` the
+        // step() calls that ran a decode. The serve layer folds decode /
+        // steps into per-slice stats (decode_ms_per_step).
         const StageTimes& stage_times() const;
 
     private:
@@ -250,14 +254,6 @@ private:
     // of streams kept.
     std::size_t generate_impl(std::size_t n, util::Rng& rng, const std::string& ue_prefix,
                               const std::function<void(trace::Stream&&)>& sink) const;
-
-    // Speculative variant of generate_batch (taken when spec_k > 1): same
-    // contract, decodes up to spec_k tokens per round via draft + batched
-    // verify + KV rollback (DESIGN.md §16).
-    std::vector<trace::Stream> generate_batch_spec(std::span<util::Rng> rngs,
-                                                   const std::string& ue_prefix,
-                                                   std::size_t first_serial,
-                                                   StageTimes* times) const;
 
     bool spec_enabled() const { return config_.spec_k > 1 && config_.drafter != nullptr; }
 

@@ -7,8 +7,9 @@
 // The decoder holds plain tensors (no autograd graph) and owns a scratch
 // arena allocated once at construction, so steady-state decoding performs
 // zero tensor allocations per step (the decode hot path of
-// Sampler::generate_batch). compact() drops rows by permuting a
-// logical->physical row map over the KV cache — O(batch), no data movement.
+// Sampler::SlotBatch, which generate_batch and the serve engines drive).
+// compact() drops rows by permuting a logical->physical row map over the KV
+// cache — O(batch), no data movement.
 // Numerical equivalence with Transformer::forward() is pinned by
 // tests; all kernels dispatch on the active SIMD tier (util/cpu.hpp) and
 // stay byte-identical across CPT_THREADS within a tier.

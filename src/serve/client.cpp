@@ -22,126 +22,6 @@ namespace {
 
 }  // namespace
 
-// ---- ThreadedTcpServer -----------------------------------------------------
-
-ThreadedTcpServer::ThreadedTcpServer(Service& service, const std::string& host,
-                                     std::uint16_t port, std::size_t max_connections)
-    : service_(service), max_connections_(max_connections) {
-    listen_fd_ = net::listen_socket(host, port, /*backlog=*/64, &port_);
-}
-
-ThreadedTcpServer::~ThreadedTcpServer() {
-    stop();
-    // serve_forever joins connection threads; if it was never run (or exited
-    // early), join whatever is left here.
-    std::vector<std::thread> threads;
-    {
-        util::LockGuard lk(mu_);
-        threads.swap(conn_threads_);
-    }
-    for (auto& t : threads) {
-        if (t.joinable()) t.join();
-    }
-}
-
-void ThreadedTcpServer::serve_forever(const std::function<bool()>& interrupt) {
-    for (;;) {
-        int lfd = -1;
-        {
-            util::LockGuard lk(mu_);
-            if (stopping_) break;
-            lfd = listen_fd_;
-        }
-        const int fd = ::accept(lfd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR) {
-                if (interrupt && interrupt()) break;
-                continue;
-            }
-            // stop() closed the listening socket under us.
-            util::LockGuard lk(mu_);
-            if (stopping_) break;
-            throw_errno("accept");
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        util::LockGuard lk(mu_);
-        if (stopping_) {
-            ::close(fd);
-            break;
-        }
-        if (conn_fds_.size() >= max_connections_) {
-            // Every connection costs a full thread stack; past the budget the
-            // kindest failure is an immediate close so the client sees EOF
-            // rather than an unbounded accept queue. (The epoll server exists
-            // precisely to lift this cap.)
-            ::close(fd);
-            continue;
-        }
-        conn_fds_.push_back(fd);
-        conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
-    }
-    // Unblock connection threads stuck in recv before joining them — an idle
-    // client must not be able to hold up shutdown.
-    stop();
-    std::vector<std::thread> threads;
-    {
-        util::LockGuard lk(mu_);
-        threads.swap(conn_threads_);
-    }
-    for (auto& t : threads) {
-        if (t.joinable()) t.join();
-    }
-}
-
-void ThreadedTcpServer::stop() {
-    util::LockGuard lk(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-    if (listen_fd_ >= 0) {
-        ::shutdown(listen_fd_, SHUT_RDWR);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-}
-
-void ThreadedTcpServer::handle_connection(int fd) {
-    std::vector<std::uint8_t> payload;
-    try {
-        while (read_frame(fd, payload)) {
-            std::vector<std::uint8_t> reply;
-            switch (peek_type(payload)) {
-                case MsgType::kGenerateRequest: {
-                    const GenerateRequest req = decode_generate_request(payload);
-                    reply = encode_generate_response(service_.generate(req));
-                    break;
-                }
-                case MsgType::kStatsRequest:
-                    reply = encode_stats_response(service_.stats_json());
-                    break;
-                case MsgType::kHealthRequest:
-                    reply = encode_health_response(service_.health());
-                    break;
-                default:
-                    throw std::runtime_error("serve: client sent a response-typed frame");
-            }
-            write_frame(fd, reply);
-        }
-    } catch (const std::exception&) {
-        // Malformed frame or peer reset: drop the connection. The daemon
-        // must outlive misbehaving clients.
-    }
-    ::close(fd);
-    util::LockGuard lk(mu_);
-    for (auto it = conn_fds_.begin(); it != conn_fds_.end(); ++it) {
-        if (*it == fd) {
-            conn_fds_.erase(it);
-            break;
-        }
-    }
-}
-
 // ---- TcpClient -------------------------------------------------------------
 
 TcpClient::TcpClient(const std::string& host, std::uint16_t port)

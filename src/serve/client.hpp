@@ -1,38 +1,18 @@
-// Blocking TCP transport pieces for cpt-serve: the compat thread-per-
-// connection server (ThreadedTcpServer), the client (TcpClient) with typed
+// Blocking TCP client pieces for cpt-serve: the client (TcpClient) with typed
 // transport errors, and a bounded reconnect helper (connect_with_backoff) the
-// router's failover path reuses.
-//
-// The production listener is the epoll TcpServer in event_loop.hpp (included
-// below so existing `serve/client.hpp` users keep compiling); the threaded
-// server is retained as the baseline for bench_serve's transport comparison
-// and as the simplest-possible reference implementation of the protocol.
-//
-// ThreadedTcpServer: one OS thread per connection; each connection processes
-// its frames in order (a generate frame blocks that connection until the
-// engine answers), so pipelined load needs multiple connections. Connection
-// count is capped at `max_connections` — each costs a full thread stack, so
-// the cap is the thread budget; excess accepts are closed immediately.
-//
-// Shutdown: stop() closes the listening socket and shuts down every live
-// connection, so serve_forever() returns after joining the connection
-// threads. serve_forever() also returns when `interrupt` (checked whenever
-// accept(2) is interrupted by a signal — util::install_shutdown_handlers
-// installs handlers without SA_RESTART precisely so this works) reports true.
+// router's failover path reuses. The listener is the epoll TcpServer in
+// event_loop.hpp.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service.hpp"
 #include "util/backoff.hpp"
-#include "util/sync.hpp"
 
 namespace cpt::serve {
 
@@ -112,46 +92,4 @@ private:
 std::unique_ptr<TcpClient> connect_with_backoff(const std::string& host, std::uint16_t port,
                                                 const util::Backoff& backoff);
 
-class ThreadedTcpServer {
-public:
-    // Binds and listens on host:port; port 0 picks an ephemeral port (read it
-    // back with port()). Throws std::runtime_error on socket errors.
-    ThreadedTcpServer(Service& service, const std::string& host = "127.0.0.1",
-                      std::uint16_t port = 0, std::size_t max_connections = 256);
-    ~ThreadedTcpServer();
-
-    ThreadedTcpServer(const ThreadedTcpServer&) = delete;
-    ThreadedTcpServer& operator=(const ThreadedTcpServer&) = delete;
-
-    std::uint16_t port() const { return port_; }
-
-    // Accepts connections until stop() is called or `interrupt` returns true
-    // after a signal interrupts accept(2). Joins connection threads before
-    // returning. Call from the thread that should own the accept loop.
-    void serve_forever(const std::function<bool()>& interrupt = nullptr);
-
-    // Closes the listening socket and all live connections; safe to call
-    // from another thread or more than once.
-    void stop();
-
-private:
-    void handle_connection(int fd) CPT_EXCLUDES(mu_);
-
-    Service& service_;
-    std::size_t max_connections_;
-    std::uint16_t port_ = 0;
-    util::Mutex mu_;
-    // Closed and set to -1 by stop(); the accept loop re-reads it under mu_
-    // each iteration so a concurrent stop() cannot race the accept(2) fd.
-    int listen_fd_ CPT_GUARDED_BY(mu_) = -1;
-    bool stopping_ CPT_GUARDED_BY(mu_) = false;
-    std::vector<int> conn_fds_ CPT_GUARDED_BY(mu_);
-    std::vector<std::thread> conn_threads_ CPT_GUARDED_BY(mu_);
-};
-
 }  // namespace cpt::serve
-
-// The epoll event-loop TcpServer — the default listener — lives in its own
-// header but is pulled in here so `serve/client.hpp` users see the complete
-// transport surface.
-#include "event_loop.hpp"  // IWYU pragma: keep

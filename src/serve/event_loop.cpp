@@ -284,8 +284,8 @@ private:
                         return false;
                 }
             } catch (const std::exception&) {
-                // Malformed payload: drop the connection, like the threaded
-                // transport. The daemon must outlive misbehaving clients.
+                // Malformed payload: drop the connection. The daemon must
+                // outlive misbehaving clients.
                 close_conn(fd);
                 return false;
             }
@@ -423,8 +423,7 @@ private:
             // Draining: no new sockets, and dispatch() is gated on
             // draining_, so queued or newly read frames never start — only
             // the generates already in flight finish and flush. Queued
-            // frames that never started are dropped with the connection,
-            // same as the threaded transport at shutdown.
+            // frames that never started are dropped with the connection.
             for (const int fd : incoming) ::close(fd);
             bool flushed = true;
             for (const auto& [fd, c] : conns_) {

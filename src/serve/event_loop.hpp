@@ -1,9 +1,10 @@
 // Epoll-based non-blocking TCP listener for cpt-serve (DESIGN.md §15).
 //
-// The thread-per-connection transport spends an OS thread (stack, scheduler
-// slot) per client even when the client is idle, which caps a backend at a
-// few hundred connections. This server holds thousands of mostly-idle
-// connections on a small fixed thread set instead:
+// A thread-per-connection listener spends an OS thread (stack, scheduler
+// slot) per client even when the client is idle, which caps a backend at its
+// thread budget (bench_results/BENCH_serve.json: 64 connections against this
+// loop's 256). This server holds thousands of mostly-idle connections on a
+// small fixed thread set instead:
 //
 //   * one acceptor (the serve_forever caller) accepts and hands each socket
 //     to a worker round-robin;
@@ -18,11 +19,11 @@
 // never blocks the loop: the worker parks the connection as busy, keeps
 // serving its other connections, and resumes when the engine's completion
 // callback posts to the mailbox. Frames on one connection are still
-// processed strictly in order (same contract as the threaded transport).
+// processed strictly in order.
 //
 // Byte-identical semantics: this layer only moves frames; request decoding,
 // engine scheduling, and stream synthesis are untouched, so a deterministic
-// request returns the same bytes through either transport (pinned by
+// request returns the same bytes as the in-process path (pinned by
 // tests/epoll_server_test.cpp).
 //
 // Shutdown: stop() (or the interrupt callback) stops admission; workers

@@ -1,5 +1,5 @@
 // Small shared socket helpers for the serve transports (internal to
-// src/serve; both the threaded and epoll servers bind sockets the same way).
+// src/serve: the epoll server's listener and the client's address parsing).
 #pragma once
 
 #include <netinet/in.h>

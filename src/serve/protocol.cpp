@@ -54,7 +54,9 @@ struct Writer {
     void str16(const std::string& s) {
         if (s.size() > 0xffff) throw std::runtime_error("protocol: string too long");
         u16(static_cast<std::uint16_t>(s.size()));
-        buf.insert(buf.end(), s.begin(), s.end());
+        const std::size_t at = buf.size();
+        buf.resize(at + s.size());
+        if (!s.empty()) std::memcpy(buf.data() + at, s.data(), s.size());
     }
 };
 

@@ -21,10 +21,11 @@
 //     p50/p95/p99 request latency, exported as JSON.
 //
 // Determinism: a request with deterministic = true uses Rng(seed).fork(i) for
-// stream i and labels it "<ue_prefix>-%06zu" % i, which reproduces
-// Sampler::generate_batch byte-for-byte for a single-slice, single-client run
-// (pinned by tests/serve_test.cpp) — admission timing cannot perturb stream
-// content (see Sampler::SlotBatch).
+// stream i and labels it "<ue_prefix>-%06zu" % i. Sampler::generate_batch
+// admits exactly those RNGs into one SlotBatch, and the engine runs the same
+// SlotBatch step, so a single-slice, single-client run reproduces it
+// byte-for-byte (pinned by tests/serve_test.cpp) — admission timing cannot
+// perturb stream content (see Sampler::SlotBatch).
 #pragma once
 
 #include <cstdint>
@@ -85,7 +86,7 @@ public:
     // requests rejected before admission).
     void generate_async(const GenerateRequest& request, Done done) override;
 
-    // Blocking wrapper (the in-process client and threaded transport):
+    // Blocking wrapper (the in-process client):
     // enqueues and waits for completion, deadline, or rejection.
     GenerateResponse generate(const GenerateRequest& request) override;
 

@@ -1,7 +1,6 @@
 // Abstract generation service: the seam between transports and request
-// processing. Both transports (the epoll TcpServer and the compat
-// ThreadedTcpServer) front a Service&, and both request processors implement
-// it — Server (local slice engines over a ModelHub) and Router (forwards to
+// processing. Both transports (the epoll TcpServer and the in-process
+// client) front a Service&, and both request processors implement it — Server (local slice engines over a ModelHub) and Router (forwards to
 // sharded backends) — so the router stack composes from the same parts as a
 // single backend and tests can swap one for the other.
 #pragma once

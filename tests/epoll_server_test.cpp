@@ -18,6 +18,7 @@
 
 #include "core/model_hub.hpp"
 #include "serve/client.hpp"
+#include "serve/event_loop.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
 #include "trace/synthetic.hpp"

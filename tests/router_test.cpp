@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "core/model_hub.hpp"
+#include "serve/event_loop.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "trace/synthetic.hpp"

@@ -14,6 +14,7 @@
 #include "core/model_hub.hpp"
 #include "core/sampler.hpp"
 #include "serve/client.hpp"
+#include "serve/event_loop.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
 #include "trace/synthetic.hpp"

@@ -26,12 +26,6 @@ std::vector<double> lognormal_sample(std::uint64_t seed, std::size_t n) {
     return xs;
 }
 
-double exact_quantile(std::vector<double> xs, double q) {
-    std::sort(xs.begin(), xs.end());
-    const auto idx = static_cast<std::size_t>(q * static_cast<double>(xs.size() - 1));
-    return xs[idx];
-}
-
 // Rank of `v` in the sample as a fraction (share of items <= v).
 double exact_rank(const std::vector<double>& sorted, double v) {
     const auto it = std::upper_bound(sorted.begin(), sorted.end(), v);

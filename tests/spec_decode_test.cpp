@@ -232,13 +232,11 @@ TEST_F(SpecFixture, ForcedAllRejectIsByteIdenticalToPlainPath) {
     EXPECT_EQ(times.spec_accepted, 0u);
     EXPECT_GT(times.verify_steps, 0u);
 
-    // Same identity through the SlotBatch scheduler (step_spec path), under
-    // continuous refill: capacity below the stream count, so late streams
-    // are admitted as earlier ones retire. The reference is the *plain*
-    // sampler's SlotBatch under the identical schedule — decoder outputs
-    // carry low-bit dependence on the live batch size, so the plain
-    // generate_batch (which runs all rows at once) is only byte-comparable
-    // at equal admission, which SlotBatchSpecMatchesGenerateBatch covers.
+    // Same identity under continuous refill (the speculative branch of the
+    // SlotBatch step with rows joining mid-decode): capacity below the
+    // stream count, so late streams are admitted as earlier ones retire. The
+    // reference is the *plain* sampler's SlotBatch under the identical
+    // schedule.
     auto run_slots = [&](const core::Sampler& sampler) {
         auto rngs = forked(42, kStreams);
         auto batch = sampler.make_slot_batch(6);
@@ -314,6 +312,42 @@ TEST_F(SpecFixture, SpecK1DegeneratesToPlainPathExactly) {
     // model context) instead of overrunning the decoder window arena.
     const core::Sampler clamped(*model, *tokenizer, dist, spec_config(1000, 4));
     EXPECT_EQ(clamped.config().spec_k, clamped.config().max_stream_len);
+}
+
+TEST_F(SpecFixture, GenerateBatchStopsExactlyAtTheLengthCap) {
+    // A model whose stop head is biased hard toward "continue" runs every
+    // stream to max_stream_len, plain and speculative alike: the cap retires
+    // the row on the token that reaches it, never earlier or later.
+    constexpr std::size_t kStreams = 5;
+    util::Rng init(21);
+    core::CptGpt biased(*tokenizer, tiny_config(), init);
+    for (const auto& np : biased.named_parameters("cptgpt.")) {
+        if (np.name == "cptgpt.stop_head.fc2.bias") {
+            auto bias = np.param->value.data();
+            bias[0] = 8.0f;   // continue
+            bias[1] = -8.0f;  // stop
+        }
+    }
+    const auto dist = data->initial_event_distribution();
+    const std::size_t max_seq = tiny_config().max_seq_len;
+    for (const std::size_t cap : {std::size_t{2}, std::size_t{7}, max_seq}) {
+        for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
+            auto cfg = k > 1 ? spec_config(k, kStreams) : base_config(kStreams);
+            cfg.max_stream_len = cap;
+            const core::Sampler sampler(biased, *tokenizer, dist, cfg);
+            auto rngs = forked(5, kStreams);
+            core::Sampler::StageTimes times;
+            const auto streams = sampler.generate_batch(std::span(rngs), "cap", 0, &times);
+            ASSERT_EQ(streams.size(), kStreams) << "cap=" << cap << " spec_k=" << k;
+            for (const auto& s : streams) {
+                EXPECT_EQ(s.events.size(), cap) << s.ue_id << " cap=" << cap << " spec_k=" << k;
+            }
+            // One bootstrap event plus one committed token per plain step.
+            if (k == 1) {
+                EXPECT_EQ(times.steps, cap - 1) << "cap=" << cap;
+            }
+        }
+    }
 }
 
 // ---- scheduler pins ----------------------------------------------------------
