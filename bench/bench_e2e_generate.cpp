@@ -178,12 +178,14 @@ int main() {
                             row.streams_per_sec, row.tokens_per_sec);
             }
 
-            // Stage attribution: the same workload as the e2e row, driven
-            // through generate_batch with a StageTimes accumulator so
-            // tier-to-tier and precision-to-precision differences can be
-            // pinned to a stage. The e2e workload's batches shrink as streams
-            // stop (mean stream length is ~3 tokens here), so its decode
-            // stage runs mostly tiny shapes — unlike the held-full
+            // Stage attribution: the e2e row's streams (same serials, same
+            // bytes), driven through generate_batch with a StageTimes
+            // accumulator so tier-to-tier and precision-to-precision
+            // differences can be pinned to a stage. The schedule differs:
+            // generate() refills each lane's rows from a serial cursor at
+            // every step, while these static batches of scfg.batch shrink as
+            // streams stop (mean stream length is ~3 tokens here), so this
+            // decode stage runs mostly tiny shapes — unlike the held-full
             // decode_engine row below.
             {
                 util::Rng root(42);

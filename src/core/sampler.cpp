@@ -4,12 +4,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <numeric>
+#include <optional>
 
 #include "spec_drafter.hpp"
 #include "trace/columnar.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
+#include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cpt::core {
@@ -614,52 +616,83 @@ trace::Stream Sampler::sample_stream(const std::string& ue_id, util::Rng& rng) c
     return streams.front();
 }
 
-std::size_t Sampler::generate_impl(std::size_t n, util::Rng& rng, const std::string& ue_prefix,
-                                   const std::function<void(trace::Stream&&)>& sink) const {
-    std::size_t kept = 0;
-    std::size_t serial = 0;
-    while (kept < n) {
-        const std::size_t want = n - kept;
-        // One round is several decode batches so multiple workers can run
-        // whole batches concurrently. Round size depends only on `want`, never
-        // on the thread count, and every stream's RNG is forked here —
-        // serially, salted by absolute serial index — so stream content is
-        // invariant to both the round structure and CPT_THREADS.
-        const std::size_t round = std::min(4 * config_.batch, want + want / 8 + 1);
-        std::vector<util::Rng> rngs;
-        rngs.reserve(round);
-        for (std::size_t i = 0; i < round; ++i) rngs.push_back(rng.fork(serial + i));
+namespace {
 
-        const std::size_t chunks = (round + config_.batch - 1) / config_.batch;
-        std::vector<std::vector<trace::Stream>> parts(chunks);
-        util::global_pool().parallel_for(chunks, 1, [&](std::size_t c0, std::size_t c1) {
-            for (std::size_t c = c0; c < c1; ++c) {
-                const std::size_t b0 = c * config_.batch;
-                const std::size_t b1 = std::min(b0 + config_.batch, round);
-                parts[c] = generate_batch(std::span(rngs).subspan(b0, b1 - b0), ue_prefix,
-                                          serial + b0);
-            }
-        });
-        serial += round;
-        for (auto& part : parts) {
-            for (auto& s : part) {
-                if (s.length() >= 2 && kept < n) {
-                    sink(std::move(s));
-                    ++kept;
-                }
-            }
+// The shared cursor of generate()'s decode lanes (DESIGN.md §7). It hands
+// out serials in ascending order — serial s decodes the s-th fork of the
+// caller's RNG — and emits finished streams to the sink in serial order
+// through a reorder buffer. One lock guards all of it; whichever lane
+// completes the contiguous prefix of finished serials runs the sink.
+class StreamCursor {
+public:
+    struct Pulled {
+        std::size_t serial;
+        util::Rng rng;
+    };
+
+    StreamCursor(std::size_t n, util::Rng& rng, const std::function<void(trace::Stream&&)>& sink)
+        : n_(n), rng_(&rng), sink_(&sink) {}
+
+    // One lane's step boundary: files the streams it just finished (their
+    // tickets are serials), emits the prefix they complete, then pulls up to
+    // `free_slots` new serials into `pulled`.
+    void exchange(std::vector<Sampler::SlotBatch::Finished>& finished, std::size_t free_slots,
+                  std::vector<Pulled>& pulled) CPT_EXCLUDES(mu_) {
+        util::LockGuard lock(mu_);
+        for (auto& f : finished) pending_[f.ticket - emitted_] = std::move(f.stream);
+        while (!pending_.empty() && pending_.front().has_value()) {
+            (*sink_)(std::move(*pending_.front()));
+            pending_.pop_front();
+            ++emitted_;
         }
-        if (kept < n && serial > 20 * n + 100) {
-            // Degenerate model: nearly all draws are shorter than 2 events.
-            // Give up with a diagnostic instead of looping forever (documented
-            // in sampler.hpp).
-            util::warnf("Sampler::generate gave up after %zu draws with only "
-                        "%zu/%zu usable streams (model emits stop immediately?)",
-                        serial, kept, n);
-            break;
+        pulled.clear();
+        for (; pulled.size() < free_slots && next_ < n_; ++next_) {
+            pulled.push_back({next_, rng_->fork(next_)});
+            pending_.emplace_back();
         }
     }
-    return kept;
+
+private:
+    util::Mutex mu_;
+    const std::size_t n_;
+    util::Rng* const rng_ CPT_PT_GUARDED_BY(mu_);
+    const std::function<void(trace::Stream&&)>* const sink_;
+    std::size_t next_ CPT_GUARDED_BY(mu_) = 0;     // next serial to hand out
+    std::size_t emitted_ CPT_GUARDED_BY(mu_) = 0;  // serials [0, emitted_) went to the sink
+    // Serials [emitted_, next_): decoded streams wait here for their prefix.
+    std::deque<std::optional<trace::Stream>> pending_ CPT_GUARDED_BY(mu_);
+};
+
+}  // namespace
+
+void Sampler::generate_impl(std::size_t n, util::Rng& rng, const std::string& ue_prefix,
+                            const std::function<void(trace::Stream&&)>& sink) const {
+    // One decode lane per pool thread, each a SlotBatch refilled from the
+    // cursor at every step boundary, so a long stream holds one row rather
+    // than a whole batch. A lane leaves once it has no live row and the
+    // cursor is exhausted; it never waits on another lane, so a nested call
+    // (lanes run inline one after another) decodes everything on lane 0.
+    // Stream bytes depend only on the stream's RNG (SlotBatch row
+    // invariance), so the output is independent of lanes, batch and timing.
+    StreamCursor cursor(n, rng, sink);
+    util::ThreadPool& pool = util::global_pool();
+    const std::size_t lanes = std::min(pool.threads(), (n + config_.batch - 1) / config_.batch);
+    pool.parallel_chunks(lanes, 1, [&](std::size_t, std::size_t, std::size_t) {
+        SlotBatch batch(*this, config_.batch);
+        std::vector<SlotBatch::Finished> finished;
+        std::vector<StreamCursor::Pulled> pulled;
+        char id[64];
+        for (;;) {
+            cursor.exchange(finished, batch.free_slots(), pulled);
+            for (auto& p : pulled) {
+                std::snprintf(id, sizeof(id), "%s-%06zu", ue_prefix.c_str(), p.serial);
+                batch.admit(p.rng, id, p.serial);
+            }
+            if (batch.live() == 0) return;
+            finished.clear();
+            batch.step(finished);
+        }
+    });
 }
 
 trace::Dataset Sampler::generate(std::size_t n, util::Rng& rng,
@@ -676,8 +709,8 @@ std::size_t Sampler::generate_to(trace::ColumnarWriter& writer, std::size_t n, u
                                  const std::string& ue_prefix) const {
     CPT_CHECK(writer.generation() == tokenizer_->generation(),
               "Sampler::generate_to: writer generation does not match the model's generation");
-    return generate_impl(n, rng, ue_prefix,
-                         [&](trace::Stream&& s) { writer.append(std::move(s)); });
+    generate_impl(n, rng, ue_prefix, [&](trace::Stream&& s) { writer.append(std::move(s)); });
+    return n;
 }
 
 }  // namespace cpt::core

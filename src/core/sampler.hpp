@@ -18,19 +18,21 @@
 // stream — roughly an order of magnitude faster than per-stream loops on
 // CPU — and retires the streams that finished. Speculative decode (spec_k >
 // 1) is a branch inside that step. generate_batch() is admit-all over a
-// SlotBatch, stepped until empty; generate() runs such batches in parallel.
+// SlotBatch, stepped until empty. generate() runs one decode lane per pool
+// thread, each a SlotBatch that refills its free rows from a shared serial
+// cursor at every step boundary, so a heavy-tailed stream holds one row
+// instead of holding a whole batch until it ends.
 //
-// Determinism across thread counts: every stream's RNG is forked from the
-// caller's RNG serially, salted by the stream's absolute serial index, before
-// any parallel work starts. Worker threads only consume pre-forked per-stream
-// RNGs, and the decoder math they run is bit-stable under row partitioning
-// (see src/nn/gemm.hpp), so generate() output is byte-identical for any
-// CPT_THREADS setting (pinned by tests/parallel_determinism_test.cpp).
+// Determinism across thread counts: stream s's RNG is the s-th fork of the
+// caller's RNG (forked under the cursor's lock, in serial order), and a
+// stream's bytes depend only on that RNG — SlotBatch rows are invariant to
+// their co-residents and the decoder math is bit-stable under row
+// partitioning (see src/nn/gemm.hpp) — so generate() output is
+// byte-identical for any CPT_THREADS and any `batch` (pinned by
+// tests/parallel_determinism_test.cpp).
 //
-// If the model is so degenerate that almost every draw is shorter than 2
-// events, generate() gives up after sampling ~20x the requested stream count,
-// logs a warning to stderr, and returns the (possibly short) dataset rather
-// than looping forever.
+// Every stream holds at least 2 events: the bootstrap event plus at least
+// one decoded token (a stop flag ends the stream *after* its event).
 #pragma once
 
 #include <cstdint>
@@ -60,7 +62,13 @@ struct SamplerConfig {
     // after the bootstrap draw.
     double temperature = 1.0;
     double top_p = 1.0;                // nucleus truncation; 1.0 disables
-    std::size_t batch = 32;            // streams generated per batched forward
+    // Rows per batched forward: the SlotBatch capacity of each generate()
+    // lane. Output bytes do not depend on it. On a 4-vCPU AVX2 host with
+    // the default CptGptConfig, a held one-thread decode step costs about
+    // 9.2 µs per row at 8 rows against 10.3 µs at 32 and 12.5 µs at 1, and
+    // offline_trace events/s was best at 4–8 (bench_results/
+    // BENCH_sampler_lanes.json: held_decode_row_cost, batch_sweep).
+    std::size_t batch = 8;
     trace::DeviceType device = trace::DeviceType::kPhone;  // label for streams
     int hour_of_day = 0;
     // Decode numeric mode (DESIGN.md §12). kInt8W8A32 runs the decoder and
@@ -139,17 +147,21 @@ public:
     // Generates a single stream (convenience; batched internally for n = 1).
     trace::Stream sample_stream(const std::string& ue_id, util::Rng& rng) const;
 
-    // Generates `n` streams (length >= 2; shorter draws are dropped).
+    // Generates `n` streams: serials 0..n-1 in ascending order, stream s
+    // decoded from the s-th fork of `rng` with ue_id "<ue_prefix>-%06zu".
     trace::Dataset generate(std::size_t n, util::Rng& rng,
                             const std::string& ue_prefix = "cptgpt") const;
 
-    // Streaming variant: same sampling loop (shared round/fork/filter core,
-    // so the two entry points cannot drift), but kept streams go straight to
-    // `writer` instead of a Dataset — memory stays O(batch round), not O(n).
+    // Streaming variant: the same lanes and cursor (shared generate_impl, so
+    // the two entry points cannot drift), but streams go to `writer` in
+    // serial order as soon as every lower serial has finished. Memory stays
+    // O(threads × batch × max_stream_len) streams, independent of n, while
+    // lanes step at comparable rates: the oldest unwritten stream ends
+    // within max_stream_len steps of its lane, and each lane finishes at most
+    // `batch` streams per step meanwhile.
     // Byte-identical file to write_columnar_file(path, generate(n, ...)) at
-    // equal seeds for every CPT_THREADS. Does not finish() the writer.
-    // Returns the number of streams appended (< n only if the model is so
-    // degenerate the loop gave up; see the header comment).
+    // equal seeds for every CPT_THREADS and batch. Does not finish() the
+    // writer. Returns the number of streams appended, which is n.
     std::size_t generate_to(trace::ColumnarWriter& writer, std::size_t n, util::Rng& rng,
                             const std::string& ue_prefix = "cptgpt") const;
 
@@ -249,11 +261,10 @@ public:
     const SamplerConfig& config() const { return config_; }
 
 private:
-    // Shared round/fork/filter loop behind generate() and generate_to():
-    // kept streams are handed to `sink` in serial order. Returns the number
-    // of streams kept.
-    std::size_t generate_impl(std::size_t n, util::Rng& rng, const std::string& ue_prefix,
-                              const std::function<void(trace::Stream&&)>& sink) const;
+    // The decode lanes behind generate() and generate_to(): the n streams
+    // are handed to `sink` in serial order, under the cursor's lock.
+    void generate_impl(std::size_t n, util::Rng& rng, const std::string& ue_prefix,
+                       const std::function<void(trace::Stream&&)>& sink) const;
 
     bool spec_enabled() const { return config_.spec_k > 1 && config_.drafter != nullptr; }
 

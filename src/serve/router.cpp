@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "net.hpp"
+#include "util/ascii.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -460,21 +461,19 @@ HealthInfo Router::health() const {
 
 std::string Router::stats_json() const {
     util::LockGuard lk(mu_);
-    char buf[256];
     std::string json = "{\n  \"backends\": [";
     bool first = true;
     for (const auto& [name, b] : backends_) {
-        std::snprintf(buf, sizeof(buf),
+        util::appendf(json,
                       "%s\n    {\"name\": \"%s\", \"up\": %s, \"draining\": %s, "
                       "\"inflight\": %zu, \"forwarded\": %llu, \"probe_failures\": %llu}",
-                      first ? "" : ",", name.c_str(), b.up ? "true" : "false",
+                      first ? "" : ",", util::json_escape(name).c_str(), b.up ? "true" : "false",
                       b.draining ? "true" : "false", b.inflight,
                       static_cast<unsigned long long>(b.forwarded),
                       static_cast<unsigned long long>(b.probe_failures));
-        json += buf;
         first = false;
     }
-    std::snprintf(buf, sizeof(buf),
+    util::appendf(json,
                   "\n  ],\n  \"queue_depth\": %zu,\n"
                   "  \"requests\": {\"completed\": %llu, \"failovers\": %llu, "
                   "\"spills\": %llu, \"upstream_errors\": %llu}\n}",
@@ -482,7 +481,6 @@ std::string Router::stats_json() const {
                   static_cast<unsigned long long>(failovers_),
                   static_cast<unsigned long long>(spills_),
                   static_cast<unsigned long long>(upstream_errors_));
-    json += buf;
     return json;
 }
 

@@ -9,6 +9,7 @@
 
 #include "core/sampler.hpp"
 #include "core/spec_drafter.hpp"
+#include "util/ascii.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
@@ -561,10 +562,8 @@ std::string Server::stats_json() const {
     util::LatencyHistogram latency;
     std::uint64_t requests_done = 0, requests_timeout = 0, requests_rejected = 0;
     std::size_t queue_depth = 0;
-    char buf[512];
     std::string json = "{\n";
-    std::snprintf(buf, sizeof(buf), "  \"uptime_seconds\": %.3f,\n  \"slices\": [", uptime);
-    json += buf;
+    util::appendf(json, "  \"uptime_seconds\": %.3f,\n  \"slices\": [", uptime);
     for (std::size_t i = 0; i < slices.size(); ++i) {
         const auto& s = slices[i];
         latency.merge(s.latency);
@@ -581,7 +580,7 @@ std::string Server::stats_json() const {
             s.spec_proposed > 0
                 ? static_cast<double>(s.spec_accepted) / static_cast<double>(s.spec_proposed)
                 : 0.0;
-        std::snprintf(buf, sizeof(buf),
+        util::appendf(json,
                       "%s\n    {\"device\": \"%.*s\", \"hour\": %d, \"precision\": \"%s\", "
                       "\"streams\": %llu, "
                       "\"tokens\": %llu, \"streams_per_sec\": %.2f, \"tokens_per_sec\": %.2f, "
@@ -601,11 +600,10 @@ std::string Server::stats_json() const {
                       static_cast<unsigned long long>(s.spec_proposed),
                       static_cast<unsigned long long>(s.spec_accepted), acceptance,
                       verify_ms_per_step, s.queue_depth);
-        json += buf;
     }
     json += slices.empty() ? "],\n" : "\n  ],\n";
     const auto pct = latency.percentiles();
-    std::snprintf(buf, sizeof(buf),
+    util::appendf(json,
                   "  \"queue_depth\": %zu,\n"
                   "  \"requests\": {\"completed\": %llu, \"timed_out\": %llu, "
                   "\"rejected\": %llu},\n"
@@ -615,7 +613,6 @@ std::string Server::stats_json() const {
                   static_cast<unsigned long long>(requests_timeout),
                   static_cast<unsigned long long>(requests_rejected), latency.count(),
                   latency.mean(), pct.p50, pct.p95, pct.p99, latency.max());
-    json += buf;
     return json;
 }
 

@@ -2,10 +2,49 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 namespace cpt::util {
+
+void appendf(std::string& out, const char* fmt, ...) {
+    va_list args;
+    va_start(args, fmt);
+    va_list again;
+    va_copy(again, args);
+    const int len = std::vsnprintf(nullptr, 0, fmt, args);
+    va_end(args);
+    if (len > 0) {
+        const std::size_t at = out.size();
+        out.resize(at + static_cast<std::size_t>(len) + 1);  // vsnprintf writes the NUL
+        std::vsnprintf(out.data() + at, static_cast<std::size_t>(len) + 1, fmt, again);
+        out.pop_back();
+    }
+    va_end(again);
+}
+
+std::string json_escape(std::string_view s) {
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\r': out += "\\r"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    appendf(out, "\\u%04x", static_cast<unsigned>(c));
+                } else {
+                    out += c;
+                }
+        }
+    }
+    return out;
+}
 
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {}
 

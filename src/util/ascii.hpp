@@ -1,9 +1,11 @@
 // Plain-text rendering helpers used by bench binaries and examples to print
-// paper-style tables and figures (CDF plots, histograms) on a terminal.
+// paper-style tables and figures (CDF plots, histograms) on a terminal, plus
+// the sized formatting the serve tier's JSON stats are built with.
 #pragma once
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stats.hpp"
@@ -31,6 +33,17 @@ std::string fmt(double value, int precision = 2);
 std::string fmt_pct(double fraction, int precision = 2);
 // Per-mille with a trailing char sequence "permil".
 std::string fmt_permille(double fraction, int precision = 2);
+
+// printf-style append to `out` at whatever length the result needs (the
+// size is measured first), so no fixed buffer can truncate it.
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((format(printf, 2, 3)))
+#endif
+void appendf(std::string& out, const char* fmt, ...);
+
+// `s` escaped for use inside a JSON string literal: quote, backslash and
+// control characters become escape sequences.
+std::string json_escape(std::string_view s);
 
 // Renders one or more named CDFs as an ASCII line plot. `width`/`height` are
 // character-cell dimensions; x is sampled over the pooled data range

@@ -3,15 +3,20 @@
 // stopping, ablation head), and sampler invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <span>
+#include <string>
 
 #include "core/model.hpp"
 #include "core/sampler.hpp"
 #include "core/trainer.hpp"
 #include "metrics/fidelity.hpp"
 #include "trace/synthetic.hpp"
+#include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cpt::core {
 namespace {
@@ -250,6 +255,115 @@ TEST(SamplerTest, FirstEventFollowsInitialDistribution) {
     for (int i = 0; i < 10; ++i) {
         const auto s = sampler.sample_stream("x", gen_rng);
         EXPECT_EQ(s.events.front().type, lte::kHo);
+    }
+}
+
+// Sets the stop head's output bias to (-stop_bias, +stop_bias): a large
+// positive value makes every decoded token stop its stream.
+void bias_stop_head(CptGpt& model, float stop_bias) {
+    for (const auto& np : model.named_parameters("cptgpt.")) {
+        if (np.name == "cptgpt.stop_head.fc2.bias") {
+            auto bias = np.param->value.data();
+            bias[0] = -stop_bias;  // continue
+            bias[1] = stop_bias;   // stop
+        }
+    }
+}
+
+// Restores the global pool's width when a test that resizes it ends.
+class GlobalThreadsGuard {
+public:
+    GlobalThreadsGuard() : saved_(util::configured_threads()) {}
+    ~GlobalThreadsGuard() { util::set_global_threads(saved_); }
+    GlobalThreadsGuard(const GlobalThreadsGuard&) = delete;
+    GlobalThreadsGuard& operator=(const GlobalThreadsGuard&) = delete;
+
+private:
+    std::size_t saved_;
+};
+
+std::string serial_ue_id(std::size_t serial) {
+    char id[32];
+    std::snprintf(id, sizeof(id), "cptgpt-%06zu", serial);
+    return id;
+}
+
+// generate(n) returns serials 0..n-1 in ascending order, each byte-identical
+// to decoding that serial alone from the caller RNG's serial-th fork —
+// whatever the batch's completion order and however many lanes decode.
+TEST(SamplerTest, GenerateKeepsFirstUsableSerialsInOrder) {
+    const auto world = phone_world(60);
+    const auto tok = Tokenizer::fit(world);
+    util::Rng init(17);
+    CptGpt model(tok, tiny_config(), init);  // untrained: stream lengths vary
+    SamplerConfig scfg;
+    scfg.batch = 8;
+    const Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
+    constexpr std::size_t kN = 10;
+
+    util::Rng root(23);
+    std::vector<trace::Stream> want;
+    for (std::size_t s = 0; s < kN; ++s) {
+        util::Rng forked = root.fork(s);
+        auto one = sampler.generate_batch(std::span(&forked, 1), "cptgpt", s);
+        ASSERT_EQ(one.size(), 1u);
+        ASSERT_GE(one.front().length(), 2u);
+        want.push_back(std::move(one.front()));
+    }
+    // Completion order within a batch differs from serial order only when
+    // lengths vary; make sure this model exercises that.
+    bool ascending_lengths = true;
+    for (std::size_t s = 1; s < kN; ++s) {
+        ascending_lengths = ascending_lengths && want[s - 1].length() <= want[s].length();
+    }
+    ASSERT_FALSE(ascending_lengths);
+
+    GlobalThreadsGuard guard;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        util::set_global_threads(threads);
+        util::Rng rng(23);
+        const auto got = sampler.generate(kN, rng);
+        ASSERT_EQ(got.streams.size(), kN) << "threads=" << threads;
+        for (std::size_t s = 0; s < kN; ++s) {
+            const auto& a = want[s];
+            const auto& b = got.streams[s];
+            EXPECT_EQ(b.ue_id, serial_ue_id(s)) << "threads=" << threads;
+            ASSERT_EQ(a.events.size(), b.events.size()) << b.ue_id << " threads=" << threads;
+            for (std::size_t j = 0; j < a.events.size(); ++j) {
+                EXPECT_EQ(a.events[j].type, b.events[j].type) << b.ue_id << " event " << j;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(a.events[j].timestamp),
+                          std::bit_cast<std::uint64_t>(b.events[j].timestamp))
+                    << b.ue_id << " event " << j;
+            }
+        }
+    }
+}
+
+// A model that stops at its first decoded token still yields usable streams:
+// every stream holds the bootstrap event plus that token, so generate(n)
+// returns n two-event streams without a degenerate-model warning.
+TEST(SamplerTest, AlwaysStopModelYieldsTwoEventStreams) {
+    const auto world = phone_world(60);
+    const auto tok = Tokenizer::fit(world);
+    util::Rng init(19);
+    CptGpt model(tok, tiny_config(), init);
+    bias_stop_head(model, 30.0f);
+    const Sampler sampler(model, tok, world.initial_event_distribution(), SamplerConfig{});
+    constexpr std::size_t kN = 50;
+
+    GlobalThreadsGuard guard;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        util::set_global_threads(threads);
+        util::Rng rng(29);
+        testing::internal::CaptureStderr();
+        const auto ds = sampler.generate(kN, rng);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(err.find(util::kWarnPrefix), std::string::npos) << err;
+        ASSERT_EQ(ds.streams.size(), kN) << "threads=" << threads;
+        for (std::size_t s = 0; s < kN; ++s) {
+            EXPECT_EQ(ds.streams[s].ue_id, serial_ue_id(s));
+            EXPECT_EQ(ds.streams[s].length(), 2u) << ds.streams[s].ue_id;
+        }
     }
 }
 

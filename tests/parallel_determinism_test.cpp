@@ -1,15 +1,17 @@
-// Pins the cross-thread-count determinism contract: Sampler::generate and
-// SyntheticWorldGenerator produce byte-identical datasets whether the global
-// pool has 1 lane or 4. Also covers the max_stream_len guards that ride along
-// with the parallel sampler.
+// Pins the cross-thread-count determinism contract: Sampler::generate (at
+// any decode batch width) and SyntheticWorldGenerator produce byte-identical
+// datasets whether the global pool has 1 lane or 4. Also covers the
+// max_stream_len guards that ride along with the parallel sampler.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 #include "core/model.hpp"
 #include "core/sampler.hpp"
+#include "core/spec_drafter.hpp"
 #include "core/trainer.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
@@ -88,24 +90,48 @@ TEST(ParallelDeterminismTest, WorldGeneratorHoursAreThreadCountInvariant) {
     for (std::size_t h = 0; h < one.size(); ++h) expect_identical(one[h], four[h]);
 }
 
+// generate(40) is one dataset for every decode batch width and pool width:
+// fp32, int8, and speculative decode (spec_k = 4, n-gram drafter) alike.
 TEST(ParallelDeterminismTest, SamplerGenerateIsThreadCountInvariant) {
     ThreadCountGuard guard;
     const auto world = phone_world(40);
     const auto tok = Tokenizer::fit(world);
     util::Rng init(3);
     CptGpt model(tok, tiny_config(), init);  // untrained: contract is structural
-    SamplerConfig scfg;
-    scfg.batch = 8;  // several decode chunks per round
-    const Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
+    model.quantize_weights();
+    const SpecDrafter drafter = SpecDrafter::fit(world, tok);
 
-    util::set_global_threads(1);
-    util::Rng g1(42);
-    const auto one = sampler.generate(30, g1);
-    util::set_global_threads(4);
-    util::Rng g4(42);
-    const auto four = sampler.generate(30, g4);
-    ASSERT_GT(one.streams.size(), 0u);
-    expect_identical(one, four);
+    struct Mode {
+        const char* name;
+        nn::Precision precision;
+        std::size_t spec_k;
+    };
+    for (const Mode mode : {Mode{"fp32", nn::Precision::kFp32, 1},
+                            Mode{"int8", nn::Precision::kInt8W8A32, 1},
+                            Mode{"spec_k4", nn::Precision::kFp32, 4}}) {
+        std::optional<trace::Dataset> reference;
+        for (const std::size_t batch : {1, 3, 8, 32}) {
+            SamplerConfig scfg;
+            scfg.batch = batch;
+            scfg.precision = mode.precision;
+            scfg.spec_k = mode.spec_k;
+            scfg.drafter = mode.spec_k > 1 ? &drafter : nullptr;
+            const Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
+            for (const std::size_t threads : {1, 2, 4}) {
+                SCOPED_TRACE(testing::Message() << mode.name << " batch=" << batch
+                                                << " threads=" << threads);
+                util::set_global_threads(threads);
+                util::Rng rng(42);
+                auto ds = sampler.generate(40, rng);
+                ASSERT_EQ(ds.streams.size(), 40u);
+                if (!reference) {
+                    reference = std::move(ds);
+                } else {
+                    expect_identical(*reference, ds);
+                }
+            }
+        }
+    }
 }
 
 TEST(ParallelDeterminismTest, SamplerRejectsDegenerateMaxStreamLen) {

@@ -166,6 +166,32 @@ TEST(RouterConfig, RejectsHostnamesAndBadPortsAtConstruction) {
     }
 }
 
+// A backend name longer than any fixed formatting buffer reaches stats_json
+// whole, and the document stays balanced JSON. Leading zeros pad the port of
+// a refused loopback endpoint to 300 characters.
+TEST(RouterStats, LongBackendNameIsNotTruncated) {
+    const std::string prefix = "127.0.0.1:";
+    const std::string name = prefix + std::string(300 - prefix.size() - 1, '0') + "1";
+    ASSERT_EQ(name.size(), 300u);
+    serve::RouterConfig rc;
+    rc.backends = {name};
+    rc.forwarders = 1;
+    serve::Router router(rc);
+    const std::string stats = router.stats_json();
+    router.drain();
+    EXPECT_NE(stats.find("\"name\": \"" + name + "\""), std::string::npos) << stats;
+    int braces = 0, brackets = 0;
+    for (const char c : stats) {
+        braces += c == '{' ? 1 : c == '}' ? -1 : 0;
+        brackets += c == '[' ? 1 : c == ']' ? -1 : 0;
+        ASSERT_GE(braces, 0) << stats;
+        ASSERT_GE(brackets, 0) << stats;
+    }
+    EXPECT_EQ(braces, 0) << stats;
+    EXPECT_EQ(brackets, 0) << stats;
+    EXPECT_EQ(stats.back(), '}') << stats;
+}
+
 // ---- live failover ---------------------------------------------------------
 
 core::CptGptConfig tiny_config() {

@@ -211,6 +211,20 @@ TEST(AsciiTest, FmtHelpers) {
     EXPECT_EQ(fmt_pct(0.123456, 1), "12.3%");
 }
 
+TEST(AsciiTest, AppendfIsNotBoundedByABuffer) {
+    std::string out = "x";
+    const std::string long_arg(1000, 'a');
+    util::appendf(out, "[%s|%d]", long_arg.c_str(), 42);
+    EXPECT_EQ(out, "x[" + long_arg + "|42]");
+    util::appendf(out, "%s", "");
+    EXPECT_EQ(out.size(), 1u + 1000u + 5u);
+}
+
+TEST(AsciiTest, JsonEscapeQuotesBackslashesAndControls) {
+    EXPECT_EQ(util::json_escape("plain:7400"), "plain:7400");
+    EXPECT_EQ(util::json_escape("a\"b\\c\nd\te\x01"), "a\\\"b\\\\c\\nd\\te\\u0001");
+}
+
 TEST(AsciiTest, CdfPlotMentionsLegend) {
     Ecdf cdf({1.0, 5.0, 25.0});
     const std::string plot = render_cdf_plot({{"real", cdf}});
