@@ -147,10 +147,16 @@ std::vector<GemmRow> run_gemm_suite(std::size_t n_threads) {
         SeedFn seed;
         BlockedFn blocked;
     };
+    // nt_decode runs on its caller's thread, so its t2/tN columns time the
+    // same single-threaded call as t1.
+    const BlockedFn nt_decode = [](const float* a, const float* b, float* c, std::size_t m,
+                                   std::size_t k, std::size_t n, util::ThreadPool*) {
+        nn::gemm_nt_decode(a, b, c, m, k, n);
+    };
     const Op ops[] = {
         {"nn", seed::gemm_nn, nn::gemm_nn},
         {"nt", seed::gemm_nt, nn::gemm_nt},
-        {"nt_decode", seed::gemm_nt, nn::gemm_nt_decode},
+        {"nt_decode", seed::gemm_nt, nt_decode},
         {"tn", seed::gemm_tn, nn::gemm_tn},
     };
     const auto tiers = available_tiers();

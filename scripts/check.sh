@@ -9,7 +9,7 @@
 #   scripts/check.sh sa          # cpt_sa project-invariant linter + static-labeled tests
 #   scripts/check.sh ubsan       # UBSan build (recovery disabled) + full suite
 #   scripts/check.sh asan        # ASan build + full suite
-#   scripts/check.sh tsan        # TSan build + concurrency-labeled tests + sharded training
+#   scripts/check.sh tsan        # TSan build + concurrency/serve-labeled tests + sharded training
 #   scripts/check.sh simd        # Release build; parity, determinism, row invariance per SIMD tier
 #   scripts/check.sh quant       # quant-labeled tests (int8/fp16 decode) per forced SIMD tier
 #   scripts/check.sh serve       # serve-labeled tests + daemon smoke (loadtest, clean drain)
@@ -120,9 +120,12 @@ stage_asan() {
 }
 
 stage_tsan() {
-    echo "== stage: tsan (thread sanitizer, concurrency-labeled tests, sharded training) =="
+    echo "== stage: tsan (thread sanitizer, concurrency- and serve-labeled tests, sharded training) =="
     configure_and_build "$ROOT/build-check-tsan" -DCPT_SANITIZE=thread
     run_ctest "$ROOT/build-check-tsan" -L concurrency
+    # serve_test is labeled serve (a binary keeps one label), but it is what
+    # steps several slice engines' decoders concurrently.
+    run_ctest "$ROOT/build-check-tsan" -L serve
     # The training determinism suite is labeled train, not concurrency, but it
     # is what drives the data-parallel shard lanes concurrently.
     run_ctest "$ROOT/build-check-tsan" -R 'TrainDeterminism'

@@ -4,7 +4,6 @@
 
 #include "nn/serialize.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cpt::core {
 
@@ -142,27 +141,27 @@ const CptGpt::DecodeOutput& CptGpt::run_heads(const nn::Tensor& hidden,
         }
         scratch.out.stop_logits = scratch.stop_logits_full.first_rows(b);
     }
-    // The heads run through the inference fast path (same per-element
-    // arithmetic as the autograd modules; pinned by DecodeStepMatchesForwardHeads).
-    util::ThreadPool& pool = util::global_pool();
+    // The heads run through the inference fast path on the caller's thread
+    // (same per-element arithmetic as the autograd modules; pinned by
+    // DecodeStepMatchesForwardHeads).
     const float* ph = hidden.data().data();
     if (scratch.precision == nn::Precision::kInt8W8A32) {
         CPT_CHECK(quant_ != nullptr, "decode_step: int8 scratch but no quantized weights");
         quant_->event_head.forward_rows(ph, scratch.event_hidden.data().data(),
                                         scratch.out.event_logits.data().data(), b,
-                                        scratch.qscratch, &pool);
+                                        scratch.qscratch);
         quant_->ia_head.forward_rows(ph, scratch.ia_hidden.data().data(),
-                                     scratch.ia_out.data().data(), b, scratch.qscratch, &pool);
+                                     scratch.ia_out.data().data(), b, scratch.qscratch);
         quant_->stop_head.forward_rows(ph, scratch.stop_hidden.data().data(),
-                                       scratch.out.stop_logits.data().data(), b, scratch.qscratch,
-                                       &pool);
+                                       scratch.out.stop_logits.data().data(), b,
+                                       scratch.qscratch);
     } else {
         event_head_.forward_rows(ph, scratch.event_hidden.data().data(),
-                                 scratch.out.event_logits.data().data(), b, &pool);
-        ia_head_.forward_rows(ph, scratch.ia_hidden.data().data(), scratch.ia_out.data().data(), b,
-                              &pool);
+                                 scratch.out.event_logits.data().data(), b);
+        ia_head_.forward_rows(ph, scratch.ia_hidden.data().data(), scratch.ia_out.data().data(),
+                              b);
         stop_head_.forward_rows(ph, scratch.stop_hidden.data().data(),
-                                scratch.out.stop_logits.data().data(), b, &pool);
+                                scratch.out.stop_logits.data().data(), b);
     }
     const float* pia = scratch.ia_out.data().data();
     float* mu = scratch.out.ia_mu.data().data();

@@ -26,8 +26,8 @@
 // Determinism across thread counts: stream s's RNG is the s-th fork of the
 // caller's RNG (forked under the cursor's lock, in serial order), and a
 // stream's bytes depend only on that RNG — SlotBatch rows are invariant to
-// their co-residents and the decoder math is bit-stable under row
-// partitioning (see src/nn/gemm.hpp) — so generate() output is
+// their co-residents and the decoder runs on its lane's own thread (see
+// src/nn/infer.hpp) — so generate() output is
 // byte-identical for any CPT_THREADS and any `batch` (pinned by
 // tests/parallel_determinism_test.cpp).
 //

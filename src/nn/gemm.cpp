@@ -435,6 +435,18 @@ constexpr MicroNtFn kMicroNtSse2 = micro_nt_fixed_scalar;
 constexpr MicroNtRowFn kMicroNtRowSse2 = micro_nt_row_scalar;
 #endif
 
+// Rows [r0, r1) of the scalar/sse2 NT product: the reference chain, shared
+// by the threaded training entry and the single-threaded decode entry.
+void gemm_nt_rows_ref_chain(bool sse2, const float* a, const float* b, float* c,
+                            std::size_t k_dim, std::size_t n_dim, std::size_t r0,
+                            std::size_t r1) {
+    if (sse2) {
+        gemm_nt_rows<kMicroNtSse2, kMicroNtRowSse2>(a, b, c, k_dim, n_dim, r0, r1);
+    } else {
+        gemm_nt_rows<micro_nt_fixed_scalar, micro_nt_row_scalar>(a, b, c, k_dim, n_dim, r0, r1);
+    }
+}
+
 }  // namespace
 
 void gemm_nn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
@@ -469,24 +481,20 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
     }
     const bool sse2 = tier == SimdTier::kSse2;
     pick(pool).parallel_for(m_dim, row_grain(k_dim, n_dim), [&](std::size_t r0, std::size_t r1) {
-        if (sse2) {
-            gemm_nt_rows<kMicroNtSse2, kMicroNtRowSse2>(a, b, c, k_dim, n_dim, r0, r1);
-        } else {
-            gemm_nt_rows<micro_nt_fixed_scalar, micro_nt_row_scalar>(a, b, c, k_dim, n_dim,
-                                                                    r0, r1);
-        }
+        gemm_nt_rows_ref_chain(sse2, a, b, c, k_dim, n_dim, r0, r1);
     });
 }
 
 void gemm_nt_decode(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                    std::size_t n_dim, util::ThreadPool* pool) {
+                    std::size_t n_dim) {
     if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::gemm_nt_decode_avx2(a, b, c, m_dim, k_dim, n_dim, pick(pool));
+    const SimdTier tier = util::active_simd_tier();
+    if (tier == SimdTier::kAvx2) {
+        detail::gemm_nt_decode_avx2(a, b, c, m_dim, k_dim, n_dim);
         return;
     }
     // scalar/sse2 gemm_nt is the reference chain for every m, m = 1 included.
-    gemm_nt(a, b, c, m_dim, k_dim, n_dim, pool);
+    gemm_nt_rows_ref_chain(tier == SimdTier::kSse2, a, b, c, k_dim, n_dim, 0, m_dim);
 }
 
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,

@@ -1,9 +1,11 @@
-// Cache-blocked, register-tiled, multi-threaded GEMM kernels for the nn
-// substrate, dispatched at runtime across three SIMD tiers (scalar, SSE2,
-// AVX2+FMA — see util/cpu.hpp), plus the naive reference kernels they are
-// tested against. nn/tn matmuls with m == 1 route through dedicated
-// single-threaded GEMV kernels instead of the blocked drivers; the inference
-// fast path's NT products (decode rows) go through gemm_nt_decode.
+// Cache-blocked, register-tiled GEMM kernels for the nn substrate,
+// dispatched at runtime across three SIMD tiers (scalar, SSE2, AVX2+FMA —
+// see util/cpu.hpp), plus the naive reference kernels they are tested
+// against. The training products (gemm_nn/nt/tn) shard rows over a thread
+// pool; nn/tn matmuls with m == 1 route through dedicated single-threaded
+// GEMV kernels instead of the blocked drivers. The inference fast path's NT
+// products (decode rows) go through gemm_nt_decode, which runs on its
+// caller's thread.
 //
 // All kernels ACCUMULATE into C (callers zero it or rely on fresh tensors)
 // and share one accumulation contract: the floating-point operations
@@ -30,9 +32,9 @@
 
 namespace cpt::nn {
 
-// Blocked/threaded kernels. `pool` defaults to util::global_pool(); pass an
-// explicit pool to pin a thread count (benchmarks, tests). Work smaller than
-// one grain runs inline on the calling thread.
+// Blocked/threaded training kernels. `pool` defaults to util::global_pool();
+// pass an explicit pool to pin a thread count (benchmarks, tests). Work
+// smaller than one grain runs inline on the calling thread.
 
 // C[M,N] += A[M,K] * B[K,N]
 void gemm_nn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
@@ -51,9 +53,11 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
 // per-element chain is one 8-wide FMA chain in ascending k, the fixed hsum8
 // tree, then a scalar fma tail. (avx2 gemm_nt instead packs B once per call
 // and runs one scalar FMA chain per element: faster at training shapes,
-// slower for a handful of rows, and different bits.)
+// slower for a handful of rows, and different bits.) Single-threaded: decode
+// parallelism lives one level up, in the sampler lanes and serve engines
+// that each drive their own decoder.
 void gemm_nt_decode(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                    std::size_t n_dim, util::ThreadPool* pool = nullptr);
+                    std::size_t n_dim);
 
 // C[M,N] += A^T * B where A is stored [K,M], B is [K,N]
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,

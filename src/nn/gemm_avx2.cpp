@@ -192,34 +192,6 @@ constexpr std::size_t kMrDecode = 6;
 // every row tile streams it.
 constexpr std::size_t kDecodeBlockBytes = 16 * 1024;
 
-// Columns [j0, j1) of an NT decode product, all m rows: blocked over
-// columns, then full row tiles, then one short tile for the m % kMrDecode
-// remainder rows.
-void nt_decode_cols(const float* a, const float* b, float* c, std::size_t m_dim,
-                    std::size_t k_dim, std::size_t n_dim, std::size_t j0, std::size_t j1) {
-    // A multiple of 8 columns, so blocks split no tile of any width.
-    const std::size_t block =
-        std::max<std::size_t>(8, (kDecodeBlockBytes / (sizeof(float) * k_dim)) & ~std::size_t{7});
-    const std::size_t rem = m_dim % kMrDecode;
-    const std::size_t full = m_dim - rem;
-    const float* atail = a + full * k_dim;
-    float* ctail = c + full * n_dim;
-    for (std::size_t jb = j0; jb < j1; jb += block) {
-        const std::size_t je = std::min(j1, jb + block);
-        for (std::size_t r = 0; r < full; r += kMrDecode) {
-            nt_tile_cols<kMrDecode>(a + r * k_dim, b, c + r * n_dim, k_dim, n_dim, jb, je);
-        }
-        switch (rem) {
-            case 5: nt_tile_cols<5>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            case 4: nt_tile_cols<4>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            case 3: nt_tile_cols<3>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            case 2: nt_tile_cols<2>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            case 1: nt_tile_cols<1>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            default: break;
-        }
-    }
-}
-
 }  // namespace
 
 void gemm_nn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
@@ -237,14 +209,33 @@ void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
 }
 
 void gemm_nt_decode_avx2(const float* a, const float* b, float* c, std::size_t m_dim,
-                         std::size_t k_dim, std::size_t n_dim, util::ThreadPool& pool) {
-    // Parallel over columns, so each thread streams its B slice once for all
-    // rows: decode is weight-bandwidth bound, and per-row B re-reads would
-    // make an m-row step (or speculative verify window) cost ~m GEMVs.
-    const std::size_t col_grain = util::grain_for(2 * k_dim * m_dim, kMinChunkFlops);
-    pool.parallel_for(n_dim, col_grain, [&](std::size_t j0, std::size_t j1) {
-        nt_decode_cols(a, b, c, m_dim, k_dim, n_dim, j0, j1);
-    });
+                         std::size_t k_dim, std::size_t n_dim) {
+    // Blocked over columns, then full row tiles, then one short tile for the
+    // m % kMrDecode remainder rows. Column blocks are outermost so B streams
+    // once for all rows: decode is weight-bandwidth bound, and per-row B
+    // re-reads would make an m-row step (or speculative verify window) cost
+    // ~m GEMVs. The block is a multiple of 8 columns, so blocks split no
+    // tile of any width.
+    const std::size_t block =
+        std::max<std::size_t>(8, (kDecodeBlockBytes / (sizeof(float) * k_dim)) & ~std::size_t{7});
+    const std::size_t rem = m_dim % kMrDecode;
+    const std::size_t full = m_dim - rem;
+    const float* atail = a + full * k_dim;
+    float* ctail = c + full * n_dim;
+    for (std::size_t jb = 0; jb < n_dim; jb += block) {
+        const std::size_t je = std::min(n_dim, jb + block);
+        for (std::size_t r = 0; r < full; r += kMrDecode) {
+            nt_tile_cols<kMrDecode>(a + r * k_dim, b, c + r * n_dim, k_dim, n_dim, jb, je);
+        }
+        switch (rem) {
+            case 5: nt_tile_cols<5>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            case 4: nt_tile_cols<4>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            case 3: nt_tile_cols<3>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            case 2: nt_tile_cols<2>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            case 1: nt_tile_cols<1>(atail, b, ctail, k_dim, n_dim, jb, je); break;
+            default: break;
+        }
+    }
 }
 
 void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
@@ -454,7 +445,7 @@ void gemm_nt_avx2(const float*, const float*, float*, std::size_t, std::size_t, 
     missing();
 }
 void gemm_nt_decode_avx2(const float*, const float*, float*, std::size_t, std::size_t,
-                         std::size_t, util::ThreadPool&) {
+                         std::size_t) {
     missing();
 }
 void gemm_tn_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t,

@@ -6,7 +6,6 @@
 
 #include "kernels.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cpt::nn {
 
@@ -57,9 +56,7 @@ TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t bat
     wrow_.reserve(arena_rows);
     wpos_.reserve(arena_rows);
     bind_rows(batch_);
-    // One score row per chunk the attention loop can produce; grain 1 bounds
-    // the chunk count from above for any grain a later call picks.
-    scores_.resize(util::global_pool().num_chunks(arena_rows * cfg.heads, 1) * cfg.max_seq_len);
+    scores_.resize(cfg.max_seq_len);
 }
 
 void TransformerDecoder::bind_rows(std::size_t rows) {
@@ -92,21 +89,14 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
     const auto& cfg = model_->config();
     CPT_CHECK_EQ(counts.size(), batch_,
                  " TransformerDecoder::step_window: one window count per live row");
-    // Pack the (row, in-window position) map for every incoming token and
-    // detect the lockstep fast path (every row advancing one token from the
-    // same position — the plain step() case).
+    // Pack the (row, in-window position) map for every incoming token.
     wrow_.clear();
     wpos_.clear();
-    bool lockstep = batch_ > 0;
-    std::size_t max_n = 0;  // longest attention window this call reads
     for (std::size_t r = 0; r < batch_; ++r) {
         const std::size_t c = counts[r];
         CPT_CHECK_LE(c, max_window_,
                      " TransformerDecoder::step_window: window exceeds max_window");
         CPT_CHECK_LE(len_[r] + c, cfg.max_seq_len, " TransformerDecoder::step: context full");
-        lockstep = lockstep && c == 1 && len_[r] == len_[0];
-        if (c == 0) continue;
-        max_n = std::max(max_n, len_[r] + c);
         for (std::size_t j = 0; j < c; ++j) {
             wrow_.push_back(r);
             wpos_.push_back(j);
@@ -121,34 +111,31 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
     const std::size_t h = cfg.heads;
     const std::size_t dh = d / h;
     const std::size_t max_t = cfg.max_seq_len;
-    util::ThreadPool& pool = util::global_pool();
     bind_rows(m);
     float* ph = hstate_.data().data();
     float* pscratch = scratch_.data().data();
-    const std::size_t* wrow = wrow_.data();
-    const std::size_t* wpos = wpos_.data();
 
     // Input projection + positional embedding. The embedding is indexed by
     // the row-local position len(r)+j, so a row admitted mid-decode (or
     // fed a multi-token window) sees exactly the embeddings a fresh
-    // sequential decode would; in lockstep the fast path adds one shared
-    // bias row.
+    // sequential decode would.
     if (quant_ != nullptr) {
-        quant_->input_proj.forward_rows(x.data().data(), ph, m, qscratch_, &pool);
+        quant_->input_proj.forward_rows(x.data().data(), ph, m, qscratch_);
     } else {
-        model_->input_proj().forward_rows(x.data().data(), ph, m, &pool);
+        model_->input_proj().forward_rows(x.data().data(), ph, m);
     }
     const float* pos = model_->positions()->value.data().data();
-    if (lockstep) {
-        kernels::add_bias_rows(ph, pos + len_[0] * d, m, d, &pool);
-    } else {
-        pool.parallel_for(m, util::grain_for(4 * d), [&](std::size_t i0, std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i) {
-                kernels::add_bias_rows(ph + i * d, pos + (len_[wrow[i]] + wpos[i]) * d, 1, d,
-                                       nullptr);
-            }
-        });
+    for (std::size_t i = 0; i < m; ++i) {
+        kernels::add_bias_row(ph + i * d, pos + (len_[wrow_[i]] + wpos_[i]) * d, d);
     }
+
+    const auto layer_norm = [&](const LayerNorm& ln, const float* in, float* out) {
+        const float* gain = ln.gain()->value.data().data();
+        const float* bias = ln.bias()->value.data().data();
+        for (std::size_t i = 0; i < m; ++i) {
+            kernels::layer_norm_row(in + i * d, out + i * d, gain, bias, d, 1e-5f, nullptr);
+        }
+    };
 
     for (std::size_t bi = 0; bi < caches_.size(); ++bi) {
         const auto& block = *model_->blocks()[bi];
@@ -158,9 +145,9 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
         const auto proj = [&](const Linear& fp, const QuantLinear* q, const float* in,
                               float* out) {
             if (q != nullptr) {
-                q->forward_rows(in, out, m, qscratch_, &pool);
+                q->forward_rows(in, out, m, qscratch_);
             } else {
-                fp.forward_rows(in, out, m, &pool);
+                fp.forward_rows(in, out, m);
             }
         };
         // Scatter the fresh K or V rows into the cache at each token's
@@ -168,51 +155,39 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
         // half-precision (encoding is round-to-nearest-even — the same bits
         // on every tier).
         const auto append_kv = [&](const float* src_rows, float* dst32, std::uint16_t* dst16) {
-            pool.parallel_for(m * h, util::grain_for(dh),
-                              [&](std::size_t i0, std::size_t i1) {
-                                  for (std::size_t i = i0; i < i1; ++i) {
-                                      const std::size_t tok = i / h;
-                                      const std::size_t head = i % h;
-                                      const std::size_t r = wrow[tok];
-                                      const std::size_t p = len_[r] + wpos[tok];
-                                      const std::size_t off =
-                                          ((phys_[r] * h + head) * max_t + p) * dh;
-                                      const float* src = src_rows + tok * d + head * dh;
-                                      if (dst16 != nullptr) {
-                                          kernels::fp16_encode(src, dst16 + off, dh);
-                                      } else {
-                                          std::copy_n(src, dh, dst32 + off);
-                                      }
-                                  }
-                              });
+            for (std::size_t tok = 0; tok < m; ++tok) {
+                const std::size_t r = wrow_[tok];
+                const std::size_t p = len_[r] + wpos_[tok];
+                for (std::size_t head = 0; head < h; ++head) {
+                    const std::size_t off = ((phys_[r] * h + head) * max_t + p) * dh;
+                    const float* src = src_rows + tok * d + head * dh;
+                    if (dst16 != nullptr) {
+                        kernels::fp16_encode(src, dst16 + off, dh);
+                    } else {
+                        std::copy_n(src, dh, dst32 + off);
+                    }
+                }
+            }
         };
 
         // ---- attention branch: ln1 -> qkv -> cached causal attention -> wo
-        kernels::layer_norm_rows(ph, pscratch, block.ln1().gain()->value.data().data(),
-                                 block.ln1().bias()->value.data().data(), m, d, 1e-5f,
-                                 nullptr, &pool);
+        layer_norm(block.ln1(), ph, pscratch);
         proj(block.attn().wq(), qb != nullptr ? &qb->wq : nullptr, pscratch, q_.data().data());
         // New K/V rows go straight into the cache — the whole window before
         // attention runs, so window token j can attend to the window tokens
         // appended before it.
-        {
-            proj(block.attn().wk(), qb != nullptr ? &qb->wk : nullptr, pscratch,
-                 kv_.data().data());
-            append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.k.data().data(),
-                      kv_fp16_ ? cache.kh.data() : nullptr);
-            proj(block.attn().wv(), qb != nullptr ? &qb->wv : nullptr, pscratch,
-                 kv_.data().data());
-            append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.v.data().data(),
-                      kv_fp16_ ? cache.vh.data() : nullptr);
-        }
+        proj(block.attn().wk(), qb != nullptr ? &qb->wk : nullptr, pscratch, kv_.data().data());
+        append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.k.data().data(),
+                  kv_fp16_ ? cache.kh.data() : nullptr);
+        proj(block.attn().wv(), qb != nullptr ? &qb->wv : nullptr, pscratch, kv_.data().data());
+        append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.v.data().data(),
+                  kv_fp16_ ? cache.vh.data() : nullptr);
         // Per-token, per-head attention over the row's own causal window
         // [0, len(r)+j]. K/V live at row-local positions, so the math —
         // dot order, softmax length, axpy order — is bit-identical to a
         // fresh sequential decode of the same stream regardless of when the
-        // row was admitted or how the other rows advance. Each (token, head)
-        // pair is independent; the score rows live in the arena, one row per
-        // chunk, so concurrent lanes never share one and the hot loop stays
-        // allocation-free.
+        // row was admitted or how the other rows advance. The one score row
+        // lives in the arena, so the hot loop stays allocation-free.
         {
             const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
             const float* pq = q_.data().data();
@@ -220,62 +195,51 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
             const float* cv = kv_fp16_ ? nullptr : cache.v.data().data();
             const std::uint16_t* ckh = kv_fp16_ ? cache.kh.data() : nullptr;
             const std::uint16_t* cvh = kv_fp16_ ? cache.vh.data() : nullptr;
+            float* scores = scores_.data();
             float* ctx = pscratch;  // reuse as context output
-            const std::size_t grain = util::grain_for(4 * max_n * dh);
-            const std::size_t chunks = pool.num_chunks(m * h, grain);
-            if (scores_.size() < chunks * max_t) scores_.resize(chunks * max_t);
-            float* all_scores = scores_.data();
-            pool.parallel_chunks(
-                m * h, grain, [&](std::size_t chunk, std::size_t i0, std::size_t i1) {
-                    float* scores = all_scores + chunk * max_t;
-                    for (std::size_t i = i0; i < i1; ++i) {
-                        const std::size_t tok = i / h;
-                        const std::size_t head = i % h;
-                        const std::size_t r = wrow[tok];
-                        const std::size_t n = len_[r] + wpos[tok] + 1;  // window length
-                        const std::size_t win = (phys_[r] * h + head) * max_t * dh;
-                        const float* qrow = pq + tok * d + head * dh;
-                        // The batched kernels are defined as these per-key
-                        // dot/axpy loops (kernels.hpp): one dispatch per
-                        // (token, head) instead of per key, same bits.
-                        if (kv_fp16_) {
-                            kernels::attn_scores_f16(qrow, ckh + win, scores, n, dh, scale);
-                        } else {
-                            kernels::attn_scores(qrow, ck + win, scores, n, dh, scale);
-                        }
-                        kernels::softmax_row(scores, scores, n, n);
-                        float* crow = ctx + tok * d + head * dh;
-                        std::fill_n(crow, dh, 0.0f);
-                        if (kv_fp16_) {
-                            kernels::attn_mix_f16(scores, cvh + win, crow, n, dh);
-                        } else {
-                            kernels::attn_mix(scores, cv + win, crow, n, dh);
-                        }
+            for (std::size_t tok = 0; tok < m; ++tok) {
+                const std::size_t r = wrow_[tok];
+                const std::size_t n = len_[r] + wpos_[tok] + 1;  // window length
+                for (std::size_t head = 0; head < h; ++head) {
+                    const std::size_t win = (phys_[r] * h + head) * max_t * dh;
+                    const float* qrow = pq + tok * d + head * dh;
+                    // The batched kernels are defined as these per-key
+                    // dot/axpy loops (kernels.hpp): one dispatch per
+                    // (token, head) instead of per key, same bits.
+                    if (kv_fp16_) {
+                        kernels::attn_scores_f16(qrow, ckh + win, scores, n, dh, scale);
+                    } else {
+                        kernels::attn_scores(qrow, ck + win, scores, n, dh, scale);
                     }
-                });
+                    kernels::softmax_row(scores, scores, n, n);
+                    float* crow = ctx + tok * d + head * dh;
+                    std::fill_n(crow, dh, 0.0f);
+                    if (kv_fp16_) {
+                        kernels::attn_mix_f16(scores, cvh + win, crow, n, dh);
+                    } else {
+                        kernels::attn_mix(scores, cv + win, crow, n, dh);
+                    }
+                }
+            }
         }
         proj(block.attn().wo(), qb != nullptr ? &qb->wo : nullptr, pscratch,
              attn_out_.data().data());
         hstate_.add_(attn_out_);
 
         // ---- MLP branch: ln2 -> fc1 -> fused bias+gelu -> fc2
-        kernels::layer_norm_rows(ph, pscratch, block.ln2().gain()->value.data().data(),
-                                 block.ln2().bias()->value.data().data(), m, d, 1e-5f,
-                                 nullptr, &pool);
+        layer_norm(block.ln2(), ph, pscratch);
         // attn_out_ doubles as the MLP output buffer.
         if (qb != nullptr) {
-            qb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(),
-                                 m, qscratch_, &pool);
+            qb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(), m,
+                                 qscratch_);
         } else {
             block.mlp().forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(),
-                                     m, &pool);
+                                     m);
         }
         hstate_.add_(attn_out_);
     }
 
-    kernels::layer_norm_rows(ph, ph, model_->final_ln().gain()->value.data().data(),
-                             model_->final_ln().bias()->value.data().data(), m, d, 1e-5f,
-                             nullptr, &pool);
+    layer_norm(model_->final_ln(), ph, ph);
     for (std::size_t r = 0; r < batch_; ++r) len_[r] += counts[r];
     return hstate_;
 }

@@ -11,8 +11,14 @@
 // compact() drops rows by permuting a logical->physical row map over the KV
 // cache — O(batch), no data movement.
 // Numerical equivalence with Transformer::forward() is pinned by
-// tests; all kernels dispatch on the active SIMD tier (util/cpu.hpp) and
-// stay byte-identical across CPT_THREADS within a tier.
+// tests; all kernels dispatch on the active SIMD tier (util/cpu.hpp).
+//
+// Threading: a decoder runs entirely on its caller's thread. Nothing under
+// step_window() opens a thread-pool region, so a step never waits on, or
+// contends for, the process-wide pool. Parallel decode lives one level up: the
+// sampler runs one SlotBatch per pool lane and cpt-serve one Engine thread
+// per slice, each with its own decoder. The output therefore cannot depend
+// on CPT_THREADS.
 //
 // Continuous batching: admit() re-activates freed rows mid-decode. Each row
 // carries its own context length and its K/V is stored at row-local
@@ -192,8 +198,7 @@ private:
     Tensor attn_out_;
     Tensor scratch_;
     Tensor mlp_hidden_;
-    // Per-chunk attention score rows ([num_chunks, max_seq_len]); grown
-    // lazily if the pool's chunk count exceeds the initial estimate.
+    // One attention score row ([max_seq_len]).
     std::vector<float> scores_;
 };
 

@@ -148,54 +148,53 @@ void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d,
     });
 }
 
+void layer_norm_row(const float* in, float* out, const float* gain, const float* bias,
+                    std::size_t d, float eps, float* stats2) {
+    if (util::active_simd_tier() == SimdTier::kAvx2) {
+        detail::layer_norm_row_avx2(in, out, gain, bias, d, eps, stats2);
+        return;
+    }
+    float mean = 0.0f;
+    for (std::size_t j = 0; j < d; ++j) mean += in[j];
+    mean /= static_cast<float>(d);
+    float var = 0.0f;
+    for (std::size_t j = 0; j < d; ++j) var += (in[j] - mean) * (in[j] - mean);
+    var /= static_cast<float>(d);
+    const float inv = 1.0f / std::sqrt(var + eps);
+    if (stats2 != nullptr) {
+        stats2[0] = mean;
+        stats2[1] = inv;
+    }
+    for (std::size_t j = 0; j < d; ++j) out[j] = (in[j] - mean) * inv * gain[j] + bias[j];
+}
+
 void layer_norm_rows(const float* in, float* out, const float* gain, const float* bias,
                      std::size_t rows, std::size_t d, float eps, float* stats2,
                      util::ThreadPool* pool) {
-    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
     pick(pool).parallel_for(rows, util::grain_for(6 * d), [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
-            const float* row = in + r * d;
-            float* orow = out + r * d;
-            float* rstats = stats2 != nullptr ? stats2 + r * 2 : nullptr;
-            if (avx2) {
-                detail::layer_norm_row_avx2(row, orow, gain, bias, d, eps, rstats);
-                continue;
-            }
-            float mean = 0.0f;
-            for (std::size_t j = 0; j < d; ++j) mean += row[j];
-            mean /= static_cast<float>(d);
-            float var = 0.0f;
-            for (std::size_t j = 0; j < d; ++j) var += (row[j] - mean) * (row[j] - mean);
-            var /= static_cast<float>(d);
-            const float inv = 1.0f / std::sqrt(var + eps);
-            if (rstats != nullptr) {
-                rstats[0] = mean;
-                rstats[1] = inv;
-            }
-            for (std::size_t j = 0; j < d; ++j) orow[j] = (row[j] - mean) * inv * gain[j] + bias[j];
+            layer_norm_row(in + r * d, out + r * d, gain, bias, d, eps,
+                           stats2 != nullptr ? stats2 + r * 2 : nullptr);
         }
     });
 }
 
-void fill_bias_rows(float* y, const float* bias, std::size_t rows, std::size_t d,
-                    util::ThreadPool* pool) {
-    pick(pool).parallel_for(rows, util::grain_for(d), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) std::copy_n(bias, d, y + r * d);
-    });
+void fill_bias_rows(float* y, const float* bias, std::size_t rows, std::size_t d) {
+    for (std::size_t r = 0; r < rows; ++r) std::copy_n(bias, d, y + r * d);
+}
+
+void add_bias_row(float* row, const float* bias, std::size_t d) {
+    if (util::active_simd_tier() == SimdTier::kAvx2) {
+        detail::add_bias_row_avx2(row, bias, d);
+        return;
+    }
+    for (std::size_t j = 0; j < d; ++j) row[j] += bias[j];
 }
 
 void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t d,
                    util::ThreadPool* pool) {
-    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
     pick(pool).parallel_for(rows, util::grain_for(d), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            float* row = dst + r * d;
-            if (avx2) {
-                detail::add_bias_row_avx2(row, bias, d);
-            } else {
-                for (std::size_t j = 0; j < d; ++j) row[j] += bias[j];
-            }
-        }
+        for (std::size_t r = r0; r < r1; ++r) add_bias_row(dst + r * d, bias, d);
     });
 }
 
@@ -205,18 +204,18 @@ void gelu_rows(float* x, std::size_t n, util::ThreadPool* pool) {
     });
 }
 
+void bias_gelu_row(float* row, const float* bias, std::size_t d) {
+    if (util::active_simd_tier() == SimdTier::kAvx2) {
+        detail::bias_gelu_row_avx2(row, bias, d);
+        return;
+    }
+    for (std::size_t j = 0; j < d; ++j) row[j] = gelu_scalar(row[j] + bias[j]);
+}
+
 void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d,
                     util::ThreadPool* pool) {
-    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
     pick(pool).parallel_for(rows, util::grain_for(26 * d), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            float* row = y + r * d;
-            if (avx2) {
-                detail::bias_gelu_row_avx2(row, bias, d);
-            } else {
-                for (std::size_t j = 0; j < d; ++j) row[j] = gelu_scalar(row[j] + bias[j]);
-            }
-        }
+        for (std::size_t r = r0; r < r1; ++r) bias_gelu_row(y + r * d, bias, d);
     });
 }
 

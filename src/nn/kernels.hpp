@@ -2,7 +2,9 @@
 // modules.cpp) and the inference decoder (infer.cpp), dispatched on the active
 // SIMD tier (util/cpu.hpp). Keeping one implementation per op is what makes
 // the decoder-vs-forward equivalence tests tight and the tier parity tests
-// meaningful.
+// meaningful. Decode calls the single-row and plain-loop kernels on its
+// caller's thread; only the training-side `_rows` forms take a thread pool
+// (pool = nullptr means util::global_pool()).
 //
 // Numerics: on the scalar and sse2 tiers every function below performs the
 // exact per-element operation order the pre-dispatch code performed, so those
@@ -80,26 +82,32 @@ void softmax_row(const float* in, float* out, std::size_t len, std::size_t valid
 void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d,
                   util::ThreadPool* pool = nullptr);
 
-// LayerNorm over rows of width d: out = (in - mean) * inv_std * gain + bias.
-// When stats2 != nullptr, writes {mean, inv_std} per row at stats2[r*2] (the
+// LayerNorm over one row of width d: out = (in - mean) * inv_std * gain +
+// bias. When stats2 != nullptr, writes {mean, inv_std} at stats2[0..1] (the
 // autograd backward cache). in == out aliasing is allowed.
+void layer_norm_row(const float* in, float* out, const float* gain, const float* bias,
+                    std::size_t d, float eps, float* stats2);
+// row[j] += bias[j].
+void add_bias_row(float* row, const float* bias, std::size_t d);
+// Fused epilogue for fc1: row[j] = gelu(row[j] + bias[j]). gelu_scalar bit
+// for bit on scalar/sse2; on avx2 an 8-wide x * sigmoid(2u) with a
+// vectorised exp, within 1e-6 of gelu_scalar (pinned over [-10, 10]).
+void bias_gelu_row(float* row, const float* bias, std::size_t d);
+// y[r,:] = bias (GEMM-accumulate prologue for the decode linear layers).
+void fill_bias_rows(float* y, const float* bias, std::size_t rows, std::size_t d);
+
+// Row-parallel training forms of the three row kernels above over [rows, d]:
+// the same per-row body on every row (stats2, when given, holds one pair
+// per row at stats2[r*2]), so a row's bits never depend on the thread count.
 void layer_norm_rows(const float* in, float* out, const float* gain, const float* bias,
                      std::size_t rows, std::size_t d, float eps, float* stats2,
                      util::ThreadPool* pool = nullptr);
-
-// y[r,:] = bias (GEMM-accumulate prologue for linear layers).
-void fill_bias_rows(float* y, const float* bias, std::size_t rows, std::size_t d,
-                    util::ThreadPool* pool = nullptr);
-// dst[r,:] += bias.
 void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t d,
                    util::ThreadPool* pool = nullptr);
-// x[i] = gelu(x[i]) in place.
-void gelu_rows(float* x, std::size_t n, util::ThreadPool* pool = nullptr);
-// Fused epilogue for fc1: y[r,j] = gelu(y[r,j] + bias[j]). gelu_scalar bit
-// for bit on scalar/sse2; on avx2 an 8-wide x * sigmoid(2u) with a
-// vectorised exp, within 1e-6 of gelu_scalar (pinned over [-10, 10]).
 void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d,
                     util::ThreadPool* pool = nullptr);
+// x[i] = gelu(x[i]) in place.
+void gelu_rows(float* x, std::size_t n, util::ThreadPool* pool = nullptr);
 
 // ---- Backward kernels (training path) ----------------------------------------
 // Each dispatched kernel keeps a scalar reference (*_ref) beside it, like the

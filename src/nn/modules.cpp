@@ -45,13 +45,11 @@ Var Linear::forward(const Var& x) const {
     return add_bias(matmul_nt(x, weight_), bias_);
 }
 
-void Linear::forward_rows(const float* x, float* y, std::size_t rows,
-                          util::ThreadPool* pool) const {
+void Linear::forward_rows(const float* x, float* y, std::size_t rows) const {
     // Rows are pre-filled with the bias, then the decode NT kernel
-    // accumulates x W^T; a row's bits are independent of the row count and
-    // the thread split.
-    kernels::fill_bias_rows(y, bias_->value.data().data(), rows, out_, pool);
-    gemm_nt_decode(x, weight_->value.data().data(), y, rows, in_, out_, pool);
+    // accumulates x W^T; a row's bits are independent of the row count.
+    kernels::fill_bias_rows(y, bias_->value.data().data(), rows, out_);
+    gemm_nt_decode(x, weight_->value.data().data(), y, rows, in_, out_);
 }
 
 void Linear::collect(const std::string& prefix, std::vector<NamedParam>& out) const {
@@ -83,17 +81,16 @@ Var Mlp::forward(const Var& x) const {
     return fc2_.forward(bias_gelu(matmul_nt(x, fc1_.weight()), fc1_.bias()));
 }
 
-void Mlp::forward_rows(const float* x, float* hidden, float* y, std::size_t rows,
-                       util::ThreadPool* pool) const {
+void Mlp::forward_rows(const float* x, float* hidden, float* y, std::size_t rows) const {
     const std::size_t h = fc1_.out_features();
     // fc1 accumulates into zeroed scratch and the bias is folded into the
     // GELU epilogue: gelu(dot + bias), the same per-element value and order
     // forward() computes via matmul -> add_bias -> gelu.
     std::fill_n(hidden, rows * h, 0.0f);
-    gemm_nt_decode(x, fc1_.weight()->value.data().data(), hidden, rows, fc1_.in_features(), h,
-                   pool);
-    kernels::bias_gelu_rows(hidden, fc1_.bias()->value.data().data(), rows, h, pool);
-    fc2_.forward_rows(hidden, y, rows, pool);
+    gemm_nt_decode(x, fc1_.weight()->value.data().data(), hidden, rows, fc1_.in_features(), h);
+    const float* bias = fc1_.bias()->value.data().data();
+    for (std::size_t r = 0; r < rows; ++r) kernels::bias_gelu_row(hidden + r * h, bias, h);
+    fc2_.forward_rows(hidden, y, rows);
 }
 
 void Mlp::collect(const std::string& prefix, std::vector<NamedParam>& out) const {

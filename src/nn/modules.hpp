@@ -13,10 +13,6 @@
 
 #include "autograd.hpp"
 
-namespace cpt::util {
-class ThreadPool;
-}  // namespace cpt::util
-
 namespace cpt::nn {
 
 struct NamedParam {
@@ -44,12 +40,11 @@ public:
     Var forward(const Var& x) const;
     void collect(const std::string& prefix, std::vector<NamedParam>& out) const override;
 
-    // Inference fast path (no autograd graph): y = x W^T + b over row-major
-    // x [rows, in], y [rows, out]. Overwrites y. Runs gemm_nt_decode, so a
-    // row's bits never depend on `rows`; equal to forward() bit for bit on
-    // scalar/sse2 and within FMA tolerance on avx2.
-    void forward_rows(const float* x, float* y, std::size_t rows,
-                      util::ThreadPool* pool = nullptr) const;
+    // Inference fast path (no autograd graph, caller's thread): y = x W^T + b
+    // over row-major x [rows, in], y [rows, out]. Overwrites y. Runs
+    // gemm_nt_decode, so a row's bits never depend on `rows`; equal to
+    // forward() bit for bit on scalar/sse2 and within FMA tolerance on avx2.
+    void forward_rows(const float* x, float* y, std::size_t rows) const;
 
     std::size_t in_features() const { return in_; }
     std::size_t out_features() const { return out_; }
@@ -89,8 +84,7 @@ public:
     // Inference fast path: y = fc2(gelu(fc1(x))) over row-major x [rows, in],
     // y [rows, out], using `hidden` [rows, fc1.out_features()] as scratch
     // (overwritten). The fc1 epilogue is the fused bias+GELU kernel.
-    void forward_rows(const float* x, float* hidden, float* y, std::size_t rows,
-                      util::ThreadPool* pool = nullptr) const;
+    void forward_rows(const float* x, float* hidden, float* y, std::size_t rows) const;
 
     const Linear& fc1() const { return fc1_; }
     const Linear& fc2() const { return fc2_; }

@@ -8,7 +8,6 @@
 #include "simd_detail.hpp"
 #include "util/check.hpp"
 #include "util/cpu.hpp"
-#include "util/thread_pool.hpp"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -19,10 +18,6 @@ namespace cpt::nn {
 namespace {
 
 using util::SimdTier;
-
-util::ThreadPool& pick(util::ThreadPool* pool) {
-    return pool ? *pool : util::global_pool();
-}
 
 // Integer-dot chunk width: the idot scratch stays on the stack (2 KiB) and
 // the float epilogue runs over it in cache.
@@ -137,29 +132,26 @@ void QuantScratch::ensure(std::size_t rows, std::size_t k) {
     if (ascale.size() < rows) ascale.resize(rows);
 }
 
-void quantize_activations(const float* x, std::size_t rows, std::size_t k, QuantScratch& qs,
-                          util::ThreadPool* pool) {
+void quantize_activations(const float* x, std::size_t rows, std::size_t k, QuantScratch& qs) {
     qs.ensure(rows, k);
     std::uint8_t* qa = qs.qa.data();
     float* ascale = qs.ascale.data();
-    pick(pool).parallel_for(rows, util::grain_for(6 * k), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            const float* row = x + r * k;
-            std::uint8_t* qrow = qa + r * k;
-            float amax = 0.0f;
-            for (std::size_t j = 0; j < k; ++j) amax = std::max(amax, std::fabs(row[j]));
-            // amax == 0: all codes collapse to the offset (q = 0) and the
-            // zero scale annihilates the epilogue — the row contributes
-            // exactly its bias.
-            const float inv = amax > 0.0f ? 63.0f / amax : 0.0f;
-            ascale[r] = amax > 0.0f ? amax / 63.0f : 0.0f;
-            for (std::size_t j = 0; j < k; ++j) {
-                float q = std::nearbyintf(row[j] * inv);
-                q = std::min(63.0f, std::max(-63.0f, q));
-                qrow[j] = static_cast<std::uint8_t>(static_cast<std::int32_t>(q) + 64);
-            }
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float* row = x + r * k;
+        std::uint8_t* qrow = qa + r * k;
+        float amax = 0.0f;
+        for (std::size_t j = 0; j < k; ++j) amax = std::max(amax, std::fabs(row[j]));
+        // amax == 0: all codes collapse to the offset (q = 0) and the
+        // zero scale annihilates the epilogue — the row contributes
+        // exactly its bias.
+        const float inv = amax > 0.0f ? 63.0f / amax : 0.0f;
+        ascale[r] = amax > 0.0f ? amax / 63.0f : 0.0f;
+        for (std::size_t j = 0; j < k; ++j) {
+            float q = std::nearbyintf(row[j] * inv);
+            q = std::min(63.0f, std::max(-63.0f, q));
+            qrow[j] = static_cast<std::uint8_t>(static_cast<std::int32_t>(q) + 64);
         }
-    });
+    }
 }
 
 void quantize_weights_rowwise(const float* w, std::size_t out, std::size_t in, std::int8_t* wq,
@@ -200,19 +192,13 @@ void rowsums_q8(const std::int8_t* wq, std::size_t out, std::size_t in, std::int
 
 void gemm_q8_nt(const std::uint8_t* qa, const float* ascale, const std::int8_t* wq,
                 const float* wscale, const std::int32_t* wrowsum, float* c, std::size_t m_dim,
-                std::size_t k_dim, std::size_t n_dim, util::ThreadPool* pool) {
+                std::size_t k_dim, std::size_t n_dim) {
     if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
     const SimdTier tier = util::active_simd_tier();
-    // Integer accumulation is exact, so sharding over rows cannot perturb any
-    // output element for any thread count (the fp32 kernels need a careful
-    // per-element-order argument here; the q8 path gets it for free).
-    pick(pool).parallel_for(m_dim, util::grain_for(2 * k_dim * n_dim, std::size_t{1} << 18),
-                            [&](std::size_t r0, std::size_t r1) {
-                                for (std::size_t r = r0; r < r1; ++r) {
-                                    gemv_q8_row(qa + r * k_dim, ascale[r], wq, wscale, wrowsum,
-                                                c + r * n_dim, k_dim, n_dim, tier);
-                                }
-                            });
+    for (std::size_t r = 0; r < m_dim; ++r) {
+        gemv_q8_row(qa + r * k_dim, ascale[r], wq, wscale, wrowsum, c + r * n_dim, k_dim, n_dim,
+                    tier);
+    }
 }
 
 // ---- Quantized module mirrors -------------------------------------------------
@@ -241,19 +227,16 @@ void QuantLinear::install(std::vector<std::int8_t> wq_in, std::vector<float> sca
     rowsums_q8(wq.data(), out, in, rowsum.data());
 }
 
-void QuantLinear::forward_rows(const float* x, float* y, std::size_t rows, QuantScratch& qs,
-                               util::ThreadPool* pool) const {
-    kernels::fill_bias_rows(y, bias.data(), rows, out, pool);
-    quantize_activations(x, rows, in, qs, pool);
-    gemm_q8_nt(qs.qa.data(), qs.ascale.data(), wq.data(), scale.data(), rowsum.data(), y, rows,
-               in, out, pool);
+void QuantLinear::forward_rows(const float* x, float* y, std::size_t rows,
+                               QuantScratch& qs) const {
+    kernels::fill_bias_rows(y, bias.data(), rows, out);
+    apply_rows(x, y, rows, qs);
 }
 
-void QuantLinear::apply_rows(const float* x, float* y, std::size_t rows, QuantScratch& qs,
-                             util::ThreadPool* pool) const {
-    quantize_activations(x, rows, in, qs, pool);
+void QuantLinear::apply_rows(const float* x, float* y, std::size_t rows, QuantScratch& qs) const {
+    quantize_activations(x, rows, in, qs);
     gemm_q8_nt(qs.qa.data(), qs.ascale.data(), wq.data(), scale.data(), rowsum.data(), y, rows,
-               in, out, pool);
+               in, out);
 }
 
 QuantMlp QuantMlp::from(const Mlp& fp) {
@@ -264,12 +247,14 @@ QuantMlp QuantMlp::from(const Mlp& fp) {
 }
 
 void QuantMlp::forward_rows(const float* x, float* hidden, float* y, std::size_t rows,
-                            QuantScratch& qs, util::ThreadPool* pool) const {
+                            QuantScratch& qs) const {
     const std::size_t h = fc1.out;
     std::fill_n(hidden, rows * h, 0.0f);
-    fc1.apply_rows(x, hidden, rows, qs, pool);
-    kernels::bias_gelu_rows(hidden, fc1.bias.data(), rows, h, pool);
-    fc2.forward_rows(hidden, y, rows, qs, pool);
+    fc1.apply_rows(x, hidden, rows, qs);
+    for (std::size_t r = 0; r < rows; ++r) {
+        kernels::bias_gelu_row(hidden + r * h, fc1.bias.data(), h);
+    }
+    fc2.forward_rows(hidden, y, rows, qs);
 }
 
 TransformerQuant TransformerQuant::from(const Transformer& model) {

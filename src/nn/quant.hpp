@@ -15,8 +15,9 @@
 // instruction computes the exact integer sum. Every tier therefore produces
 // the SAME int32 dot (integer addition is associative), and the float
 // epilogue is one fixed scalar expression compiled without FMA — so the
-// quantized matmul output is byte-identical across scalar/sse2/avx2 AND
-// across thread counts, a strictly stronger contract than the fp32 kernels.
+// quantized matmul output is byte-identical across scalar/sse2/avx2, a
+// strictly stronger contract than the fp32 kernels. Like the rest of the
+// decode path, every function here runs on its caller's thread.
 //
 // Rounding: activation codes use std::nearbyintf under the default
 // round-to-nearest-even mode, the same rounding VCVTPS2DQ performs, so a
@@ -28,10 +29,6 @@
 #include <vector>
 
 #include "modules.hpp"
-
-namespace cpt::util {
-class ThreadPool;
-}  // namespace cpt::util
 
 namespace cpt::nn {
 
@@ -54,8 +51,7 @@ struct QuantScratch {
 // Per-row 7-bit activation quantization into qs (scalar ascending arithmetic
 // on every tier; cost is O(rows*k), negligible next to the O(rows*k*n)
 // matmul it feeds).
-void quantize_activations(const float* x, std::size_t rows, std::size_t k, QuantScratch& qs,
-                          util::ThreadPool* pool = nullptr);
+void quantize_activations(const float* x, std::size_t rows, std::size_t k, QuantScratch& qs);
 
 // Offline per-row symmetric weight quantization of a row-major [out, in]
 // matrix, its exact inverse map, and the rowsum the epilogue needs.
@@ -65,12 +61,12 @@ void dequantize_weights_rowwise(const std::int8_t* wq, const float* scale, std::
                                 std::size_t in, float* w);
 void rowsums_q8(const std::int8_t* wq, std::size_t out, std::size_t in, std::int32_t* rowsum);
 
-// C[M,N] += dequant(QA[M,K] * WQ^T), WQ stored [N,K] like gemm_nt. Shards
-// over M rows; each output element is exact-integer + one fixed float
-// epilogue, so the result is byte-identical across tiers and thread counts.
+// C[M,N] += dequant(QA[M,K] * WQ^T), WQ stored [N,K] like gemm_nt. Each
+// output element is exact-integer + one fixed float epilogue, so the result
+// is byte-identical across tiers and independent of the row count.
 void gemm_q8_nt(const std::uint8_t* qa, const float* ascale, const std::int8_t* wq,
                 const float* wscale, const std::int32_t* wrowsum, float* c, std::size_t m_dim,
-                std::size_t k_dim, std::size_t n_dim, util::ThreadPool* pool = nullptr);
+                std::size_t k_dim, std::size_t n_dim);
 
 // Quantized mirror of Linear ([out, in] weight + bias). Built from a trained
 // Linear, or installed directly from a quantized checkpoint section (the
@@ -90,12 +86,10 @@ struct QuantLinear {
     void install(std::vector<std::int8_t> wq_in, std::vector<float> scale_in);
 
     // y = bias + x W^T (overwrites y), quantizing x into qs first.
-    void forward_rows(const float* x, float* y, std::size_t rows, QuantScratch& qs,
-                      util::ThreadPool* pool = nullptr) const;
+    void forward_rows(const float* x, float* y, std::size_t rows, QuantScratch& qs) const;
     // Accumulates x W^T into y without touching the bias (the fc1 path folds
     // its bias into the fused GELU epilogue).
-    void apply_rows(const float* x, float* y, std::size_t rows, QuantScratch& qs,
-                    util::ThreadPool* pool = nullptr) const;
+    void apply_rows(const float* x, float* y, std::size_t rows, QuantScratch& qs) const;
 
     std::size_t weight_bytes() const {
         return wq.size() * sizeof(std::int8_t) + scale.size() * sizeof(float) +
@@ -110,8 +104,8 @@ struct QuantMlp {
     QuantLinear fc2;
 
     static QuantMlp from(const Mlp& fp);
-    void forward_rows(const float* x, float* hidden, float* y, std::size_t rows, QuantScratch& qs,
-                      util::ThreadPool* pool = nullptr) const;
+    void forward_rows(const float* x, float* hidden, float* y, std::size_t rows,
+                      QuantScratch& qs) const;
     std::size_t weight_bytes() const { return fc1.weight_bytes() + fc2.weight_bytes(); }
 };
 

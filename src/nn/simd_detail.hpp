@@ -28,9 +28,10 @@ void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
                   std::size_t n_dim, util::ThreadPool& pool);
 void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
                   std::size_t n_dim, util::ThreadPool& pool);
-// The batch-invariant NT decode product (gemm.hpp gemm_nt_decode).
+// The batch-invariant NT decode product (gemm.hpp gemm_nt_decode), on the
+// caller's thread.
 void gemm_nt_decode_avx2(const float* a, const float* b, float* c, std::size_t m_dim,
-                         std::size_t k_dim, std::size_t n_dim, util::ThreadPool& pool);
+                         std::size_t k_dim, std::size_t n_dim);
 
 // NN GEMV fast path (m == 1, single caller thread — decode-shaped work is
 // far too small to shard): c[n] += sum_k a[k] * B[k,n] with B row-major [K,N].

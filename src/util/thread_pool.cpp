@@ -136,11 +136,6 @@ ThreadPool::~ThreadPool() {
     delete impl_;
 }
 
-std::size_t ThreadPool::num_chunks(std::size_t n, std::size_t grain) const {
-    const std::size_t effective = (impl_ && !tls_in_worker) ? threads_ : 1;
-    return plan_chunks(n, grain, effective).chunks;
-}
-
 bool ThreadPool::in_worker() { return tls_in_worker; }
 
 void ThreadPool::parallel_chunks(

@@ -12,12 +12,14 @@
 //
 // Nested parallel_for calls from inside a worker run inline on that worker
 // (no thread explosion, no deadlock), so outer-level sharding (e.g. the
-// sampler splitting a generation round across decoders) transparently
-// serializes the inner nn-kernel parallelism.
+// trainer's data-parallel shards) transparently serializes the training
+// kernels' inner parallelism. Decode never opens a region: the nn inference
+// path runs on its caller's thread (nn/infer.hpp).
 //
-// Several external threads may share one pool (serve Engines share the
-// global pool): their regions take turns owning the workers, one region at a
-// time, and each runs the same static chunking it would run alone.
+// Several external threads may share one pool (e.g. two threads each running
+// Sampler::generate_to, whose decode lanes are one region): their regions
+// take turns owning the workers, one region at a time, and each runs the
+// same static chunking it would run alone.
 //
 // The global pool is sized by the CPT_THREADS environment variable (default:
 // hardware concurrency) and is created lazily on first use.
@@ -40,9 +42,6 @@ public:
     ThreadPool& operator=(const ThreadPool&) = delete;
 
     std::size_t threads() const { return threads_; }
-
-    // Number of chunks parallel_for / parallel_chunks will use for (n, grain).
-    std::size_t num_chunks(std::size_t n, std::size_t grain) const;
 
     // Runs fn(begin, end) over a static chunking of [0, n). Blocks until all
     // chunks finish; the calling thread executes chunk 0. Exceptions thrown

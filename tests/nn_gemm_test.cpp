@@ -3,10 +3,11 @@
 // pinned per SIMD tier. On the scalar and sse2 tiers the comparison is
 // memcmp, not tolerance: those kernels — gemm_nt_decode and every m = 1
 // shape included — must produce the same bits as the reference for every
-// shape and every thread count, because sampler/world-gen determinism across
-// CPT_THREADS rests on it. The decode NT entry is also pinned batch-invariant
-// on every tier, avx2 included: row r of an m-row product equals the 1-row
-// product of that row. Cross-tier tolerance is nn_simd_parity_test's job.
+// shape and (for the threaded training kernels) every thread count, because
+// sampler/world-gen determinism across CPT_THREADS rests on it. The decode
+// NT entry is also pinned batch-invariant on every tier, avx2 included: row r
+// of an m-row product equals the 1-row product of that row. Cross-tier
+// tolerance is nn_simd_parity_test's job.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -91,11 +92,18 @@ void check_shape(const Kernel& kernel, std::size_t m, std::size_t k, std::size_t
     expect_bitwise_equal(c_p1, c_ref, kernel.name, m, k, n);
 }
 
+// gemm_nt_decode runs on its caller's thread; this adapter gives it the
+// pooled signature so the shape sweeps cover it beside the training kernels.
+void gemm_nt_decode_pooled(const float* a, const float* b, float* c, std::size_t m,
+                           std::size_t k, std::size_t n, util::ThreadPool*) {
+    gemm_nt_decode(a, b, c, m, k, n);
+}
+
 const Kernel kKernels[] = {
     {gemm_nn, gemm_nn_ref, "gemm_nn"},
     {gemm_nt, gemm_nt_ref, "gemm_nt"},
     {gemm_tn, gemm_tn_ref, "gemm_tn"},
-    {gemm_nt_decode, gemm_nt_ref, "gemm_nt_decode"},
+    {gemm_nt_decode_pooled, gemm_nt_ref, "gemm_nt_decode"},
 };
 
 TEST(GemmBitExactTest, ModelScaleShapes) {
@@ -148,7 +156,7 @@ TEST(GemmBitExactTest, NonMultipleOfBlockSizes) {
 
 TEST(GemmBitExactTest, DecodeNtMatchesReferenceForEveryRowCount) {
     std::mt19937 gen(21);
-    const Kernel decode{gemm_nt_decode, gemm_nt_ref, "gemm_nt_decode"};
+    const Kernel decode{gemm_nt_decode_pooled, gemm_nt_ref, "gemm_nt_decode"};
     for (util::SimdTier tier : bit_exact_tiers()) {
         TierGuard guard(tier);
         for (std::size_t m = 1; m <= 37; ++m) {
@@ -159,14 +167,12 @@ TEST(GemmBitExactTest, DecodeNtMatchesReferenceForEveryRowCount) {
 }
 
 // Row r of an m-row decode product equals the 1-row product of A's row r,
-// bit for bit, on every tier and thread count: a decode row's bits never
-// depend on how many rows share the batch. The shapes cover a k tail (37),
-// odd column counts, and row counts on both sides of every row tile.
+// bit for bit, on every tier: a decode row's bits never depend on how many
+// rows share the batch. The shapes cover a k tail (37), odd column counts,
+// and row counts on both sides of every row tile.
 TEST(GemmBitExactTest, DecodeNtRowsAreBatchInvariant) {
     std::mt19937 gen(22);
     const std::size_t ks_ns[][2] = {{64, 70}, {37, 33}, {256, 64}, {9, 64}};
-    util::ThreadPool pool1(1);
-    util::ThreadPool pool4(4);
     for (util::SimdTier tier : available_tiers()) {
         TierGuard guard(tier);
         for (const auto& kn : ks_ns) {
@@ -175,18 +181,15 @@ TEST(GemmBitExactTest, DecodeNtRowsAreBatchInvariant) {
                 const auto a = random_floats(m * k, gen);
                 const auto b = random_floats(k * n, gen);
                 const auto c0 = random_floats(m * n, gen);
-                for (util::ThreadPool* pool : {&pool1, &pool4}) {
-                    auto c = c0;
-                    gemm_nt_decode(a.data(), b.data(), c.data(), m, k, n, pool);
-                    for (std::size_t r = 0; r < m; ++r) {
-                        const auto first = c0.begin() + static_cast<std::ptrdiff_t>(r * n);
-                        std::vector<float> row(first, first + static_cast<std::ptrdiff_t>(n));
-                        gemm_nt_decode(a.data() + r * k, b.data(), row.data(), 1, k, n, &pool1);
-                        ASSERT_EQ(std::memcmp(row.data(), c.data() + r * n, n * sizeof(float)), 0)
-                            << "tier " << util::simd_tier_name(tier) << " row " << r << " of m = "
-                            << m << " (k " << k << ", n " << n << ", " << pool->threads()
-                            << " threads)";
-                    }
+                auto c = c0;
+                gemm_nt_decode(a.data(), b.data(), c.data(), m, k, n);
+                for (std::size_t r = 0; r < m; ++r) {
+                    const auto first = c0.begin() + static_cast<std::ptrdiff_t>(r * n);
+                    std::vector<float> row(first, first + static_cast<std::ptrdiff_t>(n));
+                    gemm_nt_decode(a.data() + r * k, b.data(), row.data(), 1, k, n);
+                    ASSERT_EQ(std::memcmp(row.data(), c.data() + r * n, n * sizeof(float)), 0)
+                        << "tier " << util::simd_tier_name(tier) << " row " << r << " of m = "
+                        << m << " (k " << k << ", n " << n << ")";
                 }
             }
         }

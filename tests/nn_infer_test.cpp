@@ -4,18 +4,25 @@
 // every SIMD tier: under any randomized schedule of admissions and
 // compactions, every live row's output is byte-identical to a fresh decoder
 // fed the same stream, and a SlotBatch stream is byte-identical whether it
-// decodes alone or among 15 co-residents.
+// decodes alone or among 15 co-residents. A decoder also runs entirely on its
+// caller's thread: its steps never wait for the global thread pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstring>
+#include <exception>
+#include <future>
 #include <random>
+#include <thread>
 
 #include "core/model.hpp"
 #include "core/sampler.hpp"
 #include "nn/infer.hpp"
 #include "trace/synthetic.hpp"
 #include "util/cpu.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cpt::nn {
 namespace {
@@ -134,6 +141,66 @@ TEST(TransformerDecoderTest, RejectsOverflowAndBadShapes) {
     EXPECT_THROW(decoder.step(Tensor::zeros({2, 7})), std::logic_error);
     EXPECT_THROW(decoder.compact({1, 0}), std::invalid_argument);  // not ascending
     EXPECT_THROW(decoder.compact({5}), std::invalid_argument);     // out of range
+}
+
+// Decode runs on its caller's thread. While another thread holds every lane
+// of a 4-thread global pool, a decoder at an Engine-like shape (batch 32,
+// d_model 64, MLP 256, 2 blocks) must still finish its steps. A decoder that
+// opened pool regions would wait on the pool until the holder let go; the
+// holder is released on every path, so such a decoder fails this test
+// instead of hanging it.
+TEST(TransformerDecoderTest, StepNeverWaitsForTheGlobalPool) {
+    const std::size_t prev_threads = util::configured_threads();
+    util::set_global_threads(4);
+    TransformerConfig cfg;
+    cfg.d_token = 7;
+    cfg.d_model = 64;
+    cfg.heads = 4;
+    cfg.mlp_hidden = 256;
+    cfg.blocks = 2;
+    cfg.max_seq_len = 8;
+    util::Rng rng(17);
+    const Transformer model(cfg, rng);
+    const Tensor x = Tensor::randn(rng, {32, 7}, 0.5f);
+
+    std::atomic<bool> holding{false};
+    std::atomic<bool> release{false};
+    std::thread holder([&] {
+        util::global_pool().parallel_for(4, 1, [&](std::size_t begin, std::size_t) {
+            if (begin == 0) holding.store(true);
+            while (!release.load()) std::this_thread::sleep_for(std::chrono::microseconds(200));
+        });
+    });
+    std::promise<void> done;
+    std::future<void> finished = done.get_future();
+    std::thread decoding;
+    {
+        // Releases the holder and joins both threads on every exit path.
+        struct Cleanup {
+            std::atomic<bool>& release;
+            std::thread& holder;
+            std::thread& decoding;
+            ~Cleanup() {
+                release.store(true);
+                holder.join();
+                if (decoding.joinable()) decoding.join();
+            }
+        } cleanup{release, holder, decoding};
+        while (!holding.load()) std::this_thread::yield();
+        decoding = std::thread([&] {
+            try {
+                TransformerDecoder decoder(model, 32);
+                for (int step = 0; step < 4; ++step) decoder.step(x);
+                done.set_value();
+            } catch (...) {
+                done.set_exception(std::current_exception());
+            }
+        });
+        EXPECT_EQ(finished.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+            << "4 decoder steps did not finish while another thread held the global pool";
+    }
+    util::set_global_threads(prev_threads);
+    EXPECT_NO_THROW(finished.get());
 }
 
 // Property test for the logical->physical row map + free list behind

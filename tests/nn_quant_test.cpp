@@ -3,7 +3,8 @@
 // The quantized matmul carries a STRONGER contract than the fp32 kernels:
 // its integer dots are exact and its float epilogue is one fixed scalar
 // expression, so gemm_q8_nt output must be BYTE-identical across
-// scalar/sse2/avx2 and across thread counts. The fp16 converters must be
+// scalar/sse2/avx2 (it runs on its caller's thread, so thread counts cannot
+// enter). The fp16 converters must be
 // bit-identical to IEEE binary16 round-to-nearest-even on every tier
 // (hardware F16C and the software fallback agree). On top of the kernel
 // contracts, this suite bounds the numeric drift the quantized pipeline may
@@ -196,7 +197,6 @@ TEST(QuantTest, WeightQuantizationErrorBoundedByHalfScale) {
 // absorbs the float epilogue rounding.
 TEST(QuantTest, GemvQ8PerLogitErrorBound) {
     std::mt19937 gen(23);
-    util::ThreadPool pool(2);
     for (const auto& shape : {std::pair<std::size_t, std::size_t>{64, 48},
                               std::pair<std::size_t, std::size_t>{128, 130},
                               std::pair<std::size_t, std::size_t>{9, 600}}) {
@@ -211,10 +211,10 @@ TEST(QuantTest, GemvQ8PerLogitErrorBound) {
         quantize_weights_rowwise(w.data(), n, k, wq.data(), wscale.data());
         rowsums_q8(wq.data(), n, k, rowsum.data());
         QuantScratch qs;
-        quantize_activations(x.data(), rows, k, qs, &pool);
+        quantize_activations(x.data(), rows, k, qs);
         std::vector<float> c(rows * n, 0.0f);
         gemm_q8_nt(qs.qa.data(), qs.ascale.data(), wq.data(), wscale.data(), rowsum.data(),
-                   c.data(), rows, k, n, &pool);
+                   c.data(), rows, k, n);
 
         for (std::size_t r = 0; r < rows; ++r) {
             float amax = 0.0f;
@@ -237,13 +237,12 @@ TEST(QuantTest, GemvQ8PerLogitErrorBound) {
     }
 }
 
-// The tentpole determinism contract: byte-identical output across every
-// available tier AND across thread counts (integer dots are exact; the
-// epilogue is one fixed scalar expression compiled without FMA).
+// The determinism contract: byte-identical output across every available
+// tier (integer dots are exact; the epilogue is one fixed scalar expression
+// compiled without FMA). The kernel runs on its caller's thread, so the
+// thread count cannot enter.
 TEST(QuantTest, GemmQ8ByteIdenticalAcrossTiersAndThreads) {
     std::mt19937 gen(31);
-    util::ThreadPool pool1(1);
-    util::ThreadPool pool4(4);
     const std::size_t shapes[][3] = {
         {1, 16, 16}, {1, 128, 128}, {3, 100, 260}, {5, 513, 37}, {32, 128, 1024},
     };
@@ -262,23 +261,21 @@ TEST(QuantTest, GemmQ8ByteIdenticalAcrossTiersAndThreads) {
         std::vector<std::uint8_t> reference_qa;
         for (SimdTier tier : available_tiers()) {
             TierGuard guard(tier);
-            for (util::ThreadPool* pool : {&pool1, &pool4}) {
-                QuantScratch qs;
-                quantize_activations(x.data(), m, k, qs, pool);
-                auto c = c0;
-                gemm_q8_nt(qs.qa.data(), qs.ascale.data(), wq.data(), wscale.data(),
-                           rowsum.data(), c.data(), m, k, n, pool);
-                if (reference.empty()) {
-                    reference = std::move(c);
-                    reference_qa = qs.qa;
-                    continue;
-                }
-                ASSERT_EQ(std::memcmp(qs.qa.data(), reference_qa.data(), qs.qa.size()), 0)
-                    << "activation codes, tier " << util::simd_tier_name(tier);
-                ASSERT_EQ(std::memcmp(c.data(), reference.data(), c.size() * sizeof(float)), 0)
-                    << "gemm_q8_nt tier " << util::simd_tier_name(tier) << " m=" << m
-                    << " k=" << k << " n=" << n;
+            QuantScratch qs;
+            quantize_activations(x.data(), m, k, qs);
+            auto c = c0;
+            gemm_q8_nt(qs.qa.data(), qs.ascale.data(), wq.data(), wscale.data(), rowsum.data(),
+                       c.data(), m, k, n);
+            if (reference.empty()) {
+                reference = std::move(c);
+                reference_qa = qs.qa;
+                continue;
             }
+            ASSERT_EQ(std::memcmp(qs.qa.data(), reference_qa.data(), qs.qa.size()), 0)
+                << "activation codes, tier " << util::simd_tier_name(tier);
+            ASSERT_EQ(std::memcmp(c.data(), reference.data(), c.size() * sizeof(float)), 0)
+                << "gemm_q8_nt tier " << util::simd_tier_name(tier) << " m=" << m << " k=" << k
+                << " n=" << n;
         }
     }
 }
