@@ -1,7 +1,7 @@
 // Microbenchmarks for the nn substrate: a GEMM GFLOP/s suite comparing the
-// seed's naive kernels against the blocked/threaded kernels (emitted both as
-// a table and as machine-readable BENCH_micro_nn.json), followed by the
-// google-benchmark micro suite for the composite kernels.
+// seed's naive kernels against the blocked kernels, single-threaded, per SIMD
+// tier (emitted both as a table and as machine-readable BENCH_micro_nn.json),
+// followed by the google-benchmark micro suite for the composite kernels.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "nn/gemm.hpp"
 #include "nn/modules.hpp"
 #include "util/cpu.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -132,39 +131,25 @@ struct GemmRow {
     // Single-thread GFLOP/s per SIMD tier, indexed by SimdTier; 0 when the
     // tier is unavailable on this host/build.
     double gflops_tier_t1[3] = {0.0, 0.0, 0.0};
-    // Thread scaling at the best available tier.
-    double gflops_best_t2 = 0.0;
-    double gflops_best_tn = 0.0;
 };
 
-std::vector<GemmRow> run_gemm_suite(std::size_t n_threads) {
-    using SeedFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t,
+std::vector<GemmRow> run_gemm_suite() {
+    using GemmFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t,
                             std::size_t);
-    using BlockedFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t,
-                               std::size_t, util::ThreadPool*);
     struct Op {
         const char* name;
-        SeedFn seed;
-        BlockedFn blocked;
-    };
-    // nt_decode runs on its caller's thread, so its t2/tN columns time the
-    // same single-threaded call as t1.
-    const BlockedFn nt_decode = [](const float* a, const float* b, float* c, std::size_t m,
-                                   std::size_t k, std::size_t n, util::ThreadPool*) {
-        nn::gemm_nt_decode(a, b, c, m, k, n);
+        GemmFn seed;
+        GemmFn blocked;
     };
     const Op ops[] = {
         {"nn", seed::gemm_nn, nn::gemm_nn},
         {"nt", seed::gemm_nt, nn::gemm_nt},
-        {"nt_decode", seed::gemm_nt, nt_decode},
+        {"nt_decode", seed::gemm_nt, nn::gemm_nt_decode},
         {"tn", seed::gemm_tn, nn::gemm_tn},
     };
     const auto tiers = available_tiers();
     const util::SimdTier best = tiers.back();
 
-    util::ThreadPool pool1(1);
-    util::ThreadPool pool2(2);
-    util::ThreadPool pooln(n_threads);
     std::mt19937 gen(42);
     std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
 
@@ -182,29 +167,16 @@ std::vector<GemmRow> run_gemm_suite(std::size_t n_threads) {
             for (util::SimdTier tier : tiers) {
                 const util::SimdTier prev = util::set_simd_tier(tier);
                 row.gflops_tier_t1[static_cast<int>(tier)] = time_gflops(
-                    [&](float* pc) { op.blocked(a.data(), b.data(), pc, s.m, s.k, s.n, &pool1); },
-                    s.m, s.k, s.n, c);
-                if (tier == best) {
-                    row.gflops_best_t2 = time_gflops(
-                        [&](float* pc) {
-                            op.blocked(a.data(), b.data(), pc, s.m, s.k, s.n, &pool2);
-                        },
-                        s.m, s.k, s.n, c);
-                    row.gflops_best_tn = time_gflops(
-                        [&](float* pc) {
-                            op.blocked(a.data(), b.data(), pc, s.m, s.k, s.n, &pooln);
-                        },
-                        s.m, s.k, s.n, c);
-                }
+                    [&](float* pc) { op.blocked(a.data(), b.data(), pc, s.m, s.k, s.n); }, s.m,
+                    s.k, s.n, c);
                 util::set_simd_tier(prev);
             }
             rows.push_back(row);
 
             std::printf("gemm_%s %4zux%4zux%4zu  seed %7.2f  scalar %7.2f  sse2 %7.2f  "
-                        "avx2 %7.2f  %s(t2) %7.2f  t%zu %7.2f GFLOP/s  (best x%.2f seed)  %s\n",
+                        "avx2 %7.2f GFLOP/s  (%s x%.2f seed)  %s\n",
                         op.name, s.m, s.k, s.n, row.gflops_seed, row.gflops_tier_t1[0],
                         row.gflops_tier_t1[1], row.gflops_tier_t1[2], util::simd_tier_name(best),
-                        row.gflops_best_t2, n_threads, row.gflops_best_tn,
                         row.gflops_tier_t1[static_cast<int>(best)] / row.gflops_seed, s.note);
             std::fflush(stdout);
         }
@@ -212,7 +184,7 @@ std::vector<GemmRow> run_gemm_suite(std::size_t n_threads) {
     return rows;
 }
 
-void write_json(const std::vector<GemmRow>& rows, std::size_t n_threads, const char* path) {
+void write_json(const std::vector<GemmRow>& rows, const char* path) {
     std::FILE* f = std::fopen(path, "w");
     if (!f) {
         std::fprintf(stderr, "bench_micro_nn: cannot write %s\n", path);
@@ -220,8 +192,7 @@ void write_json(const std::vector<GemmRow>& rows, std::size_t n_threads, const c
     }
     const auto tiers = available_tiers();
     const int best = static_cast<int>(tiers.back());
-    std::fprintf(f, "{\n  \"bench\": \"micro_nn_gemm\",\n  \"threads_configured\": %zu,\n",
-                 n_threads);
+    std::fprintf(f, "{\n  \"bench\": \"micro_nn_gemm\",\n");
     std::fprintf(f, "  \"simd_tiers\": [");
     for (std::size_t i = 0; i < tiers.size(); ++i) {
         std::fprintf(f, "%s\"%s\"", i ? ", " : "", util::simd_tier_name(tiers[i]));
@@ -235,12 +206,11 @@ void write_json(const std::vector<GemmRow>& rows, std::size_t n_threads, const c
             "    {\"op\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, \"note\": \"%s\", "
             "\"gflops_seed\": %.3f, "
             "\"gflops_scalar_t1\": %.3f, \"gflops_sse2_t1\": %.3f, \"gflops_avx2_t1\": %.3f, "
-            "\"gflops_best_t2\": %.3f, \"gflops_best_tn\": %.3f, "
             "\"speedup_scalar_vs_seed\": %.3f, \"speedup_sse2_vs_seed\": %.3f, "
             "\"speedup_avx2_vs_seed\": %.3f, \"speedup_best_vs_seed\": %.3f}%s\n",
             r.op, r.shape.m, r.shape.k, r.shape.n, r.shape.note, r.gflops_seed,
-            r.gflops_tier_t1[0], r.gflops_tier_t1[1], r.gflops_tier_t1[2], r.gflops_best_t2,
-            r.gflops_best_tn, r.gflops_tier_t1[0] / r.gflops_seed,
+            r.gflops_tier_t1[0], r.gflops_tier_t1[1], r.gflops_tier_t1[2],
+            r.gflops_tier_t1[0] / r.gflops_seed,
             r.gflops_tier_t1[1] / r.gflops_seed, r.gflops_tier_t1[2] / r.gflops_seed,
             r.gflops_tier_t1[best] / r.gflops_seed, i + 1 < rows.size() ? "," : "");
     }
@@ -328,11 +298,9 @@ BENCHMARK(BM_CptGptSampleToken)->Arg(16)->Arg(64)->Arg(192);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::size_t n_threads = std::max<std::size_t>(cpt::util::configured_threads(), 2);
-    std::printf("== GEMM GFLOP/s (seed naive kernels vs blocked, threads 1/2/%zu) ==\n",
-                n_threads);
-    const auto rows = run_gemm_suite(n_threads);
-    write_json(rows, n_threads, "BENCH_micro_nn.json");
+    std::printf("== GEMM GFLOP/s (seed naive kernels vs blocked, one thread per tier) ==\n");
+    const auto rows = run_gemm_suite();
+    write_json(rows, "BENCH_micro_nn.json");
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -1,10 +1,11 @@
 // Training-path throughput: Trainer::train driven through the arena-backed
 // tape, SIMD backward kernels, and fused optimizer, reported as optimizer
 // steps/sec and window-tokens/sec per available SIMD tier (speedup vs the
-// scalar baseline), plus thread-scaling rows at 1-4 threads (training is
-// data-parallel over fixed window shards, so every row trains the same bytes)
-// and the Design-3 parallel per-slice fine-tune cost through HubTrainer. Emits
-// BENCH_train.json next to the binary, stamped with the host it ran on.
+// scalar baseline), plus thread-scaling rows at 1-4 threads (the trainer's
+// fixed 4-window shards are its only parallelism — every kernel runs on its
+// shard's thread — so every row trains the same bytes) and the Design-3
+// parallel per-slice fine-tune cost through HubTrainer. Emits BENCH_train.json
+// next to the binary, stamped with the host it ran on.
 //
 // The model is untrained and the data synthetic — training throughput depends
 // on shapes, not weight values — so the bench needs no checkpoint and runs in

@@ -102,8 +102,9 @@ stage_sa() {
     local dir="$ROOT/build-check-sa"
     configure_and_build "$dir"
     run_ctest "$dir" -L static
-    # The real tree must lint clean: sync-types, avx2-isolation, avx2-flags,
-    # determinism, raw-stderr (tools/cpt_sa/sa_lint.hpp documents each).
+    # The real tree must lint clean: sync-types, avx2-isolation,
+    # nn-single-thread, avx2-flags, determinism, raw-stderr
+    # (tools/cpt_sa/sa_lint.hpp documents each).
     (cd "$ROOT" && "$dir/tools/cpt_sa" src CMakeLists.txt)
 }
 

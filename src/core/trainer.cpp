@@ -147,9 +147,10 @@ struct LossParts {
 // runs the master, every other shard a replica refreshed from the master's
 // weights. Each shard's loss is scaled by its share of the batch's target
 // positions, so the shard losses and gradients sum to the full-batch ones;
-// the gradients are summed into the master's in ascending shard order. Nested
-// ops run inline on a lane, and inside an outer parallel region (HubTrainer
-// workers) the shards run serially with the same bytes.
+// the gradients are summed into the master's in ascending shard order. The
+// nn ops open no pool region of their own, so a shard runs entirely on its
+// lane's thread, and inside an outer parallel region (HubTrainer workers) the
+// shards run serially with the same bytes.
 class ShardedStep {
 public:
     ShardedStep(CptGpt& master, const Tokenizer& tokenizer, const TrainConfig& config,

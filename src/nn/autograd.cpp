@@ -8,7 +8,6 @@
 #include "gemm.hpp"
 #include "kernels.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cpt::nn {
 
@@ -48,27 +47,17 @@ Var make_node(Tensor value, std::vector<Var> parents) {
 }
 
 // ---- Batched GEMM dispatch ---------------------------------------------------
-// The kernels themselves live in gemm.cpp (blocked, register-tiled, threaded).
-// For a single matrix the kernel parallelizes over rows; for a batch we shard
-// over batch items instead and let the nested kernel calls run inline on each
-// worker. Both schedules perform identical per-element arithmetic, so results
-// do not depend on the batch/thread split.
+// The kernels themselves live in gemm.cpp (blocked, register-tiled); a batch
+// runs them one matrix after another.
 
-using GemmFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t, std::size_t,
-                        util::ThreadPool*);
+using GemmFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t, std::size_t);
 
 void batched_gemm(GemmFn fn, const float* a, const float* b, float* c, std::size_t batch,
                   std::size_t a_stride, std::size_t b_stride, std::size_t c_stride,
                   std::size_t m_dim, std::size_t k_dim, std::size_t n_dim) {
-    if (batch == 1) {
-        fn(a, b, c, m_dim, k_dim, n_dim, nullptr);
-        return;
+    for (std::size_t i = 0; i < batch; ++i) {
+        fn(a + i * a_stride, b + i * b_stride, c + i * c_stride, m_dim, k_dim, n_dim);
     }
-    util::global_pool().parallel_for(batch, 1, [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t i = b0; i < b1; ++i) {
-            fn(a + i * a_stride, b + i * b_stride, c + i * c_stride, m_dim, k_dim, n_dim, nullptr);
-        }
-    });
 }
 
 }  // namespace
@@ -311,7 +300,7 @@ Var add_bias(const Var& x, const Var& bias) {
         if (x->requires_grad) x->ensure_grad().add_(raw->grad);
         if (bias->requires_grad) {
             kernels::col_sum_rows(raw->grad.data().data(), bias->ensure_grad().data().data(),
-                                  rows, d, &util::global_pool());
+                                  rows, d);
         }
     };
     return node;
@@ -376,8 +365,7 @@ Var matmul_nt(const Var& x, const Var& b) {
     Shape out_shape(xs.begin(), xs.end() - 1);
     out_shape.push_back(n_dim);
     Tensor out = tape_tensor(out_shape);
-    gemm_nt(x->value.data().data(), b->value.data().data(), out.data().data(), rows, k_dim, n_dim,
-            nullptr);
+    gemm_nt(x->value.data().data(), b->value.data().data(), out.data().data(), rows, k_dim, n_dim);
     Var node = make_node(std::move(out), {x, b});
     if (!node->requires_grad) return node;
     Node* raw = node.get();
@@ -385,13 +373,11 @@ Var matmul_nt(const Var& x, const Var& b) {
         const float* g = raw->grad.data().data();
         if (x->requires_grad) {
             // dX = dY · B  ([rows, n] x [n, k])
-            gemm_nn(g, b->value.data().data(), x->ensure_grad().data().data(), rows, n_dim, k_dim,
-                    nullptr);
+            gemm_nn(g, b->value.data().data(), x->ensure_grad().data().data(), rows, n_dim, k_dim);
         }
         if (b->requires_grad) {
             // dB = dYᵀ · X  ([n, rows] x [rows, k])
-            gemm_tn(g, x->value.data().data(), b->ensure_grad().data().data(), n_dim, rows, k_dim,
-                    nullptr);
+            gemm_tn(g, x->value.data().data(), b->ensure_grad().data().data(), n_dim, rows, k_dim);
         }
     };
     return node;
@@ -401,16 +387,13 @@ namespace {
 
 void transpose_copy(const float* src, float* dst, std::size_t batch, std::size_t rows,
                     std::size_t cols) {
-    util::global_pool().parallel_for(
-        batch, util::grain_for(rows * cols), [&](std::size_t b0, std::size_t b1) {
-            for (std::size_t i = b0; i < b1; ++i) {
-                const float* s = src + i * rows * cols;
-                float* d = dst + i * rows * cols;
-                for (std::size_t r = 0; r < rows; ++r) {
-                    for (std::size_t c = 0; c < cols; ++c) d[c * rows + r] = s[r * cols + c];
-                }
-            }
-        });
+    for (std::size_t i = 0; i < batch; ++i) {
+        const float* s = src + i * rows * cols;
+        float* d = dst + i * rows * cols;
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < cols; ++c) d[c * rows + r] = s[r * cols + c];
+        }
+    }
 }
 
 }  // namespace
@@ -457,15 +440,13 @@ Var softmax_lastdim(const Var& a) {
     const std::size_t d = as.back();
     const std::size_t rows = a->value.numel() / d;
     Tensor out = tape_tensor(as);
-    kernels::softmax_rows(a->value.data().data(), out.data().data(), rows, d,
-                          &util::global_pool());
+    kernels::softmax_rows(a->value.data().data(), out.data().data(), rows, d);
     Var node = make_node(std::move(out), {a});
     if (!node->requires_grad) return node;
     Node* raw = node.get();
     node->backward_fn = [raw, a, rows, d] {
         kernels::softmax_backward_rows(raw->value.data().data(), raw->grad.data().data(),
-                                       a->ensure_grad().data().data(), rows, d,
-                                       &util::global_pool());
+                                       a->ensure_grad().data().data(), rows, d);
     };
     return node;
 }
@@ -480,23 +461,19 @@ Var softmax_causal(const Var& scores) {
     {
         const float* in = scores->value.data().data();
         float* o = out.data().data();
-        util::global_pool().parallel_for(
-            mats, util::grain_for(4 * t * t), [&](std::size_t m0, std::size_t m1) {
-                for (std::size_t m = m0; m < m1; ++m) {
-                    for (std::size_t r = 0; r < t; ++r) {
-                        const std::size_t off = (m * t + r) * t;
-                        kernels::softmax_row(in + off, o + off, t, r + 1);
-                    }
-                }
-            });
+        for (std::size_t m = 0; m < mats; ++m) {
+            for (std::size_t r = 0; r < t; ++r) {
+                const std::size_t off = (m * t + r) * t;
+                kernels::softmax_row(in + off, o + off, t, r + 1);
+            }
+        }
     }
     Var node = make_node(std::move(out), {scores});
     if (!node->requires_grad) return node;
     Node* raw = node.get();
     node->backward_fn = [raw, scores, mats, t] {
         kernels::softmax_backward_causal(raw->value.data().data(), raw->grad.data().data(),
-                                         scores->ensure_grad().data().data(), mats, t,
-                                         &util::global_pool());
+                                         scores->ensure_grad().data().data(), mats, t);
     };
     return node;
 }
@@ -526,7 +503,7 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps) {
         float* dx = x->requires_grad ? x->ensure_grad().data().data() : nullptr;
         kernels::layer_norm_backward_rows(x->value.data().data(), gain->value.data().data(),
                                           raw->grad.data().data(), stats.data().data(), dx, dgain,
-                                          dbias, rows, d, &util::global_pool());
+                                          dbias, rows, d);
     };
     return node;
 }
@@ -535,18 +512,14 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps) {
 
 namespace {
 
-// Builds a pointwise op from forward f(x) and derivative df(x, y). Forward
-// and backward are element-disjoint, so both shard over elements.
+// Builds a pointwise op from forward f(x) and derivative df(x, y).
 template <typename F, typename DF>
 Var pointwise(const Var& a, F f, DF df) {
     Tensor out = tape_tensor(a->value.shape());
     {
         auto in = a->value.data();
         auto o = out.data();
-        util::global_pool().parallel_for(in.size(), util::grain_for(24),
-                                         [&](std::size_t i0, std::size_t i1) {
-                                             for (std::size_t i = i0; i < i1; ++i) o[i] = f(in[i]);
-                                         });
+        for (std::size_t i = 0; i < in.size(); ++i) o[i] = f(in[i]);
     }
     Var node = make_node(std::move(out), {a});
     if (!node->requires_grad) return node;
@@ -556,10 +529,7 @@ Var pointwise(const Var& a, F f, DF df) {
         auto y = raw->value.data();
         auto g = raw->grad.data();
         auto dx = a->ensure_grad().data();
-        util::global_pool().parallel_for(
-            in.size(), util::grain_for(24), [&](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) dx[i] += g[i] * df(in[i], y[i]);
-            });
+        for (std::size_t i = 0; i < in.size(); ++i) dx[i] += g[i] * df(in[i], y[i]);
     };
     return node;
 }
@@ -582,8 +552,7 @@ Var bias_gelu(const Var& x, const Var& bias) {
     const std::size_t d = xs.back();
     const std::size_t rows = x->value.numel() / d;
     Tensor out = tape_clone(x->value);
-    kernels::bias_gelu_rows(out.data().data(), bias->value.data().data(), rows, d,
-                            &util::global_pool());
+    kernels::bias_gelu_rows(out.data().data(), bias->value.data().data(), rows, d);
     Var node = make_node(std::move(out), {x, bias});
     if (!node->requires_grad) return node;
     Node* raw = node.get();
@@ -594,10 +563,10 @@ Var bias_gelu(const Var& x, const Var& bias) {
         float* dx = x->requires_grad ? x->ensure_grad().data().data() : nullptr;
         kernels::bias_gelu_backward_rows(x->value.data().data(), bias->value.data().data(),
                                          raw->grad.data().data(), dx, scratch.data().data(),
-                                         rows, d, &util::global_pool());
+                                         rows, d);
         if (bias->requires_grad) {
             kernels::col_sum_rows(scratch.data().data(), bias->ensure_grad().data().data(),
-                                  rows, d, &util::global_pool());
+                                  rows, d);
         }
     };
     return node;
@@ -751,18 +720,15 @@ namespace {
 void permute_0213(const float* src, float* dst, std::size_t b, std::size_t d1, std::size_t d2,
                   std::size_t d3) {
     // src laid out [b, d1, d2, d3]; dst laid out [b, d2, d1, d3].
-    util::global_pool().parallel_for(
-        b, util::grain_for(d1 * d2 * d3), [&](std::size_t b0, std::size_t b1) {
-            for (std::size_t i = b0; i < b1; ++i) {
-                for (std::size_t x = 0; x < d1; ++x) {
-                    for (std::size_t y = 0; y < d2; ++y) {
-                        const float* s = src + ((i * d1 + x) * d2 + y) * d3;
-                        float* o = dst + ((i * d2 + y) * d1 + x) * d3;
-                        for (std::size_t j = 0; j < d3; ++j) o[j] = s[j];
-                    }
-                }
+    for (std::size_t i = 0; i < b; ++i) {
+        for (std::size_t x = 0; x < d1; ++x) {
+            for (std::size_t y = 0; y < d2; ++y) {
+                const float* s = src + ((i * d1 + x) * d2 + y) * d3;
+                float* o = dst + ((i * d2 + y) * d1 + x) * d3;
+                for (std::size_t j = 0; j < d3; ++j) o[j] = s[j];
             }
-        });
+        }
+    }
 }
 
 }  // namespace
@@ -837,8 +803,8 @@ Var cross_entropy(const Var& logits, const std::vector<int>& targets) {
               sstr(logits->value), " vs ", targets.size(), " targets");
     const std::size_t n = ls[0];
     const std::size_t c = ls[1];
-    // Validate targets and count active rows serially up front, then let the
-    // fused kernel compute row-disjoint softmax + per-row loss in parallel.
+    // Validate targets and count active rows up front, then let the fused
+    // kernel compute each row's softmax and loss.
     std::size_t active = 0;
     for (std::size_t r = 0; r < n; ++r) {
         const int tgt = targets[r];
@@ -848,12 +814,12 @@ Var cross_entropy(const Var& logits, const std::vector<int>& targets) {
         ++active;
     }
     Tensor probs = tape_tensor({n, c});
-    // Per-row losses land in a reusable buffer and are reduced serially in
-    // ascending row order, keeping the loss value thread-count independent.
+    // Per-row losses land in a reusable buffer and are reduced in ascending
+    // row order.
     static thread_local std::vector<double> rowloss;
     rowloss.assign(n, 0.0);
     kernels::softmax_xent_rows(logits->value.data().data(), probs.data().data(), targets.data(),
-                               kIgnoreIndex, rowloss.data(), n, c, &util::global_pool());
+                               kIgnoreIndex, rowloss.data(), n, c);
     double loss = 0.0;
     for (std::size_t r = 0; r < n; ++r) loss += rowloss[r];
     const float denom = active > 0 ? static_cast<float>(active) : 1.0f;
@@ -863,8 +829,7 @@ Var cross_entropy(const Var& logits, const std::vector<int>& targets) {
     node->backward_fn = [raw, logits, targets, probs, n, c, denom] {
         const float g = raw->grad[0] / denom;
         kernels::xent_backward_rows(probs.data().data(), targets.data(), kIgnoreIndex,
-                                    logits->ensure_grad().data().data(), g, n, c,
-                                    &util::global_pool());
+                                    logits->ensure_grad().data().data(), g, n, c);
     };
     return node;
 }

@@ -24,17 +24,6 @@ constexpr std::size_t kNr = 8;
 constexpr std::size_t kNrNt = 4;
 // Column block so one B panel stays cache-resident across row tiles.
 constexpr std::size_t kNc = 256;
-// Minimum FLOPs a parallel chunk should carry; below this, threads cost more
-// than they save.
-constexpr std::size_t kMinChunkFlops = 1 << 18;
-
-std::size_t row_grain(std::size_t k_dim, std::size_t n_dim) {
-    return util::grain_for(2 * k_dim * n_dim, kMinChunkFlops);
-}
-
-util::ThreadPool& pick(util::ThreadPool* pool) {
-    return pool ? *pool : util::global_pool();
-}
 
 // ---- NN: C[M,N] += A[M,K] * B[K,N] -------------------------------------------
 // A rows are broadcast, B rows are read contiguously per k; accumulators live
@@ -103,12 +92,12 @@ void micro_nn_edge(const float* a, std::size_t lda, const float* b, std::size_t 
 }
 
 template <MicroNnFn kFixed>
-void gemm_nn_rows(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim,
-                  std::size_t r0, std::size_t r1) {
+void gemm_nn_tiles(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
+                   std::size_t n_dim) {
     for (std::size_t n0 = 0; n0 < n_dim; n0 += kNc) {
         const std::size_t nb = std::min(kNc, n_dim - n0);
-        for (std::size_t m0 = r0; m0 < r1; m0 += kMr) {
-            const std::size_t mr = std::min(kMr, r1 - m0);
+        for (std::size_t m0 = 0; m0 < m_dim; m0 += kMr) {
+            const std::size_t mr = std::min(kMr, m_dim - m0);
             const float* atile = a + m0 * k_dim;
             float* crow = c + m0 * n_dim + n0;
             std::size_t j0 = 0;
@@ -235,10 +224,10 @@ void micro_nt_row_sse2(const float* a, const float* b, float* c, std::size_t k_d
 #endif
 
 template <MicroNtFn kFixed, MicroNtRowFn kRow>
-void gemm_nt_rows(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim,
-                  std::size_t r0, std::size_t r1) {
-    for (std::size_t m0 = r0; m0 < r1; m0 += kMr) {
-        const std::size_t mr = std::min(kMr, r1 - m0);
+void gemm_nt_tiles(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
+                   std::size_t n_dim) {
+    for (std::size_t m0 = 0; m0 < m_dim; m0 += kMr) {
+        const std::size_t mr = std::min(kMr, m_dim - m0);
         const float* atile = a + m0 * k_dim;
         float* crow = c + m0 * n_dim;
         std::size_t j0 = 0;
@@ -299,10 +288,10 @@ void micro_tn_edge(const float* a, const float* b, float* c, std::size_t ldc, st
     }
 }
 
-void gemm_tn_rows(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim, std::size_t r0, std::size_t r1) {
-    for (std::size_t m0 = r0; m0 < r1; m0 += kMr) {
-        const std::size_t mr = std::min(kMr, r1 - m0);
+void gemm_tn_tiles(const float* a, const float* b, float* c, std::size_t m_dim,
+                   std::size_t k_dim, std::size_t n_dim) {
+    for (std::size_t m0 = 0; m0 < m_dim; m0 += kMr) {
+        const std::size_t mr = std::min(kMr, m_dim - m0);
         float* crow = c + m0 * n_dim;
         std::size_t j0 = 0;
         if (mr == kMr) {
@@ -318,10 +307,9 @@ void gemm_tn_rows(const float* a, const float* b, float* c, std::size_t m_dim, s
 }
 
 // ---- NN/TN GEMV fast paths (m == 1) -------------------------------------------
-// A single output row wastes the blocked drivers' register tile. These paths
-// run on the calling thread: one row is far below any useful parallel grain.
-// (NT decode rows go through gemm_nt_decode instead, whose contract is that
-// a row's bits never depend on m.)
+// A single output row wastes the blocked drivers' register tile. (NT decode
+// rows go through gemm_nt_decode instead, whose contract is that a row's bits
+// never depend on m.)
 //
 // nn/tn with m == 1 are the same computation: c[n] += sum_k a[k] * B[k,n]
 // with a contiguous (A is [1,K] or [K,1]). One ascending-k accumulator per
@@ -435,22 +423,21 @@ constexpr MicroNtFn kMicroNtSse2 = micro_nt_fixed_scalar;
 constexpr MicroNtRowFn kMicroNtRowSse2 = micro_nt_row_scalar;
 #endif
 
-// Rows [r0, r1) of the scalar/sse2 NT product: the reference chain, shared
-// by the threaded training entry and the single-threaded decode entry.
-void gemm_nt_rows_ref_chain(bool sse2, const float* a, const float* b, float* c,
-                            std::size_t k_dim, std::size_t n_dim, std::size_t r0,
-                            std::size_t r1) {
+// The scalar/sse2 NT product: the reference chain, shared by the training
+// and decode entries.
+void gemm_nt_ref_chain(bool sse2, const float* a, const float* b, float* c, std::size_t m_dim,
+                       std::size_t k_dim, std::size_t n_dim) {
     if (sse2) {
-        gemm_nt_rows<kMicroNtSse2, kMicroNtRowSse2>(a, b, c, k_dim, n_dim, r0, r1);
+        gemm_nt_tiles<kMicroNtSse2, kMicroNtRowSse2>(a, b, c, m_dim, k_dim, n_dim);
     } else {
-        gemm_nt_rows<micro_nt_fixed_scalar, micro_nt_row_scalar>(a, b, c, k_dim, n_dim, r0, r1);
+        gemm_nt_tiles<micro_nt_fixed_scalar, micro_nt_row_scalar>(a, b, c, m_dim, k_dim, n_dim);
     }
 }
 
 }  // namespace
 
 void gemm_nn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-             std::size_t n_dim, util::ThreadPool* pool) {
+             std::size_t n_dim) {
     if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
     const SimdTier tier = util::active_simd_tier();
     if (m_dim == 1) {
@@ -458,31 +445,23 @@ void gemm_nn(const float* a, const float* b, float* c, std::size_t m_dim, std::s
         return;
     }
     if (tier == SimdTier::kAvx2) {
-        detail::gemm_nn_avx2(a, b, c, m_dim, k_dim, n_dim, pick(pool));
-        return;
+        detail::gemm_nn_avx2(a, b, c, m_dim, k_dim, n_dim);
+    } else if (tier == SimdTier::kSse2) {
+        gemm_nn_tiles<kMicroNnSse2>(a, b, c, m_dim, k_dim, n_dim);
+    } else {
+        gemm_nn_tiles<micro_nn_fixed_scalar>(a, b, c, m_dim, k_dim, n_dim);
     }
-    const bool sse2 = tier == SimdTier::kSse2;
-    pick(pool).parallel_for(m_dim, row_grain(k_dim, n_dim), [&](std::size_t r0, std::size_t r1) {
-        if (sse2) {
-            gemm_nn_rows<kMicroNnSse2>(a, b, c, k_dim, n_dim, r0, r1);
-        } else {
-            gemm_nn_rows<micro_nn_fixed_scalar>(a, b, c, k_dim, n_dim, r0, r1);
-        }
-    });
 }
 
 void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-             std::size_t n_dim, util::ThreadPool* pool) {
+             std::size_t n_dim) {
     if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
     const SimdTier tier = util::active_simd_tier();
     if (tier == SimdTier::kAvx2) {
-        detail::gemm_nt_avx2(a, b, c, m_dim, k_dim, n_dim, pick(pool));
+        detail::gemm_nt_avx2(a, b, c, m_dim, k_dim, n_dim);
         return;
     }
-    const bool sse2 = tier == SimdTier::kSse2;
-    pick(pool).parallel_for(m_dim, row_grain(k_dim, n_dim), [&](std::size_t r0, std::size_t r1) {
-        gemm_nt_rows_ref_chain(sse2, a, b, c, k_dim, n_dim, r0, r1);
-    });
+    gemm_nt_ref_chain(tier == SimdTier::kSse2, a, b, c, m_dim, k_dim, n_dim);
 }
 
 void gemm_nt_decode(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
@@ -494,11 +473,11 @@ void gemm_nt_decode(const float* a, const float* b, float* c, std::size_t m_dim,
         return;
     }
     // scalar/sse2 gemm_nt is the reference chain for every m, m = 1 included.
-    gemm_nt_rows_ref_chain(tier == SimdTier::kSse2, a, b, c, k_dim, n_dim, 0, m_dim);
+    gemm_nt_ref_chain(tier == SimdTier::kSse2, a, b, c, m_dim, k_dim, n_dim);
 }
 
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-             std::size_t n_dim, util::ThreadPool* pool) {
+             std::size_t n_dim) {
     if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
     const SimdTier tier = util::active_simd_tier();
     if (m_dim == 1) {
@@ -507,12 +486,10 @@ void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::s
         return;
     }
     if (tier == SimdTier::kAvx2) {
-        detail::gemm_tn_avx2(a, b, c, m_dim, k_dim, n_dim, pick(pool));
+        detail::gemm_tn_avx2(a, b, c, m_dim, k_dim, n_dim);
         return;
     }
-    pick(pool).parallel_for(m_dim, row_grain(k_dim, n_dim), [&](std::size_t r0, std::size_t r1) {
-        gemm_tn_rows(a, b, c, m_dim, k_dim, n_dim, r0, r1);
-    });
+    gemm_tn_tiles(a, b, c, m_dim, k_dim, n_dim);
 }
 
 void gemm_nn_ref(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,

@@ -6,13 +6,12 @@
 // Accumulation contract (same as gemm.cpp): every C element is one dot
 // product with a fixed operation order depending only on (element index,
 // shape) — a single ascending-k FMA chain per lane for the broadcast kernels,
-// the canonical dot_fma tree for the k-contiguous kernels — so results are
-// byte-identical across thread counts. Scalar edge paths use std::fma to
-// round exactly like the vector lanes.
+// the canonical dot_fma tree for the k-contiguous kernels. Every kernel runs
+// on its caller's thread. Scalar edge paths use std::fma to round exactly
+// like the vector lanes.
 #include "simd_detail.hpp"
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
@@ -28,11 +27,6 @@ namespace {
 constexpr std::size_t kMr = 4;    // A rows per register tile
 constexpr std::size_t kNr = 16;   // C columns per register tile (2 ymm)
 constexpr std::size_t kNc = 256;  // B panel width kept cache-resident
-constexpr std::size_t kMinChunkFlops = 1 << 18;
-
-std::size_t row_grain(std::size_t k_dim, std::size_t n_dim) {
-    return util::grain_for(2 * k_dim * n_dim, kMinChunkFlops);
-}
 
 // ---- NN / TN broadcast micro-kernels -----------------------------------------
 // Per C element: acc = fma(a, b, acc) in ascending k, one accumulator. The
@@ -83,13 +77,13 @@ void micro_bcast_edge(const float* a, std::size_t lda, const float* b, std::size
 }
 
 template <bool kATransposed>
-void gemm_bcast_rows(const float* a, const float* b, float* c, std::size_t m_dim,
-                     std::size_t k_dim, std::size_t n_dim, std::size_t r0, std::size_t r1) {
+void gemm_bcast(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
+                std::size_t n_dim) {
     const std::size_t lda = kATransposed ? m_dim : k_dim;
     for (std::size_t n0 = 0; n0 < n_dim; n0 += kNc) {
         const std::size_t nb = std::min(kNc, n_dim - n0);
-        for (std::size_t m0 = r0; m0 < r1; m0 += kMr) {
-            const std::size_t mr = std::min(kMr, r1 - m0);
+        for (std::size_t m0 = 0; m0 < m_dim; m0 += kMr) {
+            const std::size_t mr = std::min(kMr, m_dim - m0);
             const float* atile = kATransposed ? a + m0 : a + m0 * lda;
             float* crow = c + m0 * n_dim + n0;
             std::size_t j0 = 0;
@@ -110,8 +104,8 @@ void gemm_bcast_rows(const float* a, const float* b, float* c, std::size_t m_dim
 // ---- NT decode: batch-invariant, pack-free row tiles -------------------------
 // Every output element uses one canonical sequence — a single 8-wide FMA
 // chain in ascending k, hsum8, then a scalar std::fma tail — no matter which
-// tile computes it. Tiles only change how A/B loads are shared, so the row
-// count, the row tiling and the thread split never change an element's bits:
+// tile computes it. Tiles only change how A/B loads are shared, so neither
+// the row count nor the row tiling changes an element's bits:
 // row r of an m-row product equals the 1-row product of A's row r.
 
 float dot_fma(const float* a, const float* b, std::size_t k_dim) {
@@ -195,17 +189,13 @@ constexpr std::size_t kDecodeBlockBytes = 16 * 1024;
 }  // namespace
 
 void gemm_nn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim, util::ThreadPool& pool) {
-    pool.parallel_for(m_dim, row_grain(k_dim, n_dim), [&](std::size_t r0, std::size_t r1) {
-        gemm_bcast_rows<false>(a, b, c, m_dim, k_dim, n_dim, r0, r1);
-    });
+                  std::size_t n_dim) {
+    gemm_bcast<false>(a, b, c, m_dim, k_dim, n_dim);
 }
 
 void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim, util::ThreadPool& pool) {
-    pool.parallel_for(m_dim, row_grain(k_dim, n_dim), [&](std::size_t r0, std::size_t r1) {
-        gemm_bcast_rows<true>(a, b, c, m_dim, k_dim, n_dim, r0, r1);
-    });
+                  std::size_t n_dim) {
+    gemm_bcast<true>(a, b, c, m_dim, k_dim, n_dim);
 }
 
 void gemm_nt_decode_avx2(const float* a, const float* b, float* c, std::size_t m_dim,
@@ -239,16 +229,16 @@ void gemm_nt_decode_avx2(const float* a, const float* b, float* c, std::size_t m
 }
 
 void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim, util::ThreadPool& pool) {
+                  std::size_t n_dim) {
     // Dot-style NT kernels pay a horizontal reduction per output element — at
     // training k (64–256) that is ~a third of the work. Instead pack each
     // kNc-wide B panel transposed into [k x nb] and reuse the broadcast
     // micro-kernels: no reductions, and the per-element chain (one FMA per
-    // ascending k) is the same as the NN path, so thread-count invariance is
-    // unchanged. The pack buffer is thread_local and reused across calls.
-    // At training shapes this edges out the pack-free decode tiles (1024 x
-    // 64 x 64, one thread: 51 against 48 GFLOP/s); the per-call pack only
-    // loses when m is a handful of rows, which is the decode entry's job.
+    // ascending k) is the same as the NN path. The pack buffer is
+    // thread_local and reused across calls. At training shapes this edges
+    // out the pack-free decode tiles (1024 x 64 x 64, one thread: 51 against
+    // 48 GFLOP/s); the per-call pack only loses when m is a handful of rows,
+    // which is the decode entry's job.
     static thread_local std::vector<float> bt;
     for (std::size_t n0 = 0; n0 < n_dim; n0 += kNc) {
         const std::size_t nb = std::min(kNc, n_dim - n0);
@@ -264,24 +254,21 @@ void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
             const float* brow = b + (n0 + j) * k_dim;
             for (std::size_t k = 0; k < k_dim; ++k) btp[k * ldbt + j] = brow[k];
         }
-        pool.parallel_for(m_dim, row_grain(k_dim, nb), [&](std::size_t r0, std::size_t r1) {
-            for (std::size_t m0 = r0; m0 < r1; m0 += kMr) {
-                const std::size_t mr = std::min(kMr, r1 - m0);
-                const float* atile = a + m0 * k_dim;
-                float* crow = c + m0 * n_dim + n0;
-                std::size_t j0 = 0;
-                if (mr == kMr) {
-                    for (; j0 + kNr <= nb; j0 += kNr) {
-                        micro_bcast_fixed<false>(atile, k_dim, btp + j0, ldbt, crow + j0, n_dim,
-                                                 k_dim);
-                    }
-                }
-                for (; j0 < nb; j0 += kNr) {
-                    micro_bcast_edge<false>(atile, k_dim, btp + j0, ldbt, crow + j0, n_dim, k_dim,
-                                            mr, std::min(kNr, nb - j0));
+        for (std::size_t m0 = 0; m0 < m_dim; m0 += kMr) {
+            const std::size_t mr = std::min(kMr, m_dim - m0);
+            const float* atile = a + m0 * k_dim;
+            float* crow = c + m0 * n_dim + n0;
+            std::size_t j0 = 0;
+            if (mr == kMr) {
+                for (; j0 + kNr <= nb; j0 += kNr) {
+                    micro_bcast_fixed<false>(atile, k_dim, btp + j0, ldbt, crow + j0, n_dim, k_dim);
                 }
             }
-        });
+            for (; j0 < nb; j0 += kNr) {
+                micro_bcast_edge<false>(atile, k_dim, btp + j0, ldbt, crow + j0, n_dim, k_dim,
+                                        mr, std::min(kNr, nb - j0));
+            }
+        }
     }
 }
 
@@ -436,20 +423,17 @@ namespace {
 [[noreturn]] void missing() { CPT_CHECK(false, "AVX2 kernels were not compiled into this binary"); }
 }  // namespace
 
-void gemm_nn_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t,
-                  util::ThreadPool&) {
+void gemm_nn_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t) {
     missing();
 }
-void gemm_nt_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t,
-                  util::ThreadPool&) {
+void gemm_nt_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t) {
     missing();
 }
 void gemm_nt_decode_avx2(const float*, const float*, float*, std::size_t, std::size_t,
                          std::size_t) {
     missing();
 }
-void gemm_tn_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t,
-                  util::ThreadPool&) {
+void gemm_tn_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t) {
     missing();
 }
 void gemv_nn_avx2(const float*, const float*, float*, std::size_t, std::size_t) { missing(); }

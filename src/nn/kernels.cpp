@@ -7,17 +7,12 @@
 #include "fp16.hpp"
 #include "simd_detail.hpp"
 #include "util/cpu.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cpt::nn::kernels {
 
 namespace {
 
 using util::SimdTier;
-
-util::ThreadPool& pick(util::ThreadPool* pool) {
-    return pool ? *pool : util::global_pool();
-}
 
 }  // namespace
 
@@ -126,7 +121,7 @@ void softmax_row(const float* in, float* out, std::size_t len, std::size_t valid
     }
     // exp and the normalizer sum stay scalar on every tier: the sum is an
     // ascending serial reduction, so softmax output is identical across tiers
-    // (pinned by the parity tests), not just across thread counts.
+    // (pinned by the parity tests).
     float total = 0.0f;
     for (std::size_t j = 0; j < valid; ++j) {
         out[j] = std::exp(in[j] - mx);
@@ -141,11 +136,8 @@ void softmax_row(const float* in, float* out, std::size_t len, std::size_t valid
     for (std::size_t j = valid; j < len; ++j) out[j] = 0.0f;
 }
 
-void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d,
-                  util::ThreadPool* pool) {
-    pick(pool).parallel_for(rows, util::grain_for(8 * d), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) softmax_row(in + r * d, out + r * d, d, d);
-    });
+void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d) {
+    for (std::size_t r = 0; r < rows; ++r) softmax_row(in + r * d, out + r * d, d, d);
 }
 
 void layer_norm_row(const float* in, float* out, const float* gain, const float* bias,
@@ -169,14 +161,11 @@ void layer_norm_row(const float* in, float* out, const float* gain, const float*
 }
 
 void layer_norm_rows(const float* in, float* out, const float* gain, const float* bias,
-                     std::size_t rows, std::size_t d, float eps, float* stats2,
-                     util::ThreadPool* pool) {
-    pick(pool).parallel_for(rows, util::grain_for(6 * d), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            layer_norm_row(in + r * d, out + r * d, gain, bias, d, eps,
-                           stats2 != nullptr ? stats2 + r * 2 : nullptr);
-        }
-    });
+                     std::size_t rows, std::size_t d, float eps, float* stats2) {
+    for (std::size_t r = 0; r < rows; ++r) {
+        layer_norm_row(in + r * d, out + r * d, gain, bias, d, eps,
+                       stats2 != nullptr ? stats2 + r * 2 : nullptr);
+    }
 }
 
 void fill_bias_rows(float* y, const float* bias, std::size_t rows, std::size_t d) {
@@ -191,17 +180,8 @@ void add_bias_row(float* row, const float* bias, std::size_t d) {
     for (std::size_t j = 0; j < d; ++j) row[j] += bias[j];
 }
 
-void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t d,
-                   util::ThreadPool* pool) {
-    pick(pool).parallel_for(rows, util::grain_for(d), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) add_bias_row(dst + r * d, bias, d);
-    });
-}
-
-void gelu_rows(float* x, std::size_t n, util::ThreadPool* pool) {
-    pick(pool).parallel_for(n, util::grain_for(24), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) x[i] = gelu_scalar(x[i]);
-    });
+void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t d) {
+    for (std::size_t r = 0; r < rows; ++r) add_bias_row(dst + r * d, bias, d);
 }
 
 void bias_gelu_row(float* row, const float* bias, std::size_t d) {
@@ -212,11 +192,8 @@ void bias_gelu_row(float* row, const float* bias, std::size_t d) {
     for (std::size_t j = 0; j < d; ++j) row[j] = gelu_scalar(row[j] + bias[j]);
 }
 
-void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d,
-                    util::ThreadPool* pool) {
-    pick(pool).parallel_for(rows, util::grain_for(26 * d), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) bias_gelu_row(y + r * d, bias, d);
-    });
+void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d) {
+    for (std::size_t r = 0; r < rows; ++r) bias_gelu_row(y + r * d, bias, d);
 }
 
 // ---- Backward kernels (training path) ----------------------------------------
@@ -241,44 +218,37 @@ inline void softmax_backward_row(const float* y, const float* g, float* dx, std:
 }  // namespace
 
 void softmax_backward_rows(const float* y, const float* g, float* dx, std::size_t rows,
-                           std::size_t d, util::ThreadPool* pool) {
+                           std::size_t d) {
     const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
-    pick(pool).parallel_for(rows, util::grain_for(4 * d), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            softmax_backward_row(y + r * d, g + r * d, dx + r * d, d, avx2);
-        }
-    });
+    for (std::size_t r = 0; r < rows; ++r) {
+        softmax_backward_row(y + r * d, g + r * d, dx + r * d, d, avx2);
+    }
 }
 
 void softmax_backward_causal(const float* y, const float* g, float* dx, std::size_t mats,
-                             std::size_t t, util::ThreadPool* pool) {
+                             std::size_t t) {
     const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
-    pick(pool).parallel_for(mats, util::grain_for(2 * t * t), [&](std::size_t m0, std::size_t m1) {
-        for (std::size_t m = m0; m < m1; ++m) {
-            for (std::size_t r = 0; r < t; ++r) {
-                const std::size_t off = (m * t + r) * t;
-                softmax_backward_row(y + off, g + off, dx + off, r + 1, avx2);
-            }
+    for (std::size_t m = 0; m < mats; ++m) {
+        for (std::size_t r = 0; r < t; ++r) {
+            const std::size_t off = (m * t + r) * t;
+            softmax_backward_row(y + off, g + off, dx + off, r + 1, avx2);
         }
-    });
+    }
 }
 
 void softmax_xent_rows(const float* logits, float* probs, const int* targets, int ignore_index,
-                       double* rowloss, std::size_t rows, std::size_t c,
-                       util::ThreadPool* pool) {
-    pick(pool).parallel_for(rows, util::grain_for(8 * c), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            softmax_row(logits + r * c, probs + r * c, c, c);
-            const int tgt = targets[r];
-            // float log, matching the historical serial loss loop bit-for-bit
-            // once the caller sums rowloss in ascending row order.
-            rowloss[r] =
-                tgt == ignore_index
-                    ? 0.0
-                    : -static_cast<double>(
-                          std::log(std::max(probs[r * c + static_cast<std::size_t>(tgt)], 1e-12f)));
-        }
-    });
+                       double* rowloss, std::size_t rows, std::size_t c) {
+    for (std::size_t r = 0; r < rows; ++r) {
+        softmax_row(logits + r * c, probs + r * c, c, c);
+        const int tgt = targets[r];
+        // float log, matching the historical serial loss loop bit-for-bit
+        // once the caller sums rowloss in ascending row order.
+        rowloss[r] =
+            tgt == ignore_index
+                ? 0.0
+                : -static_cast<double>(
+                      std::log(std::max(probs[r * c + static_cast<std::size_t>(tgt)], 1e-12f)));
+    }
 }
 
 void xent_backward_row_ref(const float* probs, int target, float* dx, float gscale,
@@ -290,20 +260,18 @@ void xent_backward_row_ref(const float* probs, int target, float* dx, float gsca
 }
 
 void xent_backward_rows(const float* probs, const int* targets, int ignore_index, float* dx,
-                        float gscale, std::size_t rows, std::size_t c, util::ThreadPool* pool) {
+                        float gscale, std::size_t rows, std::size_t c) {
     const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
-    pick(pool).parallel_for(rows, util::grain_for(3 * c), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            const int tgt = targets[r];
-            if (tgt == ignore_index) continue;
-            if (avx2 && c >= 8) {
-                detail::axpy_avx2(gscale, probs + r * c, dx + r * c, c);
-                dx[r * c + static_cast<std::size_t>(tgt)] -= gscale;
-            } else {
-                xent_backward_row_ref(probs + r * c, tgt, dx + r * c, gscale, c);
-            }
+    for (std::size_t r = 0; r < rows; ++r) {
+        const int tgt = targets[r];
+        if (tgt == ignore_index) continue;
+        if (avx2 && c >= 8) {
+            detail::axpy_avx2(gscale, probs + r * c, dx + r * c, c);
+            dx[r * c + static_cast<std::size_t>(tgt)] -= gscale;
+        } else {
+            xent_backward_row_ref(probs + r * c, tgt, dx + r * c, gscale, c);
         }
-    });
+    }
 }
 
 void layer_norm_backward_row_ref(const float* x, const float* gain, const float* g, float mean,
@@ -326,85 +294,71 @@ void layer_norm_backward_row_ref(const float* x, const float* gain, const float*
 
 void layer_norm_backward_rows(const float* x, const float* gain, const float* g,
                               const float* stats2, float* dx, float* dgain, float* dbias,
-                              std::size_t rows, std::size_t d, util::ThreadPool* pool) {
-    auto& tp = pick(pool);
+                              std::size_t rows, std::size_t d) {
     const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
     if (dx != nullptr) {
-        // dx rows are disjoint: shard over rows.
-        tp.parallel_for(rows, util::grain_for(10 * d), [&](std::size_t r0, std::size_t r1) {
-            for (std::size_t r = r0; r < r1; ++r) {
-                if (avx2) {
-                    detail::layer_norm_backward_row_avx2(x + r * d, gain, g + r * d,
-                                                         stats2[r * 2], stats2[r * 2 + 1],
-                                                         dx + r * d, d);
-                } else {
-                    layer_norm_backward_row_ref(x + r * d, gain, g + r * d, stats2[r * 2],
-                                                stats2[r * 2 + 1], dx + r * d, d);
-                }
+        for (std::size_t r = 0; r < rows; ++r) {
+            if (avx2) {
+                detail::layer_norm_backward_row_avx2(x + r * d, gain, g + r * d,
+                                                     stats2[r * 2], stats2[r * 2 + 1],
+                                                     dx + r * d, d);
+            } else {
+                layer_norm_backward_row_ref(x + r * d, gain, g + r * d, stats2[r * 2],
+                                            stats2[r * 2 + 1], dx + r * d, d);
             }
-        });
+        }
     }
     if (dgain == nullptr && dbias == nullptr) return;
-    // dgain/dbias reduce across rows: shard over columns, each accumulated in
-    // ascending row order directly into the destination — bit-identical for
-    // every thread count, and equal to the single-threaded historical order.
-    tp.parallel_for(d, util::grain_for(4 * rows), [&](std::size_t j0, std::size_t j1) {
-        for (std::size_t r = 0; r < rows; ++r) {
-            const float mean = stats2[r * 2];
-            const float inv = stats2[r * 2 + 1];
-            const float* xrow = x + r * d;
-            const float* grow = g + r * d;
-            if (dgain != nullptr) {
-                for (std::size_t j = j0; j < j1; ++j) {
-                    dgain[j] += grow[j] * ((xrow[j] - mean) * inv);
-                }
-            }
-            if (dbias != nullptr) {
-                for (std::size_t j = j0; j < j1; ++j) dbias[j] += grow[j];
+    // dgain/dbias reduce across rows: each column accumulates in ascending row
+    // order directly into the destination, the historical serial order.
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float mean = stats2[r * 2];
+        const float inv = stats2[r * 2 + 1];
+        const float* xrow = x + r * d;
+        const float* grow = g + r * d;
+        if (dgain != nullptr) {
+            for (std::size_t j = 0; j < d; ++j) {
+                dgain[j] += grow[j] * ((xrow[j] - mean) * inv);
             }
         }
-    });
+        if (dbias != nullptr) {
+            for (std::size_t j = 0; j < d; ++j) dbias[j] += grow[j];
+        }
+    }
 }
 
-void col_sum_rows(const float* src, float* dst, std::size_t rows, std::size_t d,
-                  util::ThreadPool* pool) {
-    // Row-outer within each column block (cache-friendly), ascending r per
-    // column: the same per-column accumulation order as the historical serial
-    // double loop, independent of the thread count.
-    pick(pool).parallel_for(d, util::grain_for(2 * rows), [&](std::size_t j0, std::size_t j1) {
-        for (std::size_t r = 0; r < rows; ++r) {
-            const float* row = src + r * d;
-            for (std::size_t j = j0; j < j1; ++j) dst[j] += row[j];
-        }
-    });
+void col_sum_rows(const float* src, float* dst, std::size_t rows, std::size_t d) {
+    // Row-outer (cache-friendly), ascending r per column: the same
+    // per-column accumulation order as the historical serial double loop.
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float* row = src + r * d;
+        for (std::size_t j = 0; j < d; ++j) dst[j] += row[j];
+    }
 }
 
 void bias_gelu_backward_rows(const float* x, const float* bias, const float* g, float* dx,
-                             float* scratch, std::size_t rows, std::size_t d,
-                             util::ThreadPool* pool) {
+                             float* scratch, std::size_t rows, std::size_t d) {
     const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
-    pick(pool).parallel_for(rows, util::grain_for(30 * d), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            const float* xrow = x + r * d;
-            const float* grow = g + r * d;
-            float* srow = scratch + r * d;
-            if (avx2) {
-                detail::bias_gelu_backward_row_avx2(xrow, bias, grow,
-                                                    dx != nullptr ? dx + r * d : nullptr, srow, d);
-            } else if (dx != nullptr) {
-                float* dxrow = dx + r * d;
-                for (std::size_t j = 0; j < d; ++j) {
-                    const float t = grow[j] * gelu_grad_scalar(xrow[j] + bias[j]);
-                    srow[j] = t;
-                    dxrow[j] += t;
-                }
-            } else {
-                for (std::size_t j = 0; j < d; ++j) {
-                    srow[j] = grow[j] * gelu_grad_scalar(xrow[j] + bias[j]);
-                }
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float* xrow = x + r * d;
+        const float* grow = g + r * d;
+        float* srow = scratch + r * d;
+        if (avx2) {
+            detail::bias_gelu_backward_row_avx2(xrow, bias, grow,
+                                                dx != nullptr ? dx + r * d : nullptr, srow, d);
+        } else if (dx != nullptr) {
+            float* dxrow = dx + r * d;
+            for (std::size_t j = 0; j < d; ++j) {
+                const float t = grow[j] * gelu_grad_scalar(xrow[j] + bias[j]);
+                srow[j] = t;
+                dxrow[j] += t;
+            }
+        } else {
+            for (std::size_t j = 0; j < d; ++j) {
+                srow[j] = grow[j] * gelu_grad_scalar(xrow[j] + bias[j]);
             }
         }
-    });
+    }
 }
 
 // ---- Optimizer kernels --------------------------------------------------------

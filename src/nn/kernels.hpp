@@ -2,25 +2,21 @@
 // modules.cpp) and the inference decoder (infer.cpp), dispatched on the active
 // SIMD tier (util/cpu.hpp). Keeping one implementation per op is what makes
 // the decoder-vs-forward equivalence tests tight and the tier parity tests
-// meaningful. Decode calls the single-row and plain-loop kernels on its
-// caller's thread; only the training-side `_rows` forms take a thread pool
-// (pool = nullptr means util::global_pool()).
+// meaningful. Every kernel runs on its caller's thread: training parallelism
+// is the trainer's data-parallel shards, decode parallelism the sampler lanes
+// and serve engines.
 //
 // Numerics: on the scalar and sse2 tiers every function below performs the
 // exact per-element operation order the pre-dispatch code performed, so those
 // tiers remain bit-identical to the historical outputs. The avx2 tier may
 // reassociate reductions, use FMA, and evaluate GELU through a vectorised
 // exp; within that tier results are still a pure function of (element
-// index, shape), never of thread count.
+// index, shape).
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-
-namespace cpt::util {
-class ThreadPool;
-}  // namespace cpt::util
 
 namespace cpt::nn::kernels {
 
@@ -76,11 +72,10 @@ void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
 // Stable softmax over the first `valid` of `len` entries; entries past
 // `valid` are zeroed. The exp/sum stage is scalar on every tier (the sum is
 // an ascending serial reduction), so softmax output is identical across
-// tiers as well as thread counts.
+// tiers.
 void softmax_row(const float* in, float* out, std::size_t len, std::size_t valid);
-// Row-parallel softmax over [rows, d] (full rows valid).
-void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d,
-                  util::ThreadPool* pool = nullptr);
+// Softmax over [rows, d] (full rows valid).
+void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d);
 
 // LayerNorm over one row of width d: out = (in - mean) * inv_std * gain +
 // bias. When stats2 != nullptr, writes {mean, inv_std} at stats2[0..1] (the
@@ -96,49 +91,41 @@ void bias_gelu_row(float* row, const float* bias, std::size_t d);
 // y[r,:] = bias (GEMM-accumulate prologue for the decode linear layers).
 void fill_bias_rows(float* y, const float* bias, std::size_t rows, std::size_t d);
 
-// Row-parallel training forms of the three row kernels above over [rows, d]:
-// the same per-row body on every row (stats2, when given, holds one pair
-// per row at stats2[r*2]), so a row's bits never depend on the thread count.
+// Training forms of the three row kernels above over [rows, d]: the same
+// per-row body on every row (stats2, when given, holds one pair per row at
+// stats2[r*2]).
 void layer_norm_rows(const float* in, float* out, const float* gain, const float* bias,
-                     std::size_t rows, std::size_t d, float eps, float* stats2,
-                     util::ThreadPool* pool = nullptr);
-void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t d,
-                   util::ThreadPool* pool = nullptr);
-void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d,
-                    util::ThreadPool* pool = nullptr);
-// x[i] = gelu(x[i]) in place.
-void gelu_rows(float* x, std::size_t n, util::ThreadPool* pool = nullptr);
+                     std::size_t rows, std::size_t d, float eps, float* stats2);
+void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t d);
+void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d);
 
 // ---- Backward kernels (training path) ----------------------------------------
 // Each dispatched kernel keeps a scalar reference (*_ref) beside it, like the
 // gemm_*_ref kernels, pinned by tests/nn_train_kernels_test.cpp. Reductions
-// that cross rows (bias-style gradients) shard over COLUMNS with an
-// ascending-row accumulation per column, so their results are bit-identical
-// for every thread count — not merely for a fixed one.
+// that cross rows (bias-style gradients) accumulate each column in ascending
+// row order.
 
 // Softmax backward for one row restricted to the first `valid` entries:
 // dx_j += y_j * (g_j - sum_k g_k y_k), with an ascending serial dot.
 void softmax_backward_row_ref(const float* y, const float* g, float* dx, std::size_t valid);
-// Row-parallel softmax backward over [rows, d] (full rows valid).
+// Softmax backward over [rows, d] (full rows valid).
 void softmax_backward_rows(const float* y, const float* g, float* dx, std::size_t rows,
-                           std::size_t d, util::ThreadPool* pool = nullptr);
+                           std::size_t d);
 // Causal variant over [mats, t, t]: row r of every matrix has r+1 valid
 // entries (the attention backward of softmax_causal).
 void softmax_backward_causal(const float* y, const float* g, float* dx, std::size_t mats,
-                             std::size_t t, util::ThreadPool* pool = nullptr);
+                             std::size_t t);
 
 // Fused softmax + cross-entropy forward over logits [rows, c]: writes each
 // row's softmax into probs and its negative log-likelihood into rowloss
-// (0.0 for rows whose target equals ignore_index). Row-parallel; the caller
-// reduces rowloss serially, keeping the loss value thread-count independent.
+// (0.0 for rows whose target equals ignore_index). The caller reduces
+// rowloss in ascending row order.
 void softmax_xent_rows(const float* logits, float* probs, const int* targets, int ignore_index,
-                       double* rowloss, std::size_t rows, std::size_t c,
-                       util::ThreadPool* pool = nullptr);
+                       double* rowloss, std::size_t rows, std::size_t c);
 // Cross-entropy backward: dx[r,:] += gscale * (probs[r,:] - onehot(target_r))
 // for rows whose target is not ignore_index.
 void xent_backward_rows(const float* probs, const int* targets, int ignore_index, float* dx,
-                        float gscale, std::size_t rows, std::size_t c,
-                        util::ThreadPool* pool = nullptr);
+                        float gscale, std::size_t rows, std::size_t c);
 void xent_backward_row_ref(const float* probs, int target, float* dx, float gscale,
                            std::size_t c);
 
@@ -148,20 +135,17 @@ void xent_backward_row_ref(const float* probs, int target, float* dx, float gsca
 //   dx[r,j]  += inv/d * (d*gy_j - sum(gy) - xhat_j * sum(gy*xhat))
 //   dgain[j] += sum_r g[r,j] * xhat[r,j]      (ascending r per column)
 //   dbias[j] += sum_r g[r,j]                  (ascending r per column)
-// dx rows are disjoint and shard over rows; dgain/dbias shard over columns.
 // Any of dx/dgain/dbias may be null.
 void layer_norm_backward_rows(const float* x, const float* gain, const float* g,
                               const float* stats2, float* dx, float* dgain, float* dbias,
-                              std::size_t rows, std::size_t d,
-                              util::ThreadPool* pool = nullptr);
+                              std::size_t rows, std::size_t d);
 // One row of the dx formula above (scalar reference).
 void layer_norm_backward_row_ref(const float* x, const float* gain, const float* g, float mean,
                                  float inv, float* dx, std::size_t d);
 
-// dst[j] += sum_r src[r,j] (ascending r per column, column-parallel): the
-// bias-gradient reduction shared by add_bias and bias+GELU backward.
-void col_sum_rows(const float* src, float* dst, std::size_t rows, std::size_t d,
-                  util::ThreadPool* pool = nullptr);
+// dst[j] += sum_r src[r,j] (ascending r per column): the bias-gradient
+// reduction shared by add_bias and bias+GELU backward.
+void col_sum_rows(const float* src, float* dst, std::size_t rows, std::size_t d);
 
 // Fused bias+GELU backward: recomputes u = x[r,j] + bias[j] (no stored
 // pre-activation), writes t = g[r,j] * gelu'(u) into scratch [rows, d] and
@@ -169,16 +153,14 @@ void col_sum_rows(const float* src, float* dst, std::size_t rows, std::size_t d,
 // col_sum_rows for dbias. avx2 uses the forward's sigmoid form (within 1e-4
 // relative of gelu_grad_scalar).
 void bias_gelu_backward_rows(const float* x, const float* bias, const float* g, float* dx,
-                             float* scratch, std::size_t rows, std::size_t d,
-                             util::ThreadPool* pool = nullptr);
+                             float* scratch, std::size_t rows, std::size_t d);
 
 // ---- Optimizer kernels --------------------------------------------------------
 
 // carry + sum(x[i]^2) with double-precision ascending accumulation on the
 // scalar/sse2 tiers — chaining calls over parameter tensors reproduces the
 // historical clip_grad_norm loop bit-for-bit. avx2 uses four double lanes
-// with a fixed combine order (tolerance, still thread-count independent —
-// the function is single-threaded either way).
+// with a fixed combine order (tolerance vs the reference).
 double sqnorm(const float* x, std::size_t n, double carry = 0.0);
 
 // Fused Adam/AdamW update over one parameter segment; single pass, with the

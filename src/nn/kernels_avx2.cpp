@@ -155,8 +155,7 @@ void scale_avx2(float* x, std::size_t n, float s) {
 void layer_norm_row_avx2(const float* in, float* out, const float* gain, const float* bias,
                          std::size_t d, float eps, float* stats2) {
     // Both reductions use one fixed 8-lane tree (hsum8) plus a scalar tail,
-    // so a row's statistics depend only on d — never on where the row sits
-    // in the thread chunking.
+    // so a row's statistics depend only on d.
     __m256 vsum = _mm256_setzero_ps();
     std::size_t i = 0;
     for (; i + 8 <= d; i += 8) vsum = _mm256_add_ps(vsum, _mm256_loadu_ps(in + i));

@@ -7,34 +7,30 @@
 //
 // Determinism contract shared by every function here: the floating-point
 // operations producing one output element depend only on (element index,
-// operand shape) — never on tile position or thread chunk boundaries. Scalar
-// edge paths use std::fma so they round exactly like the vector FMA lanes.
+// operand shape) — never on tile position. Every function runs on its
+// caller's thread. Scalar edge paths use std::fma so they round exactly like
+// the vector FMA lanes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-
-namespace cpt::util {
-class ThreadPool;
-}  // namespace cpt::util
 
 namespace cpt::nn::detail {
 
 // Dense GEMM tiers (semantics identical to the public gemm_* entry points:
 // accumulate into C, row-major, shapes as documented in gemm.hpp).
 void gemm_nn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim, util::ThreadPool& pool);
+                  std::size_t n_dim);
 void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim, util::ThreadPool& pool);
+                  std::size_t n_dim);
 void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim, util::ThreadPool& pool);
-// The batch-invariant NT decode product (gemm.hpp gemm_nt_decode), on the
-// caller's thread.
+                  std::size_t n_dim);
+// The batch-invariant NT decode product (gemm.hpp gemm_nt_decode).
 void gemm_nt_decode_avx2(const float* a, const float* b, float* c, std::size_t m_dim,
                          std::size_t k_dim, std::size_t n_dim);
 
-// NN GEMV fast path (m == 1, single caller thread — decode-shaped work is
-// far too small to shard): c[n] += sum_k a[k] * B[k,n] with B row-major [K,N].
+// NN GEMV fast path (m == 1): c[n] += sum_k a[k] * B[k,n] with B row-major
+// [K,N].
 void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim);
 
 // Fused elementwise helpers used by kernels.cpp's per-row dispatch.

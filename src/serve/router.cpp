@@ -22,6 +22,17 @@ std::string slice_key(trace::DeviceType device, int hour) {
     return std::string(trace::to_string(device)) + "/h" + std::to_string(hour);
 }
 
+// A ring position: fnv1a64 finished with splitmix64's finaliser. Raw FNV-1a
+// keeps keys that differ only in a trailing digit ("phone/h10", "phone/h11")
+// close on the circle, so a family of slice keys lands on one arc and one
+// backend; the finaliser lets every input bit move every output bit.
+std::uint64_t ring_point(std::string_view s) {
+    std::uint64_t z = fnv1a64(s) + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 }  // namespace
 
 // ---- hashing & routing (pure) ----------------------------------------------
@@ -40,7 +51,7 @@ HashRing::HashRing(std::size_t vnodes) : vnodes_(vnodes == 0 ? 1 : vnodes) {}
 void HashRing::add(const std::string& node) {
     if (contains(node)) return;
     for (std::size_t i = 0; i < vnodes_; ++i) {
-        points_.emplace(fnv1a64(node + "#" + std::to_string(i)), node);
+        points_.emplace(ring_point(node + "#" + std::to_string(i)), node);
     }
     ++node_count_;
 }
@@ -72,7 +83,7 @@ std::string HashRing::owner(std::string_view key) const {
 std::vector<std::string> HashRing::owners(std::string_view key, std::size_t n) const {
     std::vector<std::string> out;
     if (points_.empty() || n == 0) return out;
-    const std::uint64_t h = fnv1a64(key);
+    const std::uint64_t h = ring_point(key);
     auto it = points_.lower_bound(h);
     // Walk clockwise (wrapping) collecting distinct nodes.
     for (std::size_t steps = 0; steps < points_.size() && out.size() < n; ++steps) {

@@ -45,14 +45,17 @@
 
 namespace cpt::serve {
 
-// FNV-1a 64-bit — stable, dependency-free key hash for the ring.
+// FNV-1a 64-bit — stable, dependency-free string hash (the ring mixes it
+// further before placing a key or node point).
 std::uint64_t fnv1a64(std::string_view s);
 
 // Consistent hash ring with virtual nodes. Each node is hashed to `vnodes`
 // points on a u64 circle; a key belongs to the first node point at or after
-// its own hash. Adding a node steals only the key ranges that land on its
-// points (≈K/n of the keyspace); removing one releases only its own ranges —
-// no other key moves (the stability property tests pin).
+// its own hash. Both hashes are fnv1a64 followed by splitmix64's finaliser,
+// so similar keys (phone/h0..h23) spread over the backends. Adding a node
+// steals only the key ranges that land on its points (≈K/n of the keyspace);
+// removing one releases only its own ranges — no other key moves (the
+// stability property tests pin).
 class HashRing {
 public:
     explicit HashRing(std::size_t vnodes = 64);

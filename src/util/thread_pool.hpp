@@ -11,10 +11,12 @@
 // outputs disjoint get bit-identical results for every thread count.
 //
 // Nested parallel_for calls from inside a worker run inline on that worker
-// (no thread explosion, no deadlock), so outer-level sharding (e.g. the
-// trainer's data-parallel shards) transparently serializes the training
-// kernels' inner parallelism. Decode never opens a region: the nn inference
-// path runs on its caller's thread (nn/infer.hpp).
+// (no thread explosion, no deadlock), so an outer region (e.g. HubTrainer's
+// slice workers) serializes the trainer's data-parallel shards inside it. The
+// nn kernels never open a region: training and decode both run them on their
+// caller's thread, and nn work runs in parallel only through four coarse
+// owners — the trainer's shards, the hub's slices, the sampler's lanes and
+// the serve Engines.
 //
 // Several external threads may share one pool (e.g. two threads each running
 // Sampler::generate_to, whose decode lanes are one region): their regions

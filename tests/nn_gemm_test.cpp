@@ -1,10 +1,8 @@
-// Bit-exactness of the blocked/threaded GEMM kernels against the naive
-// reference kernels (see the accumulation contract in src/nn/gemm.hpp),
-// pinned per SIMD tier. On the scalar and sse2 tiers the comparison is
-// memcmp, not tolerance: those kernels — gemm_nt_decode and every m = 1
-// shape included — must produce the same bits as the reference for every
-// shape and (for the threaded training kernels) every thread count, because
-// sampler/world-gen determinism across CPT_THREADS rests on it. The decode
+// Bit-exactness of the blocked GEMM kernels against the naive reference
+// kernels (see the accumulation contract in src/nn/gemm.hpp), pinned per
+// SIMD tier. On the scalar and sse2 tiers the comparison is memcmp, not
+// tolerance: those kernels — gemm_nt_decode and every m = 1 shape included —
+// must produce the same bits as the reference for every shape. The decode
 // NT entry is also pinned batch-invariant on every tier, avx2 included: row r
 // of an m-row product equals the 1-row product of that row. Cross-tier
 // tolerance is nn_simd_parity_test's job.
@@ -16,14 +14,11 @@
 
 #include "nn/gemm.hpp"
 #include "util/cpu.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cpt::nn {
 namespace {
 
-using GemmFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t, std::size_t,
-                        util::ThreadPool*);
-using RefFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t, std::size_t);
+using GemmFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t, std::size_t);
 
 // Pins the active SIMD tier for a scope and restores the previous one.
 class TierGuard {
@@ -60,7 +55,7 @@ void expect_bitwise_equal(const std::vector<float>& a, const std::vector<float>&
 
 struct Kernel {
     GemmFn blocked;
-    RefFn ref;
+    GemmFn ref;
     const char* name;
 };
 
@@ -73,8 +68,6 @@ std::vector<util::SimdTier> available_tiers() {
 
 void check_shape(const Kernel& kernel, std::size_t m, std::size_t k, std::size_t n,
                  std::mt19937& gen) {
-    util::ThreadPool pool1(1);
-    util::ThreadPool pool4(4);
     const auto a = random_floats(m * k, gen);
     const auto b = random_floats(k * n, gen);
     // Kernels accumulate into C, so start all variants from the same nonzero C.
@@ -82,28 +75,16 @@ void check_shape(const Kernel& kernel, std::size_t m, std::size_t k, std::size_t
 
     auto c_ref = c0;
     kernel.ref(a.data(), b.data(), c_ref.data(), m, k, n);
-    auto c_p1 = c0;
-    kernel.blocked(a.data(), b.data(), c_p1.data(), m, k, n, &pool1);
-    auto c_p4 = c0;
-    kernel.blocked(a.data(), b.data(), c_p4.data(), m, k, n, &pool4);
-
-    // Thread-count invariance is unconditional.
-    expect_bitwise_equal(c_p4, c_p1, kernel.name, m, k, n);
-    expect_bitwise_equal(c_p1, c_ref, kernel.name, m, k, n);
-}
-
-// gemm_nt_decode runs on its caller's thread; this adapter gives it the
-// pooled signature so the shape sweeps cover it beside the training kernels.
-void gemm_nt_decode_pooled(const float* a, const float* b, float* c, std::size_t m,
-                           std::size_t k, std::size_t n, util::ThreadPool*) {
-    gemm_nt_decode(a, b, c, m, k, n);
+    auto c = c0;
+    kernel.blocked(a.data(), b.data(), c.data(), m, k, n);
+    expect_bitwise_equal(c, c_ref, kernel.name, m, k, n);
 }
 
 const Kernel kKernels[] = {
     {gemm_nn, gemm_nn_ref, "gemm_nn"},
     {gemm_nt, gemm_nt_ref, "gemm_nt"},
     {gemm_tn, gemm_tn_ref, "gemm_tn"},
-    {gemm_nt_decode_pooled, gemm_nt_ref, "gemm_nt_decode"},
+    {gemm_nt_decode, gemm_nt_ref, "gemm_nt_decode"},
 };
 
 TEST(GemmBitExactTest, ModelScaleShapes) {
@@ -156,7 +137,7 @@ TEST(GemmBitExactTest, NonMultipleOfBlockSizes) {
 
 TEST(GemmBitExactTest, DecodeNtMatchesReferenceForEveryRowCount) {
     std::mt19937 gen(21);
-    const Kernel decode{gemm_nt_decode_pooled, gemm_nt_ref, "gemm_nt_decode"};
+    const Kernel decode{gemm_nt_decode, gemm_nt_ref, "gemm_nt_decode"};
     for (util::SimdTier tier : bit_exact_tiers()) {
         TierGuard guard(tier);
         for (std::size_t m = 1; m <= 37; ++m) {
@@ -193,25 +174,6 @@ TEST(GemmBitExactTest, DecodeNtRowsAreBatchInvariant) {
                 }
             }
         }
-    }
-}
-
-TEST(GemmBitExactTest, GlobalPoolPathMatchesExplicitPool) {
-    std::mt19937 gen(5);
-    const std::size_t m = 50, k = 33, n = 29;
-    const auto a = random_floats(m * k, gen);
-    const auto b = random_floats(k * n, gen);
-    const auto c0 = random_floats(m * n, gen);
-
-    for (util::SimdTier tier : bit_exact_tiers()) {
-        TierGuard guard(tier);
-        auto c_ref = c0;
-        gemm_nn_ref(a.data(), b.data(), c_ref.data(), m, k, n);
-        util::set_global_threads(4);
-        auto c_glob = c0;
-        gemm_nn(a.data(), b.data(), c_glob.data(), m, k, n);  // pool = global
-        util::set_global_threads(1);
-        expect_bitwise_equal(c_glob, c_ref, "gemm_nn(global pool)", m, k, n);
     }
 }
 

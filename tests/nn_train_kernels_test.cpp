@@ -3,8 +3,8 @@
 //   * every dispatched kernel agrees with its scalar *_ref on all available
 //     tiers (bit-identical on scalar/sse2, tolerance on avx2 where FMA and
 //     fixed-tree reductions reassociate);
-//   * cross-row reductions (col_sum_rows, layer_norm dgain/dbias) are
-//     byte-identical across thread counts, not merely per tier;
+//   * cross-row reductions (col_sum_rows, layer_norm dgain/dbias) equal the
+//     serial ascending-row sum bit for bit on every tier;
 //   * the Adam gscale fold equals pre-scaling the gradient.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 
 #include "nn/kernels.hpp"
 #include "util/cpu.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cpt::nn {
 namespace {
@@ -31,11 +30,6 @@ public:
 
 private:
     SimdTier prev_;
-};
-
-class ThreadCountGuard {
-public:
-    ~ThreadCountGuard() { util::set_global_threads(1); }
 };
 
 std::vector<SimdTier> available_tiers() {
@@ -186,8 +180,7 @@ TEST(TrainKernelsTest, XentBackwardMatchesRefAcrossTiers) {
     }
 }
 
-TEST(TrainKernelsTest, LayerNormBackwardMatchesRefAndIsThreadInvariant) {
-    ThreadCountGuard tg;
+TEST(TrainKernelsTest, LayerNormBackwardMatchesRef) {
     std::mt19937 gen(105);
     const auto x = random_floats(kRows * kDim, gen, -2.0f, 2.0f);
     const auto gain = random_floats(kDim, gen, 0.5f, 1.5f);
@@ -214,39 +207,31 @@ TEST(TrainKernelsTest, LayerNormBackwardMatchesRefAndIsThreadInvariant) {
     }
     for (SimdTier tier : available_tiers()) {
         TierGuard guard(tier);
-        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            util::set_global_threads(threads);
-            std::vector<float> dx(kRows * kDim, 0.0f);
-            std::vector<float> dgain(kDim, 0.0f);
-            std::vector<float> dbias(kDim, 0.0f);
-            kernels::layer_norm_backward_rows(x.data(), gain.data(), g.data(), stats.data(),
-                                              dx.data(), dgain.data(), dbias.data(), kRows, kDim,
-                                              &util::global_pool());
-            expect_tier_match(dx, want_dx, tier, "layer_norm_backward dx");
-            // The column-sharded dgain/dbias accumulate ascending rows per
-            // column: bit-identical on every tier and thread count.
-            for (std::size_t j = 0; j < kDim; ++j) {
-                EXPECT_EQ(dgain[j], want_dgain[j]) << "dgain at " << j;
-                EXPECT_EQ(dbias[j], want_dbias[j]) << "dbias at " << j;
-            }
+        std::vector<float> dx(kRows * kDim, 0.0f);
+        std::vector<float> dgain(kDim, 0.0f);
+        std::vector<float> dbias(kDim, 0.0f);
+        kernels::layer_norm_backward_rows(x.data(), gain.data(), g.data(), stats.data(), dx.data(),
+                                          dgain.data(), dbias.data(), kRows, kDim);
+        expect_tier_match(dx, want_dx, tier, "layer_norm_backward dx");
+        // dgain/dbias accumulate ascending rows per column: bit-identical on
+        // every tier.
+        for (std::size_t j = 0; j < kDim; ++j) {
+            EXPECT_EQ(dgain[j], want_dgain[j]) << "dgain at " << j;
+            EXPECT_EQ(dbias[j], want_dbias[j]) << "dbias at " << j;
         }
     }
 }
 
-TEST(TrainKernelsTest, ColSumRowsIsThreadInvariant) {
-    ThreadCountGuard tg;
+TEST(TrainKernelsTest, ColSumRowsMatchesSerialReference) {
     std::mt19937 gen(106);
     const auto src = random_floats(kRows * kDim, gen);
     std::vector<float> want(kDim, 0.25f);
     for (std::size_t r = 0; r < kRows; ++r) {
         for (std::size_t j = 0; j < kDim; ++j) want[j] += src[r * kDim + j];
     }
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        util::set_global_threads(threads);
-        std::vector<float> dst(kDim, 0.25f);
-        kernels::col_sum_rows(src.data(), dst.data(), kRows, kDim, &util::global_pool());
-        for (std::size_t j = 0; j < kDim; ++j) EXPECT_EQ(dst[j], want[j]) << "col " << j;
-    }
+    std::vector<float> dst(kDim, 0.25f);
+    kernels::col_sum_rows(src.data(), dst.data(), kRows, kDim);
+    for (std::size_t j = 0; j < kDim; ++j) EXPECT_EQ(dst[j], want[j]) << "col " << j;
 }
 
 TEST(TrainKernelsTest, BiasGeluBackwardMatchesChain) {

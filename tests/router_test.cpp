@@ -115,6 +115,18 @@ TEST(HashRing, OwnersAreDistinctAndLedByTheOwner) {
     }
 }
 
+// Slice keys differ only in their hour digits. Each of the two backends the
+// whole-stack benchmark runs must own a fair share of the 24 hours, not none.
+TEST(HashRing, SimilarKeysSpreadOverBackends) {
+    serve::HashRing ring(64);
+    ring.add("127.0.0.1:29311");
+    ring.add("127.0.0.1:29312");
+    std::map<std::string, std::size_t> owned;
+    for (int h = 0; h < 24; ++h) ++owned[ring.owner("phone/h" + std::to_string(h))];
+    EXPECT_GE(owned["127.0.0.1:29311"], std::size_t{6});
+    EXPECT_GE(owned["127.0.0.1:29312"], std::size_t{6});
+}
+
 TEST(HashRing, EmptyRingHasNoOwner) {
     serve::HashRing ring(64);
     EXPECT_TRUE(ring.empty());

@@ -90,6 +90,17 @@ TEST(Avx2Isolation, Avx2TuMayUseIntrinsics) {
     EXPECT_TRUE(vs.empty());
 }
 
+// ---- nn-single-thread ------------------------------------------------------
+
+TEST(NnSingleThread, FlagsPoolUseUnderSrcNnOnly) {
+    const char* text =
+        "#include \"util/thread_pool.hpp\"\n"
+        "void f(util::ThreadPool& p) { util::global_pool().parallel_for(4, 1, g); }\n"
+        "// parallel_chunks in a comment is fine\n";
+    EXPECT_EQ(count_rule(lint("src/nn/gemm.cpp", text), "nn-single-thread"), 4u);
+    EXPECT_EQ(count_rule(lint("src/core/trainer.cpp", text), "nn-single-thread"), 0u);
+}
+
 // ---- determinism -----------------------------------------------------------
 
 TEST(Determinism, FlagsLibcRandAndTimeInScope) {

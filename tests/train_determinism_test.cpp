@@ -102,17 +102,20 @@ TEST(TrainDeterminismTest, RepeatedRunsAreBitIdentical) {
     expect_identical(train_once(world), train_once(world));
 }
 
-// A batch of 8 windows is two full shards; 10 is shards of 4 + 4 + 2. Three
-// threads split neither evenly. Each epoch ends on a partial batch.
+// A batch of 3 windows is one shard, run on the caller's thread; 8 is two
+// full shards; 10 is shards of 4 + 4 + 2. Three threads split neither evenly.
+// At 8 and 10 each epoch ends on a partial batch; at 3 every batch is full.
 TEST(TrainDeterminismTest, LossAndWeightsInvariantAcrossThreadCounts) {
     ThreadCountGuard guard;
     const auto world = phone_world(40);
-    for (const std::size_t batch_size : {std::size_t{8}, std::size_t{10}}) {
+    for (const std::size_t batch_size : {std::size_t{3}, std::size_t{8}, std::size_t{10}}) {
         util::set_global_threads(1);
         const auto single = train_once(world, batch_size);
         const std::size_t window = tiny_train_config().window;
-        EXPECT_LT(single.first.tokens, single.first.steps * batch_size * window)
-            << "batch " << batch_size << ": no partial last batch";
+        if (batch_size > 3) {
+            EXPECT_LT(single.first.tokens, single.first.steps * batch_size * window)
+                << "batch " << batch_size << ": no partial last batch";
+        }
         for (const std::size_t threads : {2, 3, 4}) {
             SCOPED_TRACE(testing::Message() << "batch " << batch_size << ", threads " << threads);
             util::set_global_threads(threads);

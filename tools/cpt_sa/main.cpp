@@ -18,8 +18,8 @@ namespace {
 void usage(std::FILE* to) {
     std::fprintf(to,
                  "usage: cpt_sa [--root=DIR] PATH...\n"
-                 "Project-invariant linter: sync-types, avx2-isolation, avx2-flags,\n"
-                 "determinism, raw-stderr. Suppress one finding with a\n"
+                 "Project-invariant linter: sync-types, avx2-isolation, nn-single-thread,\n"
+                 "avx2-flags, determinism, raw-stderr. Suppress one finding with a\n"
                  "'cpt-sa-allow(<rule>)' comment on the flagged line or the line above.\n");
 }
 

@@ -330,6 +330,33 @@ void rule_avx2_isolation(const std::string& rel, const Source& src,
     }
 }
 
+// ---- rule: nn-single-thread ------------------------------------------------
+
+constexpr std::array<const char*, 4> kPoolNames = {"ThreadPool", "global_pool", "parallel_for",
+                                                   "parallel_chunks"};
+
+void rule_nn_single_thread(const std::string& rel, const Source& src,
+                           std::vector<Violation>& out) {
+    if (!rel.starts_with("src/nn/")) return;
+    const std::string why =
+        "; every nn kernel runs on its caller's thread — parallel work belongs to the "
+        "trainer shards, hub slices, sampler lanes and serve engines";
+    for (const Include& inc : find_includes(src)) {
+        if (include_basename(inc.target) == "thread_pool.hpp") {
+            emit(src, rel, inc.off, "nn-single-thread",
+                 "include of " + inc.target + " under src/nn" + why, out);
+        }
+    }
+    for (const char* name : kPoolNames) {
+        std::size_t pos = 0;
+        while ((pos = find_token(src.code, name, pos)) != std::string::npos) {
+            emit(src, rel, pos, "nn-single-thread",
+                 std::string(name) + " under src/nn" + why, out);
+            pos += std::string(name).size();
+        }
+    }
+}
+
 // ---- rule: determinism -----------------------------------------------------
 
 bool in_deterministic_path(const std::string& rel) {
@@ -641,6 +668,7 @@ void lint_text(const std::string& rel_path, const std::string& text,
         const Source src = load(text, /*cmake=*/false);
         rule_sync_types(rel_path, src, out);
         rule_avx2_isolation(rel_path, src, out);
+        rule_nn_single_thread(rel_path, src, out);
         rule_determinism(rel_path, src, out);
         rule_raw_stderr(rel_path, src, out);
     }

@@ -12,6 +12,12 @@
 //                   included from them) may include <immintrin.h> or an
 //                   _avx2 header — pins the "runtime dispatcher alone decides
 //                   the tier" contract.
+//   nn-single-thread  files under src/nn/ may not include
+//                   util/thread_pool.hpp or name ThreadPool / global_pool /
+//                   parallel_for / parallel_chunks: every nn kernel runs on
+//                   its caller's thread, and parallelism lives one level up
+//                   (trainer shards, hub slices, sampler lanes, serve
+//                   engines).
 //   avx2-flags      in CMake files, -mavx2 / -mfma / -mf16c may only appear
 //                   in compiler-capability probes (check_cxx_compiler_flag),
 //                   AVX2-named option variables, or
