@@ -8,9 +8,10 @@
 // same token count. Stream completion latency is measured from bench start
 // (all requests are pending at t0).
 //
-// Static batching and a thread-per-connection listener are not re-measured:
-// bench_results/BENCH_serve.json records them (continuous 8.1x over padded
-// drain-then-refill; epoll 256 connections against the threaded 64).
+// Static batching, a thread-per-connection listener and speculative decode
+// under the scheduler are not re-measured: bench_results/BENCH_serve.json
+// records them (continuous 8.1x over padded drain-then-refill; epoll 256
+// connections against the threaded 64; its spec_sweep rows).
 //
 // Two TCP-level sections (DESIGN.md §15) run the real Server behind the
 // epoll listener:
@@ -21,10 +22,6 @@
 //   * open-loop sweep: offered rates at fractions of the measured
 //     closed-loop capacity, reporting p50/p95/p99 from the scheduled arrival
 //     and the max rate that still meets the SLO.
-//
-// A speculative-decode sweep (DESIGN.md §16) runs spec_k through the same
-// continuous scheduler at full capacity and at capacity 2, showing where the
-// draft/verify trade pays under a serving schedule.
 //
 // Emits BENCH_serve.json next to the binary.
 #include <sys/resource.h>
@@ -42,7 +39,6 @@
 #include "core/model.hpp"
 #include "core/model_hub.hpp"
 #include "core/sampler.hpp"
-#include "core/spec_drafter.hpp"
 #include "core/tokenizer.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/loadgen.hpp"
@@ -117,13 +113,10 @@ RunResult finalize(RunResult r, Clock::time_point t0) {
 }
 
 // Continuous batching: at every step boundary, fill free slots with the first
-// pending job whose length cap fits the remaining shared context. `times`
-// (when given) receives the batch's stage counters, which the spec sweep
-// needs for accept-rate and tokens-per-forward.
-RunResult run_continuous(const core::Sampler& sampler, std::size_t capacity = kSlotCapacity,
-                         core::Sampler::StageTimes* times = nullptr) {
+// pending job whose length cap fits the remaining shared context.
+RunResult run_continuous(const core::Sampler& sampler) {
     auto jobs = make_workload();
-    auto batch = sampler.make_slot_batch(capacity);
+    auto batch = sampler.make_slot_batch(kSlotCapacity);
     std::vector<core::Sampler::SlotBatch::Finished> fin;
     std::size_t seen = 0;
     RunResult r;
@@ -147,21 +140,8 @@ RunResult run_continuous(const core::Sampler& sampler, std::size_t capacity = kS
         ++r.steps;
         absorb_finished(r, fin, &seen, t0);
     }
-    if (times != nullptr) *times = batch.stage_times();
     return finalize(r, t0);
 }
-
-// One point of the speculative-decode sweep: the continuous schedule run at a
-// given slot capacity and spec_k, with the accept-rate / tokens-per-forward
-// decomposition from the batch's stage counters.
-struct SpecServeRow {
-    std::size_t capacity = 0;
-    std::size_t k = 0;
-    RunResult r;
-    double speedup = 0.0;
-    double accept_rate = 0.0;
-    double tokens_per_forward = 0.0;
-};
 
 void print_row(const char* name, const RunResult& r) {
     const auto pct = r.latency.percentiles();
@@ -351,61 +331,6 @@ int main() {
         return 1;
     }
 
-    // ---- Speculative decode under the serving schedule ---------------------
-    // The n-gram drafter is bootstrapped from the serving model's own plain
-    // output, then spec_k is swept through the same continuous scheduler at
-    // two occupancy points: full slot capacity (the throughput regime, where
-    // the wide batch already amortizes the weight stream and the verify
-    // window mostly adds rows) and capacity 2 (the latency-bound regime
-    // speculation exists for). Spec rows stay out of the workload-equality
-    // check above: rejection sampling consumes per-stream randomness
-    // differently, so token counts match only in distribution. Table-6
-    // fidelity deltas live in bench_e2e_generate's spec sweep — this model
-    // is untrained and stop-biased, so distribution metrics mean nothing
-    // here, and the same untrained weights give the n-gram drafter little to
-    // predict (acceptance ~0.1), so these rows measure the draft/verify
-    // machinery's overhead under the scheduler, not the trained-model win
-    // (that headline is bench_e2e_generate's sweep).
-    std::vector<SpecServeRow> spec_rows;
-    {
-        util::Rng boot_rng(123);
-        const auto boot_ds = sampler.generate(64, boot_rng, "boot");
-        const auto drafter = core::SpecDrafter::fit(boot_ds, tok);
-        for (const std::size_t capacity : {kSlotCapacity, std::size_t{2}}) {
-            double base_tps = 0.0;
-            for (const std::size_t k :
-                 {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{6}}) {
-                core::SamplerConfig sp = scfg;
-                sp.spec_k = k;
-                sp.drafter = k > 1 ? &drafter : nullptr;
-                const core::Sampler spec_sampler(model, tok, world.initial_event_distribution(),
-                                                 sp);
-                run_continuous(spec_sampler, capacity);  // warm-up
-                core::Sampler::StageTimes times;
-                SpecServeRow row;
-                row.capacity = capacity;
-                row.k = k;
-                row.r = run_continuous(spec_sampler, capacity, &times);
-                if (k == 1) base_tps = row.r.tokens_per_sec;
-                row.speedup = row.r.tokens_per_sec / base_tps;
-                row.accept_rate = times.spec_proposed > 0
-                                      ? static_cast<double>(times.spec_accepted) /
-                                            static_cast<double>(times.spec_proposed)
-                                      : 0.0;
-                const double forwards =
-                    static_cast<double>(times.steps + times.verify_steps);
-                row.tokens_per_forward =
-                    forwards > 0.0 ? static_cast<double>(row.r.tokens) / forwards : 0.0;
-                spec_rows.push_back(row);
-                std::printf("spec capacity %2zu k=%zu: %zu streams (%zu tokens) in %.3f s -> "
-                            "%9.1f tokens/s (%.3fx)  acc %.3f  tok/fwd %.2f\n",
-                            row.capacity, row.k, row.r.streams, row.r.tokens, row.r.seconds,
-                            row.r.tokens_per_sec, row.speedup, row.accept_rate,
-                            row.tokens_per_forward);
-            }
-        }
-    }
-
     // ---- TCP transport ladder + open-loop sweep ----------------------------
     // The 256-connection points need client + server fds past the usual 1024
     // soft cap; raise it to the hard cap.
@@ -502,18 +427,6 @@ int main() {
                  "  \"int8_speedup\": %.3f,\n",
                  weights_fp32_bytes, weights_int8_bytes, kv_fp32_bytes, kv_fp16_bytes,
                  kSlotCapacity, int8_speedup);
-    std::fprintf(f, "  \"spec_sweep\": {\n    \"rows\": [\n");
-    for (std::size_t i = 0; i < spec_rows.size(); ++i) {
-        const auto& s = spec_rows[i];
-        std::fprintf(f,
-                     "      {\"capacity\": %zu, \"k\": %zu, \"streams\": %zu, \"tokens\": %zu, "
-                     "\"seconds\": %.4f, \"tokens_per_sec\": %.1f, \"speedup\": %.3f, "
-                     "\"accept_rate\": %.4f, \"tokens_per_forward\": %.3f}%s\n",
-                     s.capacity, s.k, s.r.streams, s.r.tokens, s.r.seconds, s.r.tokens_per_sec,
-                     s.speedup, s.accept_rate, s.tokens_per_forward,
-                     i + 1 < spec_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n  },\n");
     std::fprintf(f,
                  "  \"transport\": {\n"
                  "    \"offered_rps\": %.1f, \"slo_p99_seconds\": %.3f,\n"

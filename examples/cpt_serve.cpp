@@ -14,9 +14,7 @@
 // synthetic-world model for phone/--hour before serving), --hour=N,
 // --ues=N, --epochs=N (bootstrap training epochs; 0 serves random weights),
 // --precision=fp32|int8 (decode path for every slice, DESIGN.md §12;
-// quantized packages always serve int8), --spec-k=N (speculative decode,
-// DESIGN.md §16: draft N-1 tokens per round against a self-bootstrapped
-// n-gram drafter; 1 disables).
+// quantized packages always serve int8).
 #include <cstdio>
 
 #include "core/model_hub.hpp"
@@ -75,7 +73,6 @@ int main(int argc, char** argv) {
         cfg.deterministic = opt.get_flag("deterministic");
         cfg.nearest_hour_fallback = opt.get_flag("nearest-hour");
         cfg.precision = nn::parse_precision(opt.get("precision", "fp32"));
-        cfg.spec_k = static_cast<std::size_t>(opt.get_int("spec-k", 1));
         serve::Server server(std::move(cfg));
 
         serve::TcpServer tcp(server, host, port);

@@ -180,7 +180,7 @@ stage_quant() {
 }
 
 stage_serve() {
-    echo "== stage: serve (labeled tests + daemon smoke: loadtest, graceful drain) =="
+    echo "== stage: serve (labeled tests + daemon smoke: loadtest, malformed request, graceful drain) =="
     local dir="$ROOT/build-check-serve"
     configure_and_build "$dir"
     run_ctest "$dir" -L serve
@@ -214,6 +214,20 @@ stage_serve() {
         kill "$daemon" 2>/dev/null || true
         return 1
     fi
+    # A malformed request (max_stream_len 1, below the two-event minimum)
+    # must be answered with an error, so the loadtest sees no success and
+    # exits non-zero, and the daemon must still be alive afterwards.
+    if "$dir/examples/serve_loadtest" --port="$port" --requests=1 --count=1 --threads=1 \
+        --max-len=1; then
+        echo "serve_loadtest succeeded with max_stream_len 1 (expected a rejection)" >&2
+        kill "$daemon" 2>/dev/null || true
+        return 1
+    fi
+    if ! kill -0 "$daemon" 2>/dev/null; then
+        echo "cpt_serve died on a malformed request:" >&2
+        cat "$log" >&2
+        return 1
+    fi
     # Graceful drain: SIGTERM must produce a clean exit and the drain marker.
     kill -TERM "$daemon"
     local status=0
@@ -228,7 +242,7 @@ stage_serve() {
         cat "$log" >&2
         return 1
     fi
-    echo "serve smoke: loadtest ok, clean drain confirmed on port $port"
+    echo "serve smoke: loadtest ok, malformed request rejected, clean drain confirmed on port $port"
 }
 
 # Waits for a daemon to print its "listening on" line and echoes the port.
@@ -386,8 +400,9 @@ stage_spec() {
     # rollback are pure
     # bookkeeping over tier-shared math, so a tier-dependent failure means a
     # real divergence, not tolerance noise. CPT_THREADS=2 reruns the suite
-    # with the pool engaged: row-partitioned kernels must keep the same
-    # identities when rows are split across workers (DESIGN.md §16).
+    # with two of generate's decode lanes: the identities must hold when
+    # streams are spread over lanes (DESIGN.md §16). No kernel splits rows
+    # across workers.
     for t in $tiers; do
         echo "-- CPT_SIMD=$t: spec-labeled tests"
         CPT_SIMD="$t" run_ctest "$dir" -L spec

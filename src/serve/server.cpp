@@ -8,10 +8,8 @@
 #include <thread>
 
 #include "core/sampler.hpp"
-#include "core/spec_drafter.hpp"
 #include "util/ascii.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/sync.hpp"
 
@@ -21,15 +19,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Ticket layout: request serial in the high bits, stream index in the low 20
-// (max_request_streams is clamped to this in the Server constructor).
+// Ticket layout: request serial in the high bits, stream index in the low 20,
+// which bounds a request's stream count.
 constexpr std::uint64_t kStreamIndexBits = 20;
 constexpr std::uint64_t kStreamIndexMask = (1ULL << kStreamIndexBits) - 1;
-
-// Streams a speculating slice generates from its own model at spin-up to fit
-// the n-gram drafter (DESIGN.md §16). Enough for stable bigram statistics on
-// the released vocabularies; one-time cost of a few batched decodes.
-constexpr std::size_t kDrafterBootstrapStreams = 128;
+constexpr std::size_t kMaxRequestStreams = kStreamIndexMask + 1;
 
 std::string slice_name(trace::DeviceType device, int hour) {
     return std::string(trace::to_string(device)) + "/h" + std::to_string(hour);
@@ -42,18 +36,14 @@ std::string slice_name(trace::DeviceType device, int hour) {
 class Server::Engine {
 public:
     Engine(const ServeConfig& cfg, core::CptGpt::Package pkg, trace::DeviceType device,
-           int hour, nn::Precision precision, std::size_t spec_k)
+           int hour)
         : cfg_(&cfg),
           device_(device),
           hour_(hour),
-          precision_(pkg.quantized ? nn::Precision::kInt8W8A32 : precision),
+          precision_(pkg.quantized ? nn::Precision::kInt8W8A32 : cfg.precision),
           pkg_(std::move(pkg)),
-          drafter_(make_drafter(cfg, pkg_, device, hour, precision_, spec_k)),
-          spec_k_(drafter_ != nullptr ? spec_k : 1),
           sampler_(prepare_model(*pkg_.model, precision_), pkg_.tokenizer,
-                   pkg_.initial_event_dist,
-                   make_sampler_config(cfg, device, hour, precision_, spec_k_,
-                                       drafter_.get())),
+                   pkg_.initial_event_dist, make_sampler_config(cfg, device, hour, precision_)),
           server_rng_(cfg.server_seed ^ (static_cast<std::uint64_t>(device) * 24 + hour)),
           worker_([this] { run(); }) {}
 
@@ -127,11 +117,6 @@ public:
         s.precision = precision_;
         s.decode_seconds = times_.decode;
         s.steps = times_.steps;
-        s.spec_k = spec_k_;
-        s.spec_proposed = times_.spec_proposed;
-        s.spec_accepted = times_.spec_accepted;
-        s.verify_seconds = times_.verify;
-        s.verify_steps = times_.verify_steps;
         s.streams = streams_done_;
         s.tokens = tokens_done_;
         s.requests_done = requests_done_;
@@ -166,48 +151,14 @@ private:
 
     static core::SamplerConfig make_sampler_config(const ServeConfig& cfg,
                                                    trace::DeviceType device, int hour,
-                                                   nn::Precision precision,
-                                                   std::size_t spec_k,
-                                                   const core::SpecDrafter* drafter) {
+                                                   nn::Precision precision) {
         core::SamplerConfig sc;
         sc.batch = cfg.slot_capacity;
         sc.device = device;
         sc.hour_of_day = hour;
         sc.max_stream_len = std::min<std::size_t>(500, cfg.model.max_seq_len);
         sc.precision = precision;
-        sc.spec_k = drafter != nullptr ? spec_k : 1;
-        sc.drafter = drafter;
         return sc;
-    }
-
-    // Self-bootstrapped drafter (DESIGN.md §16): the consume side has no
-    // training traces, so a slice with spec_k > 1 generates a small sample
-    // of its own streams at spin-up and fits the n-gram drafter on those —
-    // the proposal then tracks the model's own conditionals, which is what
-    // maximizes acceptance. The seed derives from the slice alone, so the
-    // drafter (and thus every deterministic response) is independent of
-    // request arrival order.
-    static std::unique_ptr<core::SpecDrafter> make_drafter(const ServeConfig& cfg,
-                                                           core::CptGpt::Package& pkg,
-                                                           trace::DeviceType device, int hour,
-                                                           nn::Precision precision,
-                                                           std::size_t spec_k) {
-        if (spec_k <= 1) return nullptr;
-        if (!cfg.model.distribution_head) {
-            util::warnf("cpt-serve: slice %s requested spec_k=%zu but the model has no "
-                        "distribution head; speculation disabled",
-                        slice_name(device, hour).c_str(), spec_k);
-            return nullptr;
-        }
-        core::Sampler boot(prepare_model(*pkg.model, precision), pkg.tokenizer,
-                           pkg.initial_event_dist,
-                           make_sampler_config(cfg, device, hour, precision, 1, nullptr));
-        util::Rng rng(cfg.server_seed ^ 0x9e3779b97f4a7c15ULL ^
-                      (static_cast<std::uint64_t>(device) * 24 +
-                       static_cast<std::uint64_t>(hour)));
-        const trace::Dataset ds = boot.generate(kDrafterBootstrapStreams, rng, "spec-boot");
-        if (ds.streams.empty()) return nullptr;
-        return std::make_unique<core::SpecDrafter>(core::SpecDrafter::fit(ds, pkg.tokenizer));
     }
 
     // Ensures the quantized mirror exists before the Sampler (which asserts
@@ -369,10 +320,6 @@ private:
     int hour_;
     nn::Precision precision_;
     core::CptGpt::Package pkg_;
-    // Slice-local n-gram drafter (DESIGN.md §16); null when not speculating.
-    // Declared before sampler_, which borrows it via SamplerConfig::drafter.
-    std::unique_ptr<core::SpecDrafter> drafter_;
-    std::size_t spec_k_;
     core::Sampler sampler_;
     // Snapshot of the batch's stage clock (folded in run(), read by stats()).
     core::Sampler::StageTimes times_ CPT_GUARDED_BY(mu_);
@@ -405,8 +352,6 @@ private:
 // ---- Server ----------------------------------------------------------------
 
 Server::Server(ServeConfig config) : config_(std::move(config)), hub_(config_.hub_dir) {
-    config_.max_request_streams =
-        std::min<std::size_t>(config_.max_request_streams, kStreamIndexMask + 1);
     CPT_CHECK_GT(config_.slot_capacity, std::size_t{0}, " serve::Server: slot_capacity");
     CPT_CHECK_GT(config_.queue_capacity, std::size_t{0}, " serve::Server: queue_capacity");
     start_ns_ = static_cast<std::uint64_t>(
@@ -449,16 +394,10 @@ Server::Engine* Server::engine_for(trace::DeviceType device, int hour, std::stri
     const int key = static_cast<int>(device) * 24 + serve_hour;
     auto it = engines_.find(key);
     if (it == engines_.end()) {
-        auto pkg = hub_.load(device, serve_hour, config_.model);
-        nn::Precision precision = config_.precision;
-        const auto pit = config_.slice_precision.find(slice_name(device, serve_hour));
-        if (pit != config_.slice_precision.end()) precision = pit->second;
-        std::size_t spec_k = config_.spec_k;
-        const auto kit = config_.slice_spec_k.find(slice_name(device, serve_hour));
-        if (kit != config_.slice_spec_k.end()) spec_k = kit->second;
         it = engines_
-                 .emplace(key, std::make_unique<Engine>(config_, std::move(pkg), device,
-                                                        serve_hour, precision, spec_k))
+                 .emplace(key, std::make_unique<Engine>(
+                                   config_, hub_.load(device, serve_hour, config_.model),
+                                   device, serve_hour))
                  .first;
     }
     return it->second.get();
@@ -467,10 +406,9 @@ Server::Engine* Server::engine_for(trace::DeviceType device, int hour, std::stri
 // Validates the request and resolves its slice engine. On failure fills
 // `reject` and returns nullptr.
 Server::Engine* Server::route(const GenerateRequest& request, GenerateResponse* reject) {
-    if (request.count == 0 || request.count > config_.max_request_streams) {
+    if (request.count == 0 || request.count > kMaxRequestStreams) {
         *reject = {Status::kBadRequest,
-                   "count must be in [1, " + std::to_string(config_.max_request_streams) + "]",
-                   {}};
+                   "count must be in [1, " + std::to_string(kMaxRequestStreams) + "]", {}};
         return nullptr;
     }
     if (request.hour_of_day < 0 || request.hour_of_day > 23) {
@@ -479,6 +417,11 @@ Server::Engine* Server::route(const GenerateRequest& request, GenerateResponse* 
     }
     if (request.top_p > 1.0f) {
         *reject = {Status::kBadRequest, "top_p must be in (0, 1]", {}};
+        return nullptr;
+    }
+    // 0 means the engine's cap; a stream needs its start event plus one more.
+    if (request.max_stream_len == 1) {
+        *reject = {Status::kBadRequest, "max_stream_len must be 0 (default) or >= 2", {}};
         return nullptr;
     }
     std::string error;
@@ -573,20 +516,11 @@ std::string Server::stats_json() const {
         queue_depth += s.queue_depth;
         const double decode_ms_per_step =
             s.steps > 0 ? s.decode_seconds * 1e3 / static_cast<double>(s.steps) : 0.0;
-        const double verify_ms_per_step =
-            s.verify_steps > 0 ? s.verify_seconds * 1e3 / static_cast<double>(s.verify_steps)
-                               : 0.0;
-        const double acceptance =
-            s.spec_proposed > 0
-                ? static_cast<double>(s.spec_accepted) / static_cast<double>(s.spec_proposed)
-                : 0.0;
         util::appendf(json,
                       "%s\n    {\"device\": \"%.*s\", \"hour\": %d, \"precision\": \"%s\", "
                       "\"streams\": %llu, "
                       "\"tokens\": %llu, \"streams_per_sec\": %.2f, \"tokens_per_sec\": %.2f, "
                       "\"decode_ms_per_step\": %.3f, \"steps\": %llu, "
-                      "\"spec_k\": %zu, \"spec_proposed\": %llu, \"spec_accepted\": %llu, "
-                      "\"spec_acceptance\": %.3f, \"verify_ms_per_step\": %.3f, "
                       "\"queue_depth\": %zu}",
                       i == 0 ? "" : ",",
                       static_cast<int>(trace::to_string(s.device).size()),
@@ -596,10 +530,7 @@ std::string Server::stats_json() const {
                       static_cast<unsigned long long>(s.tokens),
                       static_cast<double>(s.streams) / rate_div,
                       static_cast<double>(s.tokens) / rate_div, decode_ms_per_step,
-                      static_cast<unsigned long long>(s.steps), s.spec_k,
-                      static_cast<unsigned long long>(s.spec_proposed),
-                      static_cast<unsigned long long>(s.spec_accepted), acceptance,
-                      verify_ms_per_step, s.queue_depth);
+                      static_cast<unsigned long long>(s.steps), s.queue_depth);
     }
     json += slices.empty() ? "],\n" : "\n  ],\n";
     const auto pct = latency.percentiles();

@@ -26,6 +26,11 @@
 // SlotBatch step, so a single-slice, single-client run reproduces it
 // byte-for-byte (pinned by tests/serve_test.cpp) — admission timing cannot
 // perturb stream content (see Sampler::SlotBatch).
+//
+// Engines decode one token per row per step. Speculative decode (DESIGN.md
+// §16) stays on Sampler::generate/generate_to/generate_batch: inside an
+// engine it measured slower at every k tried
+// (bench_results/BENCH_serve_spec.json).
 #pragma once
 
 #include <cstdint>
@@ -48,28 +53,12 @@ struct ServeConfig {
     std::size_t slot_capacity = 32;     // decoder rows per slice engine
     std::size_t queue_capacity = 64;    // pending requests per slice (backpressure)
     std::uint32_t default_deadline_ms = 30000;
-    std::size_t max_request_streams = 1u << 20;  // ticket packing bound
     bool nearest_hour_fallback = false;  // serve the nearest published hour
     bool deterministic = false;          // force deterministic mode on every request
     std::uint64_t server_seed = 0x5eedULL;  // base RNG for non-deterministic requests
-    // Decode precision (DESIGN.md §12): `precision` is the default for every
-    // slice; `slice_precision` overrides individual slices by name
-    // ("<device>/h<hour>", e.g. "phone/h13"), so an operator can opt hot
-    // slices into int8 while the rest stay fp32. Quantized checkpoints always
-    // serve int8 regardless of these knobs (their fp32 weights never existed).
+    // Decode precision for every slice (DESIGN.md §12). Quantized checkpoints
+    // always serve int8 regardless (their fp32 weights never existed).
     nn::Precision precision = nn::Precision::kFp32;
-    std::map<std::string, nn::Precision> slice_precision;
-    // Speculative multi-token decode (DESIGN.md §16): `spec_k` is the
-    // default tokens-per-round target for every slice; `slice_spec_k`
-    // overrides individual slices by name ("<device>/h<hour>"). A slice
-    // with spec_k > 1 self-bootstraps an n-gram drafter at spin-up from a
-    // fixed-seed sample of its own output. The rejection rule is exact, so
-    // speculation never changes the output *distribution*; the per-seed
-    // byte stream of deterministic requests does differ from spec_k = 1,
-    // so replicas sharing deterministic traffic must agree on spec_k.
-    // Ignored (with a warning) when the model has no distribution head.
-    std::size_t spec_k = 1;
-    std::map<std::string, std::size_t> slice_spec_k;
 };
 
 class Server : public Service {
@@ -123,14 +112,6 @@ private:
         // spent in the KV-cached decode across `steps` step() calls.
         double decode_seconds = 0.0;
         std::uint64_t steps = 0;
-        // Speculative decode (DESIGN.md §16): the slice's active spec_k,
-        // drafted tokens proposed vs committed verbatim, and seconds spent
-        // in the batched verify forwards across `verify_steps` of them.
-        std::size_t spec_k = 1;
-        std::uint64_t spec_proposed = 0;
-        std::uint64_t spec_accepted = 0;
-        double verify_seconds = 0.0;
-        std::uint64_t verify_steps = 0;
         util::LatencyHistogram latency;
     };
 

@@ -370,6 +370,10 @@ TEST_F(ServeFixture, DeterministicRequestReproducesGenerateBatch) {
     EXPECT_NE(stats.find("\"streams\": 5"), std::string::npos) << stats;
     EXPECT_NE(stats.find("\"p99\""), std::string::npos) << stats;
     EXPECT_NE(stats.find("\"completed\": 1"), std::string::npos) << stats;
+    // perfbench parses decode_ms_per_step; engines never speculate.
+    EXPECT_NE(stats.find("\"decode_ms_per_step\": "), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"precision\": \"fp32\""), std::string::npos) << stats;
+    EXPECT_EQ(stats.find("\"spec_"), std::string::npos) << stats;
     server.drain();
     EXPECT_EQ(server.generate(req).status, serve::Status::kShuttingDown);
 }
@@ -397,6 +401,11 @@ TEST_F(ServeFixture, BadRequestsAreRejectedUpFront) {
     EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
     req.hour_of_day = 9;
     req.top_p = 1.5f;
+    EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
+    req.top_p = serve::GenerateRequest{}.top_p;
+    // Below the two-event minimum: rejected here, not thrown on the engine
+    // thread (which would terminate the process).
+    req.max_stream_len = 1;
     EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
 }
 

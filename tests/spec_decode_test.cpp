@@ -11,8 +11,8 @@
 //     degenerates to the plain path exactly;
 //   * scheduler pins — SlotBatch at spec_k > 1 reproduces generate_batch
 //     byte-for-byte, and a stream's content is a pure function of its
-//     admit() Rng under admit/evict churn with mixed per-engine spec_k
-//     (batch composition and admission timing cannot perturb content).
+//     admit() Rng under admit/evict churn at every spec_k tried (batch
+//     composition and admission timing cannot perturb content).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -386,10 +386,10 @@ TEST_F(SpecFixture, SlotBatchSpecMatchesGenerateBatchByteForByte) {
 
 TEST_F(SpecFixture, ChurnWithMixedSpecKIsDeterministicAndForceRejectInert) {
     const auto dist = data->initial_event_distribution();
-    // Engines over the same weights at mixed spec_k, as cpt-serve runs with
-    // per-slice overrides. Each runs an admit/evict churn schedule: capacity
-    // 3 for 6 streams (continuous refill) with the first live stream evicted
-    // mid-decode once a couple of steps have run.
+    // Slot batches over the same weights at mixed spec_k. Each runs an
+    // admit/evict churn schedule: capacity 3 for 6 streams (continuous
+    // refill) with the first live stream evicted mid-decode once a couple of
+    // steps have run.
     constexpr std::size_t kStreams = 6;
     const auto rngs = forked(99, kStreams);
 
@@ -442,7 +442,7 @@ TEST_F(SpecFixture, ChurnWithMixedSpecKIsDeterministicAndForceRejectInert) {
         expect_streams_identical(want[i].stream, inert_got[i].stream);
     }
 
-    // Live speculation at mixed spec_k: each engine's churn (including which
+    // Live speculation at mixed spec_k: each batch's churn (including which
     // ticket gets evicted and the evicted stream's partial content) must be
     // reproducible run-to-run.
     for (std::size_t k : {std::size_t{2}, std::size_t{4}}) {
