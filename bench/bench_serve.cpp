@@ -253,8 +253,8 @@ int main() {
     const auto world = trace::SyntheticWorldGenerator(wcfg).generate();
     const auto tok = core::Tokenizer::fit(world);
 
-    // Flagship decode shape (matches bench_e2e_generate) so the schedule and
-    // precision comparisons run at the cost profile a serving engine pays.
+    // Flagship decode shape, so the schedule and precision comparisons run
+    // at the cost profile a serving engine pays.
     util::Rng init(11);
     core::CptGptConfig cfg;
     cfg.d_model = 128;

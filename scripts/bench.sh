@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Performance bench runner: builds the Release bench binaries, runs every
-# bench that emits a BENCH_*.json (kernel micro, end-to-end generate, serve
-# scheduler, training path), and collects the JSONs in one place. Run from
+# bench that emits a BENCH_*.json (kernel micro, serve scheduler, training
+# path, trace scale), and collects the JSONs in one place. Run from
 # anywhere inside the repo:
 #
 #   scripts/bench.sh                 # run all perf benches -> bench_results/
-#   scripts/bench.sh e2e_generate    # just one bench (micro_nn|e2e_generate|serve|train|scale)
+#   scripts/bench.sh serve           # just one bench (micro_nn|serve|train|scale)
 #   CPT_BENCH_OUT=/tmp/r scripts/bench.sh   # collect somewhere else
 #
 # Each bench writes its BENCH_<name>.json into the build directory; this
@@ -19,13 +19,13 @@ OUT="${CPT_BENCH_OUT:-$ROOT/bench_results}"
 
 benches=("$@")
 if [ ${#benches[@]} -eq 0 ]; then
-    benches=(micro_nn e2e_generate serve train scale)
+    benches=(micro_nn serve train scale)
 fi
 for b in "${benches[@]}"; do
     case "$b" in
-        micro_nn | e2e_generate | serve | train | scale) ;;
+        micro_nn | serve | train | scale) ;;
         *)
-            echo "unknown bench '$b' (expected: micro_nn e2e_generate serve train scale)" >&2
+            echo "unknown bench '$b' (expected: micro_nn serve train scale)" >&2
             exit 2
             ;;
     esac

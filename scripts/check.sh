@@ -16,7 +16,6 @@
 #   scripts/check.sh router      # 2 backends + router; kill one mid-load, assert clean failover
 #   scripts/check.sh train       # train-labeled tests, then rerun determinism with CPT_THREADS=2 and 3
 #   scripts/check.sh scale       # scale-labeled tests + 50k-UE streaming smoke under an RSS bound
-#   scripts/check.sh spec        # spec-labeled tests (speculative-decode identities) per SIMD tier
 #
 # Any subset may be requested by name (`scripts/check.sh sa tsan`). Each stage
 # configures into its own build directory (build-check-<stage>) so repeat runs
@@ -153,12 +152,13 @@ stage_simd() {
     tiers="$(host_simd_tiers)"
     echo "host tiers: $tiers"
     # Besides kernel parity and thread determinism, the row-invariance pins
-    # (decoder churn, SlotBatch co-residents) and the training kernels run
-    # with each tier forced as the process default.
+    # (decoder churn, SlotBatch co-residents), the sampler's length-cap and
+    # greedy identities and the training kernels run with each tier forced
+    # as the process default.
     for t in $tiers; do
         echo "-- CPT_SIMD=$t: parity + determinism suites"
         CPT_SIMD="$t" run_ctest "$ROOT/build-check-simd" -R \
-            'SimdParity|GemmBitExact|ParallelDeterminism|ChurnRowMap|SlotBatchInvariance|TrainKernels'
+            'SimdParity|GemmBitExact|ParallelDeterminism|ChurnRowMap|SlotBatchInvariance|TrainKernels|SamplerTest\.(GenerateBatchStopsExactlyAtTheLengthCap|GreedyStreamsDependOnlyOnTheBootstrapEvent)'
     done
 }
 
@@ -386,31 +386,6 @@ stage_train() {
     CPT_THREADS=3 run_ctest "$dir" -R 'TrainDeterminism'
 }
 
-stage_spec() {
-    echo "== stage: spec (speculative-decode identity suite per forced tier and thread count) =="
-    local dir="$ROOT/build-check-simd"
-    configure_and_build "$dir"
-    local tiers
-    tiers="$(host_simd_tiers)"
-    echo "host tiers: $tiers"
-    # The spec label pins byte-identities of the speculative branch of the
-    # one SlotBatch decode step (forced all-reject vs plain, greedy at every
-    # spec_k, refill schedules vs admit-all generate_batch, KV rollback, the
-    # length cap) that must hold on every SIMD tier — the rejection rule and
-    # rollback are pure
-    # bookkeeping over tier-shared math, so a tier-dependent failure means a
-    # real divergence, not tolerance noise. CPT_THREADS=2 reruns the suite
-    # with two of generate's decode lanes: the identities must hold when
-    # streams are spread over lanes (DESIGN.md §16). No kernel splits rows
-    # across workers.
-    for t in $tiers; do
-        echo "-- CPT_SIMD=$t: spec-labeled tests"
-        CPT_SIMD="$t" run_ctest "$dir" -L spec
-    done
-    echo "-- CPT_THREADS=2: spec-labeled tests"
-    CPT_THREADS=2 run_ctest "$dir" -L spec
-}
-
 stage_scale() {
     echo "== stage: scale (scale-labeled tests + 50k-UE streaming smoke with RSS bound) =="
     local dir="$ROOT/build-check-scale"
@@ -424,7 +399,7 @@ stage_scale() {
     (cd "$dir/bench" && ./bench_scale --pops=50000 --assert-rss-mb=200)
 }
 
-all_stages=(werror tidy annotate sa ubsan asan tsan simd quant serve router train scale spec)
+all_stages=(werror tidy annotate sa ubsan asan tsan simd quant serve router train scale)
 
 run_stage() {
     case "$1" in
@@ -441,7 +416,6 @@ run_stage() {
         router) stage_router ;;
         train) stage_train ;;
         scale) stage_scale ;;
-        spec) stage_spec ;;
         *)
             echo "unknown stage '$1' (expected: ${all_stages[*]})" >&2
             exit 2

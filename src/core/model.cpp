@@ -57,10 +57,8 @@ nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch) const {
     return nn::TransformerDecoder(backbone_, batch);
 }
 
-nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch, nn::Precision precision,
-                                            std::size_t max_window) const {
+nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch, nn::Precision precision) const {
     nn::DecodeOptions opts;
-    opts.max_window = max_window;
     if (precision != nn::Precision::kFp32) {
         CPT_CHECK(quant_ != nullptr,
                   "make_decoder: int8 decoding requires quantize_weights() or a quantized "
@@ -118,18 +116,7 @@ CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch,
 const CptGpt::DecodeOutput& CptGpt::decode_step(nn::TransformerDecoder& decoder,
                                                 const nn::Tensor& tokens,
                                                 DecodeScratch& scratch) const {
-    return run_heads(decoder.step(tokens), scratch);
-}
-
-const CptGpt::DecodeOutput& CptGpt::decode_window(nn::TransformerDecoder& decoder,
-                                                  const nn::Tensor& tokens,
-                                                  std::span<const std::size_t> counts,
-                                                  DecodeScratch& scratch) const {
-    return run_heads(decoder.step_window(tokens, counts), scratch);
-}
-
-const CptGpt::DecodeOutput& CptGpt::run_heads(const nn::Tensor& hidden,
-                                              DecodeScratch& scratch) const {
+    const nn::Tensor& hidden = decoder.step(tokens);
     const std::size_t b = hidden.dim(0);
     CPT_CHECK_LE(b, scratch.capacity, " CptGpt::decode_step: batch exceeds scratch capacity");
     if (scratch.batch != b) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 
 #include "nn/infer.hpp"
@@ -84,11 +83,8 @@ public:
     nn::TransformerDecoder make_decoder(std::size_t batch) const;
     // Precision-selected decoder: kInt8W8A32 runs every projection through the
     // int8 weight path and stores the KV cache as fp16 (requires
-    // quantize_weights() or a quantized checkpoint first). `max_window` sizes
-    // the decoder arena for speculative multi-token windows (DESIGN.md §16);
-    // 1 keeps the plain one-token stepping footprint.
-    nn::TransformerDecoder make_decoder(std::size_t batch, nn::Precision precision,
-                                        std::size_t max_window = 1) const;
+    // quantize_weights() or a quantized checkpoint first).
+    nn::TransformerDecoder make_decoder(std::size_t batch, nn::Precision precision) const;
 
     // Derives the int8 mirror of all decode-path weights from the current
     // fp32 parameters (idempotent: recomputes on every call, so callers can
@@ -134,16 +130,6 @@ public:
     // tensors keep the storage alive).
     DecodeOutput decode_step(nn::TransformerDecoder& decoder, const nn::Tensor& tokens) const;
 
-    // Speculative verify forward (DESIGN.md §16): feeds counts[r] consecutive
-    // tokens per row through TransformerDecoder::step_window and runs the
-    // heads on every window position in one batch. `tokens` and the returned
-    // outputs use the packed row-major layout ([sum(counts), ...]); window
-    // position j of row r predicts the token at the row's context position
-    // len(r)+j+1. The scratch must have capacity >= sum(counts).
-    const DecodeOutput& decode_window(nn::TransformerDecoder& decoder, const nn::Tensor& tokens,
-                                      std::span<const std::size_t> counts,
-                                      DecodeScratch& scratch) const;
-
     void collect(const std::string& prefix, std::vector<nn::NamedParam>& out) const override;
 
     const CptGptConfig& config() const { return config_; }
@@ -170,9 +156,6 @@ public:
                                 const CptGptConfig& config);
 
 private:
-    // Shared tail of decode_step/decode_window: runs the three heads over the
-    // backbone hidden rows and de-interleaves the interarrival outputs.
-    const DecodeOutput& run_heads(const nn::Tensor& hidden, DecodeScratch& scratch) const;
     // Name -> quantized-matrix map mirroring the checkpoint parameter names
     // (e.g. "cptgpt.backbone.block0.attn.wq.weight"); requires quant_.
     std::vector<std::pair<std::string, nn::QuantLinear*>> quant_entries();

@@ -8,7 +8,6 @@
 #include <numeric>
 #include <optional>
 
-#include "spec_drafter.hpp"
 #include "trace/columnar.hpp"
 #include "util/check.hpp"
 #include "util/sync.hpp"
@@ -39,15 +38,6 @@ Sampler::Sampler(const CptGpt& model, const Tokenizer& tokenizer,
     config_.max_stream_len = std::min(config_.max_stream_len, model.config().max_seq_len);
     CPT_CHECK_GE(config_.max_stream_len, std::size_t{2},
                  " Sampler: max_stream_len must be >= 2 (after clamping to max_seq_len)");
-    if (config_.spec_k > 1) {
-        CPT_CHECK(config_.drafter != nullptr, "Sampler: spec_k > 1 requires a drafter");
-        CPT_CHECK(model.config().distribution_head,
-                  "Sampler: speculative decode requires the distribution head (the Δt "
-                  "rejection test needs the predicted normal, not a point estimate)");
-        // More than one round's worth of drafts per stream is pure waste; the
-        // clamp also keeps the verify window within the decoder context.
-        config_.spec_k = std::min(config_.spec_k, config_.max_stream_len);
-    }
 }
 
 namespace {
@@ -61,8 +51,7 @@ struct SampleScratch {
 
 // Samples from logits with temperature and nucleus (top-p) truncation.
 // temperature == 0 is exact greedy decoding: the argmax index (lowest index
-// on ties), consuming no randomness — the byte-stable mode the speculative
-// decode identity tests pin against.
+// on ties), consuming no randomness.
 std::size_t sample_logits(std::span<const float> logits, double temperature, double top_p,
                           util::Rng& rng, SampleScratch& scratch) {
     if (temperature <= 0.0) {
@@ -102,8 +91,7 @@ std::size_t sample_logits(std::span<const float> logits, double temperature, dou
 }
 
 // One stream's next (event, interarrival, stop) draw from row `i` of a
-// decode-step prediction: the plain draw, and the pass-A draw of every row
-// that did not speculate this step.
+// decode-step prediction.
 struct RowSample {
     cellular::EventId event;
     double interarrival;
@@ -150,114 +138,6 @@ private:
     std::chrono::steady_clock::time_point t0_;
 };
 
-// ---- Speculative decode (DESIGN.md §16) ------------------------------------
-
-constexpr double kSqrt2 = 1.4142135623730951;
-constexpr double kSqrt2Pi = 2.5066282746310002;
-
-// Target model's Δt measure at a clamped scaled value v: the clamp-atom
-// probability mass when v sits on a boundary, the normal density otherwise —
-// the same atom/interior split SpecDrafter::ia_proposal uses, so accept
-// ratios always compare mass to mass or density to density.
-double ia_target(double mu, double sigma, double v, bool atom) {
-    if (atom) {
-        if (v <= 0.0) return 0.5 * std::erfc(mu / (sigma * kSqrt2));    // P(z <= 0)
-        return 0.5 * std::erfc((1.0 - mu) / (sigma * kSqrt2));          // P(z >= 1)
-    }
-    const double z = (v - mu) / sigma;
-    return std::exp(-0.5 * z * z) / (sigma * kSqrt2Pi);
-}
-
-// Residual Δt draw after a rejected proposal: iterative rejection against the
-// leftover measure max(0, p - q). Each try draws z from the target and keeps
-// it with probability 1 - q(x)/p(x) at x = clamp(z). Capped at 16 tries: the
-// per-try acceptance equals the proposal's total rejection mass, which is
-// exactly the probability this path runs at all, so chains long enough to hit
-// the cap mean q ≈ p pointwise and the final draw is already close to
-// target-distributed; the cap keeps the draw deterministically bounded.
-double residual_ia(double mu, double sigma, const SpecDrafter& drafter, cellular::EventId prev,
-                   cellular::EventId next, util::Rng& rng) {
-    double z = 0.0;
-    for (int iter = 0; iter < 16; ++iter) {
-        z = rng.normal(mu, sigma);
-        const double x = std::clamp(z, 0.0, 1.0);
-        const bool atom = x <= 0.0 || x >= 1.0;
-        const double p = ia_target(mu, sigma, x, atom);
-        if (p <= 0.0) continue;
-        const double w = 1.0 - drafter.ia_proposal(prev, next, x, nullptr) / p;
-        if (w > 0.0 && rng.uniform() < w) break;
-    }
-    return z;
-}
-
-// One position of the speculative accept chain: draws the committed token
-// from row `i` of `pred` and reports whether it reproduced `candidate` (the
-// drafted token), so the chain can continue. candidate == nullptr is a plain
-// draw (the bonus position after a fully accepted window) consuming
-// randomness exactly like sample_row.
-//
-// The event and stop components use the sample-and-compare form of
-// speculative rejection, valid because the drafter's proposal for them is
-// deterministic: sampling e ~ p and accepting iff e == e_draft accepts with
-// probability p(e_draft), and the law conditioned on a mismatch is exactly
-// the rejection-sampling residual — so the committed event is the sampled
-// one in both outcomes and the output distribution is untouched. Δt has a
-// continuous proposal, so it runs the standard accept test u < p(v)/q(v)
-// against the drafter's density and falls back to residual_ia() on
-// rejection. The draft never proposes stop, so a sampled stop simply ends
-// the chain (and the stream) at the current event.
-struct SpecSample {
-    RowSample s;
-    bool accepted = false;
-};
-
-SpecSample spec_sample_position(const CptGpt::DecodeOutput& pred, std::size_t i,
-                                std::size_t num_events, const Tokenizer& tokenizer,
-                                double temperature, double top_p, const SpecDrafter& drafter,
-                                const SpecDrafter::Draft* candidate, cellular::EventId prev,
-                                util::Rng& rng, SampleScratch& scratch) {
-    SpecSample out;
-    const auto ev_logits = pred.event_logits.data().subspan(i * num_events, num_events);
-    out.s.event = static_cast<cellular::EventId>(
-        sample_logits(ev_logits, temperature, top_p, rng, scratch));
-    const bool ev_ok = candidate != nullptr && out.s.event == candidate->event;
-
-    const double mu = static_cast<double>(pred.ia_mu[i]);
-    const double sigma = std::exp(0.5 * static_cast<double>(pred.ia_logvar[i]));
-    bool ia_ok = false;
-    double scaled;
-    if (ev_ok) {
-        const double v = static_cast<double>(candidate->scaled_ia);
-        const double p = ia_target(mu, sigma, v, candidate->atom);
-        ia_ok = rng.uniform() * candidate->q < p;  // u < p/q without the divide; q > 0
-        scaled = ia_ok ? v : residual_ia(mu, sigma, drafter, prev, out.s.event, rng);
-    } else {
-        scaled = rng.normal(mu, sigma);
-    }
-    out.s.interarrival = tokenizer.unscale_interarrival(scaled);
-
-    const auto stop_logits = pred.stop_logits.data().subspan(i * 2, 2);
-    out.s.stop = sample_logits(stop_logits, temperature, top_p, rng, scratch) == 1;
-    out.accepted = ev_ok && ia_ok && !out.s.stop;
-    return out;
-}
-
-// Drafts `d` tokens ahead of `stream`'s committed events; later drafts
-// condition on earlier ones (`ctx` carries the rolling event window).
-void draft_row(const SpecDrafter& drafter, const trace::Stream& stream, std::size_t d,
-               util::Rng& rng, SpecDrafter::Scratch& scratch,
-               std::vector<cellular::EventId>& ctx, SpecDrafter::Draft* out) {
-    ctx.clear();
-    const std::size_t have = stream.events.size();
-    const std::size_t take = std::min(drafter.order(), have);
-    for (std::size_t k = have - take; k < have; ++k) ctx.push_back(stream.events[k].type);
-    for (std::size_t j = 0; j < d; ++j) {
-        out[j] = drafter.draft(std::span<const cellular::EventId>(ctx), rng, scratch);
-        ctx.push_back(out[j].event);
-        if (ctx.size() > drafter.order()) ctx.erase(ctx.begin());
-    }
-}
-
 }  // namespace
 
 // ---- SlotBatch: the one decode loop -----------------------------------------
@@ -285,90 +165,41 @@ struct Sampler::SlotBatch::Impl {
     explicit Impl(const Sampler& s, std::size_t cap)
         : sampler(&s),
           capacity(cap),
-          spec_w(s.spec_enabled() ? s.config_.spec_k - 1 : 1),
-          decoder(s.model_->make_decoder(cap, s.config_.precision, spec_w)),
-          scratch(s.model_->make_decode_scratch(cap * spec_w, s.config_.precision)),
+          decoder(s.model_->make_decoder(cap, s.config_.precision)),
+          scratch(s.model_->make_decode_scratch(cap, s.config_.precision)),
           input_full({cap, s.tokenizer_->d_token()}),
           input(input_full),
-          window_full({cap * spec_w, s.tokenizer_->d_token()}),
-          drafted(cap),
-          matched(cap),
           finished(cap) {
         decoder.reset();  // start with every slot free
         slots.reserve(cap);
         keep_rows.reserve(cap);
-        if (s.spec_enabled()) drafts.resize(cap * spec_w);
     }
 
     std::size_t step(std::vector<Finished>& out);
 
     const Sampler* sampler;
     std::size_t capacity;
-    std::size_t spec_w;  // verify window = spec_k - 1 (1 when not speculating)
     nn::TransformerDecoder decoder;
     CptGpt::DecodeScratch scratch;
     SampleScratch sample_scratch;
     nn::Tensor input_full;
     nn::Tensor input;
-    nn::Tensor window_full;  // packed verify-window tokens (spec only)
-    std::vector<SpecDrafter::Draft> drafts;
-    std::vector<std::size_t> counts;
-    std::vector<std::uint8_t> drafted;   // per row: drafted this step
-    std::vector<std::uint8_t> matched;   // per row: pass A reproduced draft 0
     std::vector<std::uint8_t> finished;  // per row: stream ended this step
-    std::vector<cellular::EventId> ctx;
-    SpecDrafter::Scratch draft_scratch;
     std::vector<Slot> slots;  // index == decoder row
     std::vector<std::size_t> keep_rows;
     StageTimes times;  // accumulated over every admit() and step(); see stage_times()
 };
 
-// The one decode step (paper §4.5 plus DESIGN.md §16): an optional draft,
-// pass A (one token per row), pass B (only when some row verifies), then
-// retire and compact. A plain step drafts no row, so every row samples
-// through sample_row and pass B never runs.
+// The one decode step (paper §4.5): one token per row through the decoder,
+// one draw per row, then retire and compact.
 std::size_t Sampler::SlotBatch::Impl::step(std::vector<Finished>& out) {
     const Sampler& s = *sampler;
-    const SamplerConfig& cfg = s.config_;
     const Tokenizer& tok = *s.tokenizer_;
     const std::size_t b = slots.size();
     const std::size_t d_token = tok.d_token();
     const std::size_t num_events = tok.num_event_types();
     const bool dist_head = s.model_->config().distribution_head;
-    const std::size_t d = spec_w;
 
-    // ---- Draft: propose d tokens per eligible row. Rows decoding greedily
-    // (temperature == 0), rows one commit from their cap, and rows whose
-    // verify window would overflow the KV context sit the step out as plain
-    // one-token rows.
-    std::fill_n(drafted.begin(), b, std::uint8_t{0});
-    if (s.spec_enabled()) {
-        StageTimer timer(times.draft);
-        const std::size_t max_t = s.model_->config().max_seq_len;
-        for (std::size_t i = 0; i < b; ++i) {
-            Slot& slot = slots[i];
-            const std::size_t events = slot.stream.events.size();
-            const bool eligible =
-                slot.temperature > 0.0 && events + 1 < slot.max_len && events + d <= max_t;
-            if (!eligible) continue;
-            drafted[i] = 1;
-            if (cfg.spec_force_reject) {
-                // Keep the stream RNG byte-identical to the plain path: these
-                // drafts only exist to exercise verify + rollback.
-                util::Rng throwaway(0x5eed);
-                draft_row(*cfg.drafter, slot.stream, d, throwaway, draft_scratch, ctx,
-                          &drafts[i * d]);
-            } else {
-                draft_row(*cfg.drafter, slot.stream, d, slot.rng, draft_scratch, ctx,
-                          &drafts[i * d]);
-            }
-            times.spec_proposed += d;
-        }
-    }
-
-    // ---- Pass A: one token per row, doubling as the verifier of each
-    // drafted row's first draft (bit-exact with a plain step: the GEMM
-    // shapes are identical).
     if (input.dim(0) != b) input = input_full.first_rows(b);
     {
         auto dst = input.data();
@@ -388,96 +219,14 @@ std::size_t Sampler::SlotBatch::Impl::step(std::vector<Finished>& out) {
         StageTimer timer(times.sample);
         for (std::size_t i = 0; i < b; ++i) {
             Slot& slot = slots[i];
-            SpecSample r;
-            if (drafted[i] != 0 && !cfg.spec_force_reject) {
-                r = spec_sample_position(*pred, i, num_events, tok, slot.temperature,
-                                         slot.top_p, *cfg.drafter, &drafts[i * d],
-                                         slot.stream.events.back().type, slot.rng,
-                                         sample_scratch);
-            } else {
-                r.s = sample_row(*pred, i, num_events, dist_head, tok, slot.temperature,
-                                 slot.top_p, slot.rng, sample_scratch);
-            }
-            finished[i] = slot.commit(r.s) ? 1 : 0;
-            matched[i] = r.accepted && finished[i] == 0 ? 1 : 0;
-            if (matched[i] != 0) ++times.spec_accepted;
+            const RowSample r = sample_row(*pred, i, num_events, dist_head, tok,
+                                           slot.temperature, slot.top_p, slot.rng,
+                                           sample_scratch);
+            finished[i] = slot.commit(r) ? 1 : 0;
             if (finished[i] == 0) {
-                tok.encode_token(r.s.event, r.s.interarrival, false,
+                tok.encode_token(r.event, r.interarrival, false,
                                  std::span<float>(slot.next_token));
             }
-        }
-    }
-
-    // ---- Pass B: one packed multi-token forward verifies the remaining
-    // drafts of every row whose pass-A token matched its first draft.
-    counts.assign(b, 0);
-    std::size_t wrows = 0;
-    for (std::size_t i = 0; i < b; ++i) {
-        const bool verify = matched[i] != 0 ||
-                            (cfg.spec_verify_all && drafted[i] != 0 && finished[i] == 0);
-        if (verify) {
-            counts[i] = d;
-            wrows += d;
-        }
-    }
-    if (wrows > 0) {
-        const CptGpt::DecodeOutput* pred_w = nullptr;
-        {
-            StageTimer timer(times.verify);
-            nn::Tensor window = window_full.first_rows(wrows);
-            auto dst = window.data();
-            std::size_t wb = 0;
-            for (std::size_t i = 0; i < b; ++i) {
-                if (counts[i] == 0) continue;
-                for (std::size_t j = 0; j < d; ++j) {
-                    const SpecDrafter::Draft& c = drafts[i * d + j];
-                    tok.encode_token(c.event,
-                                     tok.unscale_interarrival(static_cast<double>(c.scaled_ia)),
-                                     false, dst.subspan((wb + j) * d_token, d_token));
-                }
-                wb += d;
-            }
-            pred_w = &s.model_->decode_window(decoder, window, counts, scratch);
-            ++times.verify_steps;
-        }
-        StageTimer timer(times.sample);
-        std::size_t base = 0;
-        for (std::size_t i = 0; i < b; ++i) {
-            if (counts[i] == 0) continue;
-            Slot& slot = slots[i];
-            const std::size_t len_a = decoder.row_length(i) - d;  // before the window
-            if (matched[i] == 0) {
-                decoder.rollback_row(i, len_a);  // verify_all row: discard everything
-                base += d;
-                continue;
-            }
-            // Sequential accept chain over window positions: position j's
-            // logits follow draft j; its candidate is draft j+1, except the
-            // last position, which samples a free bonus token.
-            std::size_t valid = 1;  // draft 0 was committed in pass A and stays fed
-            for (std::size_t j = 0; j < d; ++j) {
-                const SpecDrafter::Draft* cand = j + 1 < d ? &drafts[i * d + j + 1] : nullptr;
-                const SpecSample r = spec_sample_position(
-                    *pred_w, base + j, num_events, tok, slot.temperature, slot.top_p,
-                    *cfg.drafter, cand, drafts[i * d + j].event, slot.rng, sample_scratch);
-                finished[i] = slot.commit(r.s) ? 1 : 0;
-                if (r.accepted) {
-                    valid = j + 2;
-                    ++times.spec_accepted;
-                } else {
-                    valid = j + 1;
-                }
-                if (finished[i] != 0) break;
-                if (!r.accepted) {
-                    // Rejected (or the bonus position): this token is the new
-                    // pending token; later drafts are dead context.
-                    tok.encode_token(r.s.event, r.s.interarrival, false,
-                                     std::span<float>(slot.next_token));
-                    break;
-                }
-            }
-            if (finished[i] == 0) decoder.rollback_row(i, len_a + valid);
-            base += d;
         }
     }
 
@@ -532,8 +281,9 @@ void Sampler::SlotBatch::admit(util::Rng rng, std::string ue_id, std::uint64_t t
     CPT_CHECK_GE(max_len, std::size_t{2}, " SlotBatch::admit: max_len must be >= 2");
     CPT_CHECK_LE(max_len, admissible_len(),
                  " SlotBatch::admit: stream cannot fit in the remaining context");
-    if (params.top_p > 0.0) {
-        CPT_CHECK_LE(params.top_p, 1.0, " SlotBatch::admit: top_p must be in (0, 1]");
+    if (params.top_p >= 0.0) {
+        CPT_CHECK(params.top_p > 0.0 && params.top_p <= 1.0,
+                  "SlotBatch::admit: top_p must be in (0, 1], got ", params.top_p);
     }
     StageTimer timer(im.times.bootstrap);
     im.decoder.admit(1);
@@ -544,8 +294,8 @@ void Sampler::SlotBatch::admit(util::Rng rng, std::string ue_id, std::uint64_t t
     slot.rng = rng;
     slot.ticket = ticket;
     slot.max_len = max_len;
-    slot.temperature = params.temperature > 0.0 ? params.temperature : s.config_.temperature;
-    slot.top_p = params.top_p > 0.0 ? params.top_p : s.config_.top_p;
+    slot.temperature = params.temperature >= 0.0 ? params.temperature : s.config_.temperature;
+    slot.top_p = params.top_p >= 0.0 ? params.top_p : s.config_.top_p;
     slot.stream.ue_id = std::move(ue_id);
     slot.stream.device = s.config_.device;
     slot.stream.hour_of_day = s.config_.hour_of_day;

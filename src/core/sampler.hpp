@@ -16,12 +16,11 @@
 // There is one decode loop: SlotBatch. Its step feeds one token per live
 // stream through the KV-cached decoder, so one batched forward serves every
 // stream — roughly an order of magnitude faster than per-stream loops on
-// CPU — and retires the streams that finished. Speculative decode (spec_k >
-// 1) is a branch inside that step. generate_batch() is admit-all over a
-// SlotBatch, stepped until empty. generate() runs one decode lane per pool
-// thread, each a SlotBatch that refills its free rows from a shared serial
-// cursor at every step boundary, so a heavy-tailed stream holds one row
-// instead of holding a whole batch until it ends.
+// CPU — and retires the streams that finished. generate_batch() is
+// admit-all over a SlotBatch, stepped until empty. generate() runs one
+// decode lane per pool thread, each a SlotBatch that refills its free rows
+// from a shared serial cursor at every step boundary, so a heavy-tailed
+// stream holds one row instead of holding a whole batch until it ends.
 //
 // Determinism across thread counts: stream s's RNG is the s-th fork of the
 // caller's RNG (forked under the cursor's lock, in serial order), and a
@@ -52,8 +51,6 @@ class ColumnarWriter;
 
 namespace cpt::core {
 
-class SpecDrafter;
-
 struct SamplerConfig {
     std::size_t max_stream_len = 500;  // hard cap, matching training (§5.1)
     // Categorical sampling temperature. Exactly 0 selects greedy decoding:
@@ -76,27 +73,6 @@ struct SamplerConfig {
     // must have quantized weights (quantize_weights() or a quantized
     // checkpoint) before the Sampler is built.
     nn::Precision precision = nn::Precision::kFp32;
-    // Speculative multi-token decode (DESIGN.md §16): spec_k > 1 drafts
-    // spec_k - 1 candidate tokens per round from `drafter` (borrowed; must
-    // outlive the sampler) and verifies them in one batched forward,
-    // committing up to spec_k tokens per decode round via rejection
-    // sampling — the output distribution is exactly the plain path's.
-    // spec_k <= 1 is the plain one-token path, bit-exactly. Requires the
-    // distribution head. Rows decoding greedily (temperature == 0) never
-    // speculate — a continuous Δt proposal cannot reproduce the
-    // deterministic mean — so argmax decoding is byte-identical to the
-    // plain path at every spec_k.
-    std::size_t spec_k = 1;
-    const SpecDrafter* drafter = nullptr;
-    // Test-only knobs (KV-rollback property test, DESIGN.md §16):
-    // spec_force_reject rejects every draft while consuming randomness
-    // exactly like the plain path (drafting runs off a throwaway RNG), so
-    // output must be byte-identical to spec_k = 1; spec_verify_all runs the
-    // verify forward — and the full KV rollback — even for rows whose
-    // pass-A token missed the draft, so the rollback path is exercised
-    // while remaining observationally inert.
-    bool spec_force_reject = false;
-    bool spec_verify_all = false;
 };
 
 class Sampler {
@@ -109,37 +85,22 @@ public:
     // `bootstrap` covers admit() (RNG bootstrap draw and first-token
     // encoding), `decode` the KV-cached transformer + head forward, `sample`
     // the per-row categorical/normal draws and next-token re-encoding,
-    // `compact` the KV-cache compaction of finished rows. bench_e2e_generate
-    // uses this to attribute tier-to-tier differences to a stage instead of
-    // guessing from end-to-end totals.
-    // Speculative decode (spec_k > 1) adds two stages and three counters:
-    // `draft` covers the n-gram proposals, `verify` the batched multi-token
-    // verify forwards (window encoding + GEMMs), `verify_steps` how many of
-    // those forwards ran, and spec_proposed / spec_accepted the drafted
-    // tokens offered vs committed verbatim — their ratio is the acceptance
-    // rate cpt-serve reports per slice.
+    // `compact` the KV-cache compaction of finished rows. perfbench's
+    // sampler probe and cpt-serve's per-slice decode_ms_per_step read these
+    // to attribute time to a stage instead of guessing from end-to-end
+    // totals.
     struct StageTimes {
         double bootstrap = 0.0;
         double decode = 0.0;
         double sample = 0.0;
         double compact = 0.0;
-        double draft = 0.0;
-        double verify = 0.0;
-        std::size_t steps = 0;         // pass-A decode steps executed
-        std::size_t verify_steps = 0;  // batched verify forwards executed
-        std::size_t spec_proposed = 0;
-        std::size_t spec_accepted = 0;
+        std::size_t steps = 0;  // decode steps executed
         StageTimes& operator+=(const StageTimes& o) {
             bootstrap += o.bootstrap;
             decode += o.decode;
             sample += o.sample;
             compact += o.compact;
-            draft += o.draft;
-            verify += o.verify;
             steps += o.steps;
-            verify_steps += o.verify_steps;
-            spec_proposed += o.spec_proposed;
-            spec_accepted += o.spec_accepted;
             return *this;
         }
     };
@@ -180,15 +141,15 @@ public:
     // decode loop, which generate_batch() and src/serve both drive. Slots are
     // decoder rows: admit() fills free slots at step boundaries (including
     // slots that finished streams freed mid-decode), step() advances every
-    // live stream by one token (up to spec_k when speculating) and hands
-    // back the streams that completed, evict() drops live streams (deadline
-    // enforcement) at the next compaction.
+    // live stream by one token and hands back the streams that completed,
+    // evict() drops live streams (deadline enforcement) at the next
+    // compaction.
     //
     // Determinism: a stream's content is a pure function of the Rng passed
     // to admit() — independent of when the stream was admitted, which and
     // how many other streams share the batch, and CPT_THREADS (the decoder
-    // windows per-row attention and positions, see nn/infer.hpp, and its
-    // projections run the batch-invariant gemm_nt_decode). Pinned on every
+    // keeps per-row attention windows and positions, see nn/infer.hpp, and
+    // its projections run the batch-invariant gemm_nt_decode). Pinned on every
     // SIMD tier by tests/nn_infer_test.cpp (alone vs among 15 co-residents).
     // Admitting serially pre-forked RNGs under any refill schedule therefore
     // reproduces generate_batch() byte-for-byte, which is the single-slice
@@ -219,6 +180,8 @@ public:
 
         // Per-stream sampling overrides; negative fields fall back to the
         // sampler's config (the serve layer carries these per request).
+        // temperature 0 decodes greedily, as in SamplerConfig; top_p, when
+        // set, must be in (0, 1].
         struct AdmitParams {
             std::size_t max_len = std::numeric_limits<std::size_t>::max();
             double temperature = -1.0;
@@ -265,8 +228,6 @@ private:
     // are handed to `sink` in serial order, under the cursor's lock.
     void generate_impl(std::size_t n, util::Rng& rng, const std::string& ue_prefix,
                        const std::function<void(trace::Stream&&)>& sink) const;
-
-    bool spec_enabled() const { return config_.spec_k > 1 && config_.drafter != nullptr; }
 
     const CptGpt* model_;
     const Tokenizer* tokenizer_;

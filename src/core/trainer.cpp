@@ -154,12 +154,12 @@ struct LossParts {
 class ShardedStep {
 public:
     ShardedStep(CptGpt& master, const Tokenizer& tokenizer, const TrainConfig& config,
-                std::size_t max_windows)
+                std::size_t window_capacity)
         : master_(&master),
           config_(&config),
           d_token_(tokenizer.d_token()),
           params_(master.parameters()),
-          shards_((max_windows + kShardWindows - 1) / kShardWindows) {
+          shards_((window_capacity + kShardWindows - 1) / kShardWindows) {
         shards_[0].params = params_;
         for (std::size_t s = 1; s < shards_.size(); ++s) {
             util::Rng unused(0);  // the replica's init is overwritten by copy_weights
@@ -168,7 +168,7 @@ public:
         }
     }
 
-    // The weighted loss over `windows` (at most max_windows) of `source`. With
+    // The weighted loss over `windows` (at most window_capacity) of `source`. With
     // `backprop`, the master's parameter grads are overwritten with its
     // gradient.
     LossParts run(std::span<const Window> windows, const std::vector<EncodedStream>& source,

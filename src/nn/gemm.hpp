@@ -40,10 +40,10 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
              std::size_t n_dim);
 
 // The inference fast path's NT product (Linear/Mlp::forward_rows: decoder
-// projections, the model heads, the speculative verify window), same
-// semantics as gemm_nt. Row r of C is additionally bit-identical to the
-// 1-row product of A's row r for EVERY m: a decode row's bits never depend
-// on how many other rows share the batch. On scalar/sse2 this is gemm_nt (the
+// projections and the model heads), same semantics as gemm_nt. Row r of C
+// is additionally bit-identical to the 1-row product of A's row r for EVERY
+// m: a decode row's bits never depend on how many other rows share the
+// batch. On scalar/sse2 this is gemm_nt (the
 // reference chain); on avx2 it runs pack-free register tiles whose
 // per-element chain is one 8-wide FMA chain in ascending k, the fixed hsum8
 // tree, then a scalar fma tail. (avx2 gemm_nt instead packs B once per call

@@ -203,9 +203,8 @@ void gemm_nt_decode_avx2(const float* a, const float* b, float* c, std::size_t m
     // Blocked over columns, then full row tiles, then one short tile for the
     // m % kMrDecode remainder rows. Column blocks are outermost so B streams
     // once for all rows: decode is weight-bandwidth bound, and per-row B
-    // re-reads would make an m-row step (or speculative verify window) cost
-    // ~m GEMVs. The block is a multiple of 8 columns, so blocks split no
-    // tile of any width.
+    // re-reads would make an m-row step cost ~m GEMVs. The block is a
+    // multiple of 8 columns, so blocks split no tile of any width.
     const std::size_t block =
         std::max<std::size_t>(8, (kDecodeBlockBytes / (sizeof(float) * k_dim)) & ~std::size_t{7});
     const std::size_t rem = m_dim % kMrDecode;

@@ -15,11 +15,9 @@ TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t bat
 TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t batch,
                                        const DecodeOptions& opts)
     : model_(&model), quant_(opts.quant), kv_fp16_(opts.kv_fp16), capacity_(batch),
-      batch_(batch), max_window_(std::max<std::size_t>(opts.max_window, 1)) {
+      batch_(batch) {
     const auto& cfg = model.config();
     CPT_CHECK_GT(batch, std::size_t{0}, " TransformerDecoder: batch must be > 0");
-    CPT_CHECK_LE(max_window_, cfg.max_seq_len,
-                 " TransformerDecoder: max_window exceeds max_seq_len");
     if (quant_ != nullptr) {
         CPT_CHECK_EQ(quant_->blocks.size(), cfg.blocks,
                      " TransformerDecoder: quantized weights do not match the model");
@@ -45,16 +43,12 @@ TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t bat
     for (const auto& block : model.blocks()) {
         mlp_hidden = std::max(mlp_hidden, block->mlp().fc1().out_features());
     }
-    const std::size_t arena_rows = batch * max_window_;
-    hstate_full_ = Tensor({arena_rows, cfg.d_model});
-    q_full_ = Tensor({arena_rows, cfg.d_model});
-    kv_full_ = Tensor({arena_rows, cfg.d_model});
-    attn_full_ = Tensor({arena_rows, cfg.d_model});
-    scratch_full_ = Tensor({arena_rows, cfg.d_model});
-    mlp_hidden_full_ = Tensor({arena_rows, mlp_hidden});
-    ones_.assign(batch, 1);
-    wrow_.reserve(arena_rows);
-    wpos_.reserve(arena_rows);
+    hstate_full_ = Tensor({batch, cfg.d_model});
+    q_full_ = Tensor({batch, cfg.d_model});
+    kv_full_ = Tensor({batch, cfg.d_model});
+    attn_full_ = Tensor({batch, cfg.d_model});
+    scratch_full_ = Tensor({batch, cfg.d_model});
+    mlp_hidden_full_ = Tensor({batch, mlp_hidden});
     bind_rows(batch_);
     scores_.resize(cfg.max_seq_len);
 }
@@ -81,32 +75,11 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
     CPT_CHECK(x.rank() == 2 && x.dim(0) == batch_ && x.dim(1) == cfg.d_token,
               "TransformerDecoder::step: expected [", batch_, ", ", cfg.d_token, "], got ",
               shape_to_string(x.shape()));
-    return step_window(x, std::span<const std::size_t>(ones_.data(), batch_));
-}
-
-const Tensor& TransformerDecoder::step_window(const Tensor& x,
-                                              std::span<const std::size_t> counts) {
-    const auto& cfg = model_->config();
-    CPT_CHECK_EQ(counts.size(), batch_,
-                 " TransformerDecoder::step_window: one window count per live row");
-    // Pack the (row, in-window position) map for every incoming token.
-    wrow_.clear();
-    wpos_.clear();
-    for (std::size_t r = 0; r < batch_; ++r) {
-        const std::size_t c = counts[r];
-        CPT_CHECK_LE(c, max_window_,
-                     " TransformerDecoder::step_window: window exceeds max_window");
-        CPT_CHECK_LE(len_[r] + c, cfg.max_seq_len, " TransformerDecoder::step: context full");
-        for (std::size_t j = 0; j < c; ++j) {
-            wrow_.push_back(r);
-            wpos_.push_back(j);
-        }
+    const std::size_t m = batch_;
+    CPT_CHECK_GT(m, std::size_t{0}, " TransformerDecoder::step: no live rows");
+    for (std::size_t r = 0; r < m; ++r) {
+        CPT_CHECK_LT(len_[r], cfg.max_seq_len, " TransformerDecoder::step: context full");
     }
-    const std::size_t m = wrow_.size();
-    CPT_CHECK_GT(m, std::size_t{0}, " TransformerDecoder::step_window: empty window batch");
-    CPT_CHECK(x.rank() == 2 && x.dim(0) == m && x.dim(1) == cfg.d_token,
-              "TransformerDecoder::step_window: expected [", m, ", ", cfg.d_token, "], got ",
-              shape_to_string(x.shape()));
     const std::size_t d = cfg.d_model;
     const std::size_t h = cfg.heads;
     const std::size_t dh = d / h;
@@ -116,18 +89,15 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
     float* pscratch = scratch_.data().data();
 
     // Input projection + positional embedding. The embedding is indexed by
-    // the row-local position len(r)+j, so a row admitted mid-decode (or
-    // fed a multi-token window) sees exactly the embeddings a fresh
-    // sequential decode would.
+    // the row-local position len(r), so a row admitted mid-decode sees
+    // exactly the embeddings a fresh sequential decode would.
     if (quant_ != nullptr) {
         quant_->input_proj.forward_rows(x.data().data(), ph, m, qscratch_);
     } else {
         model_->input_proj().forward_rows(x.data().data(), ph, m);
     }
     const float* pos = model_->positions()->value.data().data();
-    for (std::size_t i = 0; i < m; ++i) {
-        kernels::add_bias_row(ph + i * d, pos + (len_[wrow_[i]] + wpos_[i]) * d, d);
-    }
+    for (std::size_t r = 0; r < m; ++r) kernels::add_bias_row(ph + r * d, pos + len_[r] * d, d);
 
     const auto layer_norm = [&](const LayerNorm& ln, const float* in, float* out) {
         const float* gain = ln.gain()->value.data().data();
@@ -150,17 +120,15 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
                 fp.forward_rows(in, out, m);
             }
         };
-        // Scatter the fresh K or V rows into the cache at each token's
-        // row-local position len(r)+j, converting to fp16 when the cache is
+        // Scatter the fresh K or V rows into the cache at each row's
+        // local position len(r), converting to fp16 when the cache is
         // half-precision (encoding is round-to-nearest-even — the same bits
         // on every tier).
         const auto append_kv = [&](const float* src_rows, float* dst32, std::uint16_t* dst16) {
-            for (std::size_t tok = 0; tok < m; ++tok) {
-                const std::size_t r = wrow_[tok];
-                const std::size_t p = len_[r] + wpos_[tok];
+            for (std::size_t r = 0; r < m; ++r) {
                 for (std::size_t head = 0; head < h; ++head) {
-                    const std::size_t off = ((phys_[r] * h + head) * max_t + p) * dh;
-                    const float* src = src_rows + tok * d + head * dh;
+                    const std::size_t off = ((phys_[r] * h + head) * max_t + len_[r]) * dh;
+                    const float* src = src_rows + r * d + head * dh;
                     if (dst16 != nullptr) {
                         kernels::fp16_encode(src, dst16 + off, dh);
                     } else {
@@ -173,17 +141,16 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
         // ---- attention branch: ln1 -> qkv -> cached causal attention -> wo
         layer_norm(block.ln1(), ph, pscratch);
         proj(block.attn().wq(), qb != nullptr ? &qb->wq : nullptr, pscratch, q_.data().data());
-        // New K/V rows go straight into the cache — the whole window before
-        // attention runs, so window token j can attend to the window tokens
-        // appended before it.
+        // New K/V rows go straight into the cache before attention runs, so
+        // each row's token attends to itself.
         proj(block.attn().wk(), qb != nullptr ? &qb->wk : nullptr, pscratch, kv_.data().data());
         append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.k.data().data(),
                   kv_fp16_ ? cache.kh.data() : nullptr);
         proj(block.attn().wv(), qb != nullptr ? &qb->wv : nullptr, pscratch, kv_.data().data());
         append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.v.data().data(),
                   kv_fp16_ ? cache.vh.data() : nullptr);
-        // Per-token, per-head attention over the row's own causal window
-        // [0, len(r)+j]. K/V live at row-local positions, so the math —
+        // Per-row, per-head attention over the row's own causal window
+        // [0, len(r)]. K/V live at row-local positions, so the math —
         // dot order, softmax length, axpy order — is bit-identical to a
         // fresh sequential decode of the same stream regardless of when the
         // row was admitted or how the other rows advance. The one score row
@@ -197,22 +164,21 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
             const std::uint16_t* cvh = kv_fp16_ ? cache.vh.data() : nullptr;
             float* scores = scores_.data();
             float* ctx = pscratch;  // reuse as context output
-            for (std::size_t tok = 0; tok < m; ++tok) {
-                const std::size_t r = wrow_[tok];
-                const std::size_t n = len_[r] + wpos_[tok] + 1;  // window length
+            for (std::size_t r = 0; r < m; ++r) {
+                const std::size_t n = len_[r] + 1;  // keys [0, len(r)]
                 for (std::size_t head = 0; head < h; ++head) {
                     const std::size_t win = (phys_[r] * h + head) * max_t * dh;
-                    const float* qrow = pq + tok * d + head * dh;
+                    const float* qrow = pq + r * d + head * dh;
                     // The batched kernels are defined as these per-key
                     // dot/axpy loops (kernels.hpp): one dispatch per
-                    // (token, head) instead of per key, same bits.
+                    // (row, head) instead of per key, same bits.
                     if (kv_fp16_) {
                         kernels::attn_scores_f16(qrow, ckh + win, scores, n, dh, scale);
                     } else {
                         kernels::attn_scores(qrow, ck + win, scores, n, dh, scale);
                     }
                     kernels::softmax_row(scores, scores, n, n);
-                    float* crow = ctx + tok * d + head * dh;
+                    float* crow = ctx + r * d + head * dh;
                     std::fill_n(crow, dh, 0.0f);
                     if (kv_fp16_) {
                         kernels::attn_mix_f16(scores, cvh + win, crow, n, dh);
@@ -240,15 +206,8 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
     }
 
     layer_norm(model_->final_ln(), ph, ph);
-    for (std::size_t r = 0; r < batch_; ++r) len_[r] += counts[r];
+    for (std::size_t r = 0; r < m; ++r) ++len_[r];
     return hstate_;
-}
-
-void TransformerDecoder::rollback_row(std::size_t r, std::size_t new_len) {
-    CPT_CHECK_LT(r, batch_, " TransformerDecoder::rollback_row: row out of range");
-    CPT_CHECK_LE(new_len, len_[r],
-                 " TransformerDecoder::rollback_row: cannot extend a row's context");
-    len_[r] = new_len;
 }
 
 std::size_t TransformerDecoder::kv_bytes() const {

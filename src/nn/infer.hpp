@@ -14,7 +14,7 @@
 // tests; all kernels dispatch on the active SIMD tier (util/cpu.hpp).
 //
 // Threading: a decoder runs entirely on its caller's thread. Nothing under
-// step_window() opens a thread-pool region, so a step never waits on, or
+// step() opens a thread-pool region, so a step never waits on, or
 // contends for, the process-wide pool. Parallel decode lives one level up: the
 // sampler runs one SlotBatch per pool lane and cpt-serve one Engine thread
 // per slice, each with its own decoder. The output therefore cannot depend
@@ -29,18 +29,9 @@
 // That invariance is what lets a serving scheduler refill slots that
 // compact() frees without perturbing the streams already in flight (pinned
 // by tests/serve_test.cpp).
-//
-// Speculative decoding (DESIGN.md §16) rides on two extensions: step_window()
-// feeds a variable-length token window per row in one batched forward
-// (intra-window causality falls out of the row-local positions — window
-// token j attends to [0, len(r)+j], which includes the window tokens
-// appended before it), and rollback_row() truncates a row's context in O(1)
-// so draft tokens past the first rejection are discarded without touching
-// the cache (the stale rows are simply never read again).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "modules.hpp"
@@ -53,13 +44,10 @@ namespace cpt::nn {
 // path; `kv_fp16` stores the KV cache as IEEE binary16 (encode on append,
 // widen to fp32 inside the attention dot/axpy kernels), halving KV bandwidth
 // and memory. The two are independent knobs at this layer; the public
-// Precision::kInt8W8A32 mode enables both. `max_window` sizes the scratch
-// arena for step_window(): the largest per-row token window a single call
-// may feed (1 = plain one-token stepping).
+// Precision::kInt8W8A32 mode enables both.
 struct DecodeOptions {
     const TransformerQuant* quant = nullptr;  // borrowed; must outlive the decoder
     bool kv_fp16 = false;
-    std::size_t max_window = 1;
 };
 
 class TransformerDecoder {
@@ -71,37 +59,17 @@ public:
     TransformerDecoder(const Transformer& model, std::size_t batch, const DecodeOptions& opts);
 
     // Feeds one token per row (x: [B, d_token]) and returns the final-layer
-    // hidden state for that position ([B, d_model]). The returned tensor is
-    // a view into the decoder's arena: it is overwritten by the next step()
-    // (clone it to keep it). Throws when any row's context is full
-    // (row_length() == max_seq_len). Equivalent to step_window() with a
-    // one-token window per row (bit-identical by construction: it is that
-    // call).
+    // hidden state for that position ([B, d_model]). Row r's token is
+    // processed at its context position len(r) and attends to cache
+    // positions [0, len(r)]; afterwards len(r) grows by one. The returned
+    // tensor is a view into the decoder's arena: it is overwritten by the
+    // next step() (clone it to keep it). Throws when any row's context is
+    // full (row_length() == max_seq_len).
     const Tensor& step(const Tensor& x);
 
-    // Feeds counts[r] consecutive tokens for each row in one batched
-    // forward. `x` holds the windows packed row-major in ascending row
-    // order: sum(counts) rows of d_token (rows with counts[r] == 0
-    // contribute nothing). Returns the final-layer hidden states in the
-    // same packed layout ([sum(counts), d_model], a view overwritten by the
-    // next call). Window token j of row r is processed at context position
-    // len(r)+j and attends to cache positions [0, len(r)+j] — the window
-    // tokens before it included — which is exactly the causal mask a
-    // sequential decode would apply. Each counts[r] must be <= the
-    // construction-time max_window and fit the row's remaining context.
-    // Afterwards len(r) += counts[r]; use rollback_row() to discard a
-    // rejected suffix.
-    const Tensor& step_window(const Tensor& x, std::span<const std::size_t> counts);
-
-    // Truncates row r's context to new_len tokens (new_len <= row_length(r)).
-    // O(1): the KV entries past new_len stay in place and are overwritten by
-    // the next append before ever being read.
-    void rollback_row(std::size_t r, std::size_t new_len);
-
     // Longest live row context (tokens consumed); 0 when no rows are live.
-    // Rows advance independently under step_window(), so per-row
-    // row_length() is the precise notion; this remains the lockstep value
-    // when every row advances one token per step.
+    // Rows admitted mid-decode have shorter contexts, so per-row
+    // row_length() is the precise notion.
     std::size_t length() const;
     // Tokens consumed by row r (its local context length).
     std::size_t row_length(std::size_t r) const { return len_[r]; }
@@ -161,7 +129,6 @@ private:
     QuantScratch qscratch_;
     std::size_t capacity_ = 0;
     std::size_t batch_ = 0;
-    std::size_t max_window_ = 1;
     // Per-row context length ([capacity_]; first batch_ entries live). K/V
     // for row r occupies cache positions [0, len_[r]) of its physical row.
     std::vector<std::size_t> len_;
@@ -174,23 +141,15 @@ private:
     std::vector<std::size_t> free_;
     std::vector<BlockCache> caches_;
 
-    // All-ones window counts so step() can delegate to step_window() without
-    // touching the heap.
-    std::vector<std::size_t> ones_;
-    // Packed-token maps rebuilt by each step_window() call: logical row and
-    // in-window position of every packed row of x.
-    std::vector<std::size_t> wrow_;
-    std::vector<std::size_t> wpos_;
-
-    // Scratch arena, allocated once for `capacity_ * max_window_` rows...
+    // Scratch arena, allocated once for `capacity_` rows...
     Tensor hstate_full_;
     Tensor q_full_;
     Tensor kv_full_;
     Tensor attn_full_;
     Tensor scratch_full_;
     Tensor mlp_hidden_full_;
-    // ...and the first_rows(m) views the current call's kernels run on,
-    // rebound only when the packed row count changes.
+    // ...and the first_rows(batch_) views the current step's kernels run on,
+    // rebound only when the live row count changes.
     std::size_t bound_rows_ = 0;
     Tensor hstate_;
     Tensor q_;

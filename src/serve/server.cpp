@@ -415,7 +415,7 @@ Server::Engine* Server::route(const GenerateRequest& request, GenerateResponse* 
         *reject = {Status::kBadRequest, "hour_of_day must be in [0, 23]", {}};
         return nullptr;
     }
-    if (request.top_p > 1.0f) {
+    if (request.top_p == 0.0f || request.top_p > 1.0f) {
         *reject = {Status::kBadRequest, "top_p must be in (0, 1]", {}};
         return nullptr;
     }

@@ -27,10 +27,7 @@
 // byte-for-byte (pinned by tests/serve_test.cpp) — admission timing cannot
 // perturb stream content (see Sampler::SlotBatch).
 //
-// Engines decode one token per row per step. Speculative decode (DESIGN.md
-// §16) stays on Sampler::generate/generate_to/generate_batch: inside an
-// engine it measured slower at every k tried
-// (bench_results/BENCH_serve_spec.json).
+// Engines decode one token per row per step, as every SlotBatch does.
 #pragma once
 
 #include <cstdint>

@@ -47,9 +47,9 @@ public:
     // normalized to probabilities over event ids [0, num_event_types()).
     // `probs` is resized to num_event_types(). The output is indexed by
     // event id, so any downstream argmax resolves ties to the lowest id —
-    // the deterministic ordering the speculative drafter and cpt_lint rely
-    // on. Returns false (probs zeroed) when the context has fewer than n-1
-    // events or was never seen in training.
+    // the deterministic ordering cpt_lint relies on. Returns false (probs
+    // zeroed) when the context has fewer than n-1 events or was never seen
+    // in training.
     bool next_event_distribution(std::span<const cellular::EventId> context,
                                  std::vector<double>& probs) const;
 

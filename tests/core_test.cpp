@@ -5,10 +5,12 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/model.hpp"
 #include "core/sampler.hpp"
@@ -365,6 +367,71 @@ TEST(SamplerTest, AlwaysStopModelYieldsTwoEventStreams) {
             EXPECT_EQ(ds.streams[s].length(), 2u) << ds.streams[s].ue_id;
         }
     }
+}
+
+// A model whose stop head is biased hard toward "continue" runs every stream
+// to max_stream_len: the cap retires the row on the token that reaches it,
+// never earlier or later, and each step commits one token per row.
+TEST(SamplerTest, GenerateBatchStopsExactlyAtTheLengthCap) {
+    const auto world = phone_world(40);
+    const auto tok = Tokenizer::fit(world);
+    util::Rng init(21);
+    CptGpt model(tok, tiny_config(), init);
+    bias_stop_head(model, -8.0f);
+    constexpr std::size_t kStreams = 5;
+    const std::size_t max_seq = tiny_config().max_seq_len;
+    for (const std::size_t cap : {std::size_t{2}, std::size_t{7}, max_seq}) {
+        SamplerConfig scfg;
+        scfg.batch = kStreams;
+        scfg.max_stream_len = cap;
+        const Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
+        util::Rng root(5);
+        std::vector<util::Rng> rngs;
+        for (std::size_t i = 0; i < kStreams; ++i) rngs.push_back(root.fork(i));
+        Sampler::StageTimes times;
+        const auto streams = sampler.generate_batch(std::span(rngs), "cap", 0, &times);
+        ASSERT_EQ(streams.size(), kStreams) << "cap=" << cap;
+        for (const auto& s : streams) EXPECT_EQ(s.events.size(), cap) << s.ue_id << " cap=" << cap;
+        // One bootstrap event plus one committed token per step.
+        EXPECT_EQ(times.steps, cap - 1) << "cap=" << cap;
+    }
+}
+
+// Greedy decoding (temperature 0) consumes no randomness after the
+// bootstrap draw of the first event, so every stream that starts with the
+// same event is byte-identical, whatever its RNG.
+TEST(SamplerTest, GreedyStreamsDependOnlyOnTheBootstrapEvent) {
+    const auto world = phone_world(60);
+    const auto tok = Tokenizer::fit(world);
+    util::Rng init(31);
+    CptGpt model(tok, tiny_config(), init);
+    SamplerConfig scfg;
+    scfg.temperature = 0.0;
+    scfg.batch = 4;
+    const Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
+    util::Rng rng(37);
+    const auto ds = sampler.generate(48, rng);
+    ASSERT_EQ(ds.streams.size(), 48u);
+
+    std::vector<const trace::Stream*> first_of(tok.num_event_types(), nullptr);
+    std::size_t repeats = 0;
+    for (const auto& s : ds.streams) {
+        const trace::Stream*& ref = first_of[s.events.front().type];
+        if (ref == nullptr) {
+            ref = &s;
+            continue;
+        }
+        ++repeats;
+        ASSERT_EQ(s.events.size(), ref->events.size()) << s.ue_id << " vs " << ref->ue_id;
+        for (std::size_t j = 0; j < s.events.size(); ++j) {
+            EXPECT_EQ(s.events[j].type, ref->events[j].type) << s.ue_id << " event " << j;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(s.events[j].timestamp),
+                      std::bit_cast<std::uint64_t>(ref->events[j].timestamp))
+                << s.ue_id << " event " << j;
+        }
+    }
+    // 48 streams over a handful of first events: most share one.
+    EXPECT_GE(repeats, 40u);
 }
 
 TEST(SamplerTest, RejectsBadInitialDistribution) {

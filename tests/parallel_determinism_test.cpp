@@ -11,7 +11,6 @@
 
 #include "core/model.hpp"
 #include "core/sampler.hpp"
-#include "core/spec_drafter.hpp"
 #include "core/trainer.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
@@ -90,8 +89,8 @@ TEST(ParallelDeterminismTest, WorldGeneratorHoursAreThreadCountInvariant) {
     for (std::size_t h = 0; h < one.size(); ++h) expect_identical(one[h], four[h]);
 }
 
-// generate(40) is one dataset for every decode batch width and pool width:
-// fp32, int8, and speculative decode (spec_k = 4, n-gram drafter) alike.
+// generate(40) is one dataset for every decode batch width and pool width,
+// in fp32 and int8 alike.
 TEST(ParallelDeterminismTest, SamplerGenerateIsThreadCountInvariant) {
     ThreadCountGuard guard;
     const auto world = phone_world(40);
@@ -99,23 +98,18 @@ TEST(ParallelDeterminismTest, SamplerGenerateIsThreadCountInvariant) {
     util::Rng init(3);
     CptGpt model(tok, tiny_config(), init);  // untrained: contract is structural
     model.quantize_weights();
-    const SpecDrafter drafter = SpecDrafter::fit(world, tok);
 
     struct Mode {
         const char* name;
         nn::Precision precision;
-        std::size_t spec_k;
     };
-    for (const Mode mode : {Mode{"fp32", nn::Precision::kFp32, 1},
-                            Mode{"int8", nn::Precision::kInt8W8A32, 1},
-                            Mode{"spec_k4", nn::Precision::kFp32, 4}}) {
+    for (const Mode mode :
+         {Mode{"fp32", nn::Precision::kFp32}, Mode{"int8", nn::Precision::kInt8W8A32}}) {
         std::optional<trace::Dataset> reference;
         for (const std::size_t batch : {1, 3, 8, 32}) {
             SamplerConfig scfg;
             scfg.batch = batch;
             scfg.precision = mode.precision;
-            scfg.spec_k = mode.spec_k;
-            scfg.drafter = mode.spec_k > 1 ? &drafter : nullptr;
             const Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
             for (const std::size_t threads : {1, 2, 4}) {
                 SCOPED_TRACE(testing::Message() << mode.name << " batch=" << batch

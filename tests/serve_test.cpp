@@ -370,12 +370,41 @@ TEST_F(ServeFixture, DeterministicRequestReproducesGenerateBatch) {
     EXPECT_NE(stats.find("\"streams\": 5"), std::string::npos) << stats;
     EXPECT_NE(stats.find("\"p99\""), std::string::npos) << stats;
     EXPECT_NE(stats.find("\"completed\": 1"), std::string::npos) << stats;
-    // perfbench parses decode_ms_per_step; engines never speculate.
+    // perfbench parses decode_ms_per_step; no speculation stats remain.
     EXPECT_NE(stats.find("\"decode_ms_per_step\": "), std::string::npos) << stats;
     EXPECT_NE(stats.find("\"precision\": \"fp32\""), std::string::npos) << stats;
     EXPECT_EQ(stats.find("\"spec_"), std::string::npos) << stats;
     server.drain();
     EXPECT_EQ(server.generate(req).status, serve::Status::kShuttingDown);
+}
+
+// temperature = 0 in a request means greedy decoding, as it does in
+// SamplerConfig; only negative values select the slice default.
+TEST_F(ServeFixture, TemperatureZeroRequestDecodesGreedily) {
+    const auto pkg = load_package();
+    auto greedy_cfg = slice_sampler_config(8);
+    greedy_cfg.temperature = 0.0;
+    const core::Sampler ref(*pkg.model, pkg.tokenizer, pkg.initial_event_dist, greedy_cfg);
+    util::Rng root(43);
+    std::vector<util::Rng> rngs;
+    for (std::size_t i = 0; i < 6; ++i) rngs.push_back(root.fork(i));
+    const auto want = sorted_by_ue(ref.generate_batch(std::span(rngs), "greedy", 0));
+
+    serve::Server server(base_config(dir));
+    serve::GenerateRequest req;
+    req.device = trace::DeviceType::kPhone;
+    req.hour_of_day = 9;
+    req.count = 6;
+    req.seed = 43;
+    req.deterministic = true;
+    req.temperature = 0.0f;
+    req.ue_prefix = "greedy";
+    const auto resp = server.generate(req);
+    ASSERT_EQ(resp.status, serve::Status::kOk) << resp.error;
+    ASSERT_EQ(resp.streams.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        expect_streams_identical(resp.streams[i], want[i]);
+    }
 }
 
 TEST_F(ServeFixture, MissingSliceReportsSliceAndHubDirectory) {
@@ -401,6 +430,9 @@ TEST_F(ServeFixture, BadRequestsAreRejectedUpFront) {
     EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
     req.hour_of_day = 9;
     req.top_p = 1.5f;
+    EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
+    // top_p must be in (0, 1]; only negative values mean "slice default".
+    req.top_p = 0.0f;
     EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
     req.top_p = serve::GenerateRequest{}.top_p;
     // Below the two-event minimum: rejected here, not thrown on the engine

@@ -361,7 +361,6 @@ void rule_nn_single_thread(const std::string& rel, const Source& src,
 
 bool in_deterministic_path(const std::string& rel) {
     return rel.starts_with("src/nn/") || rel.starts_with("src/core/sampler.") ||
-           rel.starts_with("src/core/spec_drafter.") ||
            rel.starts_with("src/trace/columnar.") || rel.starts_with("src/util/sketch.");
 }
 
