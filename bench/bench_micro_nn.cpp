@@ -117,20 +117,13 @@ double time_gflops(const std::function<void(float*)>& run, std::size_t m, std::s
     return best;
 }
 
-std::vector<util::SimdTier> available_tiers() {
-    std::vector<util::SimdTier> tiers{util::SimdTier::kScalar};
-    if (util::simd_tier_available(util::SimdTier::kSse2)) tiers.push_back(util::SimdTier::kSse2);
-    if (util::simd_tier_available(util::SimdTier::kAvx2)) tiers.push_back(util::SimdTier::kAvx2);
-    return tiers;
-}
-
 struct GemmRow {
     const char* op;
     GemmShape shape;
     double gflops_seed = 0.0;
     // Single-thread GFLOP/s per SIMD tier, indexed by SimdTier; 0 when the
     // tier is unavailable on this host/build.
-    double gflops_tier_t1[3] = {0.0, 0.0, 0.0};
+    double gflops_tier_t1[static_cast<int>(util::SimdTier::kAvx2) + 1] = {};
 };
 
 std::vector<GemmRow> run_gemm_suite() {
@@ -147,7 +140,7 @@ std::vector<GemmRow> run_gemm_suite() {
         {"nt_decode", seed::gemm_nt, nn::gemm_nt_decode},
         {"tn", seed::gemm_tn, nn::gemm_tn},
     };
-    const auto tiers = available_tiers();
+    const auto tiers = util::available_simd_tiers();
     const util::SimdTier best = tiers.back();
 
     std::mt19937 gen(42);
@@ -165,18 +158,17 @@ std::vector<GemmRow> run_gemm_suite() {
                 [&](float* pc) { op.seed(a.data(), b.data(), pc, s.m, s.k, s.n); }, s.m, s.k,
                 s.n, c);
             for (util::SimdTier tier : tiers) {
-                const util::SimdTier prev = util::set_simd_tier(tier);
+                const util::ScopedSimdTier guard(tier);
                 row.gflops_tier_t1[static_cast<int>(tier)] = time_gflops(
                     [&](float* pc) { op.blocked(a.data(), b.data(), pc, s.m, s.k, s.n); }, s.m,
                     s.k, s.n, c);
-                util::set_simd_tier(prev);
             }
             rows.push_back(row);
 
-            std::printf("gemm_%s %4zux%4zux%4zu  seed %7.2f  scalar %7.2f  sse2 %7.2f  "
+            std::printf("gemm_%s %4zux%4zux%4zu  seed %7.2f  scalar %7.2f  "
                         "avx2 %7.2f GFLOP/s  (%s x%.2f seed)  %s\n",
                         op.name, s.m, s.k, s.n, row.gflops_seed, row.gflops_tier_t1[0],
-                        row.gflops_tier_t1[1], row.gflops_tier_t1[2], util::simd_tier_name(best),
+                        row.gflops_tier_t1[1], util::simd_tier_name(best),
                         row.gflops_tier_t1[static_cast<int>(best)] / row.gflops_seed, s.note);
             std::fflush(stdout);
         }
@@ -190,7 +182,7 @@ void write_json(const std::vector<GemmRow>& rows, const char* path) {
         std::fprintf(stderr, "bench_micro_nn: cannot write %s\n", path);
         return;
     }
-    const auto tiers = available_tiers();
+    const auto tiers = util::available_simd_tiers();
     const int best = static_cast<int>(tiers.back());
     std::fprintf(f, "{\n  \"bench\": \"micro_nn_gemm\",\n");
     std::fprintf(f, "  \"simd_tiers\": [");
@@ -205,14 +197,13 @@ void write_json(const std::vector<GemmRow>& rows, const char* path) {
             f,
             "    {\"op\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, \"note\": \"%s\", "
             "\"gflops_seed\": %.3f, "
-            "\"gflops_scalar_t1\": %.3f, \"gflops_sse2_t1\": %.3f, \"gflops_avx2_t1\": %.3f, "
-            "\"speedup_scalar_vs_seed\": %.3f, \"speedup_sse2_vs_seed\": %.3f, "
-            "\"speedup_avx2_vs_seed\": %.3f, \"speedup_best_vs_seed\": %.3f}%s\n",
+            "\"gflops_scalar_t1\": %.3f, \"gflops_avx2_t1\": %.3f, "
+            "\"speedup_scalar_vs_seed\": %.3f, \"speedup_avx2_vs_seed\": %.3f, "
+            "\"speedup_best_vs_seed\": %.3f}%s\n",
             r.op, r.shape.m, r.shape.k, r.shape.n, r.shape.note, r.gflops_seed,
-            r.gflops_tier_t1[0], r.gflops_tier_t1[1], r.gflops_tier_t1[2],
-            r.gflops_tier_t1[0] / r.gflops_seed,
-            r.gflops_tier_t1[1] / r.gflops_seed, r.gflops_tier_t1[2] / r.gflops_seed,
-            r.gflops_tier_t1[best] / r.gflops_seed, i + 1 < rows.size() ? "," : "");
+            r.gflops_tier_t1[0], r.gflops_tier_t1[1], r.gflops_tier_t1[0] / r.gflops_seed,
+            r.gflops_tier_t1[1] / r.gflops_seed, r.gflops_tier_t1[best] / r.gflops_seed,
+            i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -30,13 +30,6 @@ namespace {
 
 using namespace cpt;
 
-std::vector<util::SimdTier> available_tiers() {
-    std::vector<util::SimdTier> tiers{util::SimdTier::kScalar};
-    if (util::simd_tier_available(util::SimdTier::kSse2)) tiers.push_back(util::SimdTier::kSse2);
-    if (util::simd_tier_available(util::SimdTier::kAvx2)) tiers.push_back(util::SimdTier::kAvx2);
-    return tiers;
-}
-
 std::string cpu_model() {
     std::ifstream in("/proc/cpuinfo");
     std::string line;
@@ -126,10 +119,9 @@ int main() {
     // Per-tier rows at one thread: speedup is pure kernel tier.
     util::set_global_threads(1);
     std::vector<TrainRow> tier_rows;
-    for (util::SimdTier tier : available_tiers()) {
-        const util::SimdTier prev = util::set_simd_tier(tier);
+    for (util::SimdTier tier : util::available_simd_tiers()) {
+        const util::ScopedSimdTier guard(tier);
         tier_rows.push_back(run_train(world, tier, 1));
-        util::set_simd_tier(prev);
     }
     for (auto& r : tier_rows) r.speedup = r.steps_per_sec / tier_rows.front().steps_per_sec;
     for (const auto& r : tier_rows) {

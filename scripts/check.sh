@@ -132,12 +132,9 @@ stage_tsan() {
 }
 
 host_simd_tiers() {
-    # Mirrors util::detect_simd_tier: scalar always; sse2 on any x86-64; avx2
-    # only when the host advertises both avx2 and fma.
+    # Mirrors util::detect_simd_tier: scalar always; avx2 only when the host
+    # advertises both avx2 and fma.
     local tiers="scalar"
-    if grep -q '\bsse2\b' /proc/cpuinfo 2>/dev/null; then
-        tiers="$tiers sse2"
-    fi
     if grep -q '\bavx2\b' /proc/cpuinfo 2>/dev/null &&
         grep -q '\bfma\b' /proc/cpuinfo 2>/dev/null; then
         tiers="$tiers avx2"

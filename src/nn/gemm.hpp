@@ -1,5 +1,5 @@
 // Cache-blocked, register-tiled GEMM kernels for the nn substrate,
-// dispatched at runtime across three SIMD tiers (scalar, SSE2, AVX2+FMA —
+// dispatched at runtime across two SIMD tiers (scalar, AVX2+FMA —
 // see util/cpu.hpp), plus the naive reference kernels they are tested
 // against. Every kernel runs on its caller's thread: parallelism lives one
 // level up, in the trainer's data-parallel shards, the sampler lanes and the
@@ -13,9 +13,9 @@
 // tier). Register tiling changes which elements are computed together, but
 // never the per-element operation sequence.
 // Tier-relative numerics:
-//   * scalar / sse2: a single ascending-k accumulator per element, added to
-//     C exactly once — BIT-IDENTICAL to the reference kernels for every
-//     shape (pinned by tests/nn_gemm_test.cpp).
+//   * scalar: a single ascending-k accumulator per element, added to C
+//     exactly once — BIT-IDENTICAL to the reference kernels for every shape
+//     (pinned by tests/nn_gemm_test.cpp).
 //   * avx2: FMA and fixed-tree reductions — tolerance vs the reference
 //     (tests/nn_simd_parity_test.cpp).
 //
@@ -43,10 +43,9 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
 // projections and the model heads), same semantics as gemm_nt. Row r of C
 // is additionally bit-identical to the 1-row product of A's row r for EVERY
 // m: a decode row's bits never depend on how many other rows share the
-// batch. On scalar/sse2 this is gemm_nt (the
-// reference chain); on avx2 it runs pack-free register tiles whose
-// per-element chain is one 8-wide FMA chain in ascending k, the fixed hsum8
-// tree, then a scalar fma tail. (avx2 gemm_nt instead packs B once per call
+// batch. On scalar this is gemm_nt (the reference chain); on avx2 it runs
+// pack-free register tiles whose per-element chain is one 8-wide FMA chain
+// in ascending k, the fixed hsum8 tree, then a scalar fma tail. (avx2 gemm_nt instead packs B once per call
 // and runs one scalar FMA chain per element: faster at training shapes,
 // slower for a handful of rows, and different bits.)
 void gemm_nt_decode(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,

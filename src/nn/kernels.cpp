@@ -19,7 +19,7 @@ using util::SimdTier;
 float dot(const float* a, const float* b, std::size_t n) {
     if (util::active_simd_tier() == SimdTier::kAvx2) return detail::dot_avx2(a, b, n);
     // Ascending serial accumulation: the historical (pre-dispatch) order, so
-    // the scalar and sse2 tiers keep bit-identical decoder output.
+    // the scalar tier keeps bit-identical decoder output.
     float s = 0.0f;
     for (std::size_t i = 0; i < n; ++i) s += a[i] * b[i];
     return s;
@@ -98,7 +98,7 @@ void fp16_encode(const float* src, std::uint16_t* dst, std::size_t n) {
 float dot_f16(const float* a, const std::uint16_t* b, std::size_t n) {
     if (util::active_simd_tier() == SimdTier::kAvx2) return detail::dot_f16_avx2(a, b, n);
     // Ascending serial accumulation with an exact widen per element, mirroring
-    // the fp32 dot's scalar/sse2 contract.
+    // the fp32 dot's scalar contract.
     float s = 0.0f;
     for (std::size_t i = 0; i < n; ++i) s += a[i] * fp16_decode_one(b[i]);
     return s;

@@ -6,9 +6,9 @@
 // is the trainer's data-parallel shards, decode parallelism the sampler lanes
 // and serve engines.
 //
-// Numerics: on the scalar and sse2 tiers every function below performs the
-// exact per-element operation order the pre-dispatch code performed, so those
-// tiers remain bit-identical to the historical outputs. The avx2 tier may
+// Numerics: on the scalar tier every function below performs the exact
+// per-element operation order the pre-dispatch code performed, so that tier
+// remains bit-identical to the historical outputs. The avx2 tier may
 // reassociate reductions, use FMA, and evaluate GELU through a vectorised
 // exp; within that tier results are still a pure function of (element
 // index, shape).
@@ -61,10 +61,10 @@ void attn_mix_f16(const float* scores, const std::uint16_t* vrows, float* crow, 
 
 // fp16-storage KV-cache kernels (infer.cpp). Encoding rounds fp32 to
 // nearest-even binary16 — the SAME bits on every tier (software converter on
-// scalar/sse2, VCVTPS2PH or the identical software fallback on avx2), so the
+// scalar, VCVTPS2PH or the identical software fallback on avx2), so the
 // cache contents never depend on the tier. dot_f16/axpy_f16 widen the halves
 // exactly and then follow the fp32 dot/axpy tier conventions: ascending
-// scalar on scalar/sse2 (bit-identical to each other), FMA forms on avx2.
+// scalar on the scalar tier, FMA forms on avx2.
 void fp16_encode(const float* src, std::uint16_t* dst, std::size_t n);
 float dot_f16(const float* a, const std::uint16_t* b, std::size_t n);
 void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
@@ -85,7 +85,7 @@ void layer_norm_row(const float* in, float* out, const float* gain, const float*
 // row[j] += bias[j].
 void add_bias_row(float* row, const float* bias, std::size_t d);
 // Fused epilogue for fc1: row[j] = gelu(row[j] + bias[j]). gelu_scalar bit
-// for bit on scalar/sse2; on avx2 an 8-wide x * sigmoid(2u) with a
+// for bit on scalar; on avx2 an 8-wide x * sigmoid(2u) with a
 // vectorised exp, within 1e-6 of gelu_scalar (pinned over [-10, 10]).
 void bias_gelu_row(float* row, const float* bias, std::size_t d);
 // y[r,:] = bias (GEMM-accumulate prologue for the decode linear layers).
@@ -158,7 +158,7 @@ void bias_gelu_backward_rows(const float* x, const float* bias, const float* g, 
 // ---- Optimizer kernels --------------------------------------------------------
 
 // carry + sum(x[i]^2) with double-precision ascending accumulation on the
-// scalar/sse2 tiers — chaining calls over parameter tensors reproduces the
+// scalar tier — chaining calls over parameter tensors reproduces the
 // historical clip_grad_norm loop bit-for-bit. avx2 uses four double lanes
 // with a fixed combine order (tolerance vs the reference).
 double sqnorm(const float* x, std::size_t n, double carry = 0.0);
@@ -169,7 +169,7 @@ double sqnorm(const float* x, std::size_t n, double carry = 0.0);
 //   m[j] = beta1*m[j] + (1-beta1)*g'
 //   v[j] = beta2*v[j] + (1-beta2)*g'*g'
 //   w[j] -= lr * ((m[j]/bc1) / (sqrt(v[j]/bc2) + eps) + weight_decay*w[j])
-// On scalar/sse2 this is bit-identical to scaling the gradient in place and
+// On scalar this is bit-identical to scaling the gradient in place and
 // running the historical per-element Adam loop.
 void adam_update(float* w, const float* g, float* m, float* v, std::size_t n, float lr,
                  float beta1, float beta2, float eps, float weight_decay, float bc1, float bc2,

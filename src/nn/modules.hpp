@@ -43,7 +43,7 @@ public:
     // Inference fast path (no autograd graph, caller's thread): y = x W^T + b
     // over row-major x [rows, in], y [rows, out]. Overwrites y. Runs
     // gemm_nt_decode, so a row's bits never depend on `rows`; equal to
-    // forward() bit for bit on scalar/sse2 and within FMA tolerance on avx2.
+    // forward() bit for bit on scalar and within FMA tolerance on avx2.
     void forward_rows(const float* x, float* y, std::size_t rows) const;
 
     std::size_t in_features() const { return in_; }

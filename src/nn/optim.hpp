@@ -49,7 +49,7 @@ public:
     // update as a gradient scale, and applies it in a single pass per
     // parameter via the tier-dispatched kernels. Equivalent to
     // clip_grad_norm(params, max_norm) followed by step() — the fold is a
-    // bit-exact identity on the scalar/sse2 tiers — but touches each gradient
+    // bit-exact identity on the scalar tier — but touches each gradient
     // element once instead of three times. Returns the pre-clip norm.
     double step_clipped(double max_norm);
 

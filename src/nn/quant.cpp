@@ -9,10 +9,6 @@
 #include "util/check.hpp"
 #include "util/cpu.hpp"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace cpt::nn {
 
 namespace {
@@ -38,55 +34,11 @@ void gemv_q8_dots_scalar(const std::uint8_t* a, const std::int8_t* w, std::int32
     }
 }
 
-#if defined(__SSE2__)
-// SSE2 has no VPMADDUBSW, so widen u8 (zero-extend) and s8 (sign-extend via
-// a compare mask) to i16 and use PMADDWD. Same exact integers as the scalar
-// loop — integer addition is associative.
-std::int32_t dot_q8_sse2(const std::uint8_t* a, const std::int8_t* w, std::size_t k_dim) {
-    const __m128i zero = _mm_setzero_si128();
-    __m128i acc = _mm_setzero_si128();
-    std::size_t i = 0;
-    for (; i + 16 <= k_dim; i += 16) {
-        const __m128i av = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i wv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-        const __m128i alo = _mm_unpacklo_epi8(av, zero);
-        const __m128i ahi = _mm_unpackhi_epi8(av, zero);
-        const __m128i wsign = _mm_cmpgt_epi8(zero, wv);
-        const __m128i wlo = _mm_unpacklo_epi8(wv, wsign);
-        const __m128i whi = _mm_unpackhi_epi8(wv, wsign);
-        acc = _mm_add_epi32(acc, _mm_madd_epi16(alo, wlo));
-        acc = _mm_add_epi32(acc, _mm_madd_epi16(ahi, whi));
-    }
-    __m128i s = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(1, 0, 3, 2)));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-    std::int32_t r = _mm_cvtsi128_si32(s);
-    for (; i < k_dim; ++i) {
-        r += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(w[i]);
-    }
-    return r;
-}
-
-void gemv_q8_dots_sse2(const std::uint8_t* a, const std::int8_t* w, std::int32_t* idot,
-                       std::size_t k_dim, std::size_t n_dim) {
-    for (std::size_t j = 0; j < n_dim; ++j) idot[j] = dot_q8_sse2(a, w + j * k_dim, k_dim);
-}
-#endif
-
 void gemv_q8_dots(const std::uint8_t* a, const std::int8_t* w, std::int32_t* idot,
                   std::size_t k_dim, std::size_t n_dim, SimdTier tier) {
-    switch (tier) {
-        case SimdTier::kAvx2:
-            detail::gemv_q8_dots_avx2(a, w, idot, k_dim, n_dim);
-            return;
-        case SimdTier::kSse2:
-#if defined(__SSE2__)
-            gemv_q8_dots_sse2(a, w, idot, k_dim, n_dim);
-            return;
-#else
-            break;
-#endif
-        case SimdTier::kScalar:
-            break;
+    if (tier == SimdTier::kAvx2) {
+        detail::gemv_q8_dots_avx2(a, w, idot, k_dim, n_dim);
+        return;
     }
     gemv_q8_dots_scalar(a, w, idot, k_dim, n_dim);
 }

@@ -15,7 +15,7 @@
 // instruction computes the exact integer sum. Every tier therefore produces
 // the SAME int32 dot (integer addition is associative), and the float
 // epilogue is one fixed scalar expression compiled without FMA — so the
-// quantized matmul output is byte-identical across scalar/sse2/avx2, a
+// quantized matmul output is byte-identical across scalar and avx2, a
 // strictly stronger contract than the fp32 kernels. Like the rest of the
 // decode path, every function here runs on its caller's thread.
 //

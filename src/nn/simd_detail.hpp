@@ -64,7 +64,7 @@ void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float*
 // Int8 decode path (quant.cpp): idot[j] = sum_k a[k] * w[j,k] over 7-bit
 // offset-64 activation codes and int8 weights — VPMADDUBSW + VPMADDWD, exact
 // integers (codes are small enough that the saturating i16 stage cannot
-// fire), so the result matches the scalar/sse2 forms bit for bit.
+// fire), so the result matches the scalar form bit for bit.
 void gemv_q8_dots_avx2(const std::uint8_t* a, const std::int8_t* w, std::int32_t* idot,
                        std::size_t k_dim, std::size_t n_dim);
 

@@ -16,11 +16,7 @@ SimdTier best_supported_tier() {
 #if defined(CPT_HAVE_AVX2_KERNELS) && (defined(__x86_64__) || defined(__i386__))
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return SimdTier::kAvx2;
 #endif
-#if defined(__SSE2__)
-    return SimdTier::kSse2;
-#else
     return SimdTier::kScalar;
-#endif
 }
 
 // -1 = unresolved; otherwise holds a SimdTier enumerator. The atomic is the
@@ -29,40 +25,16 @@ SimdTier best_supported_tier() {
 std::atomic<int> g_active{-1};
 Mutex g_resolve_mutex;
 
-bool parse_tier(const std::string& name, SimdTier& out) {
-    if (name == "scalar") {
-        out = SimdTier::kScalar;
-    } else if (name == "sse2") {
-        out = SimdTier::kSse2;
-    } else if (name == "avx2") {
-        out = SimdTier::kAvx2;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 SimdTier resolve_active_tier() {
     const SimdTier best = detect_simd_tier();
-    SimdTier chosen = best;
     const char* env = std::getenv("CPT_SIMD");
-    if (env != nullptr && *env != '\0') {
-        SimdTier requested = best;
-        if (!parse_tier(env, requested)) {
-            warnf("CPT_SIMD=%s not recognized (expected scalar|sse2|avx2); using %s", env,
-                  simd_tier_name(best));
-        } else if (!simd_tier_available(requested)) {
-            warnf("CPT_SIMD=%s not supported on this host/binary; clamping to %s", env,
-                  simd_tier_name(best));
-        } else {
-            chosen = requested;
-        }
-    }
-    info(std::string("simd tier: ") + simd_tier_name(chosen) + " (detected " +
-         simd_tier_name(best) + (env != nullptr && *env != '\0'
-                                     ? std::string(", CPT_SIMD=") + env + ")"
-                                     : std::string(")")));
-    return chosen;
+    const std::string_view value = env != nullptr ? env : "";
+    const SimdTierChoice choice = choose_simd_tier(value, best);
+    if (!choice.warning.empty()) warn(choice.warning);
+    info(std::string("simd tier: ") + simd_tier_name(choice.tier) + " (detected " +
+         simd_tier_name(best) +
+         (value.empty() ? std::string(")") : ", CPT_SIMD=" + std::string(value) + ")"));
+    return choice.tier;
 }
 
 }  // namespace
@@ -70,7 +42,6 @@ SimdTier resolve_active_tier() {
 const char* simd_tier_name(SimdTier tier) {
     switch (tier) {
         case SimdTier::kScalar: return "scalar";
-        case SimdTier::kSse2: return "sse2";
         case SimdTier::kAvx2: return "avx2";
     }
     return "unknown";
@@ -83,6 +54,29 @@ SimdTier detect_simd_tier() {
 
 bool simd_tier_available(SimdTier tier) {
     return static_cast<int>(tier) <= static_cast<int>(detect_simd_tier());
+}
+
+std::vector<SimdTier> available_simd_tiers() {
+    std::vector<SimdTier> tiers{SimdTier::kScalar};
+    if (simd_tier_available(SimdTier::kAvx2)) tiers.push_back(SimdTier::kAvx2);
+    return tiers;
+}
+
+SimdTierChoice choose_simd_tier(std::string_view env, SimdTier detected) {
+    if (env.empty()) return {detected, {}};
+    if (env == "scalar") return {SimdTier::kScalar, {}};
+    if (env == "sse2") {
+        return {SimdTier::kScalar,
+                "CPT_SIMD=sse2: the sse2 tier is retired; using scalar, which gives the same bits"};
+    }
+    if (env == "avx2") {
+        if (detected == SimdTier::kAvx2) return {SimdTier::kAvx2, {}};
+        return {detected, "CPT_SIMD=avx2 not supported on this host/binary; clamping to " +
+                              std::string(simd_tier_name(detected))};
+    }
+    return {detected, "CPT_SIMD=" + std::string(env) +
+                          " not recognized (expected scalar|avx2); using " +
+                          simd_tier_name(detected)};
 }
 
 SimdTier active_simd_tier() {

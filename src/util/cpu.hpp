@@ -1,7 +1,7 @@
 // Runtime CPU feature detection for the SIMD kernel tiers in src/nn. The
 // active tier is resolved once per process — best tier both the CPU and this
-// binary support, overridable with CPT_SIMD=scalar|sse2|avx2 — and logged on
-// first use so a generation run records which kernels produced it.
+// binary support, overridable with CPT_SIMD=scalar|avx2 — and logged on first
+// use so a generation run records which kernels produced it.
 //
 // Determinism contract (see DESIGN.md "SIMD dispatch"): within a fixed tier,
 // every kernel performs identical per-element arithmetic regardless of thread
@@ -9,12 +9,16 @@
 // tier may change low-order bits (AVX2 uses FMA and wider reductions).
 #pragma once
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 namespace cpt::util {
 
 // Ordered: higher enumerators are strict supersets in instruction capability.
-enum class SimdTier { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdTier { kScalar = 0, kAvx2 = 1 };
 
-// Lower-case tier name as accepted by CPT_SIMD ("scalar", "sse2", "avx2").
+// Lower-case tier name as accepted by CPT_SIMD ("scalar", "avx2").
 const char* simd_tier_name(SimdTier tier);
 
 // Best tier supported by both the host CPU and the compiled binary
@@ -24,14 +28,39 @@ SimdTier detect_simd_tier();
 // True when `tier` does not exceed detect_simd_tier().
 bool simd_tier_available(SimdTier tier);
 
-// The tier all nn kernels dispatch on. Resolved once: CPT_SIMD override if
-// set (unknown values warn and fall back; unavailable tiers warn and clamp),
-// otherwise detect_simd_tier(). The chosen tier is logged via util::info on
-// first resolution.
+// Every tier this host/binary can run, scalar first.
+std::vector<SimdTier> available_simd_tiers();
+
+// The tier a CPT_SIMD value selects on a host whose best tier is `detected`,
+// and the warning to log when the value does not select the tier it names
+// (empty otherwise). An empty value selects `detected`; "sse2" names the
+// retired SSE2 tier and selects scalar, which gives the same bits; an unknown
+// value selects `detected`; a tier above `detected` is clamped to it.
+struct SimdTierChoice {
+    SimdTier tier;
+    std::string warning;
+};
+SimdTierChoice choose_simd_tier(std::string_view env, SimdTier detected);
+
+// The tier all nn kernels dispatch on. Resolved once via choose_simd_tier
+// from CPT_SIMD and detect_simd_tier(); the chosen tier is logged via
+// util::info on first resolution.
 SimdTier active_simd_tier();
 
 // Forces the active tier (tests / benchmarks compare tiers in-process) and
 // returns the previous one. Requesting an unavailable tier throws CheckError.
 SimdTier set_simd_tier(SimdTier tier);
+
+// Forces the active tier for its lifetime and restores the previous one.
+class ScopedSimdTier {
+public:
+    explicit ScopedSimdTier(SimdTier tier) : prev_(set_simd_tier(tier)) {}
+    ~ScopedSimdTier() { set_simd_tier(prev_); }
+    ScopedSimdTier(const ScopedSimdTier&) = delete;
+    ScopedSimdTier& operator=(const ScopedSimdTier&) = delete;
+
+private:
+    SimdTier prev_;
+};
 
 }  // namespace cpt::util

@@ -1,11 +1,11 @@
 // Bit-exactness of the blocked GEMM kernels against the naive reference
-// kernels (see the accumulation contract in src/nn/gemm.hpp), pinned per
-// SIMD tier. On the scalar and sse2 tiers the comparison is memcmp, not
-// tolerance: those kernels — gemm_nt_decode and every m = 1 shape included —
-// must produce the same bits as the reference for every shape. The decode
-// NT entry is also pinned batch-invariant on every tier, avx2 included: row r
-// of an m-row product equals the 1-row product of that row. Cross-tier
-// tolerance is nn_simd_parity_test's job.
+// kernels (see the accumulation contract in src/nn/gemm.hpp), pinned on the
+// scalar tier. The comparison is memcmp, not tolerance: the scalar kernels —
+// gemm_nt_decode and every m = 1 shape included — must produce the same bits
+// as the reference for every shape. The decode NT entry is also pinned
+// batch-invariant on every tier, avx2 included: row r of an m-row product
+// equals the 1-row product of that row. Cross-tier tolerance is
+// nn_simd_parity_test's job.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -19,25 +19,6 @@ namespace cpt::nn {
 namespace {
 
 using GemmFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t, std::size_t);
-
-// Pins the active SIMD tier for a scope and restores the previous one.
-class TierGuard {
-public:
-    explicit TierGuard(util::SimdTier tier) : prev_(util::set_simd_tier(tier)) {}
-    ~TierGuard() { util::set_simd_tier(prev_); }
-    TierGuard(const TierGuard&) = delete;
-    TierGuard& operator=(const TierGuard&) = delete;
-
-private:
-    util::SimdTier prev_;
-};
-
-// The tiers whose kernels promise reference bit-exactness.
-std::vector<util::SimdTier> bit_exact_tiers() {
-    std::vector<util::SimdTier> tiers{util::SimdTier::kScalar};
-    if (util::simd_tier_available(util::SimdTier::kSse2)) tiers.push_back(util::SimdTier::kSse2);
-    return tiers;
-}
 
 std::vector<float> random_floats(std::size_t n, std::mt19937& gen) {
     std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
@@ -58,13 +39,6 @@ struct Kernel {
     GemmFn ref;
     const char* name;
 };
-
-// The SIMD tiers this host can run.
-std::vector<util::SimdTier> available_tiers() {
-    auto tiers = bit_exact_tiers();
-    if (util::simd_tier_available(util::SimdTier::kAvx2)) tiers.push_back(util::SimdTier::kAvx2);
-    return tiers;
-}
 
 void check_shape(const Kernel& kernel, std::size_t m, std::size_t k, std::size_t n,
                  std::mt19937& gen) {
@@ -95,11 +69,9 @@ TEST(GemmBitExactTest, ModelScaleShapes) {
         {1, 64, 256},  {1, 9, 64},     {128, 64, 256}, {128, 256, 64},
         {512, 64, 64}, {512, 128, 128}, {64, 64, 6},    {500, 9, 128},
     };
-    for (util::SimdTier tier : bit_exact_tiers()) {
-        TierGuard guard(tier);
-        for (const auto& k : kKernels) {
-            for (const auto& s : shapes) check_shape(k, s[0], s[1], s[2], gen);
-        }
+    const util::ScopedSimdTier scalar(util::SimdTier::kScalar);
+    for (const auto& k : kKernels) {
+        for (const auto& s : shapes) check_shape(k, s[0], s[1], s[2], gen);
     }
 }
 
@@ -108,14 +80,12 @@ TEST(GemmBitExactTest, RandomizedShapesIncludingTileEdges) {
     std::uniform_int_distribution<std::size_t> dm(1, 37);
     std::uniform_int_distribution<std::size_t> dk(1, 48);
     std::uniform_int_distribution<std::size_t> dn(1, 70);
-    for (util::SimdTier tier : bit_exact_tiers()) {
-        TierGuard guard(tier);
-        for (int iter = 0; iter < 40; ++iter) {
-            const std::size_t m = dm(gen);
-            const std::size_t k = dk(gen);
-            const std::size_t n = dn(gen);
-            for (const auto& ker : kKernels) check_shape(ker, m, k, n, gen);
-        }
+    const util::ScopedSimdTier scalar(util::SimdTier::kScalar);
+    for (int iter = 0; iter < 40; ++iter) {
+        const std::size_t m = dm(gen);
+        const std::size_t k = dk(gen);
+        const std::size_t n = dn(gen);
+        for (const auto& ker : kKernels) check_shape(ker, m, k, n, gen);
     }
 }
 
@@ -127,23 +97,19 @@ TEST(GemmBitExactTest, NonMultipleOfBlockSizes) {
         {3, 5, 7},   {5, 3, 9},    {4, 8, 8},    {7, 11, 255},
         {9, 2, 257}, {33, 17, 63}, {2, 300, 31}, {1, 1, 1},
     };
-    for (util::SimdTier tier : bit_exact_tiers()) {
-        TierGuard guard(tier);
-        for (const auto& k : kKernels) {
-            for (const auto& s : shapes) check_shape(k, s[0], s[1], s[2], gen);
-        }
+    const util::ScopedSimdTier scalar(util::SimdTier::kScalar);
+    for (const auto& k : kKernels) {
+        for (const auto& s : shapes) check_shape(k, s[0], s[1], s[2], gen);
     }
 }
 
 TEST(GemmBitExactTest, DecodeNtMatchesReferenceForEveryRowCount) {
     std::mt19937 gen(21);
     const Kernel decode{gemm_nt_decode, gemm_nt_ref, "gemm_nt_decode"};
-    for (util::SimdTier tier : bit_exact_tiers()) {
-        TierGuard guard(tier);
-        for (std::size_t m = 1; m <= 37; ++m) {
-            check_shape(decode, m, 33, 29, gen);
-            check_shape(decode, m, 64, 40, gen);
-        }
+    const util::ScopedSimdTier scalar(util::SimdTier::kScalar);
+    for (std::size_t m = 1; m <= 37; ++m) {
+        check_shape(decode, m, 33, 29, gen);
+        check_shape(decode, m, 64, 40, gen);
     }
 }
 
@@ -154,8 +120,8 @@ TEST(GemmBitExactTest, DecodeNtMatchesReferenceForEveryRowCount) {
 TEST(GemmBitExactTest, DecodeNtRowsAreBatchInvariant) {
     std::mt19937 gen(22);
     const std::size_t ks_ns[][2] = {{64, 70}, {37, 33}, {256, 64}, {9, 64}};
-    for (util::SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (util::SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         for (const auto& kn : ks_ns) {
             const std::size_t k = kn[0], n = kn[1];
             for (std::size_t m : {1, 7, 8, 11, 32, 128}) {

@@ -29,25 +29,6 @@ namespace {
 
 using util::SimdTier;
 
-// Pins the active SIMD tier for a scope and restores the previous one.
-class TierGuard {
-public:
-    explicit TierGuard(SimdTier tier) : prev_(util::set_simd_tier(tier)) {}
-    ~TierGuard() { util::set_simd_tier(prev_); }
-    TierGuard(const TierGuard&) = delete;
-    TierGuard& operator=(const TierGuard&) = delete;
-
-private:
-    SimdTier prev_;
-};
-
-std::vector<SimdTier> available_tiers() {
-    std::vector<SimdTier> tiers{SimdTier::kScalar};
-    if (util::simd_tier_available(SimdTier::kSse2)) tiers.push_back(SimdTier::kSse2);
-    if (util::simd_tier_available(SimdTier::kAvx2)) tiers.push_back(SimdTier::kAvx2);
-    return tiers;
-}
-
 TransformerConfig small_config() {
     TransformerConfig cfg;
     cfg.d_token = 7;
@@ -306,8 +287,8 @@ void run_churn_property(const DecodeOptions& opts, unsigned schedule_seed) {
 }
 
 TEST(TransformerDecoderTest, ChurnRowMapPropertyFp32Kv) {
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         for (unsigned seed : {101u, 202u, 303u}) run_churn_property(DecodeOptions{}, seed);
     }
 }
@@ -315,8 +296,8 @@ TEST(TransformerDecoderTest, ChurnRowMapPropertyFp32Kv) {
 TEST(TransformerDecoderTest, ChurnRowMapPropertyFp16Kv) {
     DecodeOptions opts;
     opts.kv_fp16 = true;
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         for (unsigned seed : {404u, 505u, 606u}) run_churn_property(opts, seed);
     }
 }
@@ -344,8 +325,8 @@ TEST(SlotBatchInvarianceTest, StreamAloneEqualsStreamAmongFifteenCoResidents) {
     using Finished = core::Sampler::SlotBatch::Finished;
     constexpr std::size_t kCoResidents = 15;
 
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         util::Rng root(99);
         for (std::uint64_t target = 0; target < 3; ++target) {
             const util::Rng rng = root.fork(1000 + target);

@@ -3,7 +3,7 @@
 // The quantized matmul carries a STRONGER contract than the fp32 kernels:
 // its integer dots are exact and its float epilogue is one fixed scalar
 // expression, so gemm_q8_nt output must be BYTE-identical across
-// scalar/sse2/avx2 (it runs on its caller's thread, so thread counts cannot
+// scalar and avx2 (it runs on its caller's thread, so thread counts cannot
 // enter). The fp16 converters must be
 // bit-identical to IEEE binary16 round-to-nearest-even on every tier
 // (hardware F16C and the software fallback agree). On top of the kernel
@@ -11,7 +11,7 @@
 // introduce: a per-logit error bound for gemv_q8 vs fp32, and a Table-2
 // fidelity-drift bound for the int8 sampler vs the fp32 sampler on the same
 // seeds. Runs under `ctest -L quant`; scripts/check.sh reruns it per SIMD
-// tier (CPT_SIMD=scalar|sse2|avx2).
+// tier (CPT_SIMD=scalar|avx2).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -39,24 +39,6 @@ namespace cpt::nn {
 namespace {
 
 using util::SimdTier;
-
-class TierGuard {
-public:
-    explicit TierGuard(SimdTier tier) : prev_(util::set_simd_tier(tier)) {}
-    ~TierGuard() { util::set_simd_tier(prev_); }
-    TierGuard(const TierGuard&) = delete;
-    TierGuard& operator=(const TierGuard&) = delete;
-
-private:
-    SimdTier prev_;
-};
-
-std::vector<SimdTier> available_tiers() {
-    std::vector<SimdTier> tiers{SimdTier::kScalar};
-    if (util::simd_tier_available(SimdTier::kSse2)) tiers.push_back(SimdTier::kSse2);
-    if (util::simd_tier_available(SimdTier::kAvx2)) tiers.push_back(SimdTier::kAvx2);
-    return tiers;
-}
 
 std::vector<float> random_floats(std::size_t n, std::mt19937& gen, float lo = -1.0f,
                                  float hi = 1.0f) {
@@ -139,8 +121,8 @@ TEST(Fp16Test, KernelsAgreeAcrossTiers) {
         std::vector<std::uint16_t> scalar_bits;
         float scalar_dot = 0.0f;
         std::vector<float> scalar_axpy;
-        for (SimdTier tier : available_tiers()) {
-            TierGuard guard(tier);
+        for (SimdTier tier : util::available_simd_tiers()) {
+            util::ScopedSimdTier guard(tier);
             std::vector<std::uint16_t> bits(n);
             kernels::fp16_encode(src.data(), bits.data(), n);
             const float d = kernels::dot_f16(other.data(), bits.data(), n);
@@ -259,8 +241,8 @@ TEST(QuantTest, GemmQ8ByteIdenticalAcrossTiersAndThreads) {
 
         std::vector<float> reference;
         std::vector<std::uint8_t> reference_qa;
-        for (SimdTier tier : available_tiers()) {
-            TierGuard guard(tier);
+        for (SimdTier tier : util::available_simd_tiers()) {
+            util::ScopedSimdTier guard(tier);
             QuantScratch qs;
             quantize_activations(x.data(), m, k, qs);
             auto c = c0;
@@ -357,8 +339,8 @@ TEST(QuantDecoderTest, Int8DecodeThreadInvariantPerTier) {
     const std::size_t steps = 10;
     const Tensor seq = Tensor::randn(rng, {b, steps, 7}, 0.6f);
 
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         std::vector<float> one;
         for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
             util::set_global_threads(threads);
@@ -434,8 +416,8 @@ TEST(QuantModelTest, Int8SamplerThreadInvariantPerTier) {
     scfg.precision = Precision::kInt8W8A32;
     const core::Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
 
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         util::set_global_threads(1);
         util::Rng g1(42);
         const auto one = sampler.generate(16, g1);

@@ -28,24 +28,6 @@ namespace {
 
 using util::SimdTier;
 
-class TierGuard {
-public:
-    explicit TierGuard(SimdTier tier) : prev_(util::set_simd_tier(tier)) {}
-    ~TierGuard() { util::set_simd_tier(prev_); }
-    TierGuard(const TierGuard&) = delete;
-    TierGuard& operator=(const TierGuard&) = delete;
-
-private:
-    SimdTier prev_;
-};
-
-std::vector<SimdTier> available_tiers() {
-    std::vector<SimdTier> tiers{SimdTier::kScalar};
-    if (util::simd_tier_available(SimdTier::kSse2)) tiers.push_back(SimdTier::kSse2);
-    if (util::simd_tier_available(SimdTier::kAvx2)) tiers.push_back(SimdTier::kAvx2);
-    return tiers;
-}
-
 std::vector<float> random_floats(std::size_t n, std::mt19937& gen, float lo = -1.0f,
                                  float hi = 1.0f) {
     std::uniform_real_distribution<float> dist(lo, hi);
@@ -88,8 +70,8 @@ TEST(SimdParityTest, GemmAgreesAcrossTiers) {
         const auto c0 = random_floats(m * n, gen);
         for (std::size_t f = 0; f < std::size(fns); ++f) {
             std::vector<float> scalar_out;
-            for (SimdTier tier : available_tiers()) {
-                TierGuard guard(tier);
+            for (SimdTier tier : util::available_simd_tiers()) {
+                util::ScopedSimdTier guard(tier);
                 auto c1 = c0;
                 fns[f](a.data(), b.data(), c1.data(), m, k, n);
                 if (tier == SimdTier::kScalar) {
@@ -109,8 +91,8 @@ TEST(SimdParityTest, SoftmaxIsBitIdenticalAcrossTiers) {
     for (std::size_t len : {1u, 3u, 8u, 17u, 64u, 300u}) {
         const auto in = random_floats(len, gen, -6.0f, 6.0f);
         std::vector<float> scalar_out;
-        for (SimdTier tier : available_tiers()) {
-            TierGuard guard(tier);
+        for (SimdTier tier : util::available_simd_tiers()) {
+            util::ScopedSimdTier guard(tier);
             std::vector<float> out(len);
             kernels::softmax_row(in.data(), out.data(), len, len);
             if (tier == SimdTier::kScalar) {
@@ -138,8 +120,8 @@ TEST(SimdParityTest, FusedKernelsAgreeAcrossTiers) {
         float dot = 0.0f;
         std::vector<float> axpy;
     } ref;
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
 
         std::vector<float> ln(rows * d);
         std::vector<float> ln_stats(rows * 2);
@@ -191,8 +173,8 @@ TEST(SimdParityTest, SamplerGenerateThreadInvariantPerTier) {
     scfg.batch = 6;
     const core::Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
 
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         util::set_global_threads(1);
         util::Rng g1(42);
         const auto one = sampler.generate(20, g1);

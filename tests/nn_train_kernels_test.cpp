@@ -1,7 +1,7 @@
 // Parity and determinism contract of the training-path kernels
 // (nn/kernels.hpp "Backward kernels" + "Optimizer kernels"):
 //   * every dispatched kernel agrees with its scalar *_ref on all available
-//     tiers (bit-identical on scalar/sse2, tolerance on avx2 where FMA and
+//     tiers (bit-identical on scalar, tolerance on avx2 where FMA and
 //     fixed-tree reductions reassociate);
 //   * cross-row reductions (col_sum_rows, layer_norm dgain/dbias) equal the
 //     serial ascending-row sum bit for bit on every tier;
@@ -21,24 +21,6 @@ namespace {
 
 using util::SimdTier;
 
-class TierGuard {
-public:
-    explicit TierGuard(SimdTier tier) : prev_(util::set_simd_tier(tier)) {}
-    ~TierGuard() { util::set_simd_tier(prev_); }
-    TierGuard(const TierGuard&) = delete;
-    TierGuard& operator=(const TierGuard&) = delete;
-
-private:
-    SimdTier prev_;
-};
-
-std::vector<SimdTier> available_tiers() {
-    std::vector<SimdTier> tiers{SimdTier::kScalar};
-    if (util::simd_tier_available(SimdTier::kSse2)) tiers.push_back(SimdTier::kSse2);
-    if (util::simd_tier_available(SimdTier::kAvx2)) tiers.push_back(SimdTier::kAvx2);
-    return tiers;
-}
-
 std::vector<float> random_floats(std::size_t n, std::mt19937& gen, float lo = -1.0f,
                                  float hi = 1.0f) {
     std::uniform_real_distribution<float> dist(lo, hi);
@@ -47,7 +29,7 @@ std::vector<float> random_floats(std::size_t n, std::mt19937& gen, float lo = -1
     return v;
 }
 
-// Bitwise equality on scalar/sse2 (same op order as the reference), small
+// Bitwise equality on scalar (same op order as the reference), small
 // relative tolerance on avx2 (FMA + fixed-tree reductions).
 void expect_tier_match(const std::vector<float>& got, const std::vector<float>& want,
                        SimdTier tier, const char* what) {
@@ -78,8 +60,8 @@ TEST(TrainKernelsTest, SoftmaxBackwardMatchesRefAcrossTiers) {
         kernels::softmax_backward_row_ref(y.data() + r * kDim, g.data() + r * kDim,
                                           want.data() + r * kDim, kDim);
     }
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         std::vector<float> got(kRows * kDim, 0.0f);
         kernels::softmax_backward_rows(y.data(), g.data(), got.data(), kRows, kDim);
         expect_tier_match(got, want, tier, "softmax_backward_rows");
@@ -107,8 +89,8 @@ TEST(TrainKernelsTest, SoftmaxBackwardCausalRespectsMask) {
                                               r + 1);
         }
     }
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         std::vector<float> got(kMats * kT * kT, 0.0f);
         kernels::softmax_backward_causal(y.data(), g.data(), got.data(), kMats, kT);
         expect_tier_match(got, want, tier, "softmax_backward_causal");
@@ -140,8 +122,8 @@ TEST(TrainKernelsTest, SoftmaxXentMatchesUnfusedComposition) {
         const float p = want_probs[r * kDim + static_cast<std::size_t>(targets[r])];
         want_loss[r] = -static_cast<double>(std::log(std::max(p, 1e-12f)));
     }
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         std::vector<float> probs(kRows * kDim, 0.0f);
         std::vector<double> rowloss(kRows, -1.0);
         kernels::softmax_xent_rows(logits.data(), probs.data(), targets.data(), -1,
@@ -171,8 +153,8 @@ TEST(TrainKernelsTest, XentBackwardMatchesRefAcrossTiers) {
         kernels::xent_backward_row_ref(probs.data() + r * kDim, targets[r],
                                        want.data() + r * kDim, gscale, kDim);
     }
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         std::vector<float> got(kRows * kDim, 0.5f);
         kernels::xent_backward_rows(probs.data(), targets.data(), -1, got.data(), gscale, kRows,
                                     kDim);
@@ -205,8 +187,8 @@ TEST(TrainKernelsTest, LayerNormBackwardMatchesRef) {
             want_dbias[j] += g[r * kDim + j];
         }
     }
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         std::vector<float> dx(kRows * kDim, 0.0f);
         std::vector<float> dgain(kDim, 0.0f);
         std::vector<float> dbias(kDim, 0.0f);
@@ -250,8 +232,8 @@ TEST(TrainKernelsTest, BiasGeluBackwardMatchesChain) {
             want_dx[r * kDim + j] += want_t[r * kDim + j];
         }
     }
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         std::vector<float> dx(kRows * kDim, 0.125f);
         std::vector<float> scratch(kRows * kDim, -7.0f);
         kernels::bias_gelu_backward_rows(x.data(), bias.data(), g.data(), dx.data(),
@@ -268,8 +250,8 @@ TEST(TrainKernelsTest, SqnormChainsCarryLikeOneSerialLoop) {
     double want = 0.0;
     for (float v : a) want += static_cast<double>(v) * v;
     for (float v : b) want += static_cast<double>(v) * v;
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         const double got = kernels::sqnorm(b.data(), b.size(), kernels::sqnorm(a.data(), a.size()));
         if (tier == SimdTier::kAvx2) {
             EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, want));
@@ -298,8 +280,8 @@ TEST(TrainKernelsTest, AdamUpdateMatchesRefAndGscaleFoldsExactly) {
     kernels::adam_update_ref(want_w.data(), scaled.data(), want_m.data(), want_v.data(), kN, lr,
                              beta1, beta2, eps, wd, bc1, bc2, 1.0f);
 
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
+    for (SimdTier tier : util::available_simd_tiers()) {
+        util::ScopedSimdTier guard(tier);
         std::vector<float> w = w0, m = m0, v = v0;
         kernels::adam_update(w.data(), g.data(), m.data(), v.data(), kN, lr, beta1, beta2, eps,
                              wd, bc1, bc2, gscale);

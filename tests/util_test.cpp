@@ -6,6 +6,7 @@
 
 #include "util/ascii.hpp"
 #include "util/cli.hpp"
+#include "util/cpu.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -313,6 +314,55 @@ TEST(CliTest, ParsesArgsWithFallback) {
     EXPECT_TRUE(opt.get_flag("full"));
     EXPECT_EQ(opt.get_int("absent", 7), 7);
     EXPECT_EQ(opt.get("name", "x"), "x");
+}
+
+// CPT_SIMD resolution, as a pure function of the env value and the
+// detected tier, so every branch runs on every host.
+TEST(SimdTierEnvTest, NamedTiersSelectThemselvesWithoutWarning) {
+    const SimdTierChoice scalar = choose_simd_tier("scalar", SimdTier::kAvx2);
+    EXPECT_EQ(scalar.tier, SimdTier::kScalar);
+    EXPECT_TRUE(scalar.warning.empty());
+    const SimdTierChoice avx2 = choose_simd_tier("avx2", SimdTier::kAvx2);
+    EXPECT_EQ(avx2.tier, SimdTier::kAvx2);
+    EXPECT_TRUE(avx2.warning.empty());
+    for (SimdTier detected : {SimdTier::kScalar, SimdTier::kAvx2}) {
+        const SimdTierChoice unset = choose_simd_tier("", detected);
+        EXPECT_EQ(unset.tier, detected);
+        EXPECT_TRUE(unset.warning.empty());
+    }
+}
+
+TEST(SimdTierEnvTest, RetiredSse2ResolvesToScalarWithWarning) {
+    for (SimdTier detected : {SimdTier::kScalar, SimdTier::kAvx2}) {
+        const SimdTierChoice c = choose_simd_tier("sse2", detected);
+        EXPECT_EQ(c.tier, SimdTier::kScalar);
+        EXPECT_NE(c.warning.find("sse2"), std::string::npos) << c.warning;
+    }
+}
+
+TEST(SimdTierEnvTest, UnknownValueResolvesToDetectedWithWarning) {
+    for (SimdTier detected : {SimdTier::kScalar, SimdTier::kAvx2}) {
+        const SimdTierChoice c = choose_simd_tier("avx512", detected);
+        EXPECT_EQ(c.tier, detected);
+        EXPECT_NE(c.warning.find("not recognized"), std::string::npos) << c.warning;
+    }
+}
+
+TEST(SimdTierEnvTest, Avx2ClampsToScalarWhenOnlyScalarIsDetected) {
+    const SimdTierChoice c = choose_simd_tier("avx2", SimdTier::kScalar);
+    EXPECT_EQ(c.tier, SimdTier::kScalar);
+    EXPECT_NE(c.warning.find("clamping to scalar"), std::string::npos) << c.warning;
+}
+
+TEST(SimdTierEnvTest, ScopedTierRestoresThePreviousTier) {
+    const SimdTier before = active_simd_tier();
+    for (SimdTier tier : available_simd_tiers()) {
+        {
+            const ScopedSimdTier guard(tier);
+            EXPECT_EQ(active_simd_tier(), tier);
+        }
+        EXPECT_EQ(active_simd_tier(), before);
+    }
 }
 
 }  // namespace
