@@ -132,16 +132,18 @@ std::vector<GemmRow> run_gemm_suite() {
     struct Op {
         const char* name;
         GemmFn seed;
-        GemmFn blocked;
+        GemmFn blocked;  // null: gemm_nt_decode over a panel packed before timing
     };
     const Op ops[] = {
         {"nn", seed::gemm_nn, nn::gemm_nn},
         {"nt", seed::gemm_nt, nn::gemm_nt},
-        {"nt_decode", seed::gemm_nt, nn::gemm_nt_decode},
+        {"nt_decode", seed::gemm_nt, nullptr},
         {"tn", seed::gemm_tn, nn::gemm_tn},
     };
     const auto tiers = util::available_simd_tiers();
     const util::SimdTier best = tiers.back();
+    std::printf("gemm_nt_decode on %s: %zu lanes\n", util::simd_tier_name(best),
+                util::decode_lanes(best));
 
     std::mt19937 gen(42);
     std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
@@ -157,11 +159,20 @@ std::vector<GemmRow> run_gemm_suite() {
             row.gflops_seed = time_gflops(
                 [&](float* pc) { op.seed(a.data(), b.data(), pc, s.m, s.k, s.n); }, s.m, s.k,
                 s.n, c);
+            // A decoder packs its panels once, when it is built, so the
+            // decode rows time the product over a panel packed here.
+            const nn::DecodePanel panel(b.data(), s.n, s.k);
             for (util::SimdTier tier : tiers) {
                 const util::ScopedSimdTier guard(tier);
                 row.gflops_tier_t1[static_cast<int>(tier)] = time_gflops(
-                    [&](float* pc) { op.blocked(a.data(), b.data(), pc, s.m, s.k, s.n); }, s.m,
-                    s.k, s.n, c);
+                    [&](float* pc) {
+                        if (op.blocked != nullptr) {
+                            op.blocked(a.data(), b.data(), pc, s.m, s.k, s.n);
+                        } else {
+                            nn::gemm_nt_decode(a.data(), panel, pc, s.m);
+                        }
+                    },
+                    s.m, s.k, s.n, c);
             }
             rows.push_back(row);
 
@@ -189,8 +200,10 @@ void write_json(const std::vector<GemmRow>& rows, const char* path) {
     for (std::size_t i = 0; i < tiers.size(); ++i) {
         std::fprintf(f, "%s\"%s\"", i ? ", " : "", util::simd_tier_name(tiers[i]));
     }
-    std::fprintf(f, "],\n  \"best_tier\": \"%s\",\n  \"rows\": [\n",
-                 util::simd_tier_name(tiers.back()));
+    // The nt_decode rows' vector width on the best tier (16 on AVX-512F
+    // hosts, whose avx2 tier runs the 16-lane decode tiles).
+    std::fprintf(f, "],\n  \"best_tier\": \"%s\",\n  \"decode_lanes\": %zu,\n  \"rows\": [\n",
+                 util::simd_tier_name(tiers.back()), util::decode_lanes(tiers.back()));
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto& r = rows[i];
         std::fprintf(

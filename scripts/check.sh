@@ -142,20 +142,26 @@ host_simd_tiers() {
     echo "$tiers"
 }
 
+host_has_avx512f() {
+    # Whether the avx2 tier's decode projections can run 16 lanes wide
+    # (util::decode_lanes; DecodeGemmTest skips its 16-lane legs otherwise).
+    if grep -q '\bavx512f\b' /proc/cpuinfo 2>/dev/null; then echo yes; else echo no; fi
+}
+
 stage_simd() {
     echo "== stage: simd (kernel parity + determinism under each forced tier) =="
     configure_and_build "$ROOT/build-check-simd"
     local tiers
     tiers="$(host_simd_tiers)"
-    echo "host tiers: $tiers"
-    # Besides kernel parity and thread determinism, the row-invariance pins
-    # (decoder churn, SlotBatch co-residents), the sampler's length-cap and
-    # greedy identities and the training kernels run with each tier forced
-    # as the process default.
+    echo "host tiers: $tiers (avx512f: $(host_has_avx512f))"
+    # Besides kernel parity and thread determinism, the decode GEMM contract
+    # per width, the row-invariance pins (decoder churn, SlotBatch
+    # co-residents), the sampler's length-cap and greedy identities and the
+    # training kernels run with each tier forced as the process default.
     for t in $tiers; do
         echo "-- CPT_SIMD=$t: parity + determinism suites"
         CPT_SIMD="$t" run_ctest "$ROOT/build-check-simd" -R \
-            'SimdParity|GemmBitExact|ParallelDeterminism|ChurnRowMap|SlotBatchInvariance|TrainKernels|SamplerTest\.(GenerateBatchStopsExactlyAtTheLengthCap|GreedyStreamsDependOnlyOnTheBootstrapEvent)'
+            'SimdParity|GemmBitExact|DecodeGemm|ParallelDeterminism|ChurnRowMap|SlotBatchInvariance|TrainKernels|SamplerTest\.(GenerateBatchStopsExactlyAtTheLengthCap|GreedyStreamsDependOnlyOnTheBootstrapEvent)'
     done
 }
 

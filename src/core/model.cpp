@@ -97,7 +97,13 @@ CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch,
     s.capacity = batch;
     s.batch = batch;
     s.precision = precision;
-    if (precision == nn::Precision::kInt8W8A32) s.qscratch.ensure(batch, config_.d_model);
+    if (precision == nn::Precision::kInt8W8A32) {
+        s.qscratch.ensure(batch, config_.d_model);
+    } else {
+        s.event_head = nn::PackedMlp::from(event_head_);
+        s.ia_head = nn::PackedMlp::from(ia_head_);
+        s.stop_head = nn::PackedMlp::from(stop_head_);
+    }
     s.event_hidden = nn::Tensor({batch, config_.head_hidden});
     s.ia_hidden = nn::Tensor({batch, config_.head_hidden});
     s.stop_hidden = nn::Tensor({batch, config_.head_hidden});
@@ -143,12 +149,12 @@ const CptGpt::DecodeOutput& CptGpt::decode_step(nn::TransformerDecoder& decoder,
                                        scratch.out.stop_logits.data().data(), b,
                                        scratch.qscratch);
     } else {
-        event_head_.forward_rows(ph, scratch.event_hidden.data().data(),
-                                 scratch.out.event_logits.data().data(), b);
-        ia_head_.forward_rows(ph, scratch.ia_hidden.data().data(), scratch.ia_out.data().data(),
-                              b);
-        stop_head_.forward_rows(ph, scratch.stop_hidden.data().data(),
-                                scratch.out.stop_logits.data().data(), b);
+        scratch.event_head.forward_rows(ph, scratch.event_hidden.data().data(),
+                                        scratch.out.event_logits.data().data(), b);
+        scratch.ia_head.forward_rows(ph, scratch.ia_hidden.data().data(),
+                                     scratch.ia_out.data().data(), b);
+        scratch.stop_head.forward_rows(ph, scratch.stop_hidden.data().data(),
+                                       scratch.out.stop_logits.data().data(), b);
     }
     const float* pia = scratch.ia_out.data().data();
     float* mu = scratch.out.ia_mu.data().data();

@@ -80,6 +80,10 @@ public:
         nn::Tensor ia_logvar;     // [B]; empty when distribution_head == false
         nn::Tensor stop_logits;   // [B, 2]
     };
+    // An fp32 decoder packs the backbone projections and make_decode_scratch
+    // packs the heads (nn::PackedLinear), each from the live weights when it
+    // is made: they decode the weights the model had at that moment, like the
+    // int8 mirror, which quantize_weights() snapshots.
     nn::TransformerDecoder make_decoder(std::size_t batch) const;
     // Precision-selected decoder: kInt8W8A32 runs every projection through the
     // int8 weight path and stores the KV cache as fp16 (requires
@@ -106,6 +110,11 @@ public:
         // quantized mirrors using qscratch for the activation codes.
         nn::Precision precision = nn::Precision::kFp32;
         nn::QuantScratch qscratch;
+        // fp32 heads, packed from the live weights when the scratch is made
+        // (the decoder's snapshot rule, nn/infer.hpp); empty in int8 mode.
+        nn::PackedMlp event_head;
+        nn::PackedMlp ia_head;
+        nn::PackedMlp stop_head;
         nn::Tensor event_hidden;  // [cap, head_hidden]
         nn::Tensor ia_hidden;
         nn::Tensor stop_hidden;
@@ -127,7 +136,8 @@ public:
     const DecodeOutput& decode_step(nn::TransformerDecoder& decoder, const nn::Tensor& tokens,
                                     DecodeScratch& scratch) const;
     // Convenience overload that builds a one-shot scratch (the returned
-    // tensors keep the storage alive).
+    // tensors keep the storage alive). It packs the heads on every call; a
+    // decode loop should hold a DecodeScratch instead.
     DecodeOutput decode_step(nn::TransformerDecoder& decoder, const nn::Tensor& tokens) const;
 
     void collect(const std::string& prefix, std::vector<nn::NamedParam>& out) const override;

@@ -149,8 +149,11 @@ public:
     // to admit() — independent of when the stream was admitted, which and
     // how many other streams share the batch, and CPT_THREADS (the decoder
     // keeps per-row attention windows and positions, see nn/infer.hpp, and
-    // its projections run the batch-invariant gemm_nt_decode). Pinned on every
-    // SIMD tier by tests/nn_infer_test.cpp (alone vs among 15 co-residents).
+    // its projections run gemm_nt_decode, whose rows never depend on the
+    // batch). Pinned on every SIMD tier by tests/nn_infer_test.cpp (alone vs
+    // among 15 co-residents). The decoder and the head scratch pack their
+    // fp32 weights when the SlotBatch is built, so a SlotBatch decodes the
+    // weights the model had at that moment.
     // Admitting serially pre-forked RNGs under any refill schedule therefore
     // reproduces generate_batch() byte-for-byte, which is the single-slice
     // deterministic-mode contract (pinned by tests/serve_test.cpp).

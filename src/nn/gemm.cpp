@@ -1,6 +1,7 @@
 #include "gemm.hpp"
 
 #include <algorithm>
+#include <new>
 
 #include "simd_detail.hpp"
 #include "util/cpu.hpp"
@@ -210,27 +211,26 @@ void gemm_tn_tiles(const float* a, const float* b, float* c, std::size_t m_dim,
 }
 
 // ---- NN/TN GEMV fast paths (m == 1) -------------------------------------------
-// A single output row wastes the blocked drivers' register tile. (NT decode
-// rows go through gemm_nt_decode instead, whose contract is that a row's bits
-// never depend on m.)
+// A single output row wastes the blocked drivers' register tile.
 //
 // nn/tn with m == 1 are the same computation: c[n] += sum_k a[k] * B[k,n]
-// with a contiguous (A is [1,K] or [K,1]). B rows stream sequentially into a
-// zero-initialised accumulator buffer (<= 4 KiB, L1-resident) that is added
-// to c at the end, so each output element is (0 + sum over ascending k) added
-// to the prefilled c last — exactly the reference order, bit-identical to
-// gemm_*_ref.
+// with a contiguous (A is [1,K] or [K,1]). B rows (stride ldb) stream
+// sequentially into a zero-initialised accumulator buffer (<= 4 KiB,
+// L1-resident) that is added to c at the end, so each output element is
+// (0 + sum over ascending k) added to the prefilled c last — exactly the
+// reference order, bit-identical to gemm_*_ref. Scalar decode runs it once
+// per row over the packed panel, which is the [K, N] B of this form.
 constexpr std::size_t kGemvChunk = 1024;  // accumulator floats per pass
 
-void gemv_nn_scalar(const float* a, const float* b, float* c, std::size_t k_dim,
-                    std::size_t n_dim) {
+void gemv_nn_scalar(const float* a, const float* b, std::size_t ldb, float* c,
+                    std::size_t k_dim, std::size_t n_dim) {
     float acc[kGemvChunk];
     for (std::size_t j0 = 0; j0 < n_dim; j0 += kGemvChunk) {
         const std::size_t w = std::min(kGemvChunk, n_dim - j0);
         std::fill_n(acc, w, 0.0f);
         for (std::size_t k = 0; k < k_dim; ++k) {
             const float av = a[k];
-            const float* brow = b + k * n_dim + j0;
+            const float* brow = b + k * ldb + j0;
             for (std::size_t j = 0; j < w; ++j) acc[j] += av * brow[j];
         }
         float* cj = c + j0;
@@ -243,7 +243,7 @@ void gemv_nn(const float* a, const float* b, float* c, std::size_t k_dim, std::s
     if (tier == SimdTier::kAvx2) {
         detail::gemv_nn_avx2(a, b, c, k_dim, n_dim);
     } else {
-        gemv_nn_scalar(a, b, c, k_dim, n_dim);
+        gemv_nn_scalar(a, b, n_dim, c, k_dim, n_dim);
     }
 }
 
@@ -275,16 +275,39 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
     gemm_nt_tiles(a, b, c, m_dim, k_dim, n_dim);
 }
 
-void gemm_nt_decode(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                    std::size_t n_dim) {
-    if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
-    const SimdTier tier = util::active_simd_tier();
-    if (tier == SimdTier::kAvx2) {
-        detail::gemm_nt_decode_avx2(a, b, c, m_dim, k_dim, n_dim);
-        return;
+void DecodePanel::AlignedDelete::operator()(float* p) const {
+    ::operator delete[](p, std::align_val_t{64});
+}
+
+DecodePanel::DecodePanel(const float* b, std::size_t n_dim, std::size_t k_dim)
+    : k_(k_dim),
+      n_(n_dim),
+      stride_((n_dim + 15) / 16 * 16 + 16),
+      data_(new (std::align_val_t{64}) float[k_dim * stride_]()) {
+    float* p = data_.get();
+    for (std::size_t j = 0; j < n_dim; ++j) {
+        const float* brow = b + j * k_dim;
+        for (std::size_t k = 0; k < k_dim; ++k) p[k * stride_ + j] = brow[k];
     }
-    // scalar gemm_nt is the reference chain for every m, m = 1 included.
-    gemm_nt_tiles(a, b, c, m_dim, k_dim, n_dim);
+}
+
+void gemm_nt_decode(const float* a, const DecodePanel& b, float* c, std::size_t m_dim) {
+    const std::size_t k_dim = b.k();
+    const std::size_t n_dim = b.n();
+    if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
+    switch (util::decode_lanes(util::active_simd_tier())) {
+        case 16:
+            detail::gemm_nt_decode_avx512(a, b.data(), b.stride(), c, m_dim, k_dim, n_dim);
+            return;
+        case 8:
+            detail::gemm_nt_decode_avx2(a, b.data(), b.stride(), c, m_dim, k_dim, n_dim);
+            return;
+        default:
+            // scalar: one reference chain per element, row by row.
+            for (std::size_t r = 0; r < m_dim; ++r) {
+                gemv_nn_scalar(a + r * k_dim, b.data(), b.stride(), c + r * n_dim, k_dim, n_dim);
+            }
+    }
 }
 
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,

@@ -5,7 +5,8 @@
 // level up, in the trainer's data-parallel shards, the sampler lanes and the
 // serve engines. nn/tn matmuls with m == 1 route through dedicated GEMV
 // kernels instead of the blocked drivers. The inference fast path's NT
-// products (decode rows) go through gemm_nt_decode.
+// products (decode rows) go through gemm_nt_decode over a DecodePanel, the
+// weight packed once per decoder.
 //
 // All kernels ACCUMULATE into C (callers zero it or rely on fresh tensors)
 // and share one accumulation contract: the floating-point operations
@@ -16,8 +17,10 @@
 //   * scalar: a single ascending-k accumulator per element, added to C
 //     exactly once — BIT-IDENTICAL to the reference kernels for every shape
 //     (pinned by tests/nn_gemm_test.cpp).
-//   * avx2: FMA and fixed-tree reductions — tolerance vs the reference
-//     (tests/nn_simd_parity_test.cpp).
+//   * avx2: the same single accumulator per element, but each step is one
+//     FMA — tolerance vs the reference (tests/nn_simd_parity_test.cpp). The
+//     GEMV fast path and the decode NT entry run this chain too, so within
+//     the tier gemm_nt and gemm_nt_decode agree bit for bit.
 //
 // The K dimension is deliberately not split (no Kc accumulation blocking):
 // at this project's sizes (d_model <= 128, MLP <= 1024, vocab < 16) a full-K
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 namespace cpt::nn {
 
@@ -39,17 +43,45 @@ void gemm_nn(const float* a, const float* b, float* c, std::size_t m_dim, std::s
 void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
              std::size_t n_dim);
 
-// The inference fast path's NT product (Linear/Mlp::forward_rows: decoder
-// projections and the model heads), same semantics as gemm_nt. Row r of C
-// is additionally bit-identical to the 1-row product of A's row r for EVERY
-// m: a decode row's bits never depend on how many other rows share the
-// batch. On scalar this is gemm_nt (the reference chain); on avx2 it runs
-// pack-free register tiles whose per-element chain is one 8-wide FMA chain
-// in ascending k, the fixed hsum8 tree, then a scalar fma tail. (avx2 gemm_nt instead packs B once per call
-// and runs one scalar FMA chain per element: faster at training shapes,
-// slower for a handful of rows, and different bits.)
-void gemm_nt_decode(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                    std::size_t n_dim);
+// An NT weight B [N, K] packed for gemm_nt_decode: k-major, panel[k * stride
+// + j] = B[j, k], the same [k, n] layout gemm_nt packs per call, built once
+// per decoder instead. The stride rounds N up to whole 16-float vectors (the
+// columns past N are zero, so a column tail loads full vectors) and then adds
+// 16 more, so it is never a multiple of a large power of two: at a 1 KiB
+// stride consecutive k rows alias to a few L1 sets and a column strip walk
+// thrashes (the same padding rule as gemm_nt). The buffer is 64-byte aligned,
+// so every vector load is cache-line aligned. Packing copies the weight: the
+// panel keeps the values B had when it was built.
+class DecodePanel {
+public:
+    DecodePanel() = default;
+    DecodePanel(const float* b, std::size_t n_dim, std::size_t k_dim);
+
+    std::size_t k() const { return k_; }
+    std::size_t n() const { return n_; }
+    std::size_t stride() const { return stride_; }
+    const float* data() const { return data_.get(); }
+
+private:
+    struct AlignedDelete {
+        void operator()(float* p) const;
+    };
+    std::size_t k_ = 0;
+    std::size_t n_ = 0;
+    std::size_t stride_ = 0;
+    std::unique_ptr<float[], AlignedDelete> data_;
+};
+
+// The inference fast path's NT product (PackedLinear/PackedMlp::forward_rows:
+// decoder projections and the model heads): C[M,N] += A[M,K] * B^T over B's
+// packed panel. Every C element is one ascending-k chain started from zero
+// and added to C once — the per-element sequence of gemm_nt on the active
+// tier, so the bits equal gemm_nt's on every tier (gemm_nt_ref's on scalar)
+// and row r of C never depends on how many other rows share the call. avx2
+// runs broadcast register tiles over the panel, 16 lanes wide when the host
+// has AVX-512F (util::decode_lanes); FMA rounds each lane alike at any width,
+// so both widths give the same bytes.
+void gemm_nt_decode(const float* a, const DecodePanel& b, float* c, std::size_t m_dim);
 
 // C[M,N] += A^T * B where A is stored [K,M], B is [K,N]
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,

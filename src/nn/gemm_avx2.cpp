@@ -5,16 +5,16 @@
 //
 // Accumulation contract (same as gemm.cpp): every C element is one dot
 // product with a fixed operation order depending only on (element index,
-// shape) — a single ascending-k FMA chain per lane for the broadcast kernels,
-// the canonical dot_fma tree for the k-contiguous kernels. Every kernel runs
-// on its caller's thread. Scalar edge paths use std::fma to round exactly
-// like the vector lanes.
+// shape) — a single ascending-k FMA chain per lane, added to C once. Every
+// kernel runs on its caller's thread. Scalar edge paths use std::fma to round
+// exactly like the vector lanes.
 #include "simd_detail.hpp"
 
 #include "util/check.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
+#include "gemm_decode_inl.hpp"
 #include "simd_avx2_inl.hpp"
 
 #include <algorithm>
@@ -101,90 +101,29 @@ void gemm_bcast(const float* a, const float* b, float* c, std::size_t m_dim, std
     }
 }
 
-// ---- NT decode: batch-invariant, pack-free row tiles -------------------------
-// Every output element uses one canonical sequence — a single 8-wide FMA
-// chain in ascending k, hsum8, then a scalar std::fma tail — no matter which
-// tile computes it. Tiles only change how A/B loads are shared, so neither
-// the row count nor the row tiling changes an element's bits:
-// row r of an m-row product equals the 1-row product of A's row r.
+// ---- NT decode over a packed panel (gemm_decode_inl.hpp), 8 lanes ---------
 
-float dot_fma(const float* a, const float* b, std::size_t k_dim) {
-    const std::size_t k8 = k_dim & ~std::size_t{7};
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t i = 0; i < k8; i += 8) {
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
+struct Vec256 {
+    using Reg = __m256;
+    using Mask = __m256i;
+    static constexpr std::size_t kLanes = 8;
+    // 6 x 2 accumulators + two panel vectors + one broadcast: 15 of the 16
+    // ymm registers.
+    static constexpr std::size_t kRows = 6;
+    static constexpr std::size_t kVecs = 2;
+    static Reg zero() { return _mm256_setzero_ps(); }
+    static Reg load(const float* p) { return _mm256_loadu_ps(p); }
+    static Reg bcast(const float* p) { return _mm256_broadcast_ss(p); }
+    static Reg fma(Reg a, Reg b, Reg c) { return _mm256_fmadd_ps(a, b, c); }
+    static Reg add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
+    static void store(float* p, Reg v) { _mm256_storeu_ps(p, v); }
+    static Mask mask(std::size_t lanes) {
+        return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                                  _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
     }
-    float s = hsum8(acc);
-    for (std::size_t t = k8; t < k_dim; ++t) s = std::fma(a[t], b[t], s);
-    return s;
-}
-
-// M A rows x W B rows per k-step, over columns [j0, j1): the B stream is
-// shared across all M rows, so weight traffic for an M-row tile matches a
-// single GEMV pass instead of scaling with M. Short tiles take more columns
-// (W = 8 at one row, 4 at two or three) so every tile keeps at least 8
-// independent FMA chains in flight. Without a k tail the M * W sums reduce
-// four at a time through hsum8x4, which is hsum8 bit for bit; columns left
-// over below W take dot_fma.
-template <std::size_t M>
-void nt_tile_cols(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim,
-                  std::size_t j0, std::size_t j1) {
-    constexpr std::size_t W = M == 1 ? 8 : M <= 3 ? 4 : 2;
-    constexpr std::size_t kSums = M * W;
-    const std::size_t k8 = k_dim & ~std::size_t{7};
-    std::size_t j = j0;
-    for (; j + W <= j1; j += W) {
-        const float* bt = b + j * k_dim;
-        __m256 acc[kSums];
-        for (std::size_t s = 0; s < kSums; ++s) acc[s] = _mm256_setzero_ps();
-        for (std::size_t i = 0; i < k8; i += 8) {
-            __m256 vb[W];
-            for (std::size_t w = 0; w < W; ++w) vb[w] = _mm256_loadu_ps(bt + w * k_dim + i);
-            for (std::size_t r = 0; r < M; ++r) {
-                const __m256 va = _mm256_loadu_ps(a + r * k_dim + i);
-                for (std::size_t w = 0; w < W; ++w) {
-                    acc[r * W + w] = _mm256_fmadd_ps(va, vb[w], acc[r * W + w]);
-                }
-            }
-        }
-        if (k8 == k_dim) {
-            alignas(16) float sums[kSums];
-            std::size_t s = 0;
-            for (; s + 4 <= kSums; s += 4) {
-                _mm_store_ps(sums + s, hsum8x4(acc[s], acc[s + 1], acc[s + 2], acc[s + 3]));
-            }
-            for (; s < kSums; ++s) sums[s] = hsum8(acc[s]);
-            for (std::size_t r = 0; r < M; ++r) {
-                for (std::size_t w = 0; w < W; ++w) c[r * n_dim + j + w] += sums[r * W + w];
-            }
-            continue;
-        }
-        // A k tail needs its scalar fmas between the reduction and the store;
-        // kept off the path above, whose fixed trip counts unroll fully.
-        for (std::size_t r = 0; r < M; ++r) {
-            const float* arow = a + r * k_dim;
-            for (std::size_t w = 0; w < W; ++w) {
-                const float* brow = bt + w * k_dim;
-                float v = hsum8(acc[r * W + w]);
-                for (std::size_t t = k8; t < k_dim; ++t) v = std::fma(arow[t], brow[t], v);
-                c[r * n_dim + j + w] += v;
-            }
-        }
-    }
-    for (; j < j1; ++j) {
-        const float* brow = b + j * k_dim;
-        for (std::size_t r = 0; r < M; ++r) {
-            c[r * n_dim + j] += dot_fma(a + r * k_dim, brow, k_dim);
-        }
-    }
-}
-
-// Rows per full decode tile: 2 * kMrDecode accumulators + two B vectors +
-// one A vector stay within the 16 ymm registers.
-constexpr std::size_t kMrDecode = 6;
-// Bytes of B one column block spans, so a block stays L1-resident while
-// every row tile streams it.
-constexpr std::size_t kDecodeBlockBytes = 16 * 1024;
+    static Reg load_masked(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
+    static void store_masked(float* p, Reg v, Mask m) { _mm256_maskstore_ps(p, m, v); }
+};
 
 }  // namespace
 
@@ -198,33 +137,9 @@ void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
     gemm_bcast<true>(a, b, c, m_dim, k_dim, n_dim);
 }
 
-void gemm_nt_decode_avx2(const float* a, const float* b, float* c, std::size_t m_dim,
-                         std::size_t k_dim, std::size_t n_dim) {
-    // Blocked over columns, then full row tiles, then one short tile for the
-    // m % kMrDecode remainder rows. Column blocks are outermost so B streams
-    // once for all rows: decode is weight-bandwidth bound, and per-row B
-    // re-reads would make an m-row step cost ~m GEMVs. The block is a
-    // multiple of 8 columns, so blocks split no tile of any width.
-    const std::size_t block =
-        std::max<std::size_t>(8, (kDecodeBlockBytes / (sizeof(float) * k_dim)) & ~std::size_t{7});
-    const std::size_t rem = m_dim % kMrDecode;
-    const std::size_t full = m_dim - rem;
-    const float* atail = a + full * k_dim;
-    float* ctail = c + full * n_dim;
-    for (std::size_t jb = 0; jb < n_dim; jb += block) {
-        const std::size_t je = std::min(n_dim, jb + block);
-        for (std::size_t r = 0; r < full; r += kMrDecode) {
-            nt_tile_cols<kMrDecode>(a + r * k_dim, b, c + r * n_dim, k_dim, n_dim, jb, je);
-        }
-        switch (rem) {
-            case 5: nt_tile_cols<5>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            case 4: nt_tile_cols<4>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            case 3: nt_tile_cols<3>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            case 2: nt_tile_cols<2>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            case 1: nt_tile_cols<1>(atail, b, ctail, k_dim, n_dim, jb, je); break;
-            default: break;
-        }
-    }
+void gemm_nt_decode_avx2(const float* a, const float* panel, std::size_t stride, float* c,
+                         std::size_t m_dim, std::size_t k_dim, std::size_t n_dim) {
+    decode_panel<Vec256>(a, panel, stride, c, m_dim, k_dim, n_dim);
 }
 
 void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
@@ -234,10 +149,9 @@ void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
     // kNc-wide B panel transposed into [k x nb] and reuse the broadcast
     // micro-kernels: no reductions, and the per-element chain (one FMA per
     // ascending k) is the same as the NN path. The pack buffer is
-    // thread_local and reused across calls. At training shapes this edges
-    // out the pack-free decode tiles (1024 x 64 x 64, one thread: 51 against
-    // 48 GFLOP/s); the per-call pack only loses when m is a handful of rows,
-    // which is the decode entry's job.
+    // thread_local and reused across calls. gemm_nt_decode runs the same
+    // chain over a panel packed once per decoder (DecodePanel), since a
+    // per-call pack would cost as much as a handful of decode rows.
     static thread_local std::vector<float> bt;
     for (std::size_t n0 = 0; n0 < n_dim; n0 += kNc) {
         const std::size_t nb = std::min(kNc, n_dim - n0);
@@ -428,8 +342,8 @@ void gemm_nn_avx2(const float*, const float*, float*, std::size_t, std::size_t, 
 void gemm_nt_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t) {
     missing();
 }
-void gemm_nt_decode_avx2(const float*, const float*, float*, std::size_t, std::size_t,
-                         std::size_t) {
+void gemm_nt_decode_avx2(const float*, const float*, std::size_t, float*, std::size_t,
+                         std::size_t, std::size_t) {
     missing();
 }
 void gemm_tn_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t) {

@@ -24,6 +24,16 @@ TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t bat
         CPT_CHECK_EQ(quant_->input_proj.in, cfg.d_token,
                      " TransformerDecoder: quantized weights do not match the model");
     }
+    if (quant_ == nullptr) {
+        input_proj_ = PackedLinear::from(model.input_proj());
+        blocks_.reserve(cfg.blocks);
+        for (const auto& block : model.blocks()) {
+            const auto& attn = block->attn();
+            blocks_.push_back({PackedLinear::from(attn.wq()), PackedLinear::from(attn.wk()),
+                               PackedLinear::from(attn.wv()), PackedLinear::from(attn.wo()),
+                               PackedMlp::from(block->mlp())});
+        }
+    }
     caches_.resize(cfg.blocks);
     len_.assign(batch, 0);
     phys_.resize(batch);
@@ -94,7 +104,7 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
     if (quant_ != nullptr) {
         quant_->input_proj.forward_rows(x.data().data(), ph, m, qscratch_);
     } else {
-        model_->input_proj().forward_rows(x.data().data(), ph, m);
+        input_proj_.forward_rows(x.data().data(), ph, m);
     }
     const float* pos = model_->positions()->value.data().data();
     for (std::size_t r = 0; r < m; ++r) kernels::add_bias_row(ph + r * d, pos + len_[r] * d, d);
@@ -110,14 +120,16 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
     for (std::size_t bi = 0; bi < caches_.size(); ++bi) {
         const auto& block = *model_->blocks()[bi];
         const TransformerQuant::Block* qb = quant_ != nullptr ? &quant_->blocks[bi] : nullptr;
+        const PackedBlock* pb = quant_ == nullptr ? &blocks_[bi] : nullptr;
         BlockCache& cache = caches_[bi];
-        // Projection dispatcher: int8 weights when quantized, fp32 otherwise.
-        const auto proj = [&](const Linear& fp, const QuantLinear* q, const float* in,
-                              float* out) {
+        // Projection dispatcher: int8 weights when quantized, the packed
+        // fp32 panels otherwise.
+        const auto proj = [&](const PackedLinear PackedBlock::*fp, const QuantLinear* q,
+                              const float* in, float* out) {
             if (q != nullptr) {
                 q->forward_rows(in, out, m, qscratch_);
             } else {
-                fp.forward_rows(in, out, m);
+                (pb->*fp).forward_rows(in, out, m);
             }
         };
         // Scatter the fresh K or V rows into the cache at each row's
@@ -140,13 +152,13 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
 
         // ---- attention branch: ln1 -> qkv -> cached causal attention -> wo
         layer_norm(block.ln1(), ph, pscratch);
-        proj(block.attn().wq(), qb != nullptr ? &qb->wq : nullptr, pscratch, q_.data().data());
+        proj(&PackedBlock::wq, qb != nullptr ? &qb->wq : nullptr, pscratch, q_.data().data());
         // New K/V rows go straight into the cache before attention runs, so
         // each row's token attends to itself.
-        proj(block.attn().wk(), qb != nullptr ? &qb->wk : nullptr, pscratch, kv_.data().data());
+        proj(&PackedBlock::wk, qb != nullptr ? &qb->wk : nullptr, pscratch, kv_.data().data());
         append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.k.data().data(),
                   kv_fp16_ ? cache.kh.data() : nullptr);
-        proj(block.attn().wv(), qb != nullptr ? &qb->wv : nullptr, pscratch, kv_.data().data());
+        proj(&PackedBlock::wv, qb != nullptr ? &qb->wv : nullptr, pscratch, kv_.data().data());
         append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.v.data().data(),
                   kv_fp16_ ? cache.vh.data() : nullptr);
         // Per-row, per-head attention over the row's own causal window
@@ -188,7 +200,7 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
                 }
             }
         }
-        proj(block.attn().wo(), qb != nullptr ? &qb->wo : nullptr, pscratch,
+        proj(&PackedBlock::wo, qb != nullptr ? &qb->wo : nullptr, pscratch,
              attn_out_.data().data());
         hstate_.add_(attn_out_);
 
@@ -199,8 +211,7 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
             qb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(), m,
                                  qscratch_);
         } else {
-            block.mlp().forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(),
-                                     m);
+            pb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(), m);
         }
         hstate_.add_(attn_out_);
     }

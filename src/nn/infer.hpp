@@ -13,6 +13,14 @@
 // Numerical equivalence with Transformer::forward() is pinned by
 // tests; all kernels dispatch on the active SIMD tier (util/cpu.hpp).
 //
+// Weight snapshot: an fp32 decoder packs every projection (input proj,
+// q/k/v/o, MLP) into gemm_nt_decode panels when it is built, and an int8
+// decoder reads the quantized mirror, itself a snapshot taken by
+// quantize_weights(). Either way the projections decode the weights the
+// model had when the decoder (or the mirror) was made; training the model
+// afterwards changes only decoders built later. LayerNorm parameters and
+// the positional table are read from the model at every step.
+//
 // Threading: a decoder runs entirely on its caller's thread. Nothing under
 // step() opens a thread-pool region, so a step never waits on, or
 // contends for, the process-wide pool. Parallel decode lives one level up: the
@@ -116,11 +124,24 @@ private:
         std::vector<std::uint16_t> vh;
     };
 
+    // The fp32 projections of one block, packed at construction.
+    struct PackedBlock {
+        PackedLinear wq;
+        PackedLinear wk;
+        PackedLinear wv;
+        PackedLinear wo;
+        PackedMlp mlp;
+    };
+
     // Re-points the arena views at the first `rows` rows of the full
     // buffers (no-op when already bound to that count).
     void bind_rows(std::size_t rows);
 
     const Transformer* model_;
+    // fp32 projection snapshots; empty for an int8 decoder, which reads
+    // quant_ instead.
+    PackedLinear input_proj_;
+    std::vector<PackedBlock> blocks_;
     // Numeric mode (fixed at construction). quant_ borrows the caller's
     // quantized weights; qscratch_ holds the per-step activation codes so the
     // quantized hot loop stays allocation-free after warm-up.

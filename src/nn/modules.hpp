@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "autograd.hpp"
+#include "gemm.hpp"
 
 namespace cpt::nn {
 
@@ -39,12 +40,6 @@ public:
 
     Var forward(const Var& x) const;
     void collect(const std::string& prefix, std::vector<NamedParam>& out) const override;
-
-    // Inference fast path (no autograd graph, caller's thread): y = x W^T + b
-    // over row-major x [rows, in], y [rows, out]. Overwrites y. Runs
-    // gemm_nt_decode, so a row's bits never depend on `rows`; equal to
-    // forward() bit for bit on scalar and within FMA tolerance on avx2.
-    void forward_rows(const float* x, float* y, std::size_t rows) const;
 
     std::size_t in_features() const { return in_; }
     std::size_t out_features() const { return out_; }
@@ -81,17 +76,42 @@ public:
     Var forward(const Var& x) const;
     void collect(const std::string& prefix, std::vector<NamedParam>& out) const override;
 
-    // Inference fast path: y = fc2(gelu(fc1(x))) over row-major x [rows, in],
-    // y [rows, out], using `hidden` [rows, fc1.out_features()] as scratch
-    // (overwritten). The fc1 epilogue is the fused bias+GELU kernel.
-    void forward_rows(const float* x, float* hidden, float* y, std::size_t rows) const;
-
     const Linear& fc1() const { return fc1_; }
     const Linear& fc2() const { return fc2_; }
 
 private:
     Linear fc1_;
     Linear fc2_;
+};
+
+// The inference fast path's snapshot of a Linear (no autograd graph, caller's
+// thread): the weight packed once as a DecodePanel and a copy of the bias,
+// taken from the live parameters when from() runs. It is to the fp32 decode
+// path what QuantLinear is to the int8 one: a decoder built from it keeps
+// decoding the weights the model had at that moment, however the model is
+// trained afterwards.
+struct PackedLinear {
+    DecodePanel weight;        // W [out, in], packed
+    std::vector<float> bias;   // [out]
+
+    static PackedLinear from(const Linear& fp);
+
+    // y = x W^T + b over row-major x [rows, in], y [rows, out]; overwrites y.
+    // Runs gemm_nt_decode, so a row's bits never depend on `rows`, and equal
+    // Linear::forward()'s bit for bit on every tier.
+    void forward_rows(const float* x, float* y, std::size_t rows) const;
+};
+
+// Snapshot of an Mlp for the inference fast path: y = fc2(gelu(fc1(x))) over
+// row-major x [rows, in], y [rows, out], using `hidden` [rows,
+// fc1.weight.n()] as scratch (overwritten). The fc1 epilogue is the fused
+// bias+GELU kernel.
+struct PackedMlp {
+    PackedLinear fc1;
+    PackedLinear fc2;
+
+    static PackedMlp from(const Mlp& fp);
+    void forward_rows(const float* x, float* hidden, float* y, std::size_t rows) const;
 };
 
 // Causal multi-head self-attention over [B, T, D].

@@ -29,29 +29,13 @@ inline float hsum8(__m256 v) {
     return _mm_cvtss_f32(s);
 }
 
-// hsum8 of four registers at once: lane i of the result is hsum8(v_i) bit
-// for bit — the same three addition levels on the same operands (IEEE
-// addition is commutative), with the shuffles shared across registers.
-inline __m128 hsum8x4(__m256 v0, __m256 v1, __m256 v2, __m256 v3) {
-    // Level 1, lane i + lane i+4: s01 = [s(v0) | s(v1)], s23 = [s(v2) | s(v3)].
-    const __m256 s01 = _mm256_add_ps(_mm256_permute2f128_ps(v0, v1, 0x20),
-                                     _mm256_permute2f128_ps(v0, v1, 0x31));
-    const __m256 s23 = _mm256_add_ps(_mm256_permute2f128_ps(v2, v3, 0x20),
-                                     _mm256_permute2f128_ps(v2, v3, 0x31));
-    // Level 2, s0 + s2 and s1 + s3: t = [t0(v0) t0(v2) t1(v0) t1(v2) | same for v1, v3].
-    const __m256 t = _mm256_add_ps(_mm256_unpacklo_ps(s01, s23), _mm256_unpackhi_ps(s01, s23));
-    // Level 3, t0 + t1: lanes 0, 1 = v0, v2 and lanes 4, 5 = v1, v3.
-    const __m256 u = _mm256_add_ps(t, _mm256_permute_ps(t, _MM_SHUFFLE(1, 0, 3, 2)));
-    return _mm_unpacklo_ps(_mm256_castps256_ps128(u), _mm256_extractf128_ps(u, 1));
-}
-
 // Canonical dot product along a contiguous extent: two 8-lane FMA
 // accumulators over 16-element steps, an 8-element step, one fixed-order
 // horizontal sum, then std::fma for the scalar tail (same rounding as the
 // vector lanes). The decoder's k-contiguous dots — kernels::dot and the
 // attention scores — go through this one function, so the per-element
-// reduction order is a pure function of the extent. (The NT decode GEMM in
-// gemm_avx2.cpp keeps its own single-chain form.)
+// reduction order is a pure function of the extent. (The GEMMs reduce no
+// register: each of their lanes is one output element's FMA chain.)
 inline float dot_fma(const float* a, const float* b, std::size_t n) {
     __m256 acc0 = _mm256_setzero_ps();
     __m256 acc1 = _mm256_setzero_ps();

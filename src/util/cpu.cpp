@@ -19,6 +19,14 @@ SimdTier best_supported_tier() {
     return SimdTier::kScalar;
 }
 
+bool host_runs_avx512_tiles() {
+#if defined(CPT_HAVE_AVX512_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+    return __builtin_cpu_supports("avx512f");
+#else
+    return false;
+#endif
+}
+
 // -1 = unresolved; otherwise holds a SimdTier enumerator. The atomic is the
 // published value; g_resolve_mutex only serializes the one-time resolution
 // (env parsing + the single "simd tier" log line).
@@ -31,8 +39,10 @@ SimdTier resolve_active_tier() {
     const std::string_view value = env != nullptr ? env : "";
     const SimdTierChoice choice = choose_simd_tier(value, best);
     if (!choice.warning.empty()) warn(choice.warning);
-    info(std::string("simd tier: ") + simd_tier_name(choice.tier) + " (detected " +
-         simd_tier_name(best) +
+    const std::size_t lanes = decode_lanes(choice.tier);
+    info(std::string("simd tier: ") + simd_tier_name(choice.tier) +
+         (lanes > 1 ? ", decode " + std::to_string(lanes) + " lanes" : std::string()) +
+         " (detected " + simd_tier_name(best) +
          (value.empty() ? std::string(")") : ", CPT_SIMD=" + std::string(value) + ")"));
     return choice.tier;
 }
@@ -50,6 +60,12 @@ const char* simd_tier_name(SimdTier tier) {
 SimdTier detect_simd_tier() {
     static const SimdTier tier = best_supported_tier();
     return tier;
+}
+
+std::size_t decode_lanes(SimdTier tier) {
+    if (tier != SimdTier::kAvx2) return 1;
+    static const bool wide = host_runs_avx512_tiles();
+    return wide ? 16 : 8;
 }
 
 bool simd_tier_available(SimdTier tier) {

@@ -9,6 +9,7 @@
 // tier may change low-order bits (AVX2 uses FMA and wider reductions).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,13 @@ SimdTier detect_simd_tier();
 // True when `tier` does not exceed detect_simd_tier().
 bool simd_tier_available(SimdTier tier);
 
+// Vector width, in floats, of gemm_nt_decode's tiles on `tier`: 1 on scalar;
+// on avx2, 16 when this binary carries the AVX-512F tiles and the host
+// supports them (__builtin_cpu_supports also checks that the OS saves the ZMM
+// state), else 8. A width, not a tier: both avx2 widths give the same bytes
+// (DESIGN.md §9), so nothing selects it but the host.
+std::size_t decode_lanes(SimdTier tier);
+
 // Every tier this host/binary can run, scalar first.
 std::vector<SimdTier> available_simd_tiers();
 
@@ -43,8 +51,8 @@ struct SimdTierChoice {
 SimdTierChoice choose_simd_tier(std::string_view env, SimdTier detected);
 
 // The tier all nn kernels dispatch on. Resolved once via choose_simd_tier
-// from CPT_SIMD and detect_simd_tier(); the chosen tier is logged via
-// util::info on first resolution.
+// from CPT_SIMD and detect_simd_tier(); the chosen tier and its decode width
+// are logged via util::info on first resolution.
 SimdTier active_simd_tier();
 
 // Forces the active tier (tests / benchmarks compare tiers in-process) and

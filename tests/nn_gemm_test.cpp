@@ -4,8 +4,10 @@
 // gemm_nt_decode and every m = 1 shape included — must produce the same bits
 // as the reference for every shape. The decode NT entry is also pinned
 // batch-invariant on every tier, avx2 included: row r of an m-row product
-// equals the 1-row product of that row. Cross-tier tolerance is
-// nn_simd_parity_test's job.
+// equals the 1-row product of that row. DecodeGemmTest pins the decode
+// contract per width: avx2 decode equals gemm_nt (the training product), the
+// 16-lane tiles equal the 8-lane ones, and scalar equals gemm_nt_ref.
+// Cross-tier tolerance is nn_simd_parity_test's job.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "nn/gemm.hpp"
+#include "nn/simd_detail.hpp"
 #include "util/cpu.hpp"
 
 namespace cpt::nn {
@@ -32,6 +35,12 @@ void expect_bitwise_equal(const std::vector<float>& a, const std::vector<float>&
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
         << what << " differs from reference at shape (" << m << ", " << k << ", " << n << ")";
+}
+
+// gemm_nt_decode over B's panel, in the GemmFn shape of the other kernels.
+void gemm_nt_decode_packed(const float* a, const float* b, float* c, std::size_t m,
+                           std::size_t k, std::size_t n) {
+    gemm_nt_decode(a, DecodePanel(b, n, k), c, m);
 }
 
 struct Kernel {
@@ -58,7 +67,7 @@ const Kernel kKernels[] = {
     {gemm_nn, gemm_nn_ref, "gemm_nn"},
     {gemm_nt, gemm_nt_ref, "gemm_nt"},
     {gemm_tn, gemm_tn_ref, "gemm_tn"},
-    {gemm_nt_decode, gemm_nt_ref, "gemm_nt_decode"},
+    {gemm_nt_decode_packed, gemm_nt_ref, "gemm_nt_decode"},
 };
 
 TEST(GemmBitExactTest, ModelScaleShapes) {
@@ -105,7 +114,7 @@ TEST(GemmBitExactTest, NonMultipleOfBlockSizes) {
 
 TEST(GemmBitExactTest, DecodeNtMatchesReferenceForEveryRowCount) {
     std::mt19937 gen(21);
-    const Kernel decode{gemm_nt_decode, gemm_nt_ref, "gemm_nt_decode"};
+    const Kernel decode{gemm_nt_decode_packed, gemm_nt_ref, "gemm_nt_decode"};
     const util::ScopedSimdTier scalar(util::SimdTier::kScalar);
     for (std::size_t m = 1; m <= 37; ++m) {
         check_shape(decode, m, 33, 29, gen);
@@ -128,12 +137,13 @@ TEST(GemmBitExactTest, DecodeNtRowsAreBatchInvariant) {
                 const auto a = random_floats(m * k, gen);
                 const auto b = random_floats(k * n, gen);
                 const auto c0 = random_floats(m * n, gen);
+                const DecodePanel panel(b.data(), n, k);
                 auto c = c0;
-                gemm_nt_decode(a.data(), b.data(), c.data(), m, k, n);
+                gemm_nt_decode(a.data(), panel, c.data(), m);
                 for (std::size_t r = 0; r < m; ++r) {
                     const auto first = c0.begin() + static_cast<std::ptrdiff_t>(r * n);
                     std::vector<float> row(first, first + static_cast<std::ptrdiff_t>(n));
-                    gemm_nt_decode(a.data() + r * k, b.data(), row.data(), 1, k, n);
+                    gemm_nt_decode(a.data() + r * k, panel, row.data(), 1);
                     ASSERT_EQ(std::memcmp(row.data(), c.data() + r * n, n * sizeof(float)), 0)
                         << "tier " << util::simd_tier_name(tier) << " row " << r << " of m = "
                         << m << " (k " << k << ", n " << n << ")";
@@ -141,6 +151,126 @@ TEST(GemmBitExactTest, DecodeNtRowsAreBatchInvariant) {
             }
         }
     }
+}
+
+// ---- DecodeGemm: the decode contract per width -------------------------------
+
+// One decode product: rows m, inner k, columns n, A [m, k], B [n, k] and its
+// panel, and a nonzero starting C (the kernels accumulate).
+struct DecodeCase {
+    std::size_t m, k, n;
+    std::vector<float> a, b, c0;
+    DecodePanel panel;
+};
+
+// Every (m, k, n) of m in 1..8, 13, 32 (one row through a full row tile, a
+// tile plus a remainder, several tiles), k in {9, 64, 65, 256} (odd, the
+// model widths, one past a vector) and n in {1, 2, 6, 17, 64, 192, 256}
+// (lane tails, one vector plus one, whole strips and strips plus a tail).
+template <class Fn>
+void for_each_decode_case(std::uint32_t seed, Fn&& fn) {
+    std::mt19937 gen(seed);
+    const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 32};
+    const std::size_t ks[] = {9, 64, 65, 256};
+    const std::size_t ns[] = {1, 2, 6, 17, 64, 192, 256};
+    for (std::size_t m : ms) {
+        for (std::size_t k : ks) {
+            for (std::size_t n : ns) {
+                DecodeCase dc{m, k, n, random_floats(m * k, gen), random_floats(n * k, gen),
+                              random_floats(m * n, gen), {}};
+                dc.panel = DecodePanel(dc.b.data(), n, k);
+                fn(dc);
+                if (::testing::Test::HasFatalFailure()) return;
+            }
+        }
+    }
+}
+
+using PanelFn = void (*)(const float*, const float*, std::size_t, float*, std::size_t,
+                         std::size_t, std::size_t);
+
+std::vector<float> decode_with(PanelFn fn, const DecodeCase& dc) {
+    auto c = dc.c0;
+    fn(dc.a.data(), dc.panel.data(), dc.panel.stride(), c.data(), dc.m, dc.k, dc.n);
+    return c;
+}
+
+bool host_has_avx512_tiles() {
+    return util::simd_tier_available(util::SimdTier::kAvx2) &&
+           util::decode_lanes(util::SimdTier::kAvx2) == 16;
+}
+
+TEST(DecodeGemmTest, Avx2RowsEqualTheTrainingProduct) {
+    if (!util::simd_tier_available(util::SimdTier::kAvx2)) GTEST_SKIP() << "no avx2 tier";
+    const util::ScopedSimdTier avx2(util::SimdTier::kAvx2);
+    for_each_decode_case(31, [](const DecodeCase& dc) {
+        auto want = dc.c0;
+        gemm_nt(dc.a.data(), dc.b.data(), want.data(), dc.m, dc.k, dc.n);
+        auto got = dc.c0;
+        gemm_nt_decode(dc.a.data(), dc.panel, got.data(), dc.m);
+        expect_bitwise_equal(got, want, "gemm_nt_decode vs gemm_nt", dc.m, dc.k, dc.n);
+        expect_bitwise_equal(decode_with(detail::gemm_nt_decode_avx2, dc), want,
+                             "8-lane tiles vs gemm_nt", dc.m, dc.k, dc.n);
+    });
+}
+
+TEST(DecodeGemmTest, SixteenLanesEqualEightLanes) {
+    if (!host_has_avx512_tiles()) GTEST_SKIP() << "host or binary lacks the AVX-512F tiles";
+    for_each_decode_case(32, [](const DecodeCase& dc) {
+        expect_bitwise_equal(decode_with(detail::gemm_nt_decode_avx512, dc),
+                             decode_with(detail::gemm_nt_decode_avx2, dc),
+                             "16-lane vs 8-lane tiles", dc.m, dc.k, dc.n);
+    });
+}
+
+TEST(DecodeGemmTest, ScalarPanelEqualsReference) {
+    const util::ScopedSimdTier scalar(util::SimdTier::kScalar);
+    for_each_decode_case(33, [](const DecodeCase& dc) {
+        auto want = dc.c0;
+        gemm_nt_ref(dc.a.data(), dc.b.data(), want.data(), dc.m, dc.k, dc.n);
+        auto got = dc.c0;
+        gemm_nt_decode(dc.a.data(), dc.panel, got.data(), dc.m);
+        expect_bitwise_equal(got, want, "scalar gemm_nt_decode vs gemm_nt_ref", dc.m, dc.k,
+                             dc.n);
+    });
+}
+
+// Row r computed alone equals row r computed among the others, through the
+// dispatcher on every tier and through each width's tiles directly.
+TEST(DecodeGemmTest, RowAloneEqualsRowAmongOthers) {
+    std::vector<std::pair<const char*, PanelFn>> widths;
+    if (util::simd_tier_available(util::SimdTier::kAvx2)) {
+        widths.emplace_back("8-lane", detail::gemm_nt_decode_avx2);
+    }
+    if (host_has_avx512_tiles()) widths.emplace_back("16-lane", detail::gemm_nt_decode_avx512);
+    for_each_decode_case(34, [&](const DecodeCase& dc) {
+        const auto n = static_cast<std::ptrdiff_t>(dc.n);
+        for (util::SimdTier tier : util::available_simd_tiers()) {
+            const util::ScopedSimdTier guard(tier);
+            auto all = dc.c0;
+            gemm_nt_decode(dc.a.data(), dc.panel, all.data(), dc.m);
+            for (std::size_t r = 0; r < dc.m; ++r) {
+                const auto first = dc.c0.begin() + static_cast<std::ptrdiff_t>(r) * n;
+                std::vector<float> row(first, first + n);
+                gemm_nt_decode(dc.a.data() + r * dc.k, dc.panel, row.data(), 1);
+                ASSERT_EQ(std::memcmp(row.data(), all.data() + r * dc.n, dc.n * sizeof(float)), 0)
+                    << "tier " << util::simd_tier_name(tier) << " row " << r << " of (" << dc.m
+                    << ", " << dc.k << ", " << dc.n << ")";
+            }
+        }
+        for (const auto& [name, fn] : widths) {
+            const auto all = decode_with(fn, dc);
+            for (std::size_t r = 0; r < dc.m; ++r) {
+                const auto first = dc.c0.begin() + static_cast<std::ptrdiff_t>(r) * n;
+                std::vector<float> row(first, first + n);
+                fn(dc.a.data() + r * dc.k, dc.panel.data(), dc.panel.stride(), row.data(), 1,
+                   dc.k, dc.n);
+                ASSERT_EQ(std::memcmp(row.data(), all.data() + r * dc.n, dc.n * sizeof(float)), 0)
+                    << name << " row " << r << " of (" << dc.m << ", " << dc.k << ", " << dc.n
+                    << ")";
+            }
+        }
+    });
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/modules.hpp"
 #include "nn/optim.hpp"
+#include "util/cpu.hpp"
 
 namespace cpt::nn {
 namespace {
@@ -31,6 +33,33 @@ TEST(LinearTest, ComputesAffineMap) {
     Var x = make_var(Tensor::from({3.0f, 4.0f}, {1, 2}));
     Var y = fc.forward(x);
     EXPECT_NEAR(y->value[0], 2.0f * 3.0f - 4.0f + 0.5f, 1e-5f);
+}
+
+// The decode snapshot computes Linear::forward()'s values bit for bit on
+// every tier (gemm_nt_decode runs gemm_nt's per-element chain), and keeps the
+// weights it was packed from when the Linear changes afterwards.
+TEST(LinearTest, PackedRowsEqualForwardAndKeepTheirSnapshot) {
+    util::Rng rng(3);
+    Linear fc(65, 70, rng, 0.5f);
+    for (float& b : fc.bias()->value.data()) b = static_cast<float>(rng.normal());
+    const Tensor x = Tensor::randn(rng, {13, 65});
+    const PackedLinear packed = PackedLinear::from(fc);
+    for (util::SimdTier tier : util::available_simd_tiers()) {
+        const util::ScopedSimdTier guard(tier);
+        const Tensor want = fc.forward(make_var(x))->value;
+        Tensor got({13, 70});
+        packed.forward_rows(x.data().data(), got.data().data(), 13);
+        EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(), want.numel() * sizeof(float)),
+                  0)
+            << "tier " << util::simd_tier_name(tier);
+    }
+    Tensor before({13, 70});
+    packed.forward_rows(x.data().data(), before.data().data(), 13);
+    fc.weight()->value.data()[0] += 1.0f;
+    Tensor after({13, 70});
+    packed.forward_rows(x.data().data(), after.data().data(), 13);
+    EXPECT_EQ(std::memcmp(before.data().data(), after.data().data(), before.numel() * sizeof(float)),
+              0);
 }
 
 TEST(MlpTest, GradFlowsToAllParams) {

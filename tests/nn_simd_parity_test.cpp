@@ -52,11 +52,17 @@ void expect_same_bits(const std::vector<float>& a, const std::vector<float>& b,
 
 using GemmFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t, std::size_t);
 
+// gemm_nt_decode over B's panel, in the GemmFn shape of the other kernels.
+void gemm_nt_decode_packed(const float* a, const float* b, float* c, std::size_t m,
+                           std::size_t k, std::size_t n) {
+    gemm_nt_decode(a, DecodePanel(b, n, k), c, m);
+}
+
 // Every tier must agree with the scalar tier within tolerance — for all
 // three layouts and the decode NT entry, including the m = 1 shapes routed
 // to the GEMV fast path.
 TEST(SimdParityTest, GemmAgreesAcrossTiers) {
-    const GemmFn fns[] = {gemm_nn, gemm_nt, gemm_tn, gemm_nt_decode};
+    const GemmFn fns[] = {gemm_nn, gemm_nt, gemm_tn, gemm_nt_decode_packed};
     const char* names[] = {"gemm_nn", "gemm_nt", "gemm_tn", "gemm_nt_decode"};
     const std::size_t shapes[][3] = {
         {1, 64, 256}, {1, 128, 128}, {1, 9, 64},  {1, 300, 31},

@@ -90,6 +90,12 @@ TEST(Avx2Isolation, Avx2TuMayUseIntrinsics) {
     EXPECT_TRUE(vs.empty());
 }
 
+TEST(Avx2Isolation, Avx512TuMayUseIntrinsicsButBaselineMayNotIncludeIt) {
+    EXPECT_TRUE(lint("src/nn/gemm_avx512.cpp", "#include <immintrin.h>\n").empty());
+    const auto vs = lint("src/nn/gemm.cpp", "#include \"gemm_avx512.hpp\"\n");
+    EXPECT_EQ(count_rule(vs, "avx2-isolation"), 1u);
+}
+
 // ---- nn-single-thread ------------------------------------------------------
 
 TEST(NnSingleThread, FlagsPoolUseUnderSrcNnOnly) {
@@ -202,6 +208,21 @@ TEST(Avx2Flags, SourceFilePropertiesRequireAvx2Sources) {
                          "set_source_files_properties(gemm.cpp PROPERTIES\n"
                          "  COMPILE_OPTIONS \"${CPT_AVX2_TU_OPTIONS}\")\n");
     EXPECT_EQ(count_rule(vs, "avx2-flags"), 1u);
+}
+
+TEST(Avx2Flags, Avx512FlagsReachOnlyAvx512Sources) {
+    EXPECT_TRUE(lint("src/nn/CMakeLists.txt",
+                     "check_cxx_compiler_flag(\"-mavx512f\" HAS_AVX512F)\n"
+                     "set(CPT_AVX512_TU_OPTIONS \"-mavx2;-mfma;-mavx512f\")\n"
+                     "set_source_files_properties(gemm_avx512.cpp\n"
+                     "  PROPERTIES COMPILE_OPTIONS \"${CPT_AVX512_TU_OPTIONS}\")\n")
+                    .empty());
+    const auto vs = lint("src/nn/CMakeLists.txt",
+                         "set(WIDE \"-mavx512f\")\n"
+                         "target_compile_options(cpt_nn PRIVATE -mavx512f)\n"
+                         "set_source_files_properties(gemm.cpp PROPERTIES\n"
+                         "  COMPILE_OPTIONS \"${CPT_AVX512_TU_OPTIONS}\")\n");
+    EXPECT_EQ(count_rule(vs, "avx2-flags"), 3u);
 }
 
 TEST(Avx2Flags, CMakeCommentsAreIgnored) {

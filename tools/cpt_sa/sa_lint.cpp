@@ -311,20 +311,25 @@ void rule_sync_types(const std::string& rel, const Source& src,
 
 // ---- rule: avx2-isolation --------------------------------------------------
 
+// An ISA translation unit: *_avx2* or *_avx512* (the 16-lane decode tiles,
+// which the runtime dispatcher selects on the avx2 tier).
+bool is_isa_name(const std::string& name) {
+    return name.find("_avx2") != std::string::npos || name.find("_avx512") != std::string::npos;
+}
+
 void rule_avx2_isolation(const std::string& rel, const Source& src,
                          std::vector<Violation>& out) {
     const std::string base = fs::path(rel).filename().string();
-    if (base.find("_avx2") != std::string::npos) return;
+    if (is_isa_name(base)) return;
     for (const Include& inc : find_includes(src)) {
         const std::string name = include_basename(inc.target);
         const bool intrin = inc.angled && (name == "immintrin.h" || name == "x86intrin.h");
-        const bool avx2_hdr = name.find("_avx2") != std::string::npos;
-        if (intrin || avx2_hdr) {
+        if (intrin || is_isa_name(name)) {
             emit(src, rel, inc.off, "avx2-isolation",
                  "include of " + inc.target +
                      " in a non-_avx2 translation unit; AVX2 intrinsics may only appear "
-                     "in *_avx2.cpp files so the runtime dispatcher alone selects the "
-                     "SIMD tier",
+                     "in *_avx2.cpp (or *_avx512.cpp) files so the runtime dispatcher alone "
+                     "selects the SIMD tier",
                  out);
         }
     }
@@ -597,21 +602,24 @@ void rule_avx2_flags(const std::string& rel, const Source& src,
                        [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
 
         const bool has_flag = args.find("-mavx2") != std::string::npos ||
+                              args.find("-mavx512") != std::string::npos ||
                               args.find("-mfma") != std::string::npos ||
                               args.find("-mf16c") != std::string::npos;
         const bool mentions_avx2 = args.find("AVX2") != std::string::npos ||
-                                   args.find("avx2") != std::string::npos;
+                                   args.find("avx2") != std::string::npos ||
+                                   args.find("AVX512") != std::string::npos ||
+                                   args.find("avx512") != std::string::npos;
 
         if (name == "check_cxx_compiler_flag") continue;  // capability probe
         if (name == "set") {
             // set(CPT_AVX2_TU_OPTIONS ...) — the named holding variable.
             const std::vector<std::string> toks = cmake_args(args);
-            if (has_flag &&
-                (toks.empty() || toks.front().find("AVX2") == std::string::npos)) {
+            if (has_flag && (toks.empty() || (toks.front().find("AVX2") == std::string::npos &&
+                                              toks.front().find("AVX512") == std::string::npos))) {
                 emit(src, rel, at, "avx2-flags",
-                     "set() stores -mavx2/-mfma/-mf16c in a variable not named *AVX2*; "
-                     "keep the flags in CPT_AVX2_TU_OPTIONS so only *_avx2.cpp sources "
-                     "can receive them",
+                     "set() stores -mavx2/-mavx512*/-mfma/-mf16c in a variable not named "
+                     "*AVX2* or *AVX512*; keep the flags in CPT_AVX2_TU_OPTIONS / "
+                     "CPT_AVX512_TU_OPTIONS so only ISA sources can receive them",
                      out);
             }
             continue;
@@ -622,13 +630,13 @@ void rule_avx2_flags(const std::string& rel, const Source& src,
             bool all_avx2 = true;
             for (const std::string& t : toks) {
                 if (t == "PROPERTIES") break;
-                if (!t.ends_with("_avx2.cpp")) all_avx2 = false;
+                if (!t.ends_with("_avx2.cpp") && !t.ends_with("_avx512.cpp")) all_avx2 = false;
             }
             if (!all_avx2) {
                 emit(src, rel, at, "avx2-flags",
                      "set_source_files_properties applies AVX2 options to a source not "
-                     "named *_avx2.cpp; AVX2 codegen is confined to *_avx2.cpp TUs so "
-                     "the baseline binary never executes AVX2 instructions",
+                     "named *_avx2.cpp or *_avx512.cpp; ISA codegen is confined to those "
+                     "TUs so the baseline binary never executes AVX2 instructions",
                      out);
             }
             continue;
@@ -636,9 +644,10 @@ void rule_avx2_flags(const std::string& rel, const Source& src,
         if (has_flag) {
             emit(src, rel, at, "avx2-flags",
                  raw_name +
-                     "() passes -mavx2/-mfma/-mf16c directly; AVX2 flags may only reach "
-                     "*_avx2.cpp sources via set_source_files_properties (or the "
-                     "CPT_AVX2_TU_OPTIONS variable / check_cxx_compiler_flag probes)",
+                     "() passes -mavx2/-mavx512*/-mfma/-mf16c directly; ISA flags may only "
+                     "reach *_avx2.cpp / *_avx512.cpp sources via set_source_files_properties "
+                     "(or the CPT_AVX2_TU_OPTIONS / CPT_AVX512_TU_OPTIONS variables / "
+                     "check_cxx_compiler_flag probes)",
                  out);
         }
     }

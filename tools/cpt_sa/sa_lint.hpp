@@ -8,21 +8,22 @@
 //                   else must use the capability-annotated util::Mutex /
 //                   util::CondVar / util::LockGuard so no lock escapes the
 //                   clang thread-safety analysis.
-//   avx2-isolation  only *_avx2.cpp translation units (and *_avx2* headers
-//                   included from them) may include <immintrin.h> or an
-//                   _avx2 header — pins the "runtime dispatcher alone decides
-//                   the tier" contract.
+//   avx2-isolation  only *_avx2.cpp / *_avx512.cpp translation units (and
+//                   *_avx2* / *_avx512* headers included from them) may
+//                   include <immintrin.h> or such a header — pins the
+//                   "runtime dispatcher alone decides the tier" contract.
 //   nn-single-thread  files under src/nn/ may not include
 //                   util/thread_pool.hpp or name ThreadPool / global_pool /
 //                   parallel_for / parallel_chunks: every nn kernel runs on
 //                   its caller's thread, and parallelism lives one level up
 //                   (trainer shards, hub slices, sampler lanes, serve
 //                   engines).
-//   avx2-flags      in CMake files, -mavx2 / -mfma / -mf16c may only appear
-//                   in compiler-capability probes (check_cxx_compiler_flag),
-//                   AVX2-named option variables, or
-//                   set_source_files_properties calls whose sources are all
-//                   *_avx2.cpp — no target- or directory-wide AVX2 flags.
+//   avx2-flags      in CMake files, -mavx2 / -mavx512* / -mfma / -mf16c may
+//                   only appear in compiler-capability probes
+//                   (check_cxx_compiler_flag), AVX2- or AVX512-named option
+//                   variables, or set_source_files_properties calls whose
+//                   sources are all *_avx2.cpp / *_avx512.cpp — no target- or
+//                   directory-wide ISA flags.
 //   determinism     deterministic paths (src/nn/**, src/core/sampler.*,
 //                   src/trace/columnar.*, src/util/sketch.*) must
 //                   not call rand()/srand()/time()/clock() or iterate
