@@ -79,11 +79,14 @@ struct GemmShape {
 };
 
 // d_model-scale and MLP-scale shapes from the default (64/256) and flagship
-// (128/1024) model configs, plus the M = 1 decode case.
+// (128/1024) model configs, plus the M = 1 decode case and the narrow head
+// projections of a batch-32 decode step.
 constexpr GemmShape kShapes[] = {
     {1, 64, 256, "decode fc1 (d_model=64)"},
     {1, 256, 64, "decode fc2 (d_model=64)"},
     {1, 128, 1024, "decode fc1 (flagship mlp=1024)"},
+    {32, 64, 2, "decode two-logit head (batch 32)"},
+    {32, 64, 6, "decode event head (batch 32)"},
     {128, 64, 256, "fc1 fwd (seq=128, d_model=64)"},
     {128, 256, 64, "fc2 fwd (seq=128, d_model=64)"},
     {512, 64, 64, "qkv proj (batched seq)"},

@@ -154,10 +154,12 @@ stage_simd() {
     local tiers
     tiers="$(host_simd_tiers)"
     echo "host tiers: $tiers (avx512f: $(host_has_avx512f))"
-    # Besides kernel parity and thread determinism, the decode GEMM contract
-    # per width, the row-invariance pins (decoder churn, SlotBatch
-    # co-residents), the sampler's length-cap and greedy identities and the
-    # training kernels run with each tier forced as the process default.
+    # Besides kernel parity (SimdParity includes the softmax and attention
+    # bit-identity tests and the add/mul exp pin) and thread determinism, the
+    # decode GEMM contract per width, the row-invariance pins (decoder churn,
+    # SlotBatch co-residents), the sampler's length-cap and greedy identities
+    # and the training kernels run with each tier forced as the process
+    # default.
     for t in $tiers; do
         echo "-- CPT_SIMD=$t: parity + determinism suites"
         CPT_SIMD="$t" run_ctest "$ROOT/build-check-simd" -R \

@@ -123,6 +123,12 @@ struct Vec256 {
     }
     static Reg load_masked(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
     static void store_masked(float* p, Reg v, Mask m) { _mm256_maskstore_ps(p, m, v); }
+    using Index = __m256i;
+    static Index row_offsets(std::size_t k_dim) {
+        return _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                                  _mm256_set1_epi32(static_cast<int>(k_dim)));
+    }
+    static Reg gather(const float* p, Index idx) { return _mm256_i32gather_ps(p, idx, 4); }
 };
 
 }  // namespace

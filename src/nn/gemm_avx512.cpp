@@ -40,6 +40,17 @@ struct Vec512 {
     }
     static Reg load_masked(const float* p, Mask m) { return _mm512_maskz_loadu_ps(m, p); }
     static void store_masked(float* p, Reg v, Mask m) { _mm512_mask_storeu_ps(p, m, v); }
+    using Index = __m512i;
+    static Index row_offsets(std::size_t k_dim) {
+        return _mm512_mullo_epi32(
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+            _mm512_set1_epi32(static_cast<int>(k_dim)));
+    }
+    // The all-lanes mask form: GCC 12's plain _mm512_i32gather_ps reads an
+    // uninitialised source register (-Wmaybe-uninitialized).
+    static Reg gather(const float* p, Index idx) {
+        return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xffff, idx, p, 4);
+    }
 };
 
 }  // namespace

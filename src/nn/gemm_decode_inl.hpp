@@ -4,11 +4,12 @@
 // here has internal linkage, so each TU keeps its own copy compiled with its
 // own ISA flags; the linker can never hand an AVX-512 copy to an AVX2 caller.
 //
-// V provides: Reg and Mask types; kLanes (floats per Reg); kRows and kVecs,
-// the rows and vectors of a full tile (kRows * kVecs accumulators, kVecs
-// panel vectors and one broadcast must fit the register file); zero(),
+// V provides: Reg, Mask and Index types; kLanes (floats per Reg); kRows and
+// kVecs, the rows and vectors of a full tile (kRows * kVecs accumulators,
+// kVecs panel vectors and one broadcast must fit the register file); zero(),
 // load(p), bcast(p), fma(a, b, c), add(a, b), store(p, v), mask(lanes),
-// load_masked(p, m) and store_masked(p, v, m).
+// load_masked(p, m), store_masked(p, v, m), row_offsets(k_dim) (lane r holds
+// r * k_dim) and gather(p, idx) (lane r loads p[idx_r]).
 //
 // Per C element: acc = fma(a[k], panel[k][j], acc) over ascending k from
 // acc = 0, then c += acc, one add. That is one FMA chain per lane whatever
@@ -101,13 +102,61 @@ void decode_short_rows_upto(std::size_t rows, const float* a, std::size_t k_dim,
     decode_short_rows<V, M>(a, k_dim, p, ld, c, n_dim);
 }
 
-// C[M,N] += A[M,K] * panel over all rows. Full row tiles walk the columns
-// strip by strip, and every full tile reads a strip (k x kVecs vectors)
-// while it is still in L1. The m % kRows rows left over then take one pass
-// of short tiles.
+// Rows as lanes for a panel of N <= 8 columns: lane r of acc[j] is C element
+// (r, j) of a group of kLanes rows, so every FMA fills all lanes where a
+// column tile fills N of them (2 of 16 for the two-logit heads). A's column
+// k for the group comes in one gather; the weight is broadcast. Per element
+// the chain is the column tiles' own — fma over ascending k from 0, then one
+// add to C — so the bytes are too.
+template <class V, std::size_t N>
+void decode_rows_as_lanes(const float* a, std::size_t k_dim, const float* p, std::size_t ld,
+                          float* c, std::size_t groups) {
+    using Reg = typename V::Reg;
+    const auto rows = V::row_offsets(k_dim);
+    for (std::size_t g = 0; g < groups; ++g) {
+        const float* ag = a + g * V::kLanes * k_dim;
+        Reg acc[N];
+        for (std::size_t j = 0; j < N; ++j) acc[j] = V::zero();
+        for (std::size_t k = 0; k < k_dim; ++k) {
+            const Reg av = V::gather(ag + k, rows);
+            const float* prow = p + k * ld;
+            for (std::size_t j = 0; j < N; ++j) acc[j] = V::fma(av, V::bcast(prow + j), acc[j]);
+        }
+        float* cg = c + g * V::kLanes * N;
+        alignas(64) float lane[V::kLanes];
+        for (std::size_t j = 0; j < N; ++j) {
+            V::store(lane, acc[j]);
+            for (std::size_t r = 0; r < V::kLanes; ++r) cg[r * N + j] += lane[r];
+        }
+    }
+}
+
+// C[M,N] += A[M,K] * panel over all rows. A panel of at most 8 columns runs
+// its whole groups of kLanes rows as lanes (fewer rows than that lose to the
+// gathers). Otherwise full row tiles walk the columns strip by strip, and
+// every full tile reads a strip (k x kVecs vectors) while it is still in L1.
+// The m % kRows rows left over then take one pass of short tiles.
 template <class V>
 void decode_panel(const float* a, const float* p, std::size_t ld, float* c, std::size_t m_dim,
                   std::size_t k_dim, std::size_t n_dim) {
+    if (n_dim <= 8 && m_dim >= V::kLanes) {
+        const std::size_t groups = m_dim / V::kLanes;
+        switch (n_dim) {
+            case 1: decode_rows_as_lanes<V, 1>(a, k_dim, p, ld, c, groups); break;
+            case 2: decode_rows_as_lanes<V, 2>(a, k_dim, p, ld, c, groups); break;
+            case 3: decode_rows_as_lanes<V, 3>(a, k_dim, p, ld, c, groups); break;
+            case 4: decode_rows_as_lanes<V, 4>(a, k_dim, p, ld, c, groups); break;
+            case 5: decode_rows_as_lanes<V, 5>(a, k_dim, p, ld, c, groups); break;
+            case 6: decode_rows_as_lanes<V, 6>(a, k_dim, p, ld, c, groups); break;
+            case 7: decode_rows_as_lanes<V, 7>(a, k_dim, p, ld, c, groups); break;
+            default: decode_rows_as_lanes<V, 8>(a, k_dim, p, ld, c, groups); break;
+        }
+        const std::size_t done = groups * V::kLanes;
+        a += done * k_dim;
+        c += done * n_dim;
+        m_dim -= done;
+        if (m_dim == 0) return;
+    }
     constexpr std::size_t kWidth = V::kVecs * V::kLanes;
     const std::size_t full = m_dim - m_dim % V::kRows;
     for (std::size_t j = 0; j < n_dim; j += kWidth) {

@@ -162,18 +162,16 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
         append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.v.data().data(),
                   kv_fp16_ ? cache.vh.data() : nullptr);
         // Per-row, per-head attention over the row's own causal window
-        // [0, len(r)]. K/V live at row-local positions, so the math —
-        // dot order, softmax length, axpy order — is bit-identical to a
-        // fresh sequential decode of the same stream regardless of when the
-        // row was admitted or how the other rows advance. The one score row
-        // lives in the arena, so the hot loop stays allocation-free.
+        // [0, len(r)]: one kernel call per (row, head) runs scores, softmax
+        // and the value mix in kernels::attention_head's order, the same
+        // bits on every tier. K/V live at row-local positions, so the result
+        // equals a fresh sequential decode of the same stream regardless of
+        // when the row was admitted or how the other rows advance. The one
+        // score row lives in the arena, so the hot loop stays
+        // allocation-free.
         {
             const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
             const float* pq = q_.data().data();
-            const float* ck = kv_fp16_ ? nullptr : cache.k.data().data();
-            const float* cv = kv_fp16_ ? nullptr : cache.v.data().data();
-            const std::uint16_t* ckh = kv_fp16_ ? cache.kh.data() : nullptr;
-            const std::uint16_t* cvh = kv_fp16_ ? cache.vh.data() : nullptr;
             float* scores = scores_.data();
             float* ctx = pscratch;  // reuse as context output
             for (std::size_t r = 0; r < m; ++r) {
@@ -181,21 +179,15 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
                 for (std::size_t head = 0; head < h; ++head) {
                     const std::size_t win = (phys_[r] * h + head) * max_t * dh;
                     const float* qrow = pq + r * d + head * dh;
-                    // The batched kernels are defined as these per-key
-                    // dot/axpy loops (kernels.hpp): one dispatch per
-                    // (row, head) instead of per key, same bits.
-                    if (kv_fp16_) {
-                        kernels::attn_scores_f16(qrow, ckh + win, scores, n, dh, scale);
-                    } else {
-                        kernels::attn_scores(qrow, ck + win, scores, n, dh, scale);
-                    }
-                    kernels::softmax_row(scores, scores, n, n);
                     float* crow = ctx + r * d + head * dh;
-                    std::fill_n(crow, dh, 0.0f);
                     if (kv_fp16_) {
-                        kernels::attn_mix_f16(scores, cvh + win, crow, n, dh);
+                        kernels::attention_head(qrow, cache.kh.data() + win,
+                                                cache.vh.data() + win, scores, crow, n, dh,
+                                                scale);
                     } else {
-                        kernels::attn_mix(scores, cv + win, crow, n, dh);
+                        kernels::attention_head(qrow, cache.k.data().data() + win,
+                                                cache.v.data().data() + win, scores, crow, n,
+                                                dh, scale);
                     }
                 }
             }

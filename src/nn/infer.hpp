@@ -50,8 +50,8 @@ namespace cpt::nn {
 // Numeric options for a decoder instance (DESIGN.md §12). `quant` swaps every
 // projection matmul (input proj, q/k/v/o, MLP) for the int8 weight-quantized
 // path; `kv_fp16` stores the KV cache as IEEE binary16 (encode on append,
-// widen to fp32 inside the attention dot/axpy kernels), halving KV bandwidth
-// and memory. The two are independent knobs at this layer; the public
+// widen to fp32 inside the attention kernel), halving KV bandwidth and
+// memory. The two are independent knobs at this layer; the public
 // Precision::kInt8W8A32 mode enables both.
 struct DecodeOptions {
     const TransformerQuant* quant = nullptr;  // borrowed; must outlive the decoder

@@ -1,7 +1,9 @@
 #include "kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "fp16.hpp"
@@ -16,75 +18,89 @@ using util::SimdTier;
 
 }  // namespace
 
-float dot(const float* a, const float* b, std::size_t n) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) return detail::dot_avx2(a, b, n);
-    // Ascending serial accumulation: the historical (pre-dispatch) order, so
-    // the scalar tier keeps bit-identical decoder output.
-    float s = 0.0f;
-    for (std::size_t i = 0; i < n; ++i) s += a[i] * b[i];
-    return s;
+float exp_addmul(float x) {
+    if (x < kExpMin) return 0.0f;
+    if (std::isnan(x)) return x;
+    x = kExpMax < x ? kExpMax : x;
+    const float t = x * kExpLog2e + kExpRound;
+    const float n = t - kExpRound;
+    float r = x - n * kExpLn2Hi;
+    r = r - n * kExpLn2Lo;
+    float p = kExpPoly[0];
+    for (std::size_t c = 1; c < std::size(kExpPoly); ++c) p = p * r + kExpPoly[c];
+    p = (p * (r * r) + r) + 1.0f;
+    // t's low mantissa bits hold n; n + 127 in the exponent field is 2^n.
+    const std::int32_t ni =
+        std::bit_cast<std::int32_t>(t) - std::bit_cast<std::int32_t>(kExpRound);
+    return p * std::bit_cast<float>(static_cast<std::uint32_t>(ni + 127) << 23);
 }
 
-void axpy(float alpha, const float* x, float* y, std::size_t n) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::axpy_avx2(alpha, x, y, n);
-        return;
+namespace {
+
+// The scalar tier's form of softmax_row's exp and normaliser: e_j into out,
+// eight lane partials, then hsum8's tree. Returns the total.
+float exp_shifted_sum(const float* in, float* out, std::size_t n, float mx) {
+    float lanes[8] = {};
+    for (std::size_t j = 0; j < n; ++j) {
+        const float e = exp_addmul(in[j] - mx);
+        out[j] = e;
+        lanes[j % 8] = lanes[j % 8] + e;
     }
-    for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+    return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
+           ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
 }
 
-void attn_scores(const float* q, const float* krows, float* scores, std::size_t n,
-                 std::size_t dh, float scale) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::attn_scores_avx2(q, krows, scores, n, dh, scale);
-        return;
-    }
-    // Per key: the scalar dot's ascending serial accumulation, then the scale
-    // — the exact loop the decoder ran per key before this kernel existed.
+inline float widen(float x) { return x; }
+inline float widen(std::uint16_t h) { return fp16_decode_one(h); }
+
+// attention_head's order (kernels.hpp), one lane at a time.
+template <class T>
+void attention_head_scalar(const float* q, const T* krows, const T* vrows, float* scores,
+                           float* ctx, std::size_t n, std::size_t dh, float scale) {
+    float mx = -std::numeric_limits<float>::infinity();
     for (std::size_t p = 0; p < n; ++p) {
-        const float* k = krows + p * dh;
-        float s = 0.0f;
-        for (std::size_t i = 0; i < dh; ++i) s += q[i] * k[i];
+        const T* k = krows + p * dh;
+        float lanes[8] = {};
+        for (std::size_t c = 0; c < dh; c += 8) {
+            for (std::size_t l = 0; l < 8; ++l) {
+                const std::size_t i = c + l;
+                const float prod = i < dh ? q[i] * widen(k[i]) : 0.0f;
+                lanes[l] = c == 0 ? prod : lanes[l] + prod;
+            }
+        }
+        const float s = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+                        ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
         scores[p] = s * scale;
+        mx = std::max(mx, scores[p]);
+    }
+    const float total = exp_shifted_sum(scores, scores, n, mx);
+    const float inv = total > 0.0f ? 1.0f / total : 0.0f;
+    std::fill_n(ctx, dh, 0.0f);
+    for (std::size_t p = 0; p < n; ++p) {
+        const float w = scores[p] * inv;
+        const T* v = vrows + p * dh;
+        for (std::size_t i = 0; i < dh; ++i) ctx[i] = ctx[i] + w * widen(v[i]);
     }
 }
 
-void attn_mix(const float* scores, const float* vrows, float* crow, std::size_t n,
-              std::size_t dh) {
+}  // namespace
+
+void attention_head(const float* q, const float* krows, const float* vrows, float* scores,
+                    float* ctx, std::size_t n, std::size_t dh, float scale) {
     if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::attn_mix_avx2(scores, vrows, crow, n, dh);
+        detail::attention_head_avx2(q, krows, vrows, scores, ctx, n, dh, scale);
         return;
     }
-    for (std::size_t p = 0; p < n; ++p) {
-        const float* v = vrows + p * dh;
-        for (std::size_t i = 0; i < dh; ++i) crow[i] += scores[p] * v[i];
-    }
+    attention_head_scalar(q, krows, vrows, scores, ctx, n, dh, scale);
 }
 
-void attn_scores_f16(const float* q, const std::uint16_t* krows, float* scores, std::size_t n,
-                     std::size_t dh, float scale) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::attn_scores_f16_avx2(q, krows, scores, n, dh, scale);
+void attention_head(const float* q, const std::uint16_t* krows, const std::uint16_t* vrows,
+                    float* scores, float* ctx, std::size_t n, std::size_t dh, float scale) {
+    if (util::active_simd_tier() == SimdTier::kAvx2 && detail::attention_f16_avx2_available()) {
+        detail::attention_head_avx2(q, krows, vrows, scores, ctx, n, dh, scale);
         return;
     }
-    for (std::size_t p = 0; p < n; ++p) {
-        const std::uint16_t* k = krows + p * dh;
-        float s = 0.0f;
-        for (std::size_t i = 0; i < dh; ++i) s += q[i] * fp16_decode_one(k[i]);
-        scores[p] = s * scale;
-    }
-}
-
-void attn_mix_f16(const float* scores, const std::uint16_t* vrows, float* crow, std::size_t n,
-                  std::size_t dh) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::attn_mix_f16_avx2(scores, vrows, crow, n, dh);
-        return;
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-        const std::uint16_t* v = vrows + p * dh;
-        for (std::size_t i = 0; i < dh; ++i) crow[i] += scores[p] * fp16_decode_one(v[i]);
-    }
+    attention_head_scalar(q, krows, vrows, scores, ctx, n, dh, scale);
 }
 
 void fp16_encode(const float* src, std::uint16_t* dst, std::size_t n) {
@@ -95,43 +111,15 @@ void fp16_encode(const float* src, std::uint16_t* dst, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) dst[i] = fp16_encode_one(src[i]);
 }
 
-float dot_f16(const float* a, const std::uint16_t* b, std::size_t n) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) return detail::dot_f16_avx2(a, b, n);
-    // Ascending serial accumulation with an exact widen per element, mirroring
-    // the fp32 dot's scalar contract.
-    float s = 0.0f;
-    for (std::size_t i = 0; i < n; ++i) s += a[i] * fp16_decode_one(b[i]);
-    return s;
-}
-
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::axpy_f16_avx2(alpha, x, y, n);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) y[i] += alpha * fp16_decode_one(x[i]);
-}
-
 void softmax_row(const float* in, float* out, std::size_t len, std::size_t valid) {
-    float mx = -std::numeric_limits<float>::infinity();
-    if (util::active_simd_tier() == SimdTier::kAvx2 && valid >= 8) {
-        mx = detail::reduce_max_avx2(in, valid);  // max is association-exact
+    if (util::active_simd_tier() == SimdTier::kAvx2) {
+        detail::softmax_row_avx2(in, out, valid);
     } else {
+        float mx = -std::numeric_limits<float>::infinity();
         for (std::size_t j = 0; j < valid; ++j) mx = std::max(mx, in[j]);
-    }
-    // exp and the normalizer sum stay scalar on every tier: the sum is an
-    // ascending serial reduction, so softmax output is identical across tiers
-    // (pinned by the parity tests).
-    float total = 0.0f;
-    for (std::size_t j = 0; j < valid; ++j) {
-        out[j] = std::exp(in[j] - mx);
-        total += out[j];
-    }
-    const float inv = total > 0.0f ? 1.0f / total : 0.0f;
-    if (util::active_simd_tier() == SimdTier::kAvx2 && valid >= 8) {
-        detail::scale_avx2(out, valid, inv);
-    } else {
-        for (std::size_t j = 0; j < valid; ++j) out[j] *= inv;
+        const float total = exp_shifted_sum(in, out, valid, mx);
+        const float inv = total > 0.0f ? 1.0f / total : 0.0f;
+        for (std::size_t j = 0; j < valid; ++j) out[j] = out[j] * inv;
     }
     for (std::size_t j = valid; j < len; ++j) out[j] = 0.0f;
 }
@@ -261,16 +249,9 @@ void xent_backward_row_ref(const float* probs, int target, float* dx, float gsca
 
 void xent_backward_rows(const float* probs, const int* targets, int ignore_index, float* dx,
                         float gscale, std::size_t rows, std::size_t c) {
-    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
     for (std::size_t r = 0; r < rows; ++r) {
-        const int tgt = targets[r];
-        if (tgt == ignore_index) continue;
-        if (avx2 && c >= 8) {
-            detail::axpy_avx2(gscale, probs + r * c, dx + r * c, c);
-            dx[r * c + static_cast<std::size_t>(tgt)] -= gscale;
-        } else {
-            xent_backward_row_ref(probs + r * c, tgt, dx + r * c, gscale, c);
-        }
+        if (targets[r] == ignore_index) continue;
+        xent_backward_row_ref(probs + r * c, targets[r], dx + r * c, gscale, c);
     }
 }
 

@@ -6,9 +6,10 @@
 // is the trainer's data-parallel shards, decode parallelism the sampler lanes
 // and serve engines.
 //
-// Numerics: on the scalar tier every function below performs the exact
-// per-element operation order the pre-dispatch code performed, so that tier
-// remains bit-identical to the historical outputs. The avx2 tier may
+// Numerics: softmax and decode attention follow one defined operation order
+// on every tier and give the same bits on scalar and avx2 (the block below).
+// For the other kernels the scalar tier performs the exact per-element
+// operation order the pre-dispatch code performed, while the avx2 tier may
 // reassociate reductions, use FMA, and evaluate GELU through a vectorised
 // exp; within that tier results are still a pure function of (element
 // index, shape).
@@ -37,45 +38,63 @@ inline float gelu_grad_scalar(float x) {
     return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
 }
 
-// dot/axpy along contiguous spans, tier-dispatched (decoder attention).
-float dot(const float* a, const float* b, std::size_t n);
-void axpy(float alpha, const float* x, float* y, std::size_t n);
+// ---- Attention and softmax: one operation order on every tier ---------------
+// The kernels in this block give the same bits on scalar and avx2. Every step
+// is a fixed sequence of IEEE adds and multiplies (each correctly rounded, no
+// FMA), which the avx2 tier runs eight lanes wide and the scalar tier runs
+// one lane at a time; both translation units build with -ffp-contract=off so
+// the compiler cannot fuse a multiply into the add after it.
 
-// Batched attention inner loops. Each call is defined as the per-key loop it
-// replaces — scores[p] = dot(q, krows + p*dh) * scale for p in [0, n), and
-// crow += scores[p] * vrows[p*dh..] applied in ascending p — with the SAME
-// per-element operation order as n separate dot/axpy calls on every tier, so
-// swapping the loops for these kernels is unobservable in decoder output.
-// They exist because the per-key calls pay a tier dispatch per key and leave
-// the dot's FMA chain latency-bound; the batched forms dispatch once, run
-// several independent key chains in flight, and keep the context row in
-// registers across keys (dh <= 64, the decoder head sizes).
-void attn_scores(const float* q, const float* krows, float* scores, std::size_t n,
-                 std::size_t dh, float scale);
-void attn_mix(const float* scores, const float* vrows, float* crow, std::size_t n,
-              std::size_t dh);
-void attn_scores_f16(const float* q, const std::uint16_t* krows, float* scores, std::size_t n,
-                     std::size_t dh, float scale);
-void attn_mix_f16(const float* scores, const std::uint16_t* vrows, float* crow, std::size_t n,
-                  std::size_t dh);
-
-// fp16-storage KV-cache kernels (infer.cpp). Encoding rounds fp32 to
-// nearest-even binary16 — the SAME bits on every tier (software converter on
-// scalar, VCVTPS2PH or the identical software fallback on avx2), so the
-// cache contents never depend on the tier. dot_f16/axpy_f16 widen the halves
-// exactly and then follow the fp32 dot/axpy tier conventions: ascending
-// scalar on the scalar tier, FMA forms on avx2.
-void fp16_encode(const float* src, std::uint16_t* dst, std::size_t n);
-float dot_f16(const float* a, const std::uint16_t* b, std::size_t n);
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
+// The exp polynomial: n = round(x log2 e) by adding and subtracting 1.5 * 2^23,
+// r = (x - n ln2_hi) - n ln2_lo, p = ((((c0 r + c1) r + c2) r + c3) r + c4) r
+// + c5, exp(r) = (p r^2 + r) + 1, scaled by 2^n through the exponent bits.
+// Inputs below kExpMin give exactly 0 (so -inf gives 0), inputs above kExpMax
+// saturate at exp(kExpMax), NaN gives NaN and exp(0) == 1. The result is
+// never subnormal.
+inline constexpr float kExpMin = -87.3f;
+inline constexpr float kExpMax = 88.3f;
+inline constexpr float kExpLog2e = 1.44269504088896341f;
+inline constexpr float kExpRound = 12582912.0f;  // 1.5 * 2^23
+inline constexpr float kExpLn2Hi = 0.693359375f;
+inline constexpr float kExpLn2Lo = -2.12194440e-4f;
+inline constexpr float kExpPoly[6] = {1.9875691500e-4f, 1.3981999507e-3f, 8.3334519073e-3f,
+                                      4.1665795894e-2f, 1.6666665459e-1f, 5.0000001201e-1f};
+// The scalar form of that exp (the avx2 tier evaluates the same sequence per
+// lane). Out of line, so every caller gets the uncontracted code.
+float exp_addmul(float x);
 
 // Stable softmax over the first `valid` of `len` entries; entries past
-// `valid` are zeroed. The exp/sum stage is scalar on every tier (the sum is
-// an ascending serial reduction), so softmax output is identical across
-// tiers.
+// `valid` are zeroed, and in == out aliasing is allowed. Order: mx = max of
+// the entries (NaN entries are skipped); e_j = exp_addmul(in_j - mx); the
+// normaliser sums e_j into eight lane partials (lane j mod 8, ascending j,
+// each from +0) and adds the partials as hsum8 does,
+// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)); out_j = e_j * (1 / total),
+// or 0 when total is not positive. A NaN entry yields NaN there and 0
+// elsewhere.
 void softmax_row(const float* in, float* out, std::size_t len, std::size_t valid);
 // Softmax over [rows, d] (full rows valid).
 void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d);
+
+// One decode attention head over n cached keys: ctx[0, dh) = sum_p w_p v_p
+// with w = softmax(scale * q . k_p), K and V rows of dh elements, contiguous.
+// The KV cache is fp32 or fp16 (widened exactly to fp32, then the same order).
+// `scores` is caller scratch of n floats. Order:
+//   scores: lane l of key p sums q_i * k_i over i = l (mod 8) in ascending i,
+//     the first product as is and each later one added (i >= dh contributes
+//     0 * 0); the eight lanes reduce as ((l0 + l1) + (l2 + l3)) + ((l4 + l5)
+//     + (l6 + l7)), and the sum is multiplied by `scale`;
+//   softmax: softmax_row's order over the n scores;
+//   mix: ctx_i = +0, then ctx_i = ctx_i + w_p * v_p,i in ascending p.
+void attention_head(const float* q, const float* krows, const float* vrows, float* scores,
+                    float* ctx, std::size_t n, std::size_t dh, float scale);
+void attention_head(const float* q, const std::uint16_t* krows, const std::uint16_t* vrows,
+                    float* scores, float* ctx, std::size_t n, std::size_t dh, float scale);
+
+// fp16-storage KV-cache encoder (infer.cpp): rounds fp32 to nearest-even
+// binary16 — the SAME bits on every tier (software converter on scalar,
+// VCVTPS2PH or the identical software fallback on avx2), so the cache
+// contents never depend on the tier.
+void fp16_encode(const float* src, std::uint16_t* dst, std::size_t n);
 
 // LayerNorm over one row of width d: out = (in - mean) * inv_std * gain +
 // bias. When stats2 != nullptr, writes {mean, inv_std} at stats2[0..1] (the
@@ -123,7 +142,8 @@ void softmax_backward_causal(const float* y, const float* g, float* dx, std::siz
 void softmax_xent_rows(const float* logits, float* probs, const int* targets, int ignore_index,
                        double* rowloss, std::size_t rows, std::size_t c);
 // Cross-entropy backward: dx[r,:] += gscale * (probs[r,:] - onehot(target_r))
-// for rows whose target is not ignore_index.
+// for rows whose target is not ignore_index: xent_backward_row_ref per row on
+// every tier.
 void xent_backward_rows(const float* probs, const int* targets, int ignore_index, float* dx,
                         float gscale, std::size_t rows, std::size_t c);
 void xent_backward_row_ref(const float* probs, int target, float* dx, float gscale,

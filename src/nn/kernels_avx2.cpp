@@ -1,6 +1,7 @@
-// AVX2+FMA elementwise kernel tier (dot/axpy, LayerNorm rows, softmax
-// helpers). Built with -mavx2 -mfma; see gemm_avx2.cpp for the compile-gate
-// and determinism conventions shared by both AVX2 translation units.
+// AVX2+FMA elementwise kernel tier (LayerNorm rows, GELU, the fp16 encoder,
+// the backward and optimizer kernels). Built with -mavx2 -mfma; see
+// gemm_avx2.cpp for the compile-gate and determinism conventions shared by the
+// AVX2 translation units. Softmax and attention live in attention_avx2.cpp.
 #include "simd_detail.hpp"
 
 #include "kernels.hpp"
@@ -13,144 +14,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "fp16.hpp"
 
 namespace cpt::nn::detail {
-
-float dot_avx2(const float* a, const float* b, std::size_t n) { return dot_fma(a, b, n); }
-
-void axpy_avx2(float alpha, const float* x, float* y, std::size_t n) {
-    const __m256 av = _mm256_set1_ps(alpha);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        _mm256_storeu_ps(y + i, _mm256_fmadd_ps(av, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-    }
-    for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
-}
-
-void attn_scores_avx2(const float* q, const float* krows, float* scores, std::size_t n,
-                      std::size_t dh, float scale) {
-    // Four keys in flight, each with its own dot_fma-shaped accumulator pair
-    // (16-element main loop, 8-element step, hsum8 of acc0+acc1, std::fma
-    // tail), so scores[p] carries exactly the bits of dot_fma(q, key_p) *
-    // scale while the q loads are shared and the FMA chains overlap instead
-    // of serialising on one chain's latency.
-    std::size_t p = 0;
-    for (; p + 4 <= n; p += 4) {
-        const float* k0 = krows + p * dh;
-        const float* k1 = k0 + dh;
-        const float* k2 = k1 + dh;
-        const float* k3 = k2 + dh;
-        __m256 a00 = _mm256_setzero_ps(), a01 = _mm256_setzero_ps();
-        __m256 a10 = _mm256_setzero_ps(), a11 = _mm256_setzero_ps();
-        __m256 a20 = _mm256_setzero_ps(), a21 = _mm256_setzero_ps();
-        __m256 a30 = _mm256_setzero_ps(), a31 = _mm256_setzero_ps();
-        std::size_t i = 0;
-        for (; i + 16 <= dh; i += 16) {
-            const __m256 q0 = _mm256_loadu_ps(q + i);
-            const __m256 q1 = _mm256_loadu_ps(q + i + 8);
-            a00 = _mm256_fmadd_ps(q0, _mm256_loadu_ps(k0 + i), a00);
-            a01 = _mm256_fmadd_ps(q1, _mm256_loadu_ps(k0 + i + 8), a01);
-            a10 = _mm256_fmadd_ps(q0, _mm256_loadu_ps(k1 + i), a10);
-            a11 = _mm256_fmadd_ps(q1, _mm256_loadu_ps(k1 + i + 8), a11);
-            a20 = _mm256_fmadd_ps(q0, _mm256_loadu_ps(k2 + i), a20);
-            a21 = _mm256_fmadd_ps(q1, _mm256_loadu_ps(k2 + i + 8), a21);
-            a30 = _mm256_fmadd_ps(q0, _mm256_loadu_ps(k3 + i), a30);
-            a31 = _mm256_fmadd_ps(q1, _mm256_loadu_ps(k3 + i + 8), a31);
-        }
-        for (; i + 8 <= dh; i += 8) {
-            const __m256 q0 = _mm256_loadu_ps(q + i);
-            a00 = _mm256_fmadd_ps(q0, _mm256_loadu_ps(k0 + i), a00);
-            a10 = _mm256_fmadd_ps(q0, _mm256_loadu_ps(k1 + i), a10);
-            a20 = _mm256_fmadd_ps(q0, _mm256_loadu_ps(k2 + i), a20);
-            a30 = _mm256_fmadd_ps(q0, _mm256_loadu_ps(k3 + i), a30);
-        }
-        float s0 = hsum8(_mm256_add_ps(a00, a01));
-        float s1 = hsum8(_mm256_add_ps(a10, a11));
-        float s2 = hsum8(_mm256_add_ps(a20, a21));
-        float s3 = hsum8(_mm256_add_ps(a30, a31));
-        for (; i < dh; ++i) {
-            s0 = std::fma(q[i], k0[i], s0);
-            s1 = std::fma(q[i], k1[i], s1);
-            s2 = std::fma(q[i], k2[i], s2);
-            s3 = std::fma(q[i], k3[i], s3);
-        }
-        scores[p] = s0 * scale;
-        scores[p + 1] = s1 * scale;
-        scores[p + 2] = s2 * scale;
-        scores[p + 3] = s3 * scale;
-    }
-    for (; p < n; ++p) scores[p] = dot_fma(q, krows + p * dh, dh) * scale;
-}
-
-namespace {
-
-// Context row held in NB ymm registers across the whole key loop; per
-// element this is the identical ascending-p FMA sequence n axpy calls
-// perform, minus their per-key load/store round trips through memory.
-template <std::size_t NB>
-inline void attn_mix_reg(const float* scores, const float* vrows, float* crow, std::size_t n,
-                         std::size_t dh) {
-    __m256 acc[NB];
-    for (std::size_t b = 0; b < NB; ++b) acc[b] = _mm256_loadu_ps(crow + 8 * b);
-    for (std::size_t p = 0; p < n; ++p) {
-        const __m256 s = _mm256_set1_ps(scores[p]);
-        const float* v = vrows + p * dh;
-        for (std::size_t b = 0; b < NB; ++b) {
-            acc[b] = _mm256_fmadd_ps(s, _mm256_loadu_ps(v + 8 * b), acc[b]);
-        }
-    }
-    for (std::size_t b = 0; b < NB; ++b) _mm256_storeu_ps(crow + 8 * b, acc[b]);
-}
-
-}  // namespace
-
-void attn_mix_avx2(const float* scores, const float* vrows, float* crow, std::size_t n,
-                   std::size_t dh) {
-    if ((dh & 7) == 0 && dh >= 8 && dh <= 64) {
-        switch (dh >> 3) {
-            case 1: attn_mix_reg<1>(scores, vrows, crow, n, dh); return;
-            case 2: attn_mix_reg<2>(scores, vrows, crow, n, dh); return;
-            case 3: attn_mix_reg<3>(scores, vrows, crow, n, dh); return;
-            case 4: attn_mix_reg<4>(scores, vrows, crow, n, dh); return;
-            case 5: attn_mix_reg<5>(scores, vrows, crow, n, dh); return;
-            case 6: attn_mix_reg<6>(scores, vrows, crow, n, dh); return;
-            case 7: attn_mix_reg<7>(scores, vrows, crow, n, dh); return;
-            case 8: attn_mix_reg<8>(scores, vrows, crow, n, dh); return;
-            default: break;
-        }
-    }
-    for (std::size_t p = 0; p < n; ++p) axpy_avx2(scores[p], vrows + p * dh, crow, dh);
-}
-
-float reduce_max_avx2(const float* x, std::size_t n) {
-    // max is exact under any association; no ordering constraints here.
-    std::size_t i = 0;
-    float mx = -std::numeric_limits<float>::infinity();
-    if (n >= 8) {
-        __m256 vmx = _mm256_loadu_ps(x);
-        for (i = 8; i + 8 <= n; i += 8) vmx = _mm256_max_ps(vmx, _mm256_loadu_ps(x + i));
-        const __m128 lo = _mm256_castps256_ps128(vmx);
-        const __m128 hi = _mm256_extractf128_ps(vmx, 1);
-        __m128 m = _mm_max_ps(lo, hi);
-        m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-        m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
-        mx = _mm_cvtss_f32(m);
-    }
-    for (; i < n; ++i) mx = std::max(mx, x[i]);
-    return mx;
-}
-
-void scale_avx2(float* x, std::size_t n, float s) {
-    const __m256 sv = _mm256_set1_ps(s);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), sv));
-    }
-    for (; i < n; ++i) x[i] *= s;
-}
 
 void layer_norm_row_avx2(const float* in, float* out, const float* gain, const float* bias,
                          std::size_t d, float eps, float* stats2) {
@@ -295,22 +162,12 @@ void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float*
     }
 }
 
-// ---- fp16 KV-cache kernels ----------------------------------------------------
+// ---- fp16 KV-cache encoder ----------------------------------------------------
 // The binary may carry F16C instructions (-mf16c is appended to this TU's
-// flags when the compiler accepts it) on a CPU that lacks the feature — F16C
-// is a separate CPUID bit from AVX2 — so the hardware path is gated at
-// runtime too. The software fallback produces bit-identical halves (both
-// round to nearest-even), so which path runs is unobservable in the encode;
-// the dot fallback keeps a fixed scalar FMA chain, consistent per host.
-
-namespace {
-
-inline bool host_has_f16c() {
-    static const bool ok = __builtin_cpu_supports("f16c");
-    return ok;
-}
-
-}  // namespace
+// flags when the compiler accepts it) on a CPU that lacks the feature, so the
+// hardware path is gated at runtime too (host_has_f16c). The software
+// fallback produces bit-identical halves (both round to nearest-even), so
+// which path runs is unobservable.
 
 void fp16_encode_avx2(const float* src, std::uint16_t* dst, std::size_t n) {
 #if defined(__F16C__)
@@ -327,146 +184,6 @@ void fp16_encode_avx2(const float* src, std::uint16_t* dst, std::size_t n) {
     }
 #endif
     for (std::size_t i = 0; i < n; ++i) dst[i] = fp16_encode_one(src[i]);
-}
-
-float dot_f16_avx2(const float* a, const std::uint16_t* b, std::size_t n) {
-#if defined(__F16C__)
-    if (host_has_f16c()) {
-        const std::size_t n8 = n & ~std::size_t{7};
-        __m256 acc = _mm256_setzero_ps();
-        for (std::size_t i = 0; i < n8; i += 8) {
-            const __m256 bv =
-                _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-            acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), bv, acc);
-        }
-        float s = hsum8(acc);
-        for (std::size_t t = n8; t < n; ++t) s = std::fma(a[t], fp16_decode_one(b[t]), s);
-        return s;
-    }
-#endif
-    float s = 0.0f;
-    for (std::size_t i = 0; i < n; ++i) s = std::fma(a[i], fp16_decode_one(b[i]), s);
-    return s;
-}
-
-void axpy_f16_avx2(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
-#if defined(__F16C__)
-    if (host_has_f16c()) {
-        const __m256 av = _mm256_set1_ps(alpha);
-        std::size_t i = 0;
-        for (; i + 8 <= n; i += 8) {
-            const __m256 xv =
-                _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-            _mm256_storeu_ps(y + i, _mm256_fmadd_ps(av, xv, _mm256_loadu_ps(y + i)));
-        }
-        for (; i < n; ++i) y[i] = std::fma(alpha, fp16_decode_one(x[i]), y[i]);
-        return;
-    }
-#endif
-    for (std::size_t i = 0; i < n; ++i) y[i] = std::fma(alpha, fp16_decode_one(x[i]), y[i]);
-}
-
-void attn_scores_f16_avx2(const float* q, const std::uint16_t* krows, float* scores,
-                          std::size_t n, std::size_t dh, float scale) {
-#if defined(__F16C__)
-    if (host_has_f16c()) {
-        // Four keys in flight, each chain shaped exactly like dot_f16_avx2
-        // (single accumulator, 8-wide steps, hsum8, scalar widen tail).
-        const std::size_t d8 = dh & ~std::size_t{7};
-        std::size_t p = 0;
-        for (; p + 4 <= n; p += 4) {
-            const std::uint16_t* k0 = krows + p * dh;
-            const std::uint16_t* k1 = k0 + dh;
-            const std::uint16_t* k2 = k1 + dh;
-            const std::uint16_t* k3 = k2 + dh;
-            __m256 a0 = _mm256_setzero_ps();
-            __m256 a1 = _mm256_setzero_ps();
-            __m256 a2 = _mm256_setzero_ps();
-            __m256 a3 = _mm256_setzero_ps();
-            for (std::size_t i = 0; i < d8; i += 8) {
-                const __m256 qv = _mm256_loadu_ps(q + i);
-                a0 = _mm256_fmadd_ps(
-                    qv,
-                    _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(k0 + i))),
-                    a0);
-                a1 = _mm256_fmadd_ps(
-                    qv,
-                    _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(k1 + i))),
-                    a1);
-                a2 = _mm256_fmadd_ps(
-                    qv,
-                    _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(k2 + i))),
-                    a2);
-                a3 = _mm256_fmadd_ps(
-                    qv,
-                    _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(k3 + i))),
-                    a3);
-            }
-            float s0 = hsum8(a0);
-            float s1 = hsum8(a1);
-            float s2 = hsum8(a2);
-            float s3 = hsum8(a3);
-            for (std::size_t i = d8; i < dh; ++i) {
-                s0 = std::fma(q[i], fp16_decode_one(k0[i]), s0);
-                s1 = std::fma(q[i], fp16_decode_one(k1[i]), s1);
-                s2 = std::fma(q[i], fp16_decode_one(k2[i]), s2);
-                s3 = std::fma(q[i], fp16_decode_one(k3[i]), s3);
-            }
-            scores[p] = s0 * scale;
-            scores[p + 1] = s1 * scale;
-            scores[p + 2] = s2 * scale;
-            scores[p + 3] = s3 * scale;
-        }
-        for (; p < n; ++p) scores[p] = dot_f16_avx2(q, krows + p * dh, dh) * scale;
-        return;
-    }
-#endif
-    for (std::size_t p = 0; p < n; ++p) scores[p] = dot_f16_avx2(q, krows + p * dh, dh) * scale;
-}
-
-#if defined(__F16C__)
-namespace {
-
-// f16 counterpart of attn_mix_reg: same register-resident ascending-p FMA
-// sequence, with each V block widened exactly as axpy_f16_avx2 widens it.
-template <std::size_t NB>
-inline void attn_mix_f16_reg(const float* scores, const std::uint16_t* vrows, float* crow,
-                             std::size_t n, std::size_t dh) {
-    __m256 acc[NB];
-    for (std::size_t b = 0; b < NB; ++b) acc[b] = _mm256_loadu_ps(crow + 8 * b);
-    for (std::size_t p = 0; p < n; ++p) {
-        const __m256 s = _mm256_set1_ps(scores[p]);
-        const std::uint16_t* v = vrows + p * dh;
-        for (std::size_t b = 0; b < NB; ++b) {
-            const __m256 xv = _mm256_cvtph_ps(
-                _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + 8 * b)));
-            acc[b] = _mm256_fmadd_ps(s, xv, acc[b]);
-        }
-    }
-    for (std::size_t b = 0; b < NB; ++b) _mm256_storeu_ps(crow + 8 * b, acc[b]);
-}
-
-}  // namespace
-#endif
-
-void attn_mix_f16_avx2(const float* scores, const std::uint16_t* vrows, float* crow,
-                       std::size_t n, std::size_t dh) {
-#if defined(__F16C__)
-    if (host_has_f16c() && (dh & 7) == 0 && dh >= 8 && dh <= 64) {
-        switch (dh >> 3) {
-            case 1: attn_mix_f16_reg<1>(scores, vrows, crow, n, dh); return;
-            case 2: attn_mix_f16_reg<2>(scores, vrows, crow, n, dh); return;
-            case 3: attn_mix_f16_reg<3>(scores, vrows, crow, n, dh); return;
-            case 4: attn_mix_f16_reg<4>(scores, vrows, crow, n, dh); return;
-            case 5: attn_mix_f16_reg<5>(scores, vrows, crow, n, dh); return;
-            case 6: attn_mix_f16_reg<6>(scores, vrows, crow, n, dh); return;
-            case 7: attn_mix_f16_reg<7>(scores, vrows, crow, n, dh); return;
-            case 8: attn_mix_f16_reg<8>(scores, vrows, crow, n, dh); return;
-            default: break;
-        }
-    }
-#endif
-    for (std::size_t p = 0; p < n; ++p) axpy_f16_avx2(scores[p], vrows + p * dh, crow, dh);
 }
 
 void softmax_backward_row_avx2(const float* y, const float* g, float* dx, std::size_t n) {
@@ -605,21 +322,6 @@ namespace {
 [[noreturn]] void missing() { CPT_CHECK(false, "AVX2 kernels were not compiled into this binary"); }
 }  // namespace
 
-float dot_avx2(const float*, const float*, std::size_t) { missing(); }
-void axpy_avx2(float, const float*, float*, std::size_t) { missing(); }
-void attn_scores_avx2(const float*, const float*, float*, std::size_t, std::size_t, float) {
-    missing();
-}
-void attn_mix_avx2(const float*, const float*, float*, std::size_t, std::size_t) { missing(); }
-void attn_scores_f16_avx2(const float*, const std::uint16_t*, float*, std::size_t, std::size_t,
-                          float) {
-    missing();
-}
-void attn_mix_f16_avx2(const float*, const std::uint16_t*, float*, std::size_t, std::size_t) {
-    missing();
-}
-float reduce_max_avx2(const float*, std::size_t) { missing(); }
-void scale_avx2(float*, std::size_t, float) { missing(); }
 void layer_norm_row_avx2(const float*, float*, const float*, const float*, std::size_t, float,
                          float*) {
     missing();
@@ -631,8 +333,6 @@ void bias_gelu_backward_row_avx2(const float*, const float*, const float*, float
 }
 void add_bias_row_avx2(float*, const float*, std::size_t) { missing(); }
 void fp16_encode_avx2(const float*, std::uint16_t*, std::size_t) { missing(); }
-float dot_f16_avx2(const float*, const std::uint16_t*, std::size_t) { missing(); }
-void axpy_f16_avx2(float, const std::uint16_t*, float*, std::size_t) { missing(); }
 void softmax_backward_row_avx2(const float*, const float*, float*, std::size_t) { missing(); }
 void layer_norm_backward_row_avx2(const float*, const float*, const float*, float, float, float*,
                                   std::size_t) {

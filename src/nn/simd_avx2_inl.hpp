@@ -1,8 +1,8 @@
-// AVX2+FMA inline primitives shared by gemm_avx2.cpp and kernels_avx2.cpp —
-// the only translation units built with -mavx2 -mfma. Do not include this
-// header anywhere else: it requires the AVX2 target to compile.
+// AVX2+FMA inline primitives shared by gemm_avx2.cpp, kernels_avx2.cpp and
+// attention_avx2.cpp — the translation units built with -mavx2 -mfma. Do not
+// include this header anywhere else: it requires the AVX2 target to compile.
 //
-// hsum8/dot8 fix the reduction tree, so every caller that sums a register the
+// hsum8/dot_fma fix the reduction tree, so every caller that sums a register the
 // same way produces identical bits for identical inputs — the within-tier
 // determinism contract depends on this.
 #pragma once
@@ -29,13 +29,12 @@ inline float hsum8(__m256 v) {
     return _mm_cvtss_f32(s);
 }
 
-// Canonical dot product along a contiguous extent: two 8-lane FMA
-// accumulators over 16-element steps, an 8-element step, one fixed-order
-// horizontal sum, then std::fma for the scalar tail (same rounding as the
-// vector lanes). The decoder's k-contiguous dots — kernels::dot and the
-// attention scores — go through this one function, so the per-element
-// reduction order is a pure function of the extent. (The GEMMs reduce no
-// register: each of their lanes is one output element's FMA chain.)
+// Dot product along a contiguous extent: two 8-lane FMA accumulators over
+// 16-element steps, an 8-element step, one fixed-order horizontal sum, then
+// std::fma for the scalar tail (same rounding as the vector lanes). Its one
+// caller is the softmax backward row; decode attention has its own
+// tier-identical order (attention_avx2.cpp). The GEMMs reduce no register:
+// each of their lanes is one output element's FMA chain.
 inline float dot_fma(const float* a, const float* b, std::size_t n) {
     __m256 acc0 = _mm256_setzero_ps();
     __m256 acc1 = _mm256_setzero_ps();
@@ -50,6 +49,13 @@ inline float dot_fma(const float* a, const float* b, std::size_t n) {
     float s = hsum8(_mm256_add_ps(acc0, acc1));
     for (; i < n; ++i) s = std::fma(a[i], b[i], s);
     return s;
+}
+
+// F16C is a separate CPUID bit from AVX2: a TU built with -mf16c gates its
+// conversion instructions on this at run time.
+inline bool host_has_f16c() {
+    static const bool ok = __builtin_cpu_supports("f16c");
+    return ok;
 }
 
 }  // namespace cpt::nn::detail

@@ -1,9 +1,11 @@
 // Internal declarations of the AVX2+FMA kernel tier. The definitions live in
-// gemm_avx2.cpp / kernels_avx2.cpp, the translation units built with
-// -mavx2 -mfma (plus gemm_avx512.cpp, see gemm_nt_decode_avx512); when the
-// compiler lacks those flags the definitions degrade to CPT_CHECK failures. Callers must only reach these through the tier
-// dispatchers in gemm.cpp / kernels.cpp, which guarantee the active tier is
-// kAvx2 (and therefore that the host CPU supports the instructions).
+// gemm_avx2.cpp / kernels_avx2.cpp / attention_avx2.cpp, the translation
+// units built with -mavx2 -mfma (plus gemm_avx512.cpp, see
+// gemm_nt_decode_avx512); when the compiler lacks those flags the
+// definitions degrade to CPT_CHECK failures. Callers must only reach these
+// through the tier dispatchers in gemm.cpp / kernels.cpp, which guarantee the
+// active tier is kAvx2 (and therefore that the host CPU supports the
+// instructions).
 //
 // Determinism contract shared by every function here: the floating-point
 // operations producing one output element depend only on (element index,
@@ -40,22 +42,20 @@ void gemm_nt_decode_avx512(const float* a, const float* panel, std::size_t strid
 // [K,N].
 void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim);
 
+// Softmax and decode attention in the tier-identical order of kernels.hpp
+// (attention_avx2.cpp, built with -ffp-contract=off). softmax_row_avx2
+// writes the first `valid` entries only; kernels::softmax_row zeroes the rest.
+void softmax_row_avx2(const float* in, float* out, std::size_t valid);
+void attention_head_avx2(const float* q, const float* krows, const float* vrows, float* scores,
+                         float* ctx, std::size_t n, std::size_t dh, float scale);
+// The fp16 form widens halves with F16C, a CPUID bit of its own: callers
+// check attention_f16_avx2_available() (built with -mf16c, host has F16C)
+// and otherwise run the scalar body, which gives the same bits.
+void attention_head_avx2(const float* q, const std::uint16_t* krows, const std::uint16_t* vrows,
+                         float* scores, float* ctx, std::size_t n, std::size_t dh, float scale);
+bool attention_f16_avx2_available();
+
 // Fused elementwise helpers used by kernels.cpp's per-row dispatch.
-float dot_avx2(const float* a, const float* b, std::size_t n);
-void axpy_avx2(float alpha, const float* x, float* y, std::size_t n);
-// Batched attention inner loops (kernels.hpp documents the per-key
-// equivalence contract): n key chains per dispatch, each chain the canonical
-// dot_fma / axpy sequence for its key.
-void attn_scores_avx2(const float* q, const float* krows, float* scores, std::size_t n,
-                      std::size_t dh, float scale);
-void attn_mix_avx2(const float* scores, const float* vrows, float* crow, std::size_t n,
-                   std::size_t dh);
-void attn_scores_f16_avx2(const float* q, const std::uint16_t* krows, float* scores,
-                          std::size_t n, std::size_t dh, float scale);
-void attn_mix_f16_avx2(const float* scores, const std::uint16_t* vrows, float* crow,
-                       std::size_t n, std::size_t dh);
-float reduce_max_avx2(const float* x, std::size_t n);
-void scale_avx2(float* x, std::size_t n, float s);
 // One LayerNorm row: out = (in - mean) * inv * gain + bias; writes the
 // mean/inv pair when stats2 != nullptr (autograd backward cache).
 void layer_norm_row_avx2(const float* in, float* out, const float* gain, const float* bias,
@@ -75,13 +75,10 @@ void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float*
 void gemv_q8_dots_avx2(const std::uint8_t* a, const std::int8_t* w, std::int32_t* idot,
                        std::size_t k_dim, std::size_t n_dim);
 
-// fp16 KV-cache kernels (infer.cpp via kernels.cpp). Encode rounds to
-// nearest-even exactly like the software converter in fp16.hpp (VCVTPS2PH
-// when the host has F16C, bit-identical fallback otherwise); dot/axpy widen
-// exactly and then follow the fp32 AVX2 FMA conventions.
+// fp16 KV-cache encoder (infer.cpp via kernels.cpp): rounds to nearest-even
+// exactly like the software converter in fp16.hpp (VCVTPS2PH when the host
+// has F16C, bit-identical fallback otherwise).
 void fp16_encode_avx2(const float* src, std::uint16_t* dst, std::size_t n);
-float dot_f16_avx2(const float* a, const std::uint16_t* b, std::size_t n);
-void axpy_f16_avx2(float alpha, const std::uint16_t* x, float* y, std::size_t n);
 
 // Backward-pass helpers used by the training kernels in kernels.cpp.
 // One softmax backward row: dx += y * (g - dot(g, y)).

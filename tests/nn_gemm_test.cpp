@@ -163,14 +163,16 @@ struct DecodeCase {
     DecodePanel panel;
 };
 
-// Every (m, k, n) of m in 1..8, 13, 32 (one row through a full row tile, a
-// tile plus a remainder, several tiles), k in {9, 64, 65, 256} (odd, the
-// model widths, one past a vector) and n in {1, 2, 6, 17, 64, 192, 256}
-// (lane tails, one vector plus one, whole strips and strips plus a tail).
+// Every (m, k, n) of m in 1..8, 13, 20, 32 (one row through a full row tile,
+// a tile plus a remainder, several tiles; for n <= 8, one or two groups of
+// rows as lanes, with and without rows left over), k in {9, 64, 65, 256}
+// (odd, the model widths, one past a vector) and n in {1, 2, 6, 17, 64, 192,
+// 256} (lane tails, one vector plus one, whole strips and strips plus a
+// tail).
 template <class Fn>
 void for_each_decode_case(std::uint32_t seed, Fn&& fn) {
     std::mt19937 gen(seed);
-    const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 32};
+    const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 20, 32};
     const std::size_t ks[] = {9, 64, 65, 256};
     const std::size_t ns[] = {1, 2, 6, 17, 64, 192, 256};
     for (std::size_t m : ms) {

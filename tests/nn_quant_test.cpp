@@ -110,36 +110,24 @@ TEST(Fp16Test, EncodeMatchesIeeeRoundToNearestEven) {
 }
 
 // The encoder must produce the same bits on every tier (hardware F16C on
-// avx2, software everywhere else), and the widening kernels must agree with
-// the scalar tier within FMA drift.
+// avx2, software everywhere else). The attention kernel that widens the
+// halves is pinned byte for byte across tiers by
+// SimdParityTest.AttentionIsBitIdenticalAcrossTiers.
 TEST(Fp16Test, KernelsAgreeAcrossTiers) {
     std::mt19937 gen(9);
     for (std::size_t n : {1u, 7u, 8u, 64u, 100u, 300u}) {
         const auto src = random_floats(n, gen, -4.0f, 4.0f);
-        const auto other = random_floats(n, gen, -2.0f, 2.0f);
-
         std::vector<std::uint16_t> scalar_bits;
-        float scalar_dot = 0.0f;
-        std::vector<float> scalar_axpy;
         for (SimdTier tier : util::available_simd_tiers()) {
             util::ScopedSimdTier guard(tier);
             std::vector<std::uint16_t> bits(n);
             kernels::fp16_encode(src.data(), bits.data(), n);
-            const float d = kernels::dot_f16(other.data(), bits.data(), n);
-            auto ax = other;
-            kernels::axpy_f16(0.37f, bits.data(), ax.data(), n);
             if (tier == SimdTier::kScalar) {
                 scalar_bits = std::move(bits);
-                scalar_dot = d;
-                scalar_axpy = std::move(ax);
                 continue;
             }
             ASSERT_EQ(std::memcmp(bits.data(), scalar_bits.data(), n * sizeof(std::uint16_t)), 0)
                 << "fp16_encode tier " << util::simd_tier_name(tier) << " n=" << n;
-            EXPECT_NEAR(d, scalar_dot, 1e-3f) << "dot_f16 n=" << n;
-            for (std::size_t i = 0; i < n; ++i) {
-                EXPECT_NEAR(ax[i], scalar_axpy[i], 1e-5f) << "axpy_f16 n=" << n << " i=" << i;
-            }
         }
     }
 }

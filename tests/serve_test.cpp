@@ -466,8 +466,10 @@ TEST_F(ServeFixture, QueueFullAppliesBackpressure) {
     serve::GenerateRequest big;
     big.device = trace::DeviceType::kPhone;
     big.hour_of_day = 9;
-    big.count = 50000;
-    big.deadline_ms = 500;  // evicted long before 50000 tiny-model streams finish
+    // Evicted long before 10^6 tiny-model streams finish: one avx2 engine
+    // decodes 50000 of them in under the 100 ms the probe below waits.
+    big.count = 1000000;
+    big.deadline_ms = 500;
 
     std::thread first([&] {
         const auto resp = server.generate(big);
