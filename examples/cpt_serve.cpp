@@ -12,9 +12,8 @@
 // port is printed on the "listening" line), --slots=N, --queue=N,
 // --deadline-ms=N, --deterministic, --nearest-hour, --bootstrap (publish a
 // synthetic-world model for phone/--hour before serving), --hour=N,
-// --ues=N, --epochs=N (bootstrap training epochs; 0 serves random weights),
-// --precision=fp32|int8 (decode path for every slice, DESIGN.md §12;
-// quantized packages always serve int8).
+// --ues=N, --epochs=N (bootstrap training epochs; 0 serves random weights).
+// Every slice decodes in fp32 (DESIGN.md §12).
 #include <cstdio>
 
 #include "core/model_hub.hpp"
@@ -72,7 +71,6 @@ int main(int argc, char** argv) {
             static_cast<std::uint32_t>(opt.get_int("deadline-ms", 30000));
         cfg.deterministic = opt.get_flag("deterministic");
         cfg.nearest_hour_fallback = opt.get_flag("nearest-hour");
-        cfg.precision = nn::parse_precision(opt.get("precision", "fp32"));
         serve::Server server(std::move(cfg));
 
         serve::TcpServer tcp(server, host, port);

@@ -11,7 +11,6 @@
 #   scripts/check.sh asan        # ASan build + full suite
 #   scripts/check.sh tsan        # TSan build + concurrency/serve-labeled tests + sharded training
 #   scripts/check.sh simd        # Release build; parity, determinism, row invariance per SIMD tier
-#   scripts/check.sh quant       # quant-labeled tests (int8/fp16 decode) per forced SIMD tier
 #   scripts/check.sh serve       # serve-labeled tests + daemon smoke (loadtest, clean drain)
 #   scripts/check.sh router      # 2 backends + router; kill one mid-load, assert clean failover
 #   scripts/check.sh train       # train-labeled tests, then rerun determinism with CPT_THREADS=2 and 3
@@ -164,23 +163,6 @@ stage_simd() {
         echo "-- CPT_SIMD=$t: parity + determinism suites"
         CPT_SIMD="$t" run_ctest "$ROOT/build-check-simd" -R \
             'SimdParity|GemmBitExact|DecodeGemm|ParallelDeterminism|ChurnRowMap|SlotBatchInvariance|TrainKernels|SamplerTest\.(GenerateBatchStopsExactlyAtTheLengthCap|GreedyStreamsDependOnlyOnTheBootstrapEvent)'
-    done
-}
-
-stage_quant() {
-    echo "== stage: quant (int8/fp16 decode-path suite under each forced tier) =="
-    local dir="$ROOT/build-check-simd"
-    configure_and_build "$dir"
-    local tiers
-    tiers="$(host_simd_tiers)"
-    echo "host tiers: $tiers"
-    # The q8 kernels promise byte-identical logits on every tier (the int
-    # accumulation is exact and the float epilogue is tier-shared), so the
-    # whole quant label — parity bounds, fidelity drift, serialization —
-    # must pass with each tier forced.
-    for t in $tiers; do
-        echo "-- CPT_SIMD=$t: quant-labeled tests"
-        CPT_SIMD="$t" run_ctest "$dir" -L quant
     done
 }
 
@@ -404,7 +386,7 @@ stage_scale() {
     (cd "$dir/bench" && ./bench_scale --pops=50000 --assert-rss-mb=200)
 }
 
-all_stages=(werror tidy annotate sa ubsan asan tsan simd quant serve router train scale)
+all_stages=(werror tidy annotate sa ubsan asan tsan simd serve router train scale)
 
 run_stage() {
     case "$1" in
@@ -416,7 +398,6 @@ run_stage() {
         asan) stage_asan ;;
         tsan) stage_tsan ;;
         simd) stage_simd ;;
-        quant) stage_quant ;;
         serve) stage_serve ;;
         router) stage_router ;;
         train) stage_train ;;

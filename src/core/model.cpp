@@ -57,53 +57,13 @@ nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch) const {
     return nn::TransformerDecoder(backbone_, batch);
 }
 
-nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch, nn::Precision precision) const {
-    nn::DecodeOptions opts;
-    if (precision != nn::Precision::kFp32) {
-        CPT_CHECK(quant_ != nullptr,
-                  "make_decoder: int8 decoding requires quantize_weights() or a quantized "
-                  "checkpoint");
-        opts.quant = &quant_->backbone;
-        opts.kv_fp16 = true;
-    }
-    return nn::TransformerDecoder(backbone_, batch, opts);
-}
-
-void CptGpt::quantize_weights() {
-    auto q = std::make_shared<CptGptQuant>();
-    q->backbone = nn::TransformerQuant::from(backbone_);
-    q->event_head = nn::QuantMlp::from(event_head_);
-    q->ia_head = nn::QuantMlp::from(ia_head_);
-    q->stop_head = nn::QuantMlp::from(stop_head_);
-    quant_ = std::move(q);
-}
-
-const CptGptQuant& CptGpt::quantized_weights() const {
-    CPT_CHECK(quant_ != nullptr, "quantized_weights: call quantize_weights() first");
-    return *quant_;
-}
-
 CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch) const {
-    return make_decode_scratch(batch, nn::Precision::kFp32);
-}
-
-CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch,
-                                                  nn::Precision precision) const {
-    if (precision == nn::Precision::kInt8W8A32) {
-        CPT_CHECK(quant_ != nullptr,
-                  "make_decode_scratch: int8 decoding requires quantized weights");
-    }
     DecodeScratch s;
     s.capacity = batch;
     s.batch = batch;
-    s.precision = precision;
-    if (precision == nn::Precision::kInt8W8A32) {
-        s.qscratch.ensure(batch, config_.d_model);
-    } else {
-        s.event_head = nn::PackedMlp::from(event_head_);
-        s.ia_head = nn::PackedMlp::from(ia_head_);
-        s.stop_head = nn::PackedMlp::from(stop_head_);
-    }
+    s.event_head = nn::PackedMlp::from(event_head_);
+    s.ia_head = nn::PackedMlp::from(ia_head_);
+    s.stop_head = nn::PackedMlp::from(stop_head_);
     s.event_hidden = nn::Tensor({batch, config_.head_hidden});
     s.ia_hidden = nn::Tensor({batch, config_.head_hidden});
     s.stop_hidden = nn::Tensor({batch, config_.head_hidden});
@@ -138,24 +98,12 @@ const CptGpt::DecodeOutput& CptGpt::decode_step(nn::TransformerDecoder& decoder,
     // (same per-element arithmetic as the autograd modules; pinned by
     // DecodeStepMatchesForwardHeads).
     const float* ph = hidden.data().data();
-    if (scratch.precision == nn::Precision::kInt8W8A32) {
-        CPT_CHECK(quant_ != nullptr, "decode_step: int8 scratch but no quantized weights");
-        quant_->event_head.forward_rows(ph, scratch.event_hidden.data().data(),
-                                        scratch.out.event_logits.data().data(), b,
-                                        scratch.qscratch);
-        quant_->ia_head.forward_rows(ph, scratch.ia_hidden.data().data(),
-                                     scratch.ia_out.data().data(), b, scratch.qscratch);
-        quant_->stop_head.forward_rows(ph, scratch.stop_hidden.data().data(),
-                                       scratch.out.stop_logits.data().data(), b,
-                                       scratch.qscratch);
-    } else {
-        scratch.event_head.forward_rows(ph, scratch.event_hidden.data().data(),
-                                        scratch.out.event_logits.data().data(), b);
-        scratch.ia_head.forward_rows(ph, scratch.ia_hidden.data().data(),
-                                     scratch.ia_out.data().data(), b);
-        scratch.stop_head.forward_rows(ph, scratch.stop_hidden.data().data(),
-                                       scratch.out.stop_logits.data().data(), b);
-    }
+    scratch.event_head.forward_rows(ph, scratch.event_hidden.data().data(),
+                                    scratch.out.event_logits.data().data(), b);
+    scratch.ia_head.forward_rows(ph, scratch.ia_hidden.data().data(),
+                                 scratch.ia_out.data().data(), b);
+    scratch.stop_head.forward_rows(ph, scratch.stop_hidden.data().data(),
+                                   scratch.out.stop_logits.data().data(), b);
     const float* pia = scratch.ia_out.data().data();
     float* mu = scratch.out.ia_mu.data().data();
     if (config_.distribution_head) {
@@ -186,8 +134,7 @@ void CptGpt::collect(const std::string& prefix, std::vector<nn::NamedParam>& out
 }
 
 void CptGpt::save_package(const std::string& path, const Tokenizer& tokenizer,
-                          const std::vector<double>& initial_event_dist,
-                          nn::Precision precision) const {
+                          const std::vector<double>& initial_event_dist) const {
     CPT_CHECK_EQ(initial_event_dist.size(), num_events_,
                  " save_package: initial distribution size vs event vocabulary");
     auto params = named_parameters("cptgpt.");
@@ -198,66 +145,7 @@ void CptGpt::save_package(const std::string& path, const Tokenizer& tokenizer,
     std::vector<float> dist(initial_event_dist.begin(), initial_event_dist.end());
     params.push_back(
         {"meta.initial_event_dist", nn::make_var(nn::Tensor::from(dist, {num_events_}))});
-    if (precision == nn::Precision::kInt8W8A32) {
-        // Every Linear weight matrix (name "*.weight", always rank 2) goes
-        // int8; biases, LayerNorm params and the positional table stay fp32.
-        std::vector<std::string> quantize;
-        for (const auto& np : params) {
-            const auto& n = np.name;
-            if (n.size() > 7 && n.compare(n.size() - 7, 7, ".weight") == 0) quantize.push_back(n);
-        }
-        nn::save_parameters(path, params, quantize);
-    } else {
-        nn::save_parameters(path, params);
-    }
-}
-
-std::vector<std::pair<std::string, nn::QuantLinear*>> CptGpt::quant_entries() {
-    CPT_CHECK(quant_ != nullptr, "quant_entries: no quantized weights");
-    std::vector<std::pair<std::string, nn::QuantLinear*>> entries;
-    const auto add = [&entries](const std::string& name, nn::QuantLinear& l) {
-        entries.emplace_back("cptgpt." + name + ".weight", &l);
-    };
-    add("backbone.input_proj", quant_->backbone.input_proj);
-    for (std::size_t i = 0; i < quant_->backbone.blocks.size(); ++i) {
-        auto& b = quant_->backbone.blocks[i];
-        const std::string p = "backbone.block" + std::to_string(i) + ".";
-        add(p + "attn.wq", b.wq);
-        add(p + "attn.wk", b.wk);
-        add(p + "attn.wv", b.wv);
-        add(p + "attn.wo", b.wo);
-        add(p + "mlp.fc1", b.mlp.fc1);
-        add(p + "mlp.fc2", b.mlp.fc2);
-    }
-    const auto add_head = [&add](const std::string& name, nn::QuantMlp& h) {
-        add(name + ".fc1", h.fc1);
-        add(name + ".fc2", h.fc2);
-    };
-    add_head("event_head", quant_->event_head);
-    add_head("ia_head", quant_->ia_head);
-    add_head("stop_head", quant_->stop_head);
-    return entries;
-}
-
-void CptGpt::install_quantized(const nn::QuantSections& sections) {
-    // Build the quantized structure from the (dequantized) fp32 weights, then
-    // overwrite each matrix with the checkpoint's exact scale/payload bytes —
-    // re-quantizing a dequantized matrix can drift the scales by 1 ulp.
-    quantize_weights();
-    auto entries = quant_entries();
-    CPT_CHECK_EQ(sections.size(), entries.size(),
-                 " install_quantized: checkpoint quantized-section count vs model matrices");
-    for (auto& [name, lin] : entries) {
-        const auto it = sections.find(name);
-        CPT_CHECK(it != sections.end(), "install_quantized: checkpoint lacks q8 section '", name,
-                  "'");
-        const auto& sec = it->second;
-        CPT_CHECK_EQ(sec.shape.size(), std::size_t{2},
-                     " install_quantized: q8 section rank for ", name);
-        CPT_CHECK_EQ(sec.shape[0], lin->out, " install_quantized: rows of ", name);
-        CPT_CHECK_EQ(sec.shape[1], lin->in, " install_quantized: cols of ", name);
-        lin->install(sec.payload, sec.scale);
-    }
+    nn::save_parameters(path, params);
 }
 
 CptGpt::Package CptGpt::load_package(const std::string& path, cellular::Generation generation,
@@ -272,17 +160,11 @@ CptGpt::Package CptGpt::load_package(const std::string& path, cellular::Generati
     auto dist = nn::make_var(nn::Tensor::zeros({model->num_event_types()}));
     params.push_back({"meta.ia_scaling", ia_scaling});
     params.push_back({"meta.initial_event_dist", dist});
-    // Quantization-aware load: q8 sections are dequantized into the fp32
-    // params above AND handed back verbatim so the model serves the exact
-    // checkpoint payload (no fp32 weights needed on disk for int8 hubs).
-    nn::QuantSections sections;
-    nn::load_parameters(path, params, &sections);
-    if (!sections.empty()) model->install_quantized(sections);
+    nn::load_parameters(path, params);
 
     Package pkg{std::move(model),
                 Tokenizer(generation, ia_scaling->value[0], ia_scaling->value[1]),
-                {},
-                !sections.empty()};
+                {}};
     pkg.initial_event_dist.assign(dist->value.data().begin(), dist->value.data().end());
     return pkg;
 }

@@ -12,27 +12,9 @@
 
 #include "nn/infer.hpp"
 #include "nn/modules.hpp"
-#include "nn/serialize.hpp"
 #include "tokenizer.hpp"
 
 namespace cpt::core {
-
-// Int8 weight-quantized mirror of every decode-path matmul (DESIGN.md §12):
-// the backbone projections plus the three output heads. Derived from the fp32
-// parameters by CptGpt::quantize_weights(), or installed verbatim from a
-// quantized checkpoint (v2 sections) so pre-quantized hubs load without the
-// 1-ulp scale drift of re-quantizing dequantized weights.
-struct CptGptQuant {
-    nn::TransformerQuant backbone;
-    nn::QuantMlp event_head;
-    nn::QuantMlp ia_head;
-    nn::QuantMlp stop_head;
-
-    std::size_t weight_bytes() const {
-        return backbone.weight_bytes() + event_head.weight_bytes() + ia_head.weight_bytes() +
-               stop_head.weight_bytes();
-    }
-};
 
 struct CptGptConfig {
     std::size_t d_model = 64;
@@ -80,23 +62,10 @@ public:
         nn::Tensor ia_logvar;     // [B]; empty when distribution_head == false
         nn::Tensor stop_logits;   // [B, 2]
     };
-    // An fp32 decoder packs the backbone projections and make_decode_scratch
+    // The decoder packs the backbone projections and make_decode_scratch
     // packs the heads (nn::PackedLinear), each from the live weights when it
-    // is made: they decode the weights the model had at that moment, like the
-    // int8 mirror, which quantize_weights() snapshots.
+    // is made: they decode the weights the model had at that moment.
     nn::TransformerDecoder make_decoder(std::size_t batch) const;
-    // Precision-selected decoder: kInt8W8A32 runs every projection through the
-    // int8 weight path and stores the KV cache as fp16 (requires
-    // quantize_weights() or a quantized checkpoint first).
-    nn::TransformerDecoder make_decoder(std::size_t batch, nn::Precision precision) const;
-
-    // Derives the int8 mirror of all decode-path weights from the current
-    // fp32 parameters (idempotent: recomputes on every call, so callers can
-    // refresh after fine-tuning). ~4x smaller than the fp32 weights.
-    void quantize_weights();
-    bool has_quantized_weights() const { return quant_ != nullptr; }
-    // Valid only when has_quantized_weights().
-    const CptGptQuant& quantized_weights() const;
 
     // Reusable head buffers for decode_step: hidden activations and outputs
     // are preallocated for a fixed capacity so the steady-state decode loop
@@ -106,12 +75,8 @@ public:
     struct DecodeScratch {
         std::size_t capacity = 0;
         std::size_t batch = 0;
-        // Numeric mode the heads run in; kInt8W8A32 routes them through the
-        // quantized mirrors using qscratch for the activation codes.
-        nn::Precision precision = nn::Precision::kFp32;
-        nn::QuantScratch qscratch;
-        // fp32 heads, packed from the live weights when the scratch is made
-        // (the decoder's snapshot rule, nn/infer.hpp); empty in int8 mode.
+        // The heads, packed from the live weights when the scratch is made
+        // (the decoder's snapshot rule, nn/infer.hpp).
         nn::PackedMlp event_head;
         nn::PackedMlp ia_head;
         nn::PackedMlp stop_head;
@@ -126,7 +91,6 @@ public:
         DecodeOutput out;
     };
     DecodeScratch make_decode_scratch(std::size_t batch) const;
-    DecodeScratch make_decode_scratch(std::size_t batch, nn::Precision precision) const;
 
     // Feeds one token per row ([B, d_token]) and returns the heads' outputs
     // for that position. Numerically equivalent to forward() at the last
@@ -147,41 +111,24 @@ public:
 
     // Persists/restores model weights together with the tokenizer scaling and
     // the initial-event-type distribution — the full release package of §4.5.
-    // Precision::kInt8W8A32 writes every decode-path weight matrix as an int8
-    // checkpoint section (serialize v2), ~4x smaller, so cpt-serve can load a
-    // pre-quantized hub without fp32 weights on disk.
     void save_package(const std::string& path, const Tokenizer& tokenizer,
-                      const std::vector<double>& initial_event_dist,
-                      nn::Precision precision = nn::Precision::kFp32) const;
+                      const std::vector<double>& initial_event_dist) const;
 
     struct Package {
         std::unique_ptr<CptGpt> model;
         Tokenizer tokenizer;
         std::vector<double> initial_event_dist;
-        // True when the checkpoint carried quantized sections; the loaded
-        // model then already has_quantized_weights() installed verbatim.
-        bool quantized = false;
     };
     static Package load_package(const std::string& path, cellular::Generation generation,
                                 const CptGptConfig& config);
 
 private:
-    // Name -> quantized-matrix map mirroring the checkpoint parameter names
-    // (e.g. "cptgpt.backbone.block0.attn.wq.weight"); requires quant_.
-    std::vector<std::pair<std::string, nn::QuantLinear*>> quant_entries();
-    // Installs exact checkpoint sections over the derived quantized weights.
-    void install_quantized(const nn::QuantSections& sections);
-
     CptGptConfig config_;
     std::size_t num_events_;
     nn::Transformer backbone_;
     nn::Mlp event_head_;
     nn::Mlp ia_head_;
     nn::Mlp stop_head_;
-    // Int8 decode-path mirror (quantize_weights()); shared_ptr so copies of a
-    // CptGpt value would stay cheap, and so decoders can borrow it safely for
-    // the model's lifetime.
-    std::shared_ptr<CptGptQuant> quant_;
 };
 
 // Copies every parameter value of `src` into `dst` in place (both models

@@ -46,10 +46,10 @@ void ModelHub::save_manifest() const {
 
 void ModelHub::publish(const CptGpt& model, const Tokenizer& tokenizer,
                        const std::vector<double>& initial_event_dist, trace::DeviceType device,
-                       int hour_of_day, nn::Precision precision) {
+                       int hour_of_day) {
     const std::string file = std::string(to_string(device)) + "_h" +
                              std::to_string(hour_of_day) + ".ckpt";
-    model.save_package(directory_ + "/" + file, tokenizer, initial_event_dist, precision);
+    model.save_package(directory_ + "/" + file, tokenizer, initial_event_dist);
     // Replace any previous release for this slice.
     entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                   [&](const ModelHubEntry& e) {

@@ -30,12 +30,9 @@ public:
 
     // Publishes a trained model for a (device, hour) slice, overwriting any
     // previous release for that slice, and updates the manifest.
-    // Precision::kInt8W8A32 releases an int8 weight-quantized checkpoint
-    // (serialize v2, ~4x smaller); load() then installs the quantized payload
-    // verbatim so cpt-serve never holds fp32 decode weights for the slice.
     void publish(const CptGpt& model, const Tokenizer& tokenizer,
                  const std::vector<double>& initial_event_dist, trace::DeviceType device,
-                 int hour_of_day, nn::Precision precision = nn::Precision::kFp32);
+                 int hour_of_day);
 
     // True when a release exists for the slice.
     bool has(trace::DeviceType device, int hour_of_day) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <numeric>
 #include <optional>
@@ -30,11 +29,6 @@ Sampler::Sampler(const CptGpt& model, const Tokenizer& tokenizer,
     CPT_CHECK(config_.top_p > 0.0 && config_.top_p <= 1.0, "Sampler: top_p must be in (0, 1], got ",
               config_.top_p);
     if (config_.batch == 0) config_.batch = 1;
-    if (config_.precision == nn::Precision::kInt8W8A32) {
-        CPT_CHECK(model.has_quantized_weights(),
-                  "Sampler: precision int8_w8a32 requires CptGpt::quantize_weights() (or a "
-                  "quantized checkpoint) before constructing the sampler");
-    }
     config_.max_stream_len = std::min(config_.max_stream_len, model.config().max_seq_len);
     CPT_CHECK_GE(config_.max_stream_len, std::size_t{2},
                  " Sampler: max_stream_len must be >= 2 (after clamping to max_seq_len)");
@@ -165,8 +159,8 @@ struct Sampler::SlotBatch::Impl {
     explicit Impl(const Sampler& s, std::size_t cap)
         : sampler(&s),
           capacity(cap),
-          decoder(s.model_->make_decoder(cap, s.config_.precision)),
-          scratch(s.model_->make_decode_scratch(cap, s.config_.precision)),
+          decoder(s.model_->make_decoder(cap)),
+          scratch(s.model_->make_decode_scratch(cap)),
           input_full({cap, s.tokenizer_->d_token()}),
           input(input_full),
           finished(cap) {
@@ -344,10 +338,8 @@ std::vector<trace::Stream> Sampler::generate_batch(std::span<util::Rng> rngs,
                                                    StageTimes* times) const {
     if (rngs.empty()) return {};
     SlotBatch batch(*this, rngs.size());
-    char id[64];
     for (std::size_t i = 0; i < rngs.size(); ++i) {
-        std::snprintf(id, sizeof(id), "%s-%06zu", ue_prefix.c_str(), first_serial + i);
-        batch.admit(rngs[i], id, i);
+        batch.admit(rngs[i], trace::ue_id(ue_prefix, first_serial + i), i);
     }
     std::vector<SlotBatch::Finished> finished;
     finished.reserve(rngs.size());
@@ -431,12 +423,10 @@ void Sampler::generate_impl(std::size_t n, util::Rng& rng, const std::string& ue
         SlotBatch batch(*this, config_.batch);
         std::vector<SlotBatch::Finished> finished;
         std::vector<StreamCursor::Pulled> pulled;
-        char id[64];
         for (;;) {
             cursor.exchange(finished, batch.free_slots(), pulled);
             for (auto& p : pulled) {
-                std::snprintf(id, sizeof(id), "%s-%06zu", ue_prefix.c_str(), p.serial);
-                batch.admit(p.rng, id, p.serial);
+                batch.admit(p.rng, trace::ue_id(ue_prefix, p.serial), p.serial);
             }
             if (batch.live() == 0) return;
             finished.clear();

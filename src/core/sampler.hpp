@@ -68,11 +68,6 @@ struct SamplerConfig {
     std::size_t batch = 8;
     trace::DeviceType device = trace::DeviceType::kPhone;  // label for streams
     int hour_of_day = 0;
-    // Decode numeric mode (DESIGN.md §12). kInt8W8A32 runs the decoder and
-    // heads through the int8 weight path with an fp16 KV cache — the model
-    // must have quantized weights (quantize_weights() or a quantized
-    // checkpoint) before the Sampler is built.
-    nn::Precision precision = nn::Precision::kFp32;
 };
 
 class Sampler {

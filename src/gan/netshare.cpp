@@ -503,8 +503,7 @@ trace::Dataset NetShareGenerator::generate(std::size_t n, util::Rng& rng,
         const auto seq = batch.hard_samples.data();
         for (std::size_t row = 0; row < b; ++row) {
             trace::Stream s;
-            char id[64];
-            std::snprintf(id, sizeof(id), "%s-%06zu", ue_prefix.c_str(), produced);
+            const std::string id = trace::ue_id(ue_prefix, produced);
             s.ue_id = id;
             s.device = device;
             double t = 0.0;

@@ -16,11 +16,8 @@
 #include "simd_avx2_inl.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <iterator>
 #include <limits>
-
-#include "fp16.hpp"
 
 namespace cpt::nn::detail {
 namespace {
@@ -95,44 +92,27 @@ inline __m256 reduce_keys8(const __m256* acc) {
                          _mm256_permute2f128_ps(u0, u1, 0x31));
 }
 
-// KV row loaders: eight elements widened to fp32, and the first `count`
-// (1..7) of them with zeros above.
-struct KvF32 {
-    using Elem = float;
-    static __m256 load(const float* p) { return _mm256_loadu_ps(p); }
-    static __m256 load_part(const float* p, std::size_t count) {
-        return _mm256_maskload_ps(p, lane_mask(count));
-    }
-};
-
-#if defined(__F16C__)
-// VCVTPH2PS widens exactly, as fp16_decode_one does. AVX2 has no 16-bit
-// masked load, so a row tail's halves are widened one lane at a time.
-struct KvF16 {
-    using Elem = std::uint16_t;
-    static __m256 load(const std::uint16_t* p) {
-        return _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-    }
-    static __m256 load_part(const std::uint16_t* p, std::size_t count) {
-        const auto at = [&](std::size_t i) { return i < count ? fp16_decode_one(p[i]) : 0.0f; };
-        return _mm256_setr_ps(at(0), at(1), at(2), at(3), at(4), at(5), at(6), 0.0f);
-    }
-};
-#endif
+// The first `count` (1..7) elements of a KV row, zeros above.
+inline __m256 load_part(const float* p, std::size_t count) {
+    return _mm256_maskload_ps(p, lane_mask(count));
+}
 
 // Eight keys' scores before the scale, key j's row at k + j * C * 8 (C whole
 // vectors per row): the keys of one block are consecutive cache rows, so
 // every load is the block base plus a constant.
-template <class Kv, std::size_t C>
-inline __m256 score_block(const __m256* qv, const typename Kv::Elem* k) {
+template <std::size_t C>
+inline __m256 score_block(const __m256* qv, const float* k) {
     __m256 acc[8];
 #pragma GCC unroll 8
-    for (std::size_t j = 0; j < 8; ++j) acc[j] = _mm256_mul_ps(qv[0], Kv::load(k + j * C * 8));
+    for (std::size_t j = 0; j < 8; ++j) {
+        acc[j] = _mm256_mul_ps(qv[0], _mm256_loadu_ps(k + j * C * 8));
+    }
 #pragma GCC unroll 8
     for (std::size_t c = 1; c < C; ++c) {
 #pragma GCC unroll 8
         for (std::size_t j = 0; j < 8; ++j) {
-            acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(qv[c], Kv::load(k + j * C * 8 + c * 8)));
+            acc[j] = _mm256_add_ps(acc[j],
+                                   _mm256_mul_ps(qv[c], _mm256_loadu_ps(k + j * C * 8 + c * 8)));
         }
     }
     return reduce_keys8(acc);
@@ -142,9 +122,9 @@ inline __m256 score_block(const __m256* qv, const typename Kv::Elem* k) {
 // the last one moved back to end at key n (its overlap recomputes keys
 // already stored, to the same bits). Returns the max (NaN scores skipped, as
 // std::max skips them on the scalar tier).
-template <class Kv, std::size_t C>
-float scores_blocks(const float* q, const typename Kv::Elem* krows, float* scores,
-                    std::size_t n, float scale) {
+template <std::size_t C>
+float scores_blocks(const float* q, const float* krows, float* scores, std::size_t n,
+                    float scale) {
     __m256 qv[C];
 #pragma GCC unroll 8
     for (std::size_t c = 0; c < C; ++c) qv[c] = _mm256_loadu_ps(q + 8 * c);
@@ -152,7 +132,7 @@ float scores_blocks(const float* q, const typename Kv::Elem* krows, float* score
     __m256 vmax = set1(-std::numeric_limits<float>::infinity());
     for (std::size_t p = 0;; p += 8) {
         p = std::min(p, n - 8);
-        const __m256 s = _mm256_mul_ps(score_block<Kv, C>(qv, krows + p * C * 8), vscale);
+        const __m256 s = _mm256_mul_ps(score_block<C>(qv, krows + p * C * 8), vscale);
         _mm256_storeu_ps(scores + p, s);
         vmax = _mm256_max_ps(s, vmax);  // max_ps returns vmax when s is NaN
         if (p + 8 == n) break;
@@ -164,10 +144,8 @@ float scores_blocks(const float* q, const typename Kv::Elem* krows, float* score
 // (the loads stay inside the window, the spare lanes are never stored, and a
 // repeated key cannot change the max), and a row tail of dh % 8 elements
 // goes through masked loads.
-template <class Kv>
-float scores_any(const float* q, const typename Kv::Elem* krows, float* scores, std::size_t n,
+float scores_any(const float* q, const float* krows, float* scores, std::size_t n,
                  std::size_t dh, float scale) {
-    using Elem = typename Kv::Elem;
     const std::size_t full = dh / 8;
     const std::size_t rem = dh % 8;
     const __m256i qmask = lane_mask(rem);
@@ -175,8 +153,8 @@ float scores_any(const float* q, const typename Kv::Elem* krows, float* scores, 
     __m256 vmax = set1(-std::numeric_limits<float>::infinity());
     for (std::size_t p = 0; p < n; p += 8) {
         const std::size_t keys = std::min<std::size_t>(8, n - p);
-        const Elem* k[8];
-        const Elem* row = krows + p * dh;
+        const float* k[8];
+        const float* row = krows + p * dh;
         for (std::size_t j = 0; j < 8; ++j) {
             k[j] = row;
             if (j + 1 < keys) row += dh;
@@ -185,19 +163,19 @@ float scores_any(const float* q, const typename Kv::Elem* krows, float* scores, 
         if (full > 0) {
             const __m256 qv = _mm256_loadu_ps(q);
 #pragma GCC unroll 8
-            for (std::size_t j = 0; j < 8; ++j) acc[j] = _mm256_mul_ps(qv, Kv::load(k[j]));
+            for (std::size_t j = 0; j < 8; ++j) acc[j] = _mm256_mul_ps(qv, _mm256_loadu_ps(k[j]));
         } else {
             const __m256 qv = _mm256_maskload_ps(q, qmask);
 #pragma GCC unroll 8
             for (std::size_t j = 0; j < 8; ++j) {
-                acc[j] = _mm256_mul_ps(qv, Kv::load_part(k[j], rem));
+                acc[j] = _mm256_mul_ps(qv, load_part(k[j], rem));
             }
         }
         for (std::size_t c = 1; c < full; ++c) {
             const __m256 qv = _mm256_loadu_ps(q + 8 * c);
 #pragma GCC unroll 8
             for (std::size_t j = 0; j < 8; ++j) {
-                acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(qv, Kv::load(k[j] + 8 * c)));
+                acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(qv, _mm256_loadu_ps(k[j] + 8 * c)));
             }
         }
         if (full > 0 && rem > 0) {
@@ -205,7 +183,7 @@ float scores_any(const float* q, const typename Kv::Elem* krows, float* scores, 
 #pragma GCC unroll 8
             for (std::size_t j = 0; j < 8; ++j) {
                 acc[j] = _mm256_add_ps(acc[j],
-                                       _mm256_mul_ps(qv, Kv::load_part(k[j] + 8 * full, rem)));
+                                       _mm256_mul_ps(qv, load_part(k[j] + 8 * full, rem)));
             }
         }
         const __m256 s = _mm256_mul_ps(reduce_keys8(acc), vscale);
@@ -219,39 +197,38 @@ float scores_any(const float* q, const typename Kv::Elem* krows, float* scores, 
     return hmax8(vmax);
 }
 
-template <class Kv>
-float scores_and_max(const float* q, const typename Kv::Elem* krows, float* scores,
-                     std::size_t n, std::size_t dh, float scale) {
+float scores_and_max(const float* q, const float* krows, float* scores, std::size_t n,
+                     std::size_t dh, float scale) {
     if (n >= 8 && dh % 8 == 0) {
         switch (dh / 8) {
-            case 1: return scores_blocks<Kv, 1>(q, krows, scores, n, scale);
-            case 2: return scores_blocks<Kv, 2>(q, krows, scores, n, scale);
-            case 4: return scores_blocks<Kv, 4>(q, krows, scores, n, scale);
-            case 8: return scores_blocks<Kv, 8>(q, krows, scores, n, scale);
+            case 1: return scores_blocks<1>(q, krows, scores, n, scale);
+            case 2: return scores_blocks<2>(q, krows, scores, n, scale);
+            case 4: return scores_blocks<4>(q, krows, scores, n, scale);
+            case 8: return scores_blocks<8>(q, krows, scores, n, scale);
             default: break;
         }
     }
-    return scores_any<Kv>(q, krows, scores, n, dh, scale);
+    return scores_any(q, krows, scores, n, dh, scale);
 }
 
 // ctx[0, 8 * NB) over one stripe of V columns (row stride ld), the context
 // held in NB registers across all keys. When rem > 0 the last register holds
 // rem valid columns.
-template <class Kv, std::size_t NB>
-void mix_stripe(const float* e, float inv, const typename Kv::Elem* vrows, std::size_t ld,
-                float* ctx, std::size_t n, std::size_t rem) {
+template <std::size_t NB>
+void mix_stripe(const float* e, float inv, const float* vrows, std::size_t ld, float* ctx,
+                std::size_t n, std::size_t rem) {
     __m256 acc[NB];
 #pragma GCC unroll 8
     for (std::size_t b = 0; b < NB; ++b) acc[b] = _mm256_setzero_ps();
     for (std::size_t p = 0; p < n; ++p) {
         const __m256 w = set1(e[p] * inv);
-        const auto* v = vrows + p * ld;
+        const float* v = vrows + p * ld;
 #pragma GCC unroll 8
         for (std::size_t b = 0; b + 1 < NB; ++b) {
-            acc[b] = _mm256_add_ps(acc[b], _mm256_mul_ps(w, Kv::load(v + 8 * b)));
+            acc[b] = _mm256_add_ps(acc[b], _mm256_mul_ps(w, _mm256_loadu_ps(v + 8 * b)));
         }
-        const auto* last = v + 8 * (NB - 1);
-        const __m256 x = rem == 0 ? Kv::load(last) : Kv::load_part(last, rem);
+        const float* last = v + 8 * (NB - 1);
+        const __m256 x = rem == 0 ? _mm256_loadu_ps(last) : load_part(last, rem);
         acc[NB - 1] = _mm256_add_ps(acc[NB - 1], _mm256_mul_ps(w, x));
     }
 #pragma GCC unroll 8
@@ -260,32 +237,6 @@ void mix_stripe(const float* e, float inv, const typename Kv::Elem* vrows, std::
         _mm256_storeu_ps(ctx + 8 * (NB - 1), acc[NB - 1]);
     } else {
         _mm256_maskstore_ps(ctx + 8 * (NB - 1), lane_mask(rem), acc[NB - 1]);
-    }
-}
-
-template <class Kv>
-void attention_body(const float* q, const typename Kv::Elem* krows,
-                    const typename Kv::Elem* vrows, float* scores, float* ctx, std::size_t n,
-                    std::size_t dh, float scale) {
-    const float mx = scores_and_max<Kv>(q, krows, scores, n, dh, scale);
-    const float total = exp_shifted_sum(scores, scores, n, mx);
-    const float inv = total > 0.0f ? 1.0f / total : 0.0f;
-    // Stripes of up to 64 columns, each with its context in registers.
-    for (std::size_t c0 = 0; c0 < dh; c0 += 64) {
-        const std::size_t cols = std::min<std::size_t>(64, dh - c0);
-        const std::size_t rem = cols % 8;
-        const auto* v = vrows + c0;
-        float* out = ctx + c0;
-        switch ((cols + 7) / 8) {
-            case 1: mix_stripe<Kv, 1>(scores, inv, v, dh, out, n, rem); break;
-            case 2: mix_stripe<Kv, 2>(scores, inv, v, dh, out, n, rem); break;
-            case 3: mix_stripe<Kv, 3>(scores, inv, v, dh, out, n, rem); break;
-            case 4: mix_stripe<Kv, 4>(scores, inv, v, dh, out, n, rem); break;
-            case 5: mix_stripe<Kv, 5>(scores, inv, v, dh, out, n, rem); break;
-            case 6: mix_stripe<Kv, 6>(scores, inv, v, dh, out, n, rem); break;
-            case 7: mix_stripe<Kv, 7>(scores, inv, v, dh, out, n, rem); break;
-            default: mix_stripe<Kv, 8>(scores, inv, v, dh, out, n, rem); break;
-        }
     }
 }
 
@@ -314,24 +265,26 @@ void softmax_row_avx2(const float* in, float* out, std::size_t valid) {
 
 void attention_head_avx2(const float* q, const float* krows, const float* vrows, float* scores,
                          float* ctx, std::size_t n, std::size_t dh, float scale) {
-    attention_body<KvF32>(q, krows, vrows, scores, ctx, n, dh, scale);
-}
-
-void attention_head_avx2(const float* q, const std::uint16_t* krows, const std::uint16_t* vrows,
-                         float* scores, float* ctx, std::size_t n, std::size_t dh, float scale) {
-#if defined(__F16C__)
-    attention_body<KvF16>(q, krows, vrows, scores, ctx, n, dh, scale);
-#else
-    CPT_CHECK(false, "fp16 attention needs F16C (attention_f16_avx2_available)");
-#endif
-}
-
-bool attention_f16_avx2_available() {
-#if defined(__F16C__)
-    return host_has_f16c();
-#else
-    return false;
-#endif
+    const float mx = scores_and_max(q, krows, scores, n, dh, scale);
+    const float total = exp_shifted_sum(scores, scores, n, mx);
+    const float inv = total > 0.0f ? 1.0f / total : 0.0f;
+    // Stripes of up to 64 columns, each with its context in registers.
+    for (std::size_t c0 = 0; c0 < dh; c0 += 64) {
+        const std::size_t cols = std::min<std::size_t>(64, dh - c0);
+        const std::size_t rem = cols % 8;
+        const float* v = vrows + c0;
+        float* out = ctx + c0;
+        switch ((cols + 7) / 8) {
+            case 1: mix_stripe<1>(scores, inv, v, dh, out, n, rem); break;
+            case 2: mix_stripe<2>(scores, inv, v, dh, out, n, rem); break;
+            case 3: mix_stripe<3>(scores, inv, v, dh, out, n, rem); break;
+            case 4: mix_stripe<4>(scores, inv, v, dh, out, n, rem); break;
+            case 5: mix_stripe<5>(scores, inv, v, dh, out, n, rem); break;
+            case 6: mix_stripe<6>(scores, inv, v, dh, out, n, rem); break;
+            case 7: mix_stripe<7>(scores, inv, v, dh, out, n, rem); break;
+            default: mix_stripe<8>(scores, inv, v, dh, out, n, rem); break;
+        }
+    }
 }
 
 }  // namespace cpt::nn::detail
@@ -349,11 +302,6 @@ void attention_head_avx2(const float*, const float*, const float*, float*, float
                          std::size_t, float) {
     missing();
 }
-void attention_head_avx2(const float*, const std::uint16_t*, const std::uint16_t*, float*, float*,
-                         std::size_t, std::size_t, float) {
-    missing();
-}
-bool attention_f16_avx2_available() { return false; }
 
 }  // namespace cpt::nn::detail
 

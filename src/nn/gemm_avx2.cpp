@@ -240,98 +240,6 @@ void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, s
     }
 }
 
-// ---- Int8 GEMV dots (quantized decode path) -----------------------------------
-// VPMADDUBSW multiplies u8 activation codes by s8 weights into saturating i16
-// pair sums; with 7-bit codes (<= 127) a pair is at most 2*127*127 = 32258,
-// so saturation never fires and VPMADDWD's widening to i32 is exact. Integer
-// addition is associative, so any tiling reproduces the scalar tier's result
-// bit for bit — no ordering argument needed, unlike the float kernels.
-
-namespace {
-
-inline std::int32_t hsum8_epi32(__m256i v) {
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-    return _mm_cvtsi128_si32(s);
-}
-
-std::int32_t dot_q8_avx2(const std::uint8_t* a, const std::int8_t* w, std::size_t k_dim) {
-    const __m256i ones = _mm256_set1_epi16(1);
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 32 <= k_dim; i += 32) {
-        const __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(_mm256_maddubs_epi16(av, wv), ones));
-    }
-    std::int32_t r = hsum8_epi32(acc);
-    for (; i < k_dim; ++i) {
-        r += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(w[i]);
-    }
-    return r;
-}
-
-}  // namespace
-
-void gemv_q8_dots_avx2(const std::uint8_t* a, const std::int8_t* w, std::int32_t* idot,
-                       std::size_t k_dim, std::size_t n_dim) {
-    const __m256i ones = _mm256_set1_epi16(1);
-    const std::size_t k32 = k_dim & ~std::size_t{31};
-    std::size_t j = 0;
-    // Four weight rows per pass: the activation block is loaded once and the
-    // four independent i32 accumulators keep the multiply ports busy.
-    for (; j + 4 <= n_dim; j += 4) {
-        const std::int8_t* w0 = w + j * k_dim;
-        const std::int8_t* w1 = w0 + k_dim;
-        const std::int8_t* w2 = w1 + k_dim;
-        const std::int8_t* w3 = w2 + k_dim;
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        __m256i acc2 = _mm256_setzero_si256();
-        __m256i acc3 = _mm256_setzero_si256();
-        for (std::size_t i = 0; i < k32; i += 32) {
-            const __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-            acc0 = _mm256_add_epi32(
-                acc0, _mm256_madd_epi16(
-                          _mm256_maddubs_epi16(
-                              av, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w0 + i))),
-                          ones));
-            acc1 = _mm256_add_epi32(
-                acc1, _mm256_madd_epi16(
-                          _mm256_maddubs_epi16(
-                              av, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w1 + i))),
-                          ones));
-            acc2 = _mm256_add_epi32(
-                acc2, _mm256_madd_epi16(
-                          _mm256_maddubs_epi16(
-                              av, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w2 + i))),
-                          ones));
-            acc3 = _mm256_add_epi32(
-                acc3, _mm256_madd_epi16(
-                          _mm256_maddubs_epi16(
-                              av, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w3 + i))),
-                          ones));
-        }
-        std::int32_t s0 = hsum8_epi32(acc0);
-        std::int32_t s1 = hsum8_epi32(acc1);
-        std::int32_t s2 = hsum8_epi32(acc2);
-        std::int32_t s3 = hsum8_epi32(acc3);
-        for (std::size_t i = k32; i < k_dim; ++i) {
-            const std::int32_t av = a[i];
-            s0 += av * w0[i];
-            s1 += av * w1[i];
-            s2 += av * w2[i];
-            s3 += av * w3[i];
-        }
-        idot[j] = s0;
-        idot[j + 1] = s1;
-        idot[j + 2] = s2;
-        idot[j + 3] = s3;
-    }
-    for (; j < n_dim; ++j) idot[j] = dot_q8_avx2(a, w + j * k_dim, k_dim);
-}
-
 }  // namespace cpt::nn::detail
 
 #else  // !(__AVX2__ && __FMA__)
@@ -356,10 +264,6 @@ void gemm_tn_avx2(const float*, const float*, float*, std::size_t, std::size_t, 
     missing();
 }
 void gemv_nn_avx2(const float*, const float*, float*, std::size_t, std::size_t) { missing(); }
-void gemv_q8_dots_avx2(const std::uint8_t*, const std::int8_t*, std::int32_t*, std::size_t,
-                       std::size_t) {
-    missing();
-}
 
 }  // namespace cpt::nn::detail
 

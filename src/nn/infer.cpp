@@ -10,29 +10,16 @@
 namespace cpt::nn {
 
 TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t batch)
-    : TransformerDecoder(model, batch, DecodeOptions{}) {}
-
-TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t batch,
-                                       const DecodeOptions& opts)
-    : model_(&model), quant_(opts.quant), kv_fp16_(opts.kv_fp16), capacity_(batch),
-      batch_(batch) {
+    : model_(&model), capacity_(batch), batch_(batch) {
     const auto& cfg = model.config();
     CPT_CHECK_GT(batch, std::size_t{0}, " TransformerDecoder: batch must be > 0");
-    if (quant_ != nullptr) {
-        CPT_CHECK_EQ(quant_->blocks.size(), cfg.blocks,
-                     " TransformerDecoder: quantized weights do not match the model");
-        CPT_CHECK_EQ(quant_->input_proj.in, cfg.d_token,
-                     " TransformerDecoder: quantized weights do not match the model");
-    }
-    if (quant_ == nullptr) {
-        input_proj_ = PackedLinear::from(model.input_proj());
-        blocks_.reserve(cfg.blocks);
-        for (const auto& block : model.blocks()) {
-            const auto& attn = block->attn();
-            blocks_.push_back({PackedLinear::from(attn.wq()), PackedLinear::from(attn.wk()),
-                               PackedLinear::from(attn.wv()), PackedLinear::from(attn.wo()),
-                               PackedMlp::from(block->mlp())});
-        }
+    input_proj_ = PackedLinear::from(model.input_proj());
+    blocks_.reserve(cfg.blocks);
+    for (const auto& block : model.blocks()) {
+        const auto& attn = block->attn();
+        blocks_.push_back({PackedLinear::from(attn.wq()), PackedLinear::from(attn.wk()),
+                           PackedLinear::from(attn.wv()), PackedLinear::from(attn.wo()),
+                           PackedMlp::from(block->mlp())});
     }
     caches_.resize(cfg.blocks);
     len_.assign(batch, 0);
@@ -41,13 +28,8 @@ TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t bat
     free_.reserve(batch);
     const std::size_t dh = cfg.d_model / cfg.heads;
     for (auto& c : caches_) {
-        if (kv_fp16_) {
-            c.kh.assign(batch * cfg.heads * cfg.max_seq_len * dh, 0);
-            c.vh.assign(batch * cfg.heads * cfg.max_seq_len * dh, 0);
-        } else {
-            c.k = Tensor({batch, cfg.heads, cfg.max_seq_len, dh});
-            c.v = Tensor({batch, cfg.heads, cfg.max_seq_len, dh});
-        }
+        c.k = Tensor({batch, cfg.heads, cfg.max_seq_len, dh});
+        c.v = Tensor({batch, cfg.heads, cfg.max_seq_len, dh});
     }
     std::size_t mlp_hidden = 0;
     for (const auto& block : model.blocks()) {
@@ -101,11 +83,7 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
     // Input projection + positional embedding. The embedding is indexed by
     // the row-local position len(r), so a row admitted mid-decode sees
     // exactly the embeddings a fresh sequential decode would.
-    if (quant_ != nullptr) {
-        quant_->input_proj.forward_rows(x.data().data(), ph, m, qscratch_);
-    } else {
-        input_proj_.forward_rows(x.data().data(), ph, m);
-    }
+    input_proj_.forward_rows(x.data().data(), ph, m);
     const float* pos = model_->positions()->value.data().data();
     for (std::size_t r = 0; r < m; ++r) kernels::add_bias_row(ph + r * d, pos + len_[r] * d, d);
 
@@ -119,48 +97,28 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
 
     for (std::size_t bi = 0; bi < caches_.size(); ++bi) {
         const auto& block = *model_->blocks()[bi];
-        const TransformerQuant::Block* qb = quant_ != nullptr ? &quant_->blocks[bi] : nullptr;
-        const PackedBlock* pb = quant_ == nullptr ? &blocks_[bi] : nullptr;
+        const PackedBlock& pb = blocks_[bi];
         BlockCache& cache = caches_[bi];
-        // Projection dispatcher: int8 weights when quantized, the packed
-        // fp32 panels otherwise.
-        const auto proj = [&](const PackedLinear PackedBlock::*fp, const QuantLinear* q,
-                              const float* in, float* out) {
-            if (q != nullptr) {
-                q->forward_rows(in, out, m, qscratch_);
-            } else {
-                (pb->*fp).forward_rows(in, out, m);
-            }
-        };
         // Scatter the fresh K or V rows into the cache at each row's
-        // local position len(r), converting to fp16 when the cache is
-        // half-precision (encoding is round-to-nearest-even — the same bits
-        // on every tier).
-        const auto append_kv = [&](const float* src_rows, float* dst32, std::uint16_t* dst16) {
+        // local position len(r).
+        const auto append_kv = [&](const float* src_rows, float* dst) {
             for (std::size_t r = 0; r < m; ++r) {
                 for (std::size_t head = 0; head < h; ++head) {
                     const std::size_t off = ((phys_[r] * h + head) * max_t + len_[r]) * dh;
-                    const float* src = src_rows + r * d + head * dh;
-                    if (dst16 != nullptr) {
-                        kernels::fp16_encode(src, dst16 + off, dh);
-                    } else {
-                        std::copy_n(src, dh, dst32 + off);
-                    }
+                    std::copy_n(src_rows + r * d + head * dh, dh, dst + off);
                 }
             }
         };
 
         // ---- attention branch: ln1 -> qkv -> cached causal attention -> wo
         layer_norm(block.ln1(), ph, pscratch);
-        proj(&PackedBlock::wq, qb != nullptr ? &qb->wq : nullptr, pscratch, q_.data().data());
+        pb.wq.forward_rows(pscratch, q_.data().data(), m);
         // New K/V rows go straight into the cache before attention runs, so
         // each row's token attends to itself.
-        proj(&PackedBlock::wk, qb != nullptr ? &qb->wk : nullptr, pscratch, kv_.data().data());
-        append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.k.data().data(),
-                  kv_fp16_ ? cache.kh.data() : nullptr);
-        proj(&PackedBlock::wv, qb != nullptr ? &qb->wv : nullptr, pscratch, kv_.data().data());
-        append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.v.data().data(),
-                  kv_fp16_ ? cache.vh.data() : nullptr);
+        pb.wk.forward_rows(pscratch, kv_.data().data(), m);
+        append_kv(kv_.data().data(), cache.k.data().data());
+        pb.wv.forward_rows(pscratch, kv_.data().data(), m);
+        append_kv(kv_.data().data(), cache.v.data().data());
         // Per-row, per-head attention over the row's own causal window
         // [0, len(r)]: one kernel call per (row, head) runs scores, softmax
         // and the value mix in kernels::attention_head's order, the same
@@ -180,46 +138,25 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
                     const std::size_t win = (phys_[r] * h + head) * max_t * dh;
                     const float* qrow = pq + r * d + head * dh;
                     float* crow = ctx + r * d + head * dh;
-                    if (kv_fp16_) {
-                        kernels::attention_head(qrow, cache.kh.data() + win,
-                                                cache.vh.data() + win, scores, crow, n, dh,
-                                                scale);
-                    } else {
-                        kernels::attention_head(qrow, cache.k.data().data() + win,
-                                                cache.v.data().data() + win, scores, crow, n,
-                                                dh, scale);
-                    }
+                    kernels::attention_head(qrow, cache.k.data().data() + win,
+                                            cache.v.data().data() + win, scores, crow, n, dh,
+                                            scale);
                 }
             }
         }
-        proj(&PackedBlock::wo, qb != nullptr ? &qb->wo : nullptr, pscratch,
-             attn_out_.data().data());
+        pb.wo.forward_rows(pscratch, attn_out_.data().data(), m);
         hstate_.add_(attn_out_);
 
         // ---- MLP branch: ln2 -> fc1 -> fused bias+gelu -> fc2
         layer_norm(block.ln2(), ph, pscratch);
         // attn_out_ doubles as the MLP output buffer.
-        if (qb != nullptr) {
-            qb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(), m,
-                                 qscratch_);
-        } else {
-            pb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(), m);
-        }
+        pb.mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(), m);
         hstate_.add_(attn_out_);
     }
 
     layer_norm(model_->final_ln(), ph, ph);
     for (std::size_t r = 0; r < m; ++r) ++len_[r];
     return hstate_;
-}
-
-std::size_t TransformerDecoder::kv_bytes() const {
-    std::size_t total = 0;
-    for (const auto& c : caches_) {
-        total += c.k.numel() * sizeof(float) + c.v.numel() * sizeof(float);
-        total += (c.kh.size() + c.vh.size()) * sizeof(std::uint16_t);
-    }
-    return total;
 }
 
 void TransformerDecoder::compact(const std::vector<std::size_t>& keep_rows) {

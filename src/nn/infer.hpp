@@ -13,11 +13,9 @@
 // Numerical equivalence with Transformer::forward() is pinned by
 // tests; all kernels dispatch on the active SIMD tier (util/cpu.hpp).
 //
-// Weight snapshot: an fp32 decoder packs every projection (input proj,
-// q/k/v/o, MLP) into gemm_nt_decode panels when it is built, and an int8
-// decoder reads the quantized mirror, itself a snapshot taken by
-// quantize_weights(). Either way the projections decode the weights the
-// model had when the decoder (or the mirror) was made; training the model
+// Weight snapshot: the decoder packs every projection (input proj, q/k/v/o,
+// MLP) into gemm_nt_decode panels when it is built, so the projections
+// decode the weights the model had at that moment; training the model
 // afterwards changes only decoders built later. LayerNorm parameters and
 // the positional table are read from the model at every step.
 //
@@ -39,24 +37,11 @@
 // by tests/serve_test.cpp).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "modules.hpp"
-#include "quant.hpp"
 
 namespace cpt::nn {
-
-// Numeric options for a decoder instance (DESIGN.md §12). `quant` swaps every
-// projection matmul (input proj, q/k/v/o, MLP) for the int8 weight-quantized
-// path; `kv_fp16` stores the KV cache as IEEE binary16 (encode on append,
-// widen to fp32 inside the attention kernel), halving KV bandwidth and
-// memory. The two are independent knobs at this layer; the public
-// Precision::kInt8W8A32 mode enables both.
-struct DecodeOptions {
-    const TransformerQuant* quant = nullptr;  // borrowed; must outlive the decoder
-    bool kv_fp16 = false;
-};
 
 class TransformerDecoder {
 public:
@@ -64,7 +49,6 @@ public:
     // and KV cache are sized for `batch` (the capacity); compact() can only
     // shrink below it.
     TransformerDecoder(const Transformer& model, std::size_t batch);
-    TransformerDecoder(const Transformer& model, std::size_t batch, const DecodeOptions& opts);
 
     // Feeds one token per row (x: [B, d_token]) and returns the final-layer
     // hidden state for that position ([B, d_model]). Row r's token is
@@ -83,14 +67,6 @@ public:
     std::size_t row_length(std::size_t r) const { return len_[r]; }
     std::size_t batch() const { return batch_; }
     std::size_t capacity() const { return capacity_; }
-
-    // True when projections run through the int8 weight path.
-    bool quantized() const { return quant_ != nullptr; }
-    // True when the KV cache stores binary16 instead of fp32.
-    bool kv_fp16() const { return kv_fp16_; }
-    // Bytes held by the KV cache (all blocks, full capacity) — halved in
-    // fp16 mode; reported by the benches alongside weight bytes.
-    std::size_t kv_bytes() const;
 
     // Keeps only the given rows (ascending, unique); used to drop finished
     // streams mid-generation. O(batch): rows are indirected through a
@@ -116,15 +92,12 @@ public:
 private:
     struct BlockCache {
         // K/V laid out [capacity, H, maxT, Dh] (row-major, preallocated);
-        // only the first batch_ rows are live. fp32 mode fills k/v and leaves
-        // kh/vh empty; fp16 mode allocates only the half-width kh/vh.
+        // only the first batch_ rows are live.
         Tensor k;
         Tensor v;
-        std::vector<std::uint16_t> kh;
-        std::vector<std::uint16_t> vh;
     };
 
-    // The fp32 projections of one block, packed at construction.
+    // The projections of one block, packed at construction.
     struct PackedBlock {
         PackedLinear wq;
         PackedLinear wk;
@@ -138,16 +111,9 @@ private:
     void bind_rows(std::size_t rows);
 
     const Transformer* model_;
-    // fp32 projection snapshots; empty for an int8 decoder, which reads
-    // quant_ instead.
+    // Projection snapshots.
     PackedLinear input_proj_;
     std::vector<PackedBlock> blocks_;
-    // Numeric mode (fixed at construction). quant_ borrows the caller's
-    // quantized weights; qscratch_ holds the per-step activation codes so the
-    // quantized hot loop stays allocation-free after warm-up.
-    const TransformerQuant* quant_ = nullptr;
-    bool kv_fp16_ = false;
-    QuantScratch qscratch_;
     std::size_t capacity_ = 0;
     std::size_t batch_ = 0;
     // Per-row context length ([capacity_]; first batch_ entries live). K/V

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <limits>
 
-#include "fp16.hpp"
 #include "simd_detail.hpp"
 #include "util/cpu.hpp"
 
@@ -50,21 +50,17 @@ float exp_shifted_sum(const float* in, float* out, std::size_t n, float mx) {
            ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
 }
 
-inline float widen(float x) { return x; }
-inline float widen(std::uint16_t h) { return fp16_decode_one(h); }
-
 // attention_head's order (kernels.hpp), one lane at a time.
-template <class T>
-void attention_head_scalar(const float* q, const T* krows, const T* vrows, float* scores,
+void attention_head_scalar(const float* q, const float* krows, const float* vrows, float* scores,
                            float* ctx, std::size_t n, std::size_t dh, float scale) {
     float mx = -std::numeric_limits<float>::infinity();
     for (std::size_t p = 0; p < n; ++p) {
-        const T* k = krows + p * dh;
+        const float* k = krows + p * dh;
         float lanes[8] = {};
         for (std::size_t c = 0; c < dh; c += 8) {
             for (std::size_t l = 0; l < 8; ++l) {
                 const std::size_t i = c + l;
-                const float prod = i < dh ? q[i] * widen(k[i]) : 0.0f;
+                const float prod = i < dh ? q[i] * k[i] : 0.0f;
                 lanes[l] = c == 0 ? prod : lanes[l] + prod;
             }
         }
@@ -78,8 +74,8 @@ void attention_head_scalar(const float* q, const T* krows, const T* vrows, float
     std::fill_n(ctx, dh, 0.0f);
     for (std::size_t p = 0; p < n; ++p) {
         const float w = scores[p] * inv;
-        const T* v = vrows + p * dh;
-        for (std::size_t i = 0; i < dh; ++i) ctx[i] = ctx[i] + w * widen(v[i]);
+        const float* v = vrows + p * dh;
+        for (std::size_t i = 0; i < dh; ++i) ctx[i] = ctx[i] + w * v[i];
     }
 }
 
@@ -92,23 +88,6 @@ void attention_head(const float* q, const float* krows, const float* vrows, floa
         return;
     }
     attention_head_scalar(q, krows, vrows, scores, ctx, n, dh, scale);
-}
-
-void attention_head(const float* q, const std::uint16_t* krows, const std::uint16_t* vrows,
-                    float* scores, float* ctx, std::size_t n, std::size_t dh, float scale) {
-    if (util::active_simd_tier() == SimdTier::kAvx2 && detail::attention_f16_avx2_available()) {
-        detail::attention_head_avx2(q, krows, vrows, scores, ctx, n, dh, scale);
-        return;
-    }
-    attention_head_scalar(q, krows, vrows, scores, ctx, n, dh, scale);
-}
-
-void fp16_encode(const float* src, std::uint16_t* dst, std::size_t n) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::fp16_encode_avx2(src, dst, n);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) dst[i] = fp16_encode_one(src[i]);
 }
 
 void softmax_row(const float* in, float* out, std::size_t len, std::size_t valid) {

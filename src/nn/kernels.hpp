@@ -17,7 +17,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 namespace cpt::nn::kernels {
 
@@ -77,7 +76,6 @@ void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d);
 
 // One decode attention head over n cached keys: ctx[0, dh) = sum_p w_p v_p
 // with w = softmax(scale * q . k_p), K and V rows of dh elements, contiguous.
-// The KV cache is fp32 or fp16 (widened exactly to fp32, then the same order).
 // `scores` is caller scratch of n floats. Order:
 //   scores: lane l of key p sums q_i * k_i over i = l (mod 8) in ascending i,
 //     the first product as is and each later one added (i >= dh contributes
@@ -87,14 +85,6 @@ void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d);
 //   mix: ctx_i = +0, then ctx_i = ctx_i + w_p * v_p,i in ascending p.
 void attention_head(const float* q, const float* krows, const float* vrows, float* scores,
                     float* ctx, std::size_t n, std::size_t dh, float scale);
-void attention_head(const float* q, const std::uint16_t* krows, const std::uint16_t* vrows,
-                    float* scores, float* ctx, std::size_t n, std::size_t dh, float scale);
-
-// fp16-storage KV-cache encoder (infer.cpp): rounds fp32 to nearest-even
-// binary16 — the SAME bits on every tier (software converter on scalar,
-// VCVTPS2PH or the identical software fallback on avx2), so the cache
-// contents never depend on the tier.
-void fp16_encode(const float* src, std::uint16_t* dst, std::size_t n);
 
 // LayerNorm over one row of width d: out = (in - mean) * inv_std * gain +
 // bias. When stats2 != nullptr, writes {mean, inv_std} at stats2[0..1] (the

@@ -1,5 +1,5 @@
-// AVX2+FMA elementwise kernel tier (LayerNorm rows, GELU, the fp16 encoder,
-// the backward and optimizer kernels). Built with -mavx2 -mfma; see
+// AVX2+FMA elementwise kernel tier (LayerNorm rows, GELU, the backward and
+// optimizer kernels). Built with -mavx2 -mfma; see
 // gemm_avx2.cpp for the compile-gate and determinism conventions shared by the
 // AVX2 translation units. Softmax and attention live in attention_avx2.cpp.
 #include "simd_detail.hpp"
@@ -13,9 +13,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-
-#include "fp16.hpp"
 
 namespace cpt::nn::detail {
 
@@ -160,30 +157,6 @@ void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float*
         scratch[i + j] = bx[j];
         if (dx != nullptr) dx[i + j] += bx[j];
     }
-}
-
-// ---- fp16 KV-cache encoder ----------------------------------------------------
-// The binary may carry F16C instructions (-mf16c is appended to this TU's
-// flags when the compiler accepts it) on a CPU that lacks the feature, so the
-// hardware path is gated at runtime too (host_has_f16c). The software
-// fallback produces bit-identical halves (both round to nearest-even), so
-// which path runs is unobservable.
-
-void fp16_encode_avx2(const float* src, std::uint16_t* dst, std::size_t n) {
-#if defined(__F16C__)
-    if (host_has_f16c()) {
-        std::size_t i = 0;
-        for (; i + 8 <= n; i += 8) {
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i*>(dst + i),
-                _mm256_cvtps_ph(_mm256_loadu_ps(src + i),
-                                _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
-        }
-        for (; i < n; ++i) dst[i] = fp16_encode_one(src[i]);
-        return;
-    }
-#endif
-    for (std::size_t i = 0; i < n; ++i) dst[i] = fp16_encode_one(src[i]);
 }
 
 void softmax_backward_row_avx2(const float* y, const float* g, float* dx, std::size_t n) {
@@ -332,7 +305,6 @@ void bias_gelu_backward_row_avx2(const float*, const float*, const float*, float
     missing();
 }
 void add_bias_row_avx2(float*, const float*, std::size_t) { missing(); }
-void fp16_encode_avx2(const float*, std::uint16_t*, std::size_t) { missing(); }
 void softmax_backward_row_avx2(const float*, const float*, float*, std::size_t) { missing(); }
 void layer_norm_backward_row_avx2(const float*, const float*, const float*, float, float, float*,
                                   std::size_t) {

@@ -86,10 +86,9 @@ private:
 
 // The inference fast path's snapshot of a Linear (no autograd graph, caller's
 // thread): the weight packed once as a DecodePanel and a copy of the bias,
-// taken from the live parameters when from() runs. It is to the fp32 decode
-// path what QuantLinear is to the int8 one: a decoder built from it keeps
-// decoding the weights the model had at that moment, however the model is
-// trained afterwards.
+// taken from the live parameters when from() runs: a decoder built from it
+// keeps decoding the weights the model had at that moment, however the model
+// is trained afterwards.
 struct PackedLinear {
     DecodePanel weight;        // W [out, in], packed
     std::vector<float> bias;   // [out]

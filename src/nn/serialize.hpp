@@ -1,27 +1,9 @@
-// Binary checkpoint format for named parameters.
-//
-// Version 1 (fp32 only):
+// Binary checkpoint format for named parameters:
 //   magic "CPTW" | u32 version=1 | u32 count |
 //   per entry: u32 name_len | name bytes | u32 rank | u64 dims... | f32 data...
-//
-// Version 2 adds a per-entry dtype byte so decoder weight matrices can be
-// stored int8 weight-quantized (DESIGN.md §12) and served without ever
-// materializing the fp32 weights on disk:
-//   magic "CPTW" | u32 version=2 | u32 count |
-//   per entry: u32 name_len | name bytes | u8 dtype | u32 rank | u64 dims... |
-//     dtype 0 (f32): f32 data[numel]
-//     dtype 1 (q8, rank must be 2): f32 scale[dims[0]] | i8 payload[numel]
-//
-// save_parameters() without a quantize list keeps writing version 1 so
-// existing artifacts and tools stay byte-compatible; the loader accepts both
-// versions. Quantized sections round-trip exactly: the loader hands the raw
-// scale/payload bytes back through QuantSections so callers can install them
-// verbatim instead of re-quantizing the dequantized fp32 copy (which could
-// drift by 1 ulp in the scales).
+// Every other version is rejected with an error naming it.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -29,42 +11,12 @@
 
 namespace cpt::nn {
 
-// Raw bytes of one int8 weight-quantized checkpoint entry: per-row scales
-// ([shape[0]]) plus the row-major int8 payload ([shape[0] * shape[1]]).
-struct QuantSection {
-    Shape shape;
-    std::vector<float> scale;
-    std::vector<std::int8_t> payload;
-};
-using QuantSections = std::map<std::string, QuantSection>;
-
-// Writes a version-1 (pure fp32) checkpoint.
 void save_parameters(const std::string& path, const std::vector<NamedParam>& params);
 
-// Writes a version-2 checkpoint in which every parameter named in `quantize`
-// is stored int8 per-row weight-quantized (dtype q8) and the rest stay fp32.
-// Quantization uses the same deterministic per-row symmetric scheme as
-// QuantLinear::from, so loading the file reproduces exactly the quantized
-// weights quantize_weights() would derive from the fp32 model. Every name in
-// `quantize` must match a rank-2 parameter; throws std::invalid_argument
-// otherwise.
-void save_parameters(const std::string& path, const std::vector<NamedParam>& params,
-                     const std::vector<std::string>& quantize);
-
 // Loads into existing parameters by name; every checkpoint entry must match a
-// parameter with identical shape, and every parameter must be present in the
-// checkpoint. Throws std::runtime_error on any mismatch — and, because this
-// overload declares the caller expects fp32-only weights, on any quantized
-// section (the error names the file and the offending section, so an
-// fp32/quantized hub mixup fails loudly at load rather than silently serving
-// the wrong numbers).
+// parameter with identical shape, no entry may name a parameter twice, and
+// every parameter must be present in the checkpoint. Throws
+// std::runtime_error on any mismatch, naming the file and the section.
 void load_parameters(const std::string& path, const std::vector<NamedParam>& params);
-
-// As above, but quantized (dtype q8) sections are accepted: each is
-// dequantized into the matching fp32 parameter AND its exact scale/payload
-// bytes are recorded in `*quant_out` (cleared first) keyed by parameter name,
-// so the caller can install them verbatim. quant_out must be non-null.
-void load_parameters(const std::string& path, const std::vector<NamedParam>& params,
-                     QuantSections* quant_out);
 
 }  // namespace cpt::nn

@@ -51,11 +51,4 @@ inline float dot_fma(const float* a, const float* b, std::size_t n) {
     return s;
 }
 
-// F16C is a separate CPUID bit from AVX2: a TU built with -mf16c gates its
-// conversion instructions on this at run time.
-inline bool host_has_f16c() {
-    static const bool ok = __builtin_cpu_supports("f16c");
-    return ok;
-}
-
 }  // namespace cpt::nn::detail

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace cpt::nn::detail {
 
@@ -48,12 +47,6 @@ void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, s
 void softmax_row_avx2(const float* in, float* out, std::size_t valid);
 void attention_head_avx2(const float* q, const float* krows, const float* vrows, float* scores,
                          float* ctx, std::size_t n, std::size_t dh, float scale);
-// The fp16 form widens halves with F16C, a CPUID bit of its own: callers
-// check attention_f16_avx2_available() (built with -mf16c, host has F16C)
-// and otherwise run the scalar body, which gives the same bits.
-void attention_head_avx2(const float* q, const std::uint16_t* krows, const std::uint16_t* vrows,
-                         float* scores, float* ctx, std::size_t n, std::size_t dh, float scale);
-bool attention_f16_avx2_available();
 
 // Fused elementwise helpers used by kernels.cpp's per-row dispatch.
 // One LayerNorm row: out = (in - mean) * inv * gain + bias; writes the
@@ -67,18 +60,6 @@ void bias_gelu_row_avx2(float* row, const float* bias, std::size_t d);
 // One bias+GELU backward row (semantics in kernels.hpp; dx may be null).
 void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float* g, float* dx,
                                  float* scratch, std::size_t d);
-
-// Int8 decode path (quant.cpp): idot[j] = sum_k a[k] * w[j,k] over 7-bit
-// offset-64 activation codes and int8 weights — VPMADDUBSW + VPMADDWD, exact
-// integers (codes are small enough that the saturating i16 stage cannot
-// fire), so the result matches the scalar form bit for bit.
-void gemv_q8_dots_avx2(const std::uint8_t* a, const std::int8_t* w, std::int32_t* idot,
-                       std::size_t k_dim, std::size_t n_dim);
-
-// fp16 KV-cache encoder (infer.cpp via kernels.cpp): rounds to nearest-even
-// exactly like the software converter in fp16.hpp (VCVTPS2PH when the host
-// has F16C, bit-identical fallback otherwise).
-void fp16_encode_avx2(const float* src, std::uint16_t* dst, std::size_t n);
 
 // Backward-pass helpers used by the training kernels in kernels.cpp.
 // One softmax backward row: dx += y * (g - dot(g, y)).

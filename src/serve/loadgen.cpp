@@ -1,7 +1,6 @@
 #include "loadgen.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -76,8 +75,7 @@ LoadgenResult run_loadtest(const LoadgenConfig& cfg) {
             req.deterministic = cfg.deterministic;
             req.max_stream_len = cfg.max_stream_len;
             req.deadline_ms = cfg.deadline_ms;
-            char prefix[64];
-            std::snprintf(prefix, sizeof(prefix), "%s-%06zu", cfg.ue_prefix.c_str(), i);
+            const std::string prefix = trace::ue_id(cfg.ue_prefix, i);
             req.ue_prefix = prefix;
             try {
                 if (!client) client = connect_with_backoff(cfg.host, cfg.port, reconnect);

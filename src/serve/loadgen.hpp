@@ -1,5 +1,5 @@
 // Load generation against a cpt-serve/cpt-router endpoint, shared by the
-// serve_loadtest CLI and bench_serve.
+// serve_loadtest CLI and perfbench.
 //
 // Two modes:
 //

@@ -2,9 +2,9 @@
 // backends (DESIGN.md §15).
 //
 // A single backend keeps every requested slice's model resident — at
-// production slice counts (3 devices × 24 hours × precision variants) that
-// exceeds one box. The router partitions slices with a consistent hash ring
-// (virtual nodes), so each backend only ever loads its share, and:
+// production slice counts (3 devices × 24 hours) that exceeds one box. The
+// router partitions slices with a consistent hash ring (virtual nodes), so
+// each backend only ever loads its share, and:
 //
 //   * health-checks every backend on a fixed cadence; a backend that fails
 //     `down_after_failures` consecutive probes (or reports draining) leaves

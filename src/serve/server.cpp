@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <cmath>
 #include <deque>
 #include <future>
+#include <limits>
 #include <thread>
 
 #include "core/sampler.hpp"
@@ -40,10 +41,9 @@ public:
         : cfg_(&cfg),
           device_(device),
           hour_(hour),
-          precision_(pkg.quantized ? nn::Precision::kInt8W8A32 : cfg.precision),
           pkg_(std::move(pkg)),
-          sampler_(prepare_model(*pkg_.model, precision_), pkg_.tokenizer,
-                   pkg_.initial_event_dist, make_sampler_config(cfg, device, hour, precision_)),
+          sampler_(*pkg_.model, pkg_.tokenizer, pkg_.initial_event_dist,
+                   make_sampler_config(cfg, device, hour)),
           server_rng_(cfg.server_seed ^ (static_cast<std::uint64_t>(device) * 24 + hour)),
           worker_([this] { run(); }) {}
 
@@ -114,7 +114,6 @@ public:
         StatsSnapshot s;
         s.device = device_;
         s.hour = hour_;
-        s.precision = precision_;
         s.decode_seconds = times_.decode;
         s.steps = times_.steps;
         s.streams = streams_done_;
@@ -150,26 +149,13 @@ private:
     };
 
     static core::SamplerConfig make_sampler_config(const ServeConfig& cfg,
-                                                   trace::DeviceType device, int hour,
-                                                   nn::Precision precision) {
+                                                   trace::DeviceType device, int hour) {
         core::SamplerConfig sc;
         sc.batch = cfg.slot_capacity;
         sc.device = device;
         sc.hour_of_day = hour;
         sc.max_stream_len = std::min<std::size_t>(500, cfg.model.max_seq_len);
-        sc.precision = precision;
         return sc;
-    }
-
-    // Ensures the quantized mirror exists before the Sampler (which asserts
-    // it for int8 mode) is constructed. A model loaded from a quantized
-    // checkpoint already carries the exact released payload; a fp32 release
-    // opted into int8 via config is quantized here at slice spin-up.
-    static core::CptGpt& prepare_model(core::CptGpt& model, nn::Precision precision) {
-        if (precision == nn::Precision::kInt8W8A32 && !model.has_quantized_weights()) {
-            model.quantize_weights();
-        }
-        return model;
     }
 
     // Completes a request: sorts its streams back into submission order and
@@ -246,9 +232,8 @@ private:
             const std::size_t idx = rq->admitted;
             util::Rng rng = rq->deterministic ? rq->base_rng.fork(idx)
                                               : server_rng_.fork(stream_salt_++);
-            char id[80];
-            std::snprintf(id, sizeof(id), "%s-%06zu", rq->req.ue_prefix.c_str(), idx);
-            batch.admit(std::move(rng), id, (rq->serial << kStreamIndexBits) | idx, params);
+            batch.admit(std::move(rng), trace::ue_id(rq->req.ue_prefix, idx),
+                        (rq->serial << kStreamIndexBits) | idx, params);
             ++rq->admitted;
             ++rq->outstanding;
             inflight_[rq->serial] = rq;
@@ -318,7 +303,6 @@ private:
     const ServeConfig* cfg_;
     trace::DeviceType device_;
     int hour_;
-    nn::Precision precision_;
     core::CptGpt::Package pkg_;
     core::Sampler sampler_;
     // Snapshot of the batch's stage clock (folded in run(), read by stats()).
@@ -361,10 +345,11 @@ Server::Server(ServeConfig config) : config_(std::move(config)), hub_(config_.hu
 
 Server::~Server() { drain(); }
 
-Server::Engine* Server::engine_for(trace::DeviceType device, int hour, std::string* error) {
+Server::Engine* Server::engine_for(trace::DeviceType device, int hour,
+                                   GenerateResponse* reject) {
     util::LockGuard lk(engines_mutex_);
     if (draining_) {
-        *error = "server is draining";
+        *reject = {Status::kShuttingDown, "server is draining", {}};
         return nullptr;
     }
     // Resolve the slice, applying the nearest-published-hour fallback the hub
@@ -385,8 +370,10 @@ Server::Engine* Server::engine_for(trace::DeviceType device, int hour, std::stri
             }
         }
         if (best < 0) {
-            *error = "no release for slice " + slice_name(device, hour) + " in hub '" +
-                     hub_.directory() + "'";
+            *reject = {Status::kNoModel,
+                       "no release for slice " + slice_name(device, hour) + " in hub '" +
+                           hub_.directory() + "'",
+                       {}};
             return nullptr;
         }
         serve_hour = best;
@@ -415,7 +402,21 @@ Server::Engine* Server::route(const GenerateRequest& request, GenerateResponse* 
         *reject = {Status::kBadRequest, "hour_of_day must be in [0, 23]", {}};
         return nullptr;
     }
-    if (request.top_p == 0.0f || request.top_p > 1.0f) {
+    if (static_cast<std::size_t>(request.device) >= trace::kNumDeviceTypes) {
+        *reject = {Status::kBadRequest,
+                   "device must be below " + std::to_string(trace::kNumDeviceTypes) + ", got " +
+                       std::to_string(static_cast<unsigned>(request.device)),
+                   {}};
+        return nullptr;
+    }
+    // Negative temperature and top_p mean "slice default"; NaN is neither a
+    // value nor negative, and +inf temperature would sample uniformly.
+    if (std::isnan(request.temperature) ||
+        request.temperature == std::numeric_limits<float>::infinity()) {
+        *reject = {Status::kBadRequest, "temperature must be a number below +inf", {}};
+        return nullptr;
+    }
+    if (std::isnan(request.top_p) || request.top_p == 0.0f || request.top_p > 1.0f) {
         *reject = {Status::kBadRequest, "top_p must be in (0, 1]", {}};
         return nullptr;
     }
@@ -424,15 +425,7 @@ Server::Engine* Server::route(const GenerateRequest& request, GenerateResponse* 
         *reject = {Status::kBadRequest, "max_stream_len must be 0 (default) or >= 2", {}};
         return nullptr;
     }
-    std::string error;
-    Engine* engine = engine_for(request.device, request.hour_of_day, &error);
-    if (engine == nullptr) {
-        const Status s = error == "server is draining" ? Status::kShuttingDown
-                                                       : Status::kNoModel;
-        *reject = {s, error, {}};
-        return nullptr;
-    }
-    return engine;
+    return engine_for(request.device, request.hour_of_day, reject);
 }
 
 void Server::generate_async(const GenerateRequest& request, Done done) {
@@ -517,15 +510,13 @@ std::string Server::stats_json() const {
         const double decode_ms_per_step =
             s.steps > 0 ? s.decode_seconds * 1e3 / static_cast<double>(s.steps) : 0.0;
         util::appendf(json,
-                      "%s\n    {\"device\": \"%.*s\", \"hour\": %d, \"precision\": \"%s\", "
-                      "\"streams\": %llu, "
+                      "%s\n    {\"device\": \"%.*s\", \"hour\": %d, \"streams\": %llu, "
                       "\"tokens\": %llu, \"streams_per_sec\": %.2f, \"tokens_per_sec\": %.2f, "
                       "\"decode_ms_per_step\": %.3f, \"steps\": %llu, "
                       "\"queue_depth\": %zu}",
                       i == 0 ? "" : ",",
                       static_cast<int>(trace::to_string(s.device).size()),
                       trace::to_string(s.device).data(), s.hour,
-                      nn::precision_name(s.precision),
                       static_cast<unsigned long long>(s.streams),
                       static_cast<unsigned long long>(s.tokens),
                       static_cast<double>(s.streams) / rate_div,

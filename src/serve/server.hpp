@@ -53,9 +53,6 @@ struct ServeConfig {
     bool nearest_hour_fallback = false;  // serve the nearest published hour
     bool deterministic = false;          // force deterministic mode on every request
     std::uint64_t server_seed = 0x5eedULL;  // base RNG for non-deterministic requests
-    // Decode precision for every slice (DESIGN.md §12). Quantized checkpoints
-    // always serve int8 regardless (their fp32 weights never existed).
-    nn::Precision precision = nn::Precision::kFp32;
 };
 
 class Server : public Service {
@@ -98,7 +95,6 @@ private:
     struct SliceStats {
         trace::DeviceType device = trace::DeviceType::kPhone;
         int hour = 0;
-        nn::Precision precision = nn::Precision::kFp32;  // active decode mode
         std::uint64_t streams = 0;
         std::uint64_t tokens = 0;
         std::uint64_t requests_done = 0;
@@ -112,7 +108,10 @@ private:
         util::LatencyHistogram latency;
     };
 
-    Engine* engine_for(trace::DeviceType device, int hour, std::string* error)
+    // The slice's engine, started on first use; on failure fills `reject`
+    // (kShuttingDown while draining, kNoModel for an unpublished slice) and
+    // returns nullptr.
+    Engine* engine_for(trace::DeviceType device, int hour, GenerateResponse* reject)
         CPT_EXCLUDES(engines_mutex_);
     Engine* route(const GenerateRequest& request, GenerateResponse* reject)
         CPT_EXCLUDES(engines_mutex_);

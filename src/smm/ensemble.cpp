@@ -1,6 +1,5 @@
 #include "ensemble.hpp"
 
-#include <cstdio>
 
 #include "util/check.hpp"
 
@@ -40,8 +39,7 @@ trace::Dataset SmmEnsemble::generate(std::size_t n, util::Rng& rng,
     ds.generation = models_.front().generation();
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t model_idx = rng.categorical(std::span<const double>(weights_));
-        char id[64];
-        std::snprintf(id, sizeof(id), "%s-%06zu", ue_prefix.c_str(), i);
+        const std::string id = trace::ue_id(ue_prefix, i);
         trace::Stream s;
         for (int attempt = 0; attempt < 5; ++attempt) {
             s = models_[model_idx].generate_stream(id, rng);

@@ -1,6 +1,5 @@
 #include "markov.hpp"
 
-#include <cstdio>
 
 #include "util/check.hpp"
 
@@ -83,8 +82,7 @@ trace::Dataset MarkovGenerator::generate(std::size_t n, util::Rng& rng,
     trace::Dataset ds;
     ds.generation = generation_;
     for (std::size_t i = 0; i < n; ++i) {
-        char id[64];
-        std::snprintf(id, sizeof(id), "%s-%06zu", ue_prefix.c_str(), i);
+        const std::string id = trace::ue_id(ue_prefix, i);
         trace::Stream s;
         for (int attempt = 0; attempt < 5; ++attempt) {
             s = generate_stream(id, rng);

@@ -1,6 +1,5 @@
 #include "semi_markov.hpp"
 
-#include <cstdio>
 
 #include "util/check.hpp"
 
@@ -110,8 +109,7 @@ trace::Dataset SemiMarkovModel::generate(std::size_t n, util::Rng& rng,
     trace::Dataset ds;
     ds.generation = generation_;
     for (std::size_t i = 0; i < n; ++i) {
-        char id[64];
-        std::snprintf(id, sizeof(id), "%s-%06zu", ue_prefix.c_str(), i);
+        const std::string id = trace::ue_id(ue_prefix, i);
         trace::Stream s;
         // Bounded re-draws: a stream that terminated below the minimum length
         // is discarded and re-sampled.

@@ -20,6 +20,15 @@ DeviceType device_type_from_string(std::string_view name) {
     CPT_CHECK(false, "device_type_from_string: unknown device '", name, "'");
 }
 
+std::string ue_id(const std::string& prefix, std::size_t serial) {
+    std::string digits = std::to_string(serial);
+    if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
+    std::string id(prefix.c_str());
+    id += '-';
+    id += digits;
+    return id;
+}
+
 std::vector<double> Stream::interarrivals() const {
     std::vector<double> out;
     out.reserve(events.size());

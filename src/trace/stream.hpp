@@ -43,6 +43,12 @@ struct Stream {
     std::size_t count_type(cellular::EventId type) const;
 };
 
+// The UE id of a generator's stream `serial`: "<prefix>-<serial>" with the
+// serial zero-padded to at least six digits (printf's "%s-%06zu", where
+// the prefix ends at its first NUL). The id is never truncated, so every
+// serial under one prefix gets its own id, however long the prefix.
+std::string ue_id(const std::string& prefix, std::size_t serial);
+
 // A collection of streams from one cellular generation.
 struct Dataset {
     cellular::Generation generation = cellular::Generation::kLte4G;

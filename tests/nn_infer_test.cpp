@@ -188,11 +188,9 @@ TEST(TransformerDecoderTest, StepNeverWaitsForTheGlobalPool) {
 // compact()/admit(): under a randomized admit/evict churn schedule, every
 // surviving row's per-step output must be BYTE-identical to a fresh batch=1
 // decoder fed that row's token history from position 0 (the invariance that
-// lets a serving scheduler refill freed slots mid-decode). Exercised in both
-// KV modes — fp32 and fp16 storage — because the fp16 path indexes the same
-// phys_[r] map through its own half-width buffers. The capacity of 12 lets
-// the batch cross 8 rows, where kernels have switched row tiles.
-void run_churn_property(const DecodeOptions& opts, unsigned schedule_seed) {
+// lets a serving scheduler refill freed slots mid-decode). The capacity of
+// 12 lets the batch cross 8 rows, where kernels have switched row tiles.
+void run_churn_property(unsigned schedule_seed) {
     util::Rng rng(6);
     TransformerConfig cfg = small_config();
     cfg.max_seq_len = 20;
@@ -208,7 +206,7 @@ void run_churn_property(const DecodeOptions& opts, unsigned schedule_seed) {
 
     std::mt19937 gen(schedule_seed);
     std::uniform_real_distribution<float> tok_dist(-0.8f, 0.8f);
-    TransformerDecoder churned(model, cap, opts);
+    TransformerDecoder churned(model, cap);
     churned.reset();
     std::vector<StreamLog> live;       // index == decoder row
     std::vector<StreamLog> survivors;  // rows evicted or drained, kept for checking
@@ -272,7 +270,7 @@ void run_churn_property(const DecodeOptions& opts, unsigned schedule_seed) {
         const std::size_t len = log.tokens.size() / dt;
         ASSERT_EQ(log.outputs.size(), len * dm);
         if (len == 0) continue;
-        TransformerDecoder fresh(model, 1, opts);
+        TransformerDecoder fresh(model, 1);
         for (std::size_t t = 0; t < len; ++t) {
             Tensor x({1, dt});
             std::copy_n(log.tokens.data() + t * dt, dt, x.data().data());
@@ -289,16 +287,7 @@ void run_churn_property(const DecodeOptions& opts, unsigned schedule_seed) {
 TEST(TransformerDecoderTest, ChurnRowMapPropertyFp32Kv) {
     for (SimdTier tier : util::available_simd_tiers()) {
         util::ScopedSimdTier guard(tier);
-        for (unsigned seed : {101u, 202u, 303u}) run_churn_property(DecodeOptions{}, seed);
-    }
-}
-
-TEST(TransformerDecoderTest, ChurnRowMapPropertyFp16Kv) {
-    DecodeOptions opts;
-    opts.kv_fp16 = true;
-    for (SimdTier tier : util::available_simd_tiers()) {
-        util::ScopedSimdTier guard(tier);
-        for (unsigned seed : {404u, 505u, 606u}) run_churn_property(opts, seed);
+        for (unsigned seed : {101u, 202u, 303u}) run_churn_property(seed);
     }
 }
 

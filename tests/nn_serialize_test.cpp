@@ -173,6 +173,41 @@ TEST_F(SerializeFixture, InflatedLengthFieldsNameTheSection) {
     }
 }
 
+TEST_F(SerializeFixture, SaveWritesVersion1) {
+    util::Rng rng(20);
+    save_parameters(path, two_params(rng));
+    const auto bytes = slurp();
+    ASSERT_GE(bytes.size(), 8u);
+    std::uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + 4, sizeof(version));
+    EXPECT_EQ(version, 1u);
+}
+
+// A version-2 file (int8 weight sections) fails like any other unknown
+// version, naming the version and the file.
+TEST_F(SerializeFixture, Version2IsRejected) {
+    util::Rng rng(21);
+    save_parameters(path, two_params(rng));
+    auto bytes = slurp();
+    const std::uint32_t v2 = 2;
+    std::memcpy(bytes.data() + 4, &v2, sizeof(v2));
+    dump(bytes);
+    expect_error_containing([&] { load_parameters(path, two_params(rng)); },
+                            "unsupported version 2 in '" + path + "'");
+}
+
+// A file naming one parameter twice must not load: counting sections alone
+// would accept {a, a} for a model {a, b} and leave b at its init values.
+TEST_F(SerializeFixture, RepeatedNameNamesTheSection) {
+    util::Rng rng(22);
+    const auto a = make_param(Tensor::randn(rng, {2, 2}, 1.0f));
+    save_parameters(path, {{"a", a}, {"a", a}});
+    const std::vector<NamedParam> model{{"a", make_param(Tensor::zeros({2, 2}))},
+                                        {"b", make_param(Tensor::zeros({2, 2}))}};
+    expect_error_containing([&] { load_parameters(path, model); }, "section 1");
+    expect_error_containing([&] { load_parameters(path, model); }, "names parameter 'a' again");
+}
+
 TEST_F(SerializeFixture, MissingFileThrows) {
     util::Rng rng(18);
     expect_error_containing(

@@ -193,8 +193,8 @@ TEST(SimdParityTest, ExpAddMulIsWithinOneUlpOfStdExp) {
 }
 
 // The fused decode attention head, one call per (row, head): scalar and
-// avx2 write the same context bytes for every key count 1..130, the decoder
-// head widths 8..64 plus tails (3, 12, 72), and fp32 and fp16 KV rows.
+// avx2 write the same context bytes for every key count 1..130 and the
+// decoder head widths 8..64 plus tails (3, 12, 72).
 TEST(SimdParityTest, AttentionIsBitIdenticalAcrossTiers) {
     std::mt19937 gen(23);
     constexpr std::size_t kMaxKeys = 130;
@@ -205,40 +205,25 @@ TEST(SimdParityTest, AttentionIsBitIdenticalAcrossTiers) {
         const auto q = random_floats(dh, gen, -qmag, qmag);
         const auto k = random_floats(kMaxKeys * dh, gen, -2.0f, 2.0f);
         const auto v = random_floats(kMaxKeys * dh, gen);
-        std::vector<std::uint16_t> kh(k.size());
-        std::vector<std::uint16_t> vh(v.size());
-        kernels::fp16_encode(k.data(), kh.data(), k.size());
-        kernels::fp16_encode(v.data(), vh.data(), v.size());
         const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
         for (std::size_t n = 1; n <= kMaxKeys; ++n) {
             // The kernels read exactly n rows: keys past n sit outside these
             // copies.
             const std::vector<float> kn(k.begin(), k.begin() + static_cast<std::ptrdiff_t>(n * dh));
             const std::vector<float> vn(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(n * dh));
-            const std::vector<std::uint16_t> khn(kh.begin(),
-                                                 kh.begin() + static_cast<std::ptrdiff_t>(n * dh));
-            const std::vector<std::uint16_t> vhn(vh.begin(),
-                                                 vh.begin() + static_cast<std::ptrdiff_t>(n * dh));
-            std::vector<float> ref32;
-            std::vector<float> ref16;
+            std::vector<float> ref;
             for (SimdTier tier : util::available_simd_tiers()) {
                 util::ScopedSimdTier guard(tier);
                 std::vector<float> scores(n);
-                std::vector<float> ctx32(dh, 9.0f);
-                std::vector<float> ctx16(dh, 9.0f);
-                kernels::attention_head(q.data(), kn.data(), vn.data(), scores.data(),
-                                        ctx32.data(), n, dh, scale);
-                kernels::attention_head(q.data(), khn.data(), vhn.data(), scores.data(),
-                                        ctx16.data(), n, dh, scale);
+                std::vector<float> ctx(dh, 9.0f);
+                kernels::attention_head(q.data(), kn.data(), vn.data(), scores.data(), ctx.data(),
+                                        n, dh, scale);
                 if (tier == SimdTier::kScalar) {
-                    ref32 = std::move(ctx32);
-                    ref16 = std::move(ctx16);
+                    ref = std::move(ctx);
                     continue;
                 }
-                ASSERT_EQ(std::memcmp(ctx32.data(), ref32.data(), dh * sizeof(float)), 0)
-                    << "fp32 KV, dh " << dh << " n " << n;
-                ASSERT_EQ(std::memcmp(ctx16.data(), ref16.data(), dh * sizeof(float)), 0)
-                    << "fp16 KV, dh " << dh << " n " << n;
+                ASSERT_EQ(std::memcmp(ctx.data(), ref.data(), dh * sizeof(float)), 0)
+                    << "dh " << dh << " n " << n;
             }
         }
     }

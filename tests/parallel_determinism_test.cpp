@@ -89,40 +89,29 @@ TEST(ParallelDeterminismTest, WorldGeneratorHoursAreThreadCountInvariant) {
     for (std::size_t h = 0; h < one.size(); ++h) expect_identical(one[h], four[h]);
 }
 
-// generate(40) is one dataset for every decode batch width and pool width,
-// in fp32 and int8 alike.
+// generate(40) is one dataset for every decode batch width and pool width.
 TEST(ParallelDeterminismTest, SamplerGenerateIsThreadCountInvariant) {
     ThreadCountGuard guard;
     const auto world = phone_world(40);
     const auto tok = Tokenizer::fit(world);
     util::Rng init(3);
     CptGpt model(tok, tiny_config(), init);  // untrained: contract is structural
-    model.quantize_weights();
 
-    struct Mode {
-        const char* name;
-        nn::Precision precision;
-    };
-    for (const Mode mode :
-         {Mode{"fp32", nn::Precision::kFp32}, Mode{"int8", nn::Precision::kInt8W8A32}}) {
-        std::optional<trace::Dataset> reference;
-        for (const std::size_t batch : {1, 3, 8, 32}) {
-            SamplerConfig scfg;
-            scfg.batch = batch;
-            scfg.precision = mode.precision;
-            const Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
-            for (const std::size_t threads : {1, 2, 4}) {
-                SCOPED_TRACE(testing::Message() << mode.name << " batch=" << batch
-                                                << " threads=" << threads);
-                util::set_global_threads(threads);
-                util::Rng rng(42);
-                auto ds = sampler.generate(40, rng);
-                ASSERT_EQ(ds.streams.size(), 40u);
-                if (!reference) {
-                    reference = std::move(ds);
-                } else {
-                    expect_identical(*reference, ds);
-                }
+    std::optional<trace::Dataset> reference;
+    for (const std::size_t batch : {1, 3, 8, 32}) {
+        SamplerConfig scfg;
+        scfg.batch = batch;
+        const Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
+        for (const std::size_t threads : {1, 2, 4}) {
+            SCOPED_TRACE(testing::Message() << "batch=" << batch << " threads=" << threads);
+            util::set_global_threads(threads);
+            util::Rng rng(42);
+            auto ds = sampler.generate(40, rng);
+            ASSERT_EQ(ds.streams.size(), 40u);
+            if (!reference) {
+                reference = std::move(ds);
+            } else {
+                expect_identical(*reference, ds);
             }
         }
     }

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "core/model_hub.hpp"
@@ -372,7 +374,7 @@ TEST_F(ServeFixture, DeterministicRequestReproducesGenerateBatch) {
     EXPECT_NE(stats.find("\"completed\": 1"), std::string::npos) << stats;
     // perfbench parses decode_ms_per_step; no speculation stats remain.
     EXPECT_NE(stats.find("\"decode_ms_per_step\": "), std::string::npos) << stats;
-    EXPECT_NE(stats.find("\"precision\": \"fp32\""), std::string::npos) << stats;
+    EXPECT_EQ(stats.find("\"precision\""), std::string::npos) << stats;
     EXPECT_EQ(stats.find("\"spec_"), std::string::npos) << stats;
     server.drain();
     EXPECT_EQ(server.generate(req).status, serve::Status::kShuttingDown);
@@ -434,11 +436,55 @@ TEST_F(ServeFixture, BadRequestsAreRejectedUpFront) {
     // top_p must be in (0, 1]; only negative values mean "slice default".
     req.top_p = 0.0f;
     EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
+    // NaN fails every comparison, so it must not pass as "slice default".
+    req.top_p = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
     req.top_p = serve::GenerateRequest{}.top_p;
+    req.temperature = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
+    // +inf would sample uniformly; -inf is negative, so the slice default.
+    req.temperature = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
+    req.temperature = -std::numeric_limits<float>::infinity();
+    req.max_stream_len = 4;
+    EXPECT_EQ(server.generate(req).status, serve::Status::kOk);
+    req.max_stream_len = 0;
+    req.temperature = serve::GenerateRequest{}.temperature;
+    // A device byte past the enum is malformed, not an unpublished slice.
+    req.device = static_cast<trace::DeviceType>(trace::kNumDeviceTypes);
+    const auto bad_device = server.generate(req);
+    EXPECT_EQ(bad_device.status, serve::Status::kBadRequest);
+    EXPECT_NE(bad_device.error.find("device"), std::string::npos) << bad_device.error;
+    req.device = trace::DeviceType::kPhone;
     // Below the two-event minimum: rejected here, not thrown on the engine
     // thread (which would terminate the process).
     req.max_stream_len = 1;
     EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
+}
+
+// A UE id is never cut short: with a prefix longer than any fixed id buffer,
+// every stream of a request still gets its own id, ending in its serial.
+TEST_F(ServeFixture, LongUePrefixKeepsIdsDistinct) {
+    serve::Server server(base_config(dir));
+    serve::GenerateRequest req;
+    req.device = trace::DeviceType::kPhone;
+    req.hour_of_day = 9;
+    req.count = 12;
+    req.max_stream_len = 4;
+    req.ue_prefix = std::string(100, 'u');
+    const auto resp = server.generate(req);
+    ASSERT_EQ(resp.status, serve::Status::kOk) << resp.error;
+    ASSERT_EQ(resp.streams.size(), req.count);
+    std::set<std::string> ids;
+    for (std::size_t i = 0; i < resp.streams.size(); ++i) {
+        const std::string& id = resp.streams[i].ue_id;
+        const std::string tail = trace::ue_id("", i);  // "-00000i"
+        ASSERT_GE(id.size(), tail.size());
+        EXPECT_EQ(id.compare(0, 100, req.ue_prefix), 0) << id;
+        EXPECT_EQ(id.substr(id.size() - tail.size()), tail) << id;
+        ids.insert(id);
+    }
+    EXPECT_EQ(ids.size(), req.count);
 }
 
 TEST_F(ServeFixture, DeadlineEvictsAndReturnsCompletedPrefix) {

@@ -3,6 +3,7 @@
 // memorization matching.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "cellular/state_machine.hpp"
@@ -32,6 +33,21 @@ TEST(StreamTest, InterarrivalsStartAtZero) {
     EXPECT_DOUBLE_EQ(ia[0], 0.0);
     EXPECT_DOUBLE_EQ(ia[1], 4.0);
     EXPECT_DOUBLE_EQ(ia[2], 6.0);
+}
+
+// ue_id gives printf's "%s-%06zu" bytes whenever those fit a buffer, and
+// never truncates.
+TEST(StreamTest, UeIdMatchesPrintfAndNeverTruncates) {
+    char buf[64];
+    for (const std::size_t serial : {std::size_t{0}, std::size_t{7}, std::size_t{123456},
+                                     std::size_t{1234567}}) {
+        std::snprintf(buf, sizeof(buf), "%s-%06zu", "serve", serial);
+        EXPECT_EQ(trace::ue_id("serve", serial), buf);
+    }
+    EXPECT_EQ(trace::ue_id("", 42), "-000042");
+    const std::string prefix(100, 'p');
+    const std::string id = trace::ue_id(prefix, 3);
+    EXPECT_EQ(id, prefix + "-000003");
 }
 
 TEST(DatasetTest, BreakdownAndFlowLengths) {
