@@ -9,6 +9,7 @@
 // client, so the two are interchangeable in tests.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -52,8 +53,14 @@ struct GenerateRequest {
     float top_p = -1.0f;
     std::uint32_t max_stream_len = 0;  // 0 = slice default
     std::uint32_t deadline_ms = 0;     // 0 = server default
-    std::string ue_prefix = "serve";   // streams are labelled "<prefix>-%06zu"
+    std::string ue_prefix = "serve";   // streams are labelled "<prefix>-%06zu";
+                                       // at most kMaxUePrefixBytes
 };
+
+// The longest ue_prefix a server accepts, in bytes. It keeps every id
+// "<prefix>-<serial>" far below the 0xffff bytes a response can encode, and
+// bounds the id memory a request holds per stream.
+inline constexpr std::size_t kMaxUePrefixBytes = 256;
 
 struct GenerateResponse {
     Status status = Status::kOk;

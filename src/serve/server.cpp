@@ -420,6 +420,13 @@ Server::Engine* Server::route(const GenerateRequest& request, GenerateResponse* 
         *reject = {Status::kBadRequest, "top_p must be in (0, 1]", {}};
         return nullptr;
     }
+    if (request.ue_prefix.size() > kMaxUePrefixBytes) {
+        *reject = {Status::kBadRequest,
+                   "ue_prefix must be at most " + std::to_string(kMaxUePrefixBytes) +
+                       " bytes, got " + std::to_string(request.ue_prefix.size()),
+                   {}};
+        return nullptr;
+    }
     // 0 means the engine's cap; a stream needs its start event plus one more.
     if (request.max_stream_len == 1) {
         *reject = {Status::kBadRequest, "max_stream_len must be 0 (default) or >= 2", {}};

@@ -460,6 +460,14 @@ TEST_F(ServeFixture, BadRequestsAreRejectedUpFront) {
     // thread (which would terminate the process).
     req.max_stream_len = 1;
     EXPECT_EQ(server.generate(req).status, serve::Status::kBadRequest);
+    req.max_stream_len = 4;
+    // A prefix at the cap is served; one byte over is malformed.
+    req.ue_prefix = std::string(serve::kMaxUePrefixBytes, 'u');
+    EXPECT_EQ(server.generate(req).status, serve::Status::kOk);
+    req.ue_prefix.push_back('u');
+    const auto long_prefix = server.generate(req);
+    EXPECT_EQ(long_prefix.status, serve::Status::kBadRequest);
+    EXPECT_NE(long_prefix.error.find("ue_prefix"), std::string::npos) << long_prefix.error;
 }
 
 // A UE id is never cut short: with a prefix longer than any fixed id buffer,
@@ -563,6 +571,35 @@ TEST_F(ServeFixture, TcpTransportMatchesInProcess) {
         }
         const std::string stats = client.stats_json();
         EXPECT_NE(stats.find("latency_seconds"), std::string::npos) << stats;
+    }
+    tcp.stop();
+    accept_thread.join();
+    server.drain();
+}
+
+// A prefix near the wire's 0xffff-byte string limit would give ids no
+// response can encode; the server answers it with an error frame and keeps
+// serving the connection.
+TEST_F(ServeFixture, TcpOversizedUePrefixGetsErrorReply) {
+    serve::Server server(base_config(dir));
+    serve::TcpServer tcp(server, "127.0.0.1", 0);
+    ASSERT_GT(tcp.port(), 0);
+    std::thread accept_thread([&] { tcp.serve_forever(); });
+
+    serve::GenerateRequest req;
+    req.device = trace::DeviceType::kPhone;
+    req.hour_of_day = 9;
+    req.count = 2;
+    req.max_stream_len = 4;
+    req.ue_prefix = std::string(0xffff - 4, 'u');
+    {
+        serve::TcpClient client("127.0.0.1", tcp.port());
+        const auto rejected = client.generate(req);
+        EXPECT_EQ(rejected.status, serve::Status::kBadRequest) << rejected.error;
+        req.ue_prefix = "tcp";
+        const auto served = client.generate(req);
+        ASSERT_EQ(served.status, serve::Status::kOk) << served.error;
+        EXPECT_EQ(served.streams.size(), req.count);
     }
     tcp.stop();
     accept_thread.join();
