@@ -79,9 +79,15 @@ struct GemmShape {
 };
 
 // d_model-scale and MLP-scale shapes from the default (64/256) and flagship
-// (128/1024) model configs, plus the M = 1 decode case and the narrow head
-// projections of a batch-32 decode step.
+// (128/1024) model configs, plus the M = 1 decode case, the narrow head
+// projections of a batch-32 decode step and the products of one 256-token
+// training shard (4 windows of 64) of the default model.
 constexpr GemmShape kShapes[] = {
+    {256, 64, 192, "train shard qkv (d_model=64)"},
+    {256, 64, 64, "train shard out-proj"},
+    {256, 64, 256, "train shard fc1"},
+    {256, 256, 64, "train shard fc2"},
+    {256, 64, 6, "train shard event head"},
     {1, 64, 256, "decode fc1 (d_model=64)"},
     {1, 256, 64, "decode fc2 (d_model=64)"},
     {1, 128, 1024, "decode fc1 (flagship mlp=1024)"},

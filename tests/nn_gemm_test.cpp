@@ -5,8 +5,9 @@
 // as the reference for every shape. The decode NT entry is also pinned
 // batch-invariant on every tier, avx2 included: row r of an m-row product
 // equals the 1-row product of that row. DecodeGemmTest pins the decode
-// contract per width: avx2 decode equals gemm_nt (the training product), the
-// 16-lane tiles equal the 8-lane ones, and scalar equals gemm_nt_ref.
+// contract per width: avx2 decode equals the training products (gemm_nt, and
+// gemm_nn and gemm_tn over the transposed layouts), the 16-lane tiles equal
+// the 8-lane ones, and scalar equals gemm_nt_ref.
 // Cross-tier tolerance is nn_simd_parity_test's job.
 #include <gtest/gtest.h>
 
@@ -156,31 +157,45 @@ TEST(GemmBitExactTest, DecodeNtRowsAreBatchInvariant) {
 // ---- DecodeGemm: the decode contract per width -------------------------------
 
 // One decode product: rows m, inner k, columns n, A [m, k], B [n, k] and its
-// panel, and a nonzero starting C (the kernels accumulate).
+// panel, and a nonzero starting C (the kernels accumulate). The same product
+// in the training layouts: A transposed [k, m] (gemm_tn's A) and B
+// transposed [k, n] (gemm_nn's B), the latter exactly k * n floats so that a
+// sanitizer build catches any read past its last column.
 struct DecodeCase {
     std::size_t m, k, n;
     std::vector<float> a, b, c0;
     DecodePanel panel;
+    std::vector<float> a_t, b_t;
 };
 
-// Every (m, k, n) of m in 1..8, 13, 20, 32 (one row through a full row tile,
-// a tile plus a remainder, several tiles; for n <= 8, one or two groups of
-// rows as lanes, with and without rows left over), k in {9, 64, 65, 256}
-// (odd, the model widths, one past a vector) and n in {1, 2, 6, 17, 64, 192,
-// 256} (lane tails, one vector plus one, whole strips and strips plus a
-// tail).
+std::vector<float> transposed(const std::vector<float>& x, std::size_t rows, std::size_t cols) {
+    std::vector<float> t(rows * cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) t[c * rows + r] = x[r * cols + c];
+    }
+    return t;
+}
+
+// Every (m, k, n) of m in 1..8, 13, 20, 32, 256 (one row through a full row
+// tile, a tile plus a remainder, several tiles, a training shard; for n <= 8,
+// one or more groups of rows as lanes, with and without rows left over), k in
+// {9, 64, 65, 256} (odd, the model widths, one past a vector) and n in {1, 2,
+// 6, 17, 64, 192, 256} (lane tails, one vector plus one, whole strips and
+// strips plus a tail).
 template <class Fn>
 void for_each_decode_case(std::uint32_t seed, Fn&& fn) {
     std::mt19937 gen(seed);
-    const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 20, 32};
+    const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 20, 32, 256};
     const std::size_t ks[] = {9, 64, 65, 256};
     const std::size_t ns[] = {1, 2, 6, 17, 64, 192, 256};
     for (std::size_t m : ms) {
         for (std::size_t k : ks) {
             for (std::size_t n : ns) {
                 DecodeCase dc{m, k, n, random_floats(m * k, gen), random_floats(n * k, gen),
-                              random_floats(m * n, gen), {}};
+                              random_floats(m * n, gen), {}, {}, {}};
                 dc.panel = DecodePanel(dc.b.data(), n, k);
+                dc.a_t = transposed(dc.a, m, k);
+                dc.b_t = transposed(dc.b, n, k);
                 fn(dc);
                 if (::testing::Test::HasFatalFailure()) return;
             }
@@ -202,6 +217,9 @@ bool host_has_avx512_tiles() {
            util::decode_lanes(util::SimdTier::kAvx2) == 16;
 }
 
+// On avx2 the three training layouts and decode are one product: gemm_nn (B
+// as [k, n]), gemm_tn (A as [k, m]), gemm_nt and gemm_nt_decode give the same
+// bits, and so do the decode tiles at every width the host runs.
 TEST(DecodeGemmTest, Avx2RowsEqualTheTrainingProduct) {
     if (!util::simd_tier_available(util::SimdTier::kAvx2)) GTEST_SKIP() << "no avx2 tier";
     const util::ScopedSimdTier avx2(util::SimdTier::kAvx2);
@@ -211,8 +229,18 @@ TEST(DecodeGemmTest, Avx2RowsEqualTheTrainingProduct) {
         auto got = dc.c0;
         gemm_nt_decode(dc.a.data(), dc.panel, got.data(), dc.m);
         expect_bitwise_equal(got, want, "gemm_nt_decode vs gemm_nt", dc.m, dc.k, dc.n);
+        auto nn = dc.c0;
+        gemm_nn(dc.a.data(), dc.b_t.data(), nn.data(), dc.m, dc.k, dc.n);
+        expect_bitwise_equal(nn, want, "gemm_nn vs gemm_nt", dc.m, dc.k, dc.n);
+        auto tn = dc.c0;
+        gemm_tn(dc.a_t.data(), dc.b_t.data(), tn.data(), dc.m, dc.k, dc.n);
+        expect_bitwise_equal(tn, want, "gemm_tn vs gemm_nt", dc.m, dc.k, dc.n);
         expect_bitwise_equal(decode_with(detail::gemm_nt_decode_avx2, dc), want,
                              "8-lane tiles vs gemm_nt", dc.m, dc.k, dc.n);
+        if (host_has_avx512_tiles()) {
+            expect_bitwise_equal(decode_with(detail::gemm_nt_decode_avx512, dc), want,
+                                 "16-lane tiles vs gemm_nt", dc.m, dc.k, dc.n);
+        }
     });
 }
 

@@ -2,11 +2,17 @@
 // final weights across repeated runs and across thread counts, for both the
 // single-model Trainer and the parallel HubTrainer. This is the contract that
 // makes `CPT_THREADS` a pure performance knob for training. Also pins the
-// data-parallel step against a single-tape full-batch gradient.
+// data-parallel step against a single-tape full-batch gradient, and the bytes
+// a tiny train-then-generate run writes on each SIMD tier against committed
+// digests (GoldenBytesTest).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,9 +20,12 @@
 #include "core/hub_trainer.hpp"
 #include "core/model.hpp"
 #include "core/model_hub.hpp"
+#include "core/sampler.hpp"
 #include "core/trainer.hpp"
 #include "nn/autograd.hpp"
+#include "trace/columnar.hpp"
 #include "trace/synthetic.hpp"
+#include "util/cpu.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cpt::core {
@@ -293,6 +302,78 @@ TEST(TrainDeterminismTest, HubFineTuneMatchesSerialPerSlice) {
                 << "slice " << i << " epoch " << e;
         }
     }
+}
+
+// ---- GoldenBytes: committed digests of a train-then-generate run ------------
+
+std::uint64_t fnv1a64_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char ch : bytes) {
+        h ^= static_cast<unsigned char>(ch);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+struct GoldenDigests {
+    std::uint64_t checkpoint;
+    std::uint64_t trace;
+};
+
+// Trains the tiny model on the active tier, saves its package and writes 48
+// generated streams with generate_to; returns the FNV-1a 64 of both files.
+GoldenDigests train_and_generate_digests(const std::string& tag) {
+    const auto world = phone_world(120);
+    const auto tok = Tokenizer::fit(world);
+    util::Rng rng(9);
+    CptGpt model(tok, tiny_config(), rng);
+    Trainer(model, tok, tiny_train_config()).train(world);
+
+    const auto dir = std::filesystem::temp_directory_path();
+    const std::string ckpt = (dir / ("cpt_golden_" + tag + ".ckpt")).string();
+    const std::string cpt = (dir / ("cpt_golden_" + tag + ".cpt")).string();
+    const auto dist = world.initial_event_distribution();
+    model.save_package(ckpt, tok, dist);
+    SamplerConfig scfg;
+    scfg.max_stream_len = 48;
+    const Sampler sampler(model, tok, dist, scfg);
+    {
+        util::Rng gen_rng(5);
+        trace::ColumnarWriter writer(cpt, tok.generation(), 16);
+        sampler.generate_to(writer, 48, gen_rng);
+        writer.finish();
+    }
+    const GoldenDigests d{fnv1a64_file(ckpt), fnv1a64_file(cpt)};
+    std::remove(ckpt.c_str());
+    std::remove(cpt.c_str());
+    return d;
+}
+
+// One (checkpoint, trace) digest pair per tier: the training GEMMs, the
+// decode tiles, attention and the sampler may change speed, never these
+// bytes. Scalar GELU still calls libm's std::tanh (and the sampler calls
+// libm too), so the goldens belong to the GCC 12 / glibc toolchain they
+// were recorded with; a different libm can move them without a kernel
+// change.
+void expect_golden(util::SimdTier tier, GoldenDigests want) {
+    const util::ScopedSimdTier guard(tier);
+    const GoldenDigests got = train_and_generate_digests(util::simd_tier_name(tier));
+    EXPECT_EQ(got.checkpoint, want.checkpoint)
+        << std::hex << "checkpoint digest 0x" << got.checkpoint << " on "
+        << util::simd_tier_name(tier);
+    EXPECT_EQ(got.trace, want.trace)
+        << std::hex << "trace digest 0x" << got.trace << " on " << util::simd_tier_name(tier);
+}
+
+TEST(GoldenBytesTest, Scalar) {
+    expect_golden(util::SimdTier::kScalar, {0x04c01d884d87c155ull, 0x464acfa7674c16d4ull});
+}
+
+TEST(GoldenBytesTest, Avx2) {
+    if (!util::simd_tier_available(util::SimdTier::kAvx2)) GTEST_SKIP() << "no avx2 tier";
+    expect_golden(util::SimdTier::kAvx2, {0x7e608d0242864083ull, 0xb11fc9d1759b3377ull});
 }
 
 }  // namespace
