@@ -105,8 +105,8 @@ double time_gflops(const std::function<void(float*)>& run, std::size_t m, std::s
     const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
                          static_cast<double>(n);
     using clock = std::chrono::steady_clock;
-    // Calibrate the iteration count to ~100 ms of work, then take the best of
-    // three timed blocks (best-of filters scheduler noise on shared boxes).
+    // Calibrate the iteration count to >= 20 ms of work, then take the best
+    // of seven timed blocks (best-of filters scheduler noise on shared boxes).
     std::size_t iters = 1;
     for (;;) {
         const auto t0 = clock::now();
@@ -116,7 +116,7 @@ double time_gflops(const std::function<void(float*)>& run, std::size_t m, std::s
         iters *= 4;
     }
     double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < 7; ++rep) {
         const auto t0 = clock::now();
         for (std::size_t i = 0; i < iters; ++i) run(c.data());
         const double sec = std::chrono::duration<double>(clock::now() - t0).count();

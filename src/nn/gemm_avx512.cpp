@@ -1,11 +1,11 @@
-// The 16-lane decode NT tiles: the register tile of gemm_decode_inl.hpp over
+// The 16-lane GEMM tiles: the register tiles of gemm_tiles_inl.hpp over
 // 512-bit registers. Built with -mavx2 -mfma -mavx512f (src/nn/CMakeLists);
 // when the compiler lacks -mavx512f the entry point degrades to a CPT_CHECK
 // failure. gemm.cpp reaches it only when util::decode_lanes reports 16, i.e.
 // on the avx2 tier of a host whose CPU and OS support AVX-512F.
 //
 // Not a tier of its own: every lane runs the one FMA chain per element that
-// the 8-lane tiles run, so the bytes equal gemm_nt_decode_avx2's. Besides
+// the 8-lane tiles run, so the bytes equal gemm_panel_avx2's. Besides
 // the entry point this TU defines nothing with external linkage (the tile
 // template is internal), so no AVX-512 instruction can reach a function that
 // another TU links.
@@ -15,7 +15,7 @@
 
 #include <immintrin.h>
 
-#include "gemm_decode_inl.hpp"
+#include "gemm_tiles_inl.hpp"
 
 namespace cpt::nn::detail {
 
@@ -41,10 +41,10 @@ struct Vec512 {
     static Reg load_masked(const float* p, Mask m) { return _mm512_maskz_loadu_ps(m, p); }
     static void store_masked(float* p, Reg v, Mask m) { _mm512_mask_storeu_ps(p, m, v); }
     using Index = __m512i;
-    static Index row_offsets(std::size_t k_dim) {
+    static Index row_offsets(std::size_t stride) {
         return _mm512_mullo_epi32(
             _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-            _mm512_set1_epi32(static_cast<int>(k_dim)));
+            _mm512_set1_epi32(static_cast<int>(stride)));
     }
     // The all-lanes mask form: GCC 12's plain _mm512_i32gather_ps reads an
     // uninitialised source register (-Wmaybe-uninitialized).
@@ -55,9 +55,10 @@ struct Vec512 {
 
 }  // namespace
 
-void gemm_nt_decode_avx512(const float* a, const float* panel, std::size_t stride, float* c,
-                           std::size_t m_dim, std::size_t k_dim, std::size_t n_dim) {
-    decode_panel<Vec512>(a, panel, stride, c, m_dim, k_dim, n_dim);
+void gemm_panel_avx512(const float* a, std::size_t rs, std::size_t ks, const float* panel,
+                       std::size_t ld, float* c, std::size_t m_dim, std::size_t k_dim,
+                       std::size_t n_dim) {
+    panel_product<Vec512>(a, rs, ks, panel, ld, c, m_dim, k_dim, n_dim);
 }
 
 }  // namespace cpt::nn::detail
@@ -68,9 +69,9 @@ void gemm_nt_decode_avx512(const float* a, const float* panel, std::size_t strid
 
 namespace cpt::nn::detail {
 
-void gemm_nt_decode_avx512(const float*, const float*, std::size_t, float*, std::size_t,
-                           std::size_t, std::size_t) {
-    CPT_CHECK(false, "AVX-512 decode kernels were not compiled into this binary");
+void gemm_panel_avx512(const float*, std::size_t, std::size_t, const float*, std::size_t, float*,
+                       std::size_t, std::size_t, std::size_t) {
+    CPT_CHECK(false, "AVX-512 GEMM tiles were not compiled into this binary");
 }
 
 }  // namespace cpt::nn::detail

@@ -1,7 +1,7 @@
 // Internal declarations of the AVX2+FMA kernel tier. The definitions live in
 // gemm_avx2.cpp / kernels_avx2.cpp / attention_avx2.cpp, the translation
 // units built with -mavx2 -mfma (plus gemm_avx512.cpp, see
-// gemm_nt_decode_avx512); when the compiler lacks those flags the
+// gemm_panel_avx512); when the compiler lacks those flags the
 // definitions degrade to CPT_CHECK failures. Callers must only reach these
 // through the tier dispatchers in gemm.cpp / kernels.cpp, which guarantee the
 // active tier is kAvx2 (and therefore that the host CPU supports the
@@ -18,28 +18,19 @@
 
 namespace cpt::nn::detail {
 
-// Dense GEMM tiers (semantics identical to the public gemm_* entry points:
-// accumulate into C, row-major, shapes as documented in gemm.hpp).
-void gemm_nn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim);
-void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim);
-void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                  std::size_t n_dim);
-// The NT decode product over a packed panel (gemm.hpp gemm_nt_decode;
-// panel[k * stride + j] = B[j, k], zero-padded to whole 16-float vectors,
-// 64-byte aligned). One register tile written for both widths
-// (gemm_decode_inl.hpp): 8 lanes here, 16 lanes in gemm_avx512.cpp, which is
-// built with -mavx512f and reached only when util::decode_lanes reports 16.
-// Both widths run the same per-element FMA chain, so they give the same bits.
-void gemm_nt_decode_avx2(const float* a, const float* panel, std::size_t stride, float* c,
-                         std::size_t m_dim, std::size_t k_dim, std::size_t n_dim);
-void gemm_nt_decode_avx512(const float* a, const float* panel, std::size_t stride, float* c,
-                           std::size_t m_dim, std::size_t k_dim, std::size_t n_dim);
-
-// NN GEMV fast path (m == 1): c[n] += sum_k a[k] * B[k,n] with B row-major
-// [K,N].
-void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim);
+// The GEMM engine (gemm.hpp: gemm_nn, gemm_nt, gemm_tn, gemm_nt_decode):
+// C[M,N] += A * B with A element (r, k) at a[r * rs + k * ks] and B a
+// k-major panel, element (k, j) at panel[k * ld + j], read only up to column
+// n_dim. One register tile written for both widths (gemm_tiles_inl.hpp): 8
+// lanes here, 16 lanes in gemm_avx512.cpp, which is built with -mavx512f and
+// reached only when util::decode_lanes reports 16. Both widths run the same
+// per-element FMA chain, so they give the same bits.
+void gemm_panel_avx2(const float* a, std::size_t rs, std::size_t ks, const float* panel,
+                     std::size_t ld, float* c, std::size_t m_dim, std::size_t k_dim,
+                     std::size_t n_dim);
+void gemm_panel_avx512(const float* a, std::size_t rs, std::size_t ks, const float* panel,
+                       std::size_t ld, float* c, std::size_t m_dim, std::size_t k_dim,
+                       std::size_t n_dim);
 
 // Softmax and decode attention in the tier-identical order of kernels.hpp
 // (attention_avx2.cpp, built with -ffp-contract=off). softmax_row_avx2

@@ -203,12 +203,12 @@ void for_each_decode_case(std::uint32_t seed, Fn&& fn) {
     }
 }
 
-using PanelFn = void (*)(const float*, const float*, std::size_t, float*, std::size_t,
-                         std::size_t, std::size_t);
+using PanelFn = void (*)(const float*, std::size_t, std::size_t, const float*, std::size_t,
+                         float*, std::size_t, std::size_t, std::size_t);
 
 std::vector<float> decode_with(PanelFn fn, const DecodeCase& dc) {
     auto c = dc.c0;
-    fn(dc.a.data(), dc.panel.data(), dc.panel.stride(), c.data(), dc.m, dc.k, dc.n);
+    fn(dc.a.data(), dc.k, 1, dc.panel.data(), dc.panel.stride(), c.data(), dc.m, dc.k, dc.n);
     return c;
 }
 
@@ -235,10 +235,10 @@ TEST(DecodeGemmTest, Avx2RowsEqualTheTrainingProduct) {
         auto tn = dc.c0;
         gemm_tn(dc.a_t.data(), dc.b_t.data(), tn.data(), dc.m, dc.k, dc.n);
         expect_bitwise_equal(tn, want, "gemm_tn vs gemm_nt", dc.m, dc.k, dc.n);
-        expect_bitwise_equal(decode_with(detail::gemm_nt_decode_avx2, dc), want,
+        expect_bitwise_equal(decode_with(detail::gemm_panel_avx2, dc), want,
                              "8-lane tiles vs gemm_nt", dc.m, dc.k, dc.n);
         if (host_has_avx512_tiles()) {
-            expect_bitwise_equal(decode_with(detail::gemm_nt_decode_avx512, dc), want,
+            expect_bitwise_equal(decode_with(detail::gemm_panel_avx512, dc), want,
                                  "16-lane tiles vs gemm_nt", dc.m, dc.k, dc.n);
         }
     });
@@ -247,8 +247,8 @@ TEST(DecodeGemmTest, Avx2RowsEqualTheTrainingProduct) {
 TEST(DecodeGemmTest, SixteenLanesEqualEightLanes) {
     if (!host_has_avx512_tiles()) GTEST_SKIP() << "host or binary lacks the AVX-512F tiles";
     for_each_decode_case(32, [](const DecodeCase& dc) {
-        expect_bitwise_equal(decode_with(detail::gemm_nt_decode_avx512, dc),
-                             decode_with(detail::gemm_nt_decode_avx2, dc),
+        expect_bitwise_equal(decode_with(detail::gemm_panel_avx512, dc),
+                             decode_with(detail::gemm_panel_avx2, dc),
                              "16-lane vs 8-lane tiles", dc.m, dc.k, dc.n);
     });
 }
@@ -270,9 +270,9 @@ TEST(DecodeGemmTest, ScalarPanelEqualsReference) {
 TEST(DecodeGemmTest, RowAloneEqualsRowAmongOthers) {
     std::vector<std::pair<const char*, PanelFn>> widths;
     if (util::simd_tier_available(util::SimdTier::kAvx2)) {
-        widths.emplace_back("8-lane", detail::gemm_nt_decode_avx2);
+        widths.emplace_back("8-lane", detail::gemm_panel_avx2);
     }
-    if (host_has_avx512_tiles()) widths.emplace_back("16-lane", detail::gemm_nt_decode_avx512);
+    if (host_has_avx512_tiles()) widths.emplace_back("16-lane", detail::gemm_panel_avx512);
     for_each_decode_case(34, [&](const DecodeCase& dc) {
         const auto n = static_cast<std::ptrdiff_t>(dc.n);
         for (util::SimdTier tier : util::available_simd_tiers()) {
@@ -293,8 +293,8 @@ TEST(DecodeGemmTest, RowAloneEqualsRowAmongOthers) {
             for (std::size_t r = 0; r < dc.m; ++r) {
                 const auto first = dc.c0.begin() + static_cast<std::ptrdiff_t>(r) * n;
                 std::vector<float> row(first, first + n);
-                fn(dc.a.data() + r * dc.k, dc.panel.data(), dc.panel.stride(), row.data(), 1,
-                   dc.k, dc.n);
+                fn(dc.a.data() + r * dc.k, dc.k, 1, dc.panel.data(), dc.panel.stride(),
+                   row.data(), 1, dc.k, dc.n);
                 ASSERT_EQ(std::memcmp(row.data(), all.data() + r * dc.n, dc.n * sizeof(float)), 0)
                     << name << " row " << r << " of (" << dc.m << ", " << dc.k << ", " << dc.n
                     << ")";
