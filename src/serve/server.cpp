@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
-#include <future>
 #include <limits>
 #include <thread>
 
@@ -86,15 +85,6 @@ public:
             return;
         }
         cv_.notify_one();
-    }
-
-    GenerateResponse submit(const GenerateRequest& req) CPT_EXCLUDES(mu_) {
-        auto promise = std::make_shared<std::promise<GenerateResponse>>();
-        std::future<GenerateResponse> fut = promise->get_future();
-        submit_async(req, [promise](GenerateResponse&& resp) {
-            promise->set_value(std::move(resp));
-        });
-        return fut.get();
     }
 
     void stop_and_join() CPT_EXCLUDES(mu_) {
@@ -443,13 +433,6 @@ void Server::generate_async(const GenerateRequest& request, Done done) {
         return;
     }
     engine->submit_async(request, std::move(done));
-}
-
-GenerateResponse Server::generate(const GenerateRequest& request) {
-    GenerateResponse reject;
-    Engine* engine = route(request, &reject);
-    if (engine == nullptr) return reject;
-    return engine->submit(request);
 }
 
 HealthInfo Server::health() const {

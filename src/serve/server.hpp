@@ -69,10 +69,6 @@ public:
     // requests rejected before admission).
     void generate_async(const GenerateRequest& request, Done done) override;
 
-    // Blocking wrapper (the in-process client):
-    // enqueues and waits for completion, deadline, or rejection.
-    GenerateResponse generate(const GenerateRequest& request) override;
-
     // Current service stats as a JSON object (see DESIGN.md §10 for schema).
     std::string stats_json() const override;
 

@@ -26,9 +26,9 @@ public:
     // returns; the callback delivers the response.
     virtual void generate_async(const GenerateRequest& request, Done done) = 0;
 
-    // Blocking convenience wrapper over generate_async (overridable when an
-    // implementation has a cheaper synchronous path).
-    virtual GenerateResponse generate(const GenerateRequest& request);
+    // Blocking wrapper over generate_async: waits for the callback, so early
+    // rejections and completed requests reach the caller the same way.
+    GenerateResponse generate(const GenerateRequest& request);
 
     // Current service stats as a JSON object (see DESIGN.md §10 for schema).
     virtual std::string stats_json() const = 0;
