@@ -1,11 +1,14 @@
 // Microbenchmarks for the nn substrate: a GEMM GFLOP/s suite comparing the
-// seed's naive kernels against the blocked kernels, single-threaded, per SIMD
-// tier (emitted both as a table and as machine-readable BENCH_micro_nn.json),
-// followed by the google-benchmark micro suite for the composite kernels.
+// seed's naive kernels against the blocked kernels and a ns-per-call suite for
+// the elementwise, softmax, attention and optimizer kernels (kernels.hpp) at
+// decode and training-shard shapes, both single-threaded per SIMD tier
+// (emitted as tables and as machine-readable BENCH_micro_nn.json), followed by
+// the google-benchmark micro suite for the composite kernels.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <random>
@@ -15,6 +18,7 @@
 #include "core/model.hpp"
 #include "core/tokenizer.hpp"
 #include "nn/gemm.hpp"
+#include "nn/kernels.hpp"
 #include "nn/modules.hpp"
 #include "util/cpu.hpp"
 
@@ -196,7 +200,155 @@ std::vector<GemmRow> run_gemm_suite() {
     return rows;
 }
 
-void write_json(const std::vector<GemmRow>& rows, const char* path) {
+// ---- Kernel ns-per-call suite ------------------------------------------------
+
+// Best time of one call, in ns: the iteration count calibrated to >= 20 ms of
+// work, then the best of nine timed blocks.
+double time_ns(const std::function<void()>& run) {
+    using clock = std::chrono::steady_clock;
+    std::size_t iters = 1;
+    for (;;) {
+        const auto t0 = clock::now();
+        for (std::size_t i = 0; i < iters; ++i) run();
+        const double sec = std::chrono::duration<double>(clock::now() - t0).count();
+        if (sec > 0.02 || iters > (1u << 24)) break;
+        iters *= 4;
+    }
+    double best = 1e300;
+    for (int rep = 0; rep < 9; ++rep) {
+        const auto t0 = clock::now();
+        for (std::size_t i = 0; i < iters; ++i) run();
+        const double sec = std::chrono::duration<double>(clock::now() - t0).count();
+        best = std::min(best, sec * 1e9 / static_cast<double>(iters));
+    }
+    return best;
+}
+
+struct KernelRow {
+    std::string kernel;
+    std::string shape;
+    // ns per call per SIMD tier, indexed by SimdTier; 0 when unavailable.
+    double ns_tier[static_cast<int>(util::SimdTier::kAvx2) + 1] = {};
+};
+
+// The default model's parameter count (CptGptConfig{} over the LTE
+// tokenizer): the length adam_update and sqnorm sweep each training step.
+std::size_t default_model_params() {
+    util::Rng rng(6);
+    const core::Tokenizer tok(cellular::Generation::kLte4G, 0.0, 8.0);
+    return core::CptGpt(tok, core::CptGptConfig{}, rng).num_parameters();
+}
+
+std::vector<KernelRow> run_kernel_suite() {
+    namespace k = nn::kernels;
+    std::mt19937 gen(43);
+    std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+    const auto rnd = [&](std::size_t n, float scale = 1.0f) {
+        std::vector<float> v(n);
+        for (float& x : v) x = scale * dist(gen);
+        return v;
+    };
+    std::vector<KernelRow> rows;
+    const auto tiers = util::available_simd_tiers();
+    const auto add = [&](std::string kernel, std::string shape, const std::function<void()>& run) {
+        KernelRow row{std::move(kernel), std::move(shape)};
+        for (util::SimdTier tier : tiers) {
+            const util::ScopedSimdTier guard(tier);
+            row.ns_tier[static_cast<int>(tier)] = time_ns(run);
+        }
+        std::printf("%-26s %-22s scalar %10.1f  avx2 %10.1f ns\n", row.kernel.c_str(),
+                    row.shape.c_str(), row.ns_tier[0], row.ns_tier[1]);
+        std::fflush(stdout);
+        rows.push_back(std::move(row));
+    };
+    const auto shape = [](std::size_t r, std::size_t d) {
+        return std::to_string(r) + "x" + std::to_string(d);
+    };
+
+    // Decode shapes: a batch of 8 rows of the default model (d_model 64, MLP
+    // 256, head width 16) over n cached keys.
+    {
+        const auto in = rnd(8 * 64), gain = rnd(64), bias = rnd(64);
+        std::vector<float> out(8 * 64);
+        add("layer_norm_row", "decode " + shape(8, 64), [&] {
+            k::layer_norm_rows(in.data(), out.data(), gain.data(), bias.data(), 8, 64, 1e-5f,
+                               nullptr);
+        });
+    }
+    {
+        auto y = rnd(8 * 256, 3.0f);
+        const auto bias = rnd(256);
+        add("bias_gelu_row", "decode " + shape(8, 256),
+            [&] { k::bias_gelu_rows(y.data(), bias.data(), 8, 256); });
+    }
+    for (std::size_t n : {8u, 17u, 40u, 64u, 128u}) {
+        const auto in = rnd(n, 4.0f);
+        std::vector<float> out(n);
+        add("softmax_row", "decode n=" + std::to_string(n),
+            [&] { k::softmax_row(in.data(), out.data(), n, n); });
+    }
+    for (std::size_t n : {8u, 17u, 40u, 64u, 128u}) {
+        constexpr std::size_t dh = 16;
+        const auto q = rnd(dh, 2.0f), keys = rnd(n * dh), vals = rnd(n * dh);
+        std::vector<float> scores(n), ctx(dh);
+        add("attention_head", "decode dh=16 n=" + std::to_string(n), [&] {
+            k::attention_head(q.data(), keys.data(), vals.data(), scores.data(), ctx.data(), n,
+                              dh, 0.25f);
+        });
+    }
+
+    // One training shard of the default model: 4 windows of 64 tokens, so
+    // 256 rows, 4 heads of 64x64 causal scores per window.
+    for (std::size_t d : {64u, 256u}) {
+        constexpr std::size_t r = 256;
+        const auto x = rnd(r * d, 2.0f), gain = rnd(d), bias = rnd(d), g = rnd(r * d);
+        std::vector<float> out(r * d), stats(r * 2), dx(r * d), scratch(r * d);
+        add("layer_norm_rows", "train " + shape(r, d), [&] {
+            k::layer_norm_rows(x.data(), out.data(), gain.data(), bias.data(), r, d, 1e-5f,
+                               stats.data());
+        });
+        add("layer_norm_backward_rows", "train dx " + shape(r, d), [&] {
+            k::layer_norm_backward_rows(x.data(), gain.data(), g.data(), stats.data(), dx.data(),
+                                        nullptr, nullptr, r, d);
+        });
+        auto y = x;
+        add("bias_gelu_rows", "train " + shape(r, d),
+            [&] { k::bias_gelu_rows(y.data(), bias.data(), r, d); });
+        add("bias_gelu_backward_rows", "train " + shape(r, d), [&] {
+            k::bias_gelu_backward_rows(x.data(), bias.data(), g.data(), dx.data(),
+                                       scratch.data(), r, d);
+        });
+    }
+    {
+        constexpr std::size_t mats = 16, t = 64;
+        auto y = rnd(mats * t * t, 3.0f);
+        for (std::size_t r = 0; r < mats * t; ++r) {
+            k::softmax_row(y.data() + r * t, y.data() + r * t, t, r % t + 1);
+        }
+        const auto g = rnd(mats * t * t);
+        std::vector<float> dx(mats * t * t);
+        add("softmax_backward_causal", "train " + std::to_string(mats) + "x" + shape(t, t),
+            [&] { k::softmax_backward_causal(y.data(), g.data(), dx.data(), mats, t); });
+    }
+    {
+        const std::size_t n = default_model_params();
+        auto w = rnd(n), m = rnd(n, 0.1f), v = rnd(n, 0.1f);
+        for (float& x : v) x = std::abs(x);
+        const auto g = rnd(n);
+        add("adam_update", "train n=" + std::to_string(n), [&] {
+            k::adam_update(w.data(), g.data(), m.data(), v.data(), n, 1e-3f, 0.9f, 0.999f, 1e-8f,
+                           0.01f, 0.271f, 0.003f, 0.42f);
+        });
+        double sink = 0.0;
+        add("sqnorm", "train n=" + std::to_string(n),
+            [&] { sink = k::sqnorm(g.data(), n, sink * 1e-300); });
+        benchmark::DoNotOptimize(sink);
+    }
+    return rows;
+}
+
+void write_json(const std::vector<GemmRow>& rows, const std::vector<KernelRow>& kernel_rows,
+                const char* path) {
     std::FILE* f = std::fopen(path, "w");
     if (!f) {
         std::fprintf(stderr, "bench_micro_nn: cannot write %s\n", path);
@@ -226,6 +378,15 @@ void write_json(const std::vector<GemmRow>& rows, const char* path) {
             r.gflops_tier_t1[0], r.gflops_tier_t1[1], r.gflops_tier_t1[0] / r.gflops_seed,
             r.gflops_tier_t1[1] / r.gflops_seed, r.gflops_tier_t1[best] / r.gflops_seed,
             i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"kernels\": [\n");
+    for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
+        const auto& r = kernel_rows[i];
+        std::fprintf(f,
+                     "    {\"kernel\": \"%s\", \"shape\": \"%s\", \"ns_scalar_t1\": %.1f, "
+                     "\"ns_avx2_t1\": %.1f}%s\n",
+                     r.kernel.c_str(), r.shape.c_str(), r.ns_tier[0], r.ns_tier[1],
+                     i + 1 < kernel_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -313,7 +474,9 @@ BENCHMARK(BM_CptGptSampleToken)->Arg(16)->Arg(64)->Arg(192);
 int main(int argc, char** argv) {
     std::printf("== GEMM GFLOP/s (seed naive kernels vs blocked, one thread per tier) ==\n");
     const auto rows = run_gemm_suite();
-    write_json(rows, "BENCH_micro_nn.json");
+    std::printf("== kernels, ns per call (one thread per tier) ==\n");
+    const auto kernel_rows = run_kernel_suite();
+    write_json(rows, kernel_rows, "BENCH_micro_nn.json");
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -229,6 +229,263 @@ TEST(SimdParityTest, AttentionIsBitIdenticalAcrossTiers) {
     }
 }
 
+// ---- Pinned kernel bytes -------------------------------------------------------
+// FNV-1a 64 of every non-GEMM kernel's output over a seeded grid: widths
+// 1-17, 37, 64, 100 and 256 (every 8-lane tail), attention at n 1-130 and dh
+// 8, 12, 16, 32, 64, softmax rows with +-inf, NaN and underflowing entries,
+// and sqnorm and adam_update at n 1-131 and 120003. Every input vector holds
+// exactly the elements a call may read, so asan sees any tail over-read. A
+// NaN enters the digest as one canonical pattern: its payload follows the
+// operand order of whichever op made it, which the compiler may commute.
+
+struct Fnv {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void bytes(const void* p, std::size_t n) {
+        const auto* b = static_cast<const unsigned char*>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+    void add(const std::vector<float>& v) {
+        for (float x : v) {
+            const float c = std::isnan(x) ? std::numeric_limits<float>::quiet_NaN() : x;
+            bytes(&c, sizeof c);
+        }
+    }
+    void add(double x) { bytes(&x, sizeof x); }
+};
+
+std::vector<std::size_t> pin_widths() {
+    std::vector<std::size_t> w;
+    for (std::size_t d = 1; d <= 17; ++d) w.push_back(d);
+    for (std::size_t d : {37u, 64u, 100u, 256u}) w.push_back(d);
+    return w;
+}
+
+std::vector<std::size_t> pin_lengths() {
+    std::vector<std::size_t> n;
+    for (std::size_t i = 1; i <= 131; ++i) n.push_back(i);
+    n.push_back(120003);
+    return n;
+}
+
+// Softmax outputs of random logits, one row of d per r, as the backward
+// kernels' y.
+std::vector<float> softmax_of_random(std::size_t rows, std::size_t d, std::mt19937& gen) {
+    auto y = random_floats(rows * d, gen, -3.0f, 3.0f);
+    kernels::softmax_rows(y.data(), y.data(), rows, d);
+    return y;
+}
+
+std::uint64_t pin_layer_norm_row() {
+    std::mt19937 gen(301);
+    Fnv f;
+    for (std::size_t d : pin_widths()) {
+        const auto in = random_floats(d, gen, -2.0f, 2.0f);
+        const auto gain = random_floats(d, gen, 0.5f, 1.5f);
+        const auto bias = random_floats(d, gen);
+        std::vector<float> out(d);
+        std::vector<float> stats(2);
+        kernels::layer_norm_row(in.data(), out.data(), gain.data(), bias.data(), d, 1e-5f,
+                                stats.data());
+        f.add(out);
+        f.add(stats);
+    }
+    return f.h;
+}
+
+std::uint64_t pin_add_bias_row() {
+    std::mt19937 gen(302);
+    Fnv f;
+    for (std::size_t d : pin_widths()) {
+        auto row = random_floats(d, gen);
+        const auto bias = random_floats(d, gen);
+        kernels::add_bias_row(row.data(), bias.data(), d);
+        f.add(row);
+    }
+    return f.h;
+}
+
+std::uint64_t pin_bias_gelu_row() {
+    std::mt19937 gen(303);
+    Fnv f;
+    for (std::size_t d : pin_widths()) {
+        auto row = random_floats(d, gen, -10.0f, 10.0f);
+        const auto bias = random_floats(d, gen);
+        kernels::bias_gelu_row(row.data(), bias.data(), d);
+        f.add(row);
+    }
+    return f.h;
+}
+
+std::uint64_t pin_bias_gelu_backward_row() {
+    std::mt19937 gen(304);
+    Fnv f;
+    for (std::size_t d : pin_widths()) {
+        const std::size_t rows = 2;
+        const auto x = random_floats(rows * d, gen, -10.0f, 10.0f);
+        const auto bias = random_floats(d, gen);
+        const auto g = random_floats(rows * d, gen);
+        auto dx = random_floats(rows * d, gen);
+        std::vector<float> scratch(rows * d);
+        kernels::bias_gelu_backward_rows(x.data(), bias.data(), g.data(), dx.data(),
+                                         scratch.data(), rows, d);
+        f.add(dx);
+        f.add(scratch);
+        kernels::bias_gelu_backward_rows(x.data(), bias.data(), g.data(), nullptr,
+                                         scratch.data(), rows, d);
+        f.add(scratch);
+    }
+    return f.h;
+}
+
+std::uint64_t pin_softmax_backward_row() {
+    std::mt19937 gen(305);
+    Fnv f;
+    for (std::size_t d : pin_widths()) {
+        const std::size_t rows = 2;
+        const auto y = softmax_of_random(rows, d, gen);
+        const auto g = random_floats(rows * d, gen);
+        auto dx = random_floats(rows * d, gen);
+        kernels::softmax_backward_rows(y.data(), g.data(), dx.data(), rows, d);
+        f.add(dx);
+    }
+    // Causal rows of every valid length 1..37.
+    const std::size_t t = 37;
+    auto y = random_floats(2 * t * t, gen, -3.0f, 3.0f);
+    for (std::size_t r = 0; r < 2 * t; ++r) {
+        kernels::softmax_row(y.data() + r * t, y.data() + r * t, t, r % t + 1);
+    }
+    const auto g = random_floats(2 * t * t, gen);
+    auto dx = random_floats(2 * t * t, gen);
+    kernels::softmax_backward_causal(y.data(), g.data(), dx.data(), 2, t);
+    f.add(dx);
+    return f.h;
+}
+
+std::uint64_t pin_layer_norm_backward_row() {
+    std::mt19937 gen(306);
+    Fnv f;
+    for (std::size_t d : pin_widths()) {
+        const std::size_t rows = 2;
+        const auto x = random_floats(rows * d, gen, -2.0f, 2.0f);
+        const auto gain = random_floats(d, gen, 0.5f, 1.5f);
+        const auto g = random_floats(rows * d, gen);
+        const std::vector<float> stats = {0.1f, 1.3f, -0.2f, 0.7f};
+        auto dx = random_floats(rows * d, gen);
+        kernels::layer_norm_backward_rows(x.data(), gain.data(), g.data(), stats.data(),
+                                          dx.data(), nullptr, nullptr, rows, d);
+        f.add(dx);
+    }
+    return f.h;
+}
+
+std::uint64_t pin_sqnorm() {
+    std::mt19937 gen(307);
+    Fnv f;
+    for (std::size_t n : pin_lengths()) {
+        const auto x = random_floats(n, gen, -3.0f, 3.0f);
+        f.add(kernels::sqnorm(x.data(), n, 0.75));
+    }
+    return f.h;
+}
+
+std::uint64_t pin_adam_update() {
+    std::mt19937 gen(308);
+    Fnv f;
+    for (std::size_t n : pin_lengths()) {
+        auto w = random_floats(n, gen);
+        const auto g = random_floats(n, gen);
+        auto m = random_floats(n, gen, -0.1f, 0.1f);
+        auto v = random_floats(n, gen, 0.0f, 0.1f);
+        kernels::adam_update(w.data(), g.data(), m.data(), v.data(), n, 1e-3f, 0.9f, 0.999f,
+                             1e-8f, 0.01f, 0.271f, 0.003f, 0.42f);
+        f.add(w);
+        f.add(m);
+        f.add(v);
+    }
+    return f.h;
+}
+
+std::uint64_t pin_softmax_row() {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    std::mt19937 gen(309);
+    Fnv f;
+    for (std::size_t len : pin_widths()) {
+        for (std::size_t valid : {len, len / 2, len - 1}) {
+            // Plain, then -inf and underflow (shifted values near -190, -87.5
+            // and -95), then +inf, then NaN.
+            for (int kind = 0; kind < 4; ++kind) {
+                auto in = random_floats(len, gen, -100.0f, 100.0f);
+                if (kind == 1 && len >= 4) {
+                    in[0] = 100.0f;
+                    in[1] = -90.0f;
+                    in[2] = 12.5f;
+                    in[len - 1] = -kInf;
+                }
+                if (kind == 2) in[len / 3] = kInf;
+                if (kind == 3) in[len / 2] = kNan;
+                std::vector<float> out(len, 7.0f);
+                kernels::softmax_row(in.data(), out.data(), len, valid);
+                f.add(out);
+            }
+        }
+    }
+    return f.h;
+}
+
+std::uint64_t pin_attention_head() {
+    std::mt19937 gen(310);
+    Fnv f;
+    for (std::size_t dh : {8u, 12u, 16u, 32u, 64u}) {
+        const auto q = random_floats(dh, gen, -4.0f, 4.0f);
+        const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+        for (std::size_t n = 1; n <= 130; ++n) {
+            const auto k = random_floats(n * dh, gen, -2.0f, 2.0f);
+            const auto v = random_floats(n * dh, gen);
+            std::vector<float> scores(n);
+            std::vector<float> ctx(dh, 9.0f);
+            kernels::attention_head(q.data(), k.data(), v.data(), scores.data(), ctx.data(), n,
+                                    dh, scale);
+            f.add(scores);
+            f.add(ctx);
+        }
+    }
+    return f.h;
+}
+
+// The digests are the avx2 tier's bytes.
+TEST(SimdParityTest, KernelBytesArePinned) {
+    struct Pin {
+        const char* kernel;
+        std::uint64_t (*run)();
+        std::uint64_t want;
+    };
+    const Pin pins[] = {
+        {"layer_norm_row", pin_layer_norm_row, 0x2d7a0bd2b9fdb55full},
+        {"add_bias_row", pin_add_bias_row, 0x492896715d50794bull},
+        {"bias_gelu_row", pin_bias_gelu_row, 0x42b00d8eeb24630dull},
+        {"bias_gelu_backward_row", pin_bias_gelu_backward_row, 0xc9f632d7f2370018ull},
+        {"softmax_backward_row", pin_softmax_backward_row, 0xdae28b2c278e5543ull},
+        {"layer_norm_backward_row", pin_layer_norm_backward_row, 0xde46f120b6e09434ull},
+        {"sqnorm", pin_sqnorm, 0x8a61f2bd9c0c987dull},
+        {"adam_update", pin_adam_update, 0x4928f9577eb7a6e9ull},
+        {"softmax_row", pin_softmax_row, 0x74d682cfd565255bull},
+        {"attention_head", pin_attention_head, 0xcb5bc1d417f81497ull},
+    };
+    if (!util::simd_tier_available(SimdTier::kAvx2)) GTEST_SKIP() << "no avx2 tier";
+    for (SimdTier tier : {SimdTier::kAvx2}) {
+        util::ScopedSimdTier guard(tier);
+        for (const Pin& p : pins) {
+            const std::uint64_t got = p.run();
+            EXPECT_EQ(got, p.want) << std::hex << p.kernel << " on "
+                                   << util::simd_tier_name(tier) << ": 0x" << got;
+        }
+    }
+}
+
 TEST(SimdParityTest, FusedKernelsAgreeAcrossTiers) {
     std::mt19937 gen(7);
     const std::size_t rows = 13;
