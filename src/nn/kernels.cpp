@@ -4,102 +4,155 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <iterator>
-#include <limits>
+#include <functional>
 
-#include "simd_detail.hpp"
+#include "kernels_inl.hpp"
 #include "util/cpu.hpp"
+
+namespace cpt::nn::detail {
+namespace {
+
+// The scalar tier's trait for kernels_inl.hpp: eight lanes in an array, each
+// op one IEEE operation per lane (one std::fma per lane for each fused op)
+// in the order Avx2Lanes' instructions define. Structs, not vector types, so
+// the baseline ISA passes them by value without an ABI change.
+struct Lanes8 {
+    struct Reg {
+        float v[8];
+    };
+    struct Mask {
+        bool on[8];
+    };
+    struct IReg {
+        std::uint32_t v[8];
+    };
+    struct DReg {
+        double v[4];
+    };
+    template <class F>
+    static Reg map(F f) {
+        Reg r;
+        for (std::size_t l = 0; l < 8; ++l) r.v[l] = f(l);
+        return r;
+    }
+    template <class F>
+    static Reg zip(Reg a, Reg b, F f) {
+        return map([&](auto l) { return f(a.v[l], b.v[l]); });
+    }
+    template <class F>
+    static Mask map_mask(F f) {
+        Mask m;
+        for (std::size_t l = 0; l < 8; ++l) m.on[l] = f(l);
+        return m;
+    }
+    template <class F>
+    static IReg map_int(F f) {
+        IReg r;
+        for (std::size_t l = 0; l < 8; ++l) r.v[l] = f(l);
+        return r;
+    }
+    static Reg zero() { return set1(0.0f); }
+    static Reg set1(float x) { return map([&](auto) { return x; }); }
+    static Reg load(const float* p) { return map([&](auto l) { return p[l]; }); }
+    static void store(float* p, Reg a) { std::copy_n(a.v, 8, p); }
+    static Mask mask(std::size_t count) { return map_mask([&](auto l) { return l < count; }); }
+    static Reg load_masked(const float* p, Mask m) {
+        return map([&](auto l) { return m.on[l] ? p[l] : 0.0f; });
+    }
+    static void store_masked(float* p, Reg a, Mask m) {
+        for (std::size_t l = 0; l < 8; ++l) {
+            if (m.on[l]) p[l] = a.v[l];
+        }
+    }
+    static Reg keep(Mask m, Reg a) { return map([&](auto l) { return m.on[l] ? a.v[l] : 0.0f; }); }
+    static Reg drop(Mask m, Reg a) { return map([&](auto l) { return m.on[l] ? 0.0f : a.v[l]; }); }
+    static Reg blend(Reg a, Reg b, Mask m) {
+        return map([&](auto l) { return m.on[l] ? b.v[l] : a.v[l]; });
+    }
+    static Reg add(Reg a, Reg b) { return zip(a, b, std::plus<>()); }
+    static Reg sub(Reg a, Reg b) { return zip(a, b, std::minus<>()); }
+    static Reg mul(Reg a, Reg b) { return zip(a, b, std::multiplies<>()); }
+    static Reg div(Reg a, Reg b) { return zip(a, b, std::divides<>()); }
+    static Reg sqrt(Reg a) { return map([&](auto l) { return std::sqrt(a.v[l]); }); }
+    static Reg fma(Reg a, Reg b, Reg c) {
+        return map([&](auto l) { return std::fma(a.v[l], b.v[l], c.v[l]); });
+    }
+    static Reg fnma(Reg a, Reg b, Reg c) { return fma(map([&](auto l) { return -a.v[l]; }), b, c); }
+    static Reg fms(Reg a, Reg b, Reg c) { return fma(a, b, map([&](auto l) { return -c.v[l]; })); }
+    // vminps/vmaxps: the second operand unless the first compares below/above.
+    static float min1(float x, float y) { return x < y ? x : y; }
+    static float max1(float x, float y) { return x > y ? x : y; }
+    static Reg min(Reg a, Reg b) { return zip(a, b, min1); }
+    static Reg max(Reg a, Reg b) { return zip(a, b, max1); }
+    static Mask lt(Reg a, Reg b) { return map_mask([&](auto l) { return a.v[l] < b.v[l]; }); }
+    static Reg round(Reg a) { return map([&](auto l) { return std::nearbyint(a.v[l]); }); }
+    static IReg to_int(Reg a) {
+        return map_int([&](auto l) { return static_cast<std::uint32_t>(std::int32_t(a.v[l])); });
+    }
+    static IReg bits_minus(Reg a, Reg b) {
+        return map_int([&](auto l) {
+            return std::bit_cast<std::uint32_t>(a.v[l]) - std::bit_cast<std::uint32_t>(b.v[l]);
+        });
+    }
+    static Reg pow2(IReg n) {
+        return map([&](auto l) { return std::bit_cast<float>((n.v[l] + 127u) << 23); });
+    }
+    static float hsum(Reg a) {
+        const float* l = a.v;
+        return ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+    }
+    static float hmax(Reg a) {
+        const float* l = a.v;
+        return max1(max1(max1(l[0], l[4]), max1(l[2], l[6])),
+                    max1(max1(l[1], l[5]), max1(l[3], l[7])));
+    }
+    static Reg sum_keys(const Reg* acc) {
+        return map([&](auto j) {
+            const float* a = acc[j].v;
+            return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+        });
+    }
+    static DReg dzero() { return {}; }
+    static DReg widen_lo(Reg a) { return {a.v[0], a.v[1], a.v[2], a.v[3]}; }
+    static DReg widen_hi(Reg a) { return {a.v[4], a.v[5], a.v[6], a.v[7]}; }
+    static DReg dadd(DReg a, DReg b) {
+        return {a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2], a.v[3] + b.v[3]};
+    }
+    static DReg dfma(DReg a, DReg b, DReg c) {
+        DReg r;
+        for (std::size_t l = 0; l < 4; ++l) r.v[l] = std::fma(a.v[l], b.v[l], c.v[l]);
+        return r;
+    }
+    static double dhsum(DReg a) { return (a.v[0] + a.v[2]) + (a.v[1] + a.v[3]); }
+};
+
+}  // namespace
+}  // namespace cpt::nn::detail
 
 namespace cpt::nn::kernels {
 
 namespace {
 
-using util::SimdTier;
+// The active tier's kernels: the avx2 set or the same bodies over Lanes8.
+const detail::KernelSet& tier_kernels() {
+    static constexpr detail::KernelSet kScalar = detail::kernel_set<detail::Lanes8>();
+    return util::active_simd_tier() == util::SimdTier::kAvx2 ? detail::kernels_avx2() : kScalar;
+}
 
 }  // namespace
 
 float exp_addmul(float x) {
-    if (x < kExpMin) return 0.0f;
-    if (std::isnan(x)) return x;
-    x = kExpMax < x ? kExpMax : x;
-    const float t = x * kExpLog2e + kExpRound;
-    const float n = t - kExpRound;
-    float r = x - n * kExpLn2Hi;
-    r = r - n * kExpLn2Lo;
-    float p = kExpPoly[0];
-    for (std::size_t c = 1; c < std::size(kExpPoly); ++c) p = p * r + kExpPoly[c];
-    p = (p * (r * r) + r) + 1.0f;
-    // t's low mantissa bits hold n; n + 127 in the exponent field is 2^n.
-    const std::int32_t ni =
-        std::bit_cast<std::int32_t>(t) - std::bit_cast<std::int32_t>(kExpRound);
-    return p * std::bit_cast<float>(static_cast<std::uint32_t>(ni + 127) << 23);
+    using detail::Lanes8;
+    return detail::exp_addmul<Lanes8>(Lanes8::set1(x)).v[0];
 }
-
-namespace {
-
-// The scalar tier's form of softmax_row's exp and normaliser: e_j into out,
-// eight lane partials, then hsum8's tree. Returns the total.
-float exp_shifted_sum(const float* in, float* out, std::size_t n, float mx) {
-    float lanes[8] = {};
-    for (std::size_t j = 0; j < n; ++j) {
-        const float e = exp_addmul(in[j] - mx);
-        out[j] = e;
-        lanes[j % 8] = lanes[j % 8] + e;
-    }
-    return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
-           ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
-}
-
-// attention_head's order (kernels.hpp), one lane at a time.
-void attention_head_scalar(const float* q, const float* krows, const float* vrows, float* scores,
-                           float* ctx, std::size_t n, std::size_t dh, float scale) {
-    float mx = -std::numeric_limits<float>::infinity();
-    for (std::size_t p = 0; p < n; ++p) {
-        const float* k = krows + p * dh;
-        float lanes[8] = {};
-        for (std::size_t c = 0; c < dh; c += 8) {
-            for (std::size_t l = 0; l < 8; ++l) {
-                const std::size_t i = c + l;
-                const float prod = i < dh ? q[i] * k[i] : 0.0f;
-                lanes[l] = c == 0 ? prod : lanes[l] + prod;
-            }
-        }
-        const float s = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-                        ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-        scores[p] = s * scale;
-        mx = std::max(mx, scores[p]);
-    }
-    const float total = exp_shifted_sum(scores, scores, n, mx);
-    const float inv = total > 0.0f ? 1.0f / total : 0.0f;
-    std::fill_n(ctx, dh, 0.0f);
-    for (std::size_t p = 0; p < n; ++p) {
-        const float w = scores[p] * inv;
-        const float* v = vrows + p * dh;
-        for (std::size_t i = 0; i < dh; ++i) ctx[i] = ctx[i] + w * v[i];
-    }
-}
-
-}  // namespace
 
 void attention_head(const float* q, const float* krows, const float* vrows, float* scores,
                     float* ctx, std::size_t n, std::size_t dh, float scale) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::attention_head_avx2(q, krows, vrows, scores, ctx, n, dh, scale);
-        return;
-    }
-    attention_head_scalar(q, krows, vrows, scores, ctx, n, dh, scale);
+    tier_kernels().attention_head(q, krows, vrows, scores, ctx, n, dh, scale);
 }
 
 void softmax_row(const float* in, float* out, std::size_t len, std::size_t valid) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::softmax_row_avx2(in, out, valid);
-    } else {
-        float mx = -std::numeric_limits<float>::infinity();
-        for (std::size_t j = 0; j < valid; ++j) mx = std::max(mx, in[j]);
-        const float total = exp_shifted_sum(in, out, valid, mx);
-        const float inv = total > 0.0f ? 1.0f / total : 0.0f;
-        for (std::size_t j = 0; j < valid; ++j) out[j] = out[j] * inv;
-    }
+    tier_kernels().softmax_row(in, out, valid);
     for (std::size_t j = valid; j < len; ++j) out[j] = 0.0f;
 }
 
@@ -109,22 +162,7 @@ void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d) 
 
 void layer_norm_row(const float* in, float* out, const float* gain, const float* bias,
                     std::size_t d, float eps, float* stats2) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::layer_norm_row_avx2(in, out, gain, bias, d, eps, stats2);
-        return;
-    }
-    float mean = 0.0f;
-    for (std::size_t j = 0; j < d; ++j) mean += in[j];
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (std::size_t j = 0; j < d; ++j) var += (in[j] - mean) * (in[j] - mean);
-    var /= static_cast<float>(d);
-    const float inv = 1.0f / std::sqrt(var + eps);
-    if (stats2 != nullptr) {
-        stats2[0] = mean;
-        stats2[1] = inv;
-    }
-    for (std::size_t j = 0; j < d; ++j) out[j] = (in[j] - mean) * inv * gain[j] + bias[j];
+    tier_kernels().layer_norm_row(in, out, gain, bias, d, eps, stats2);
 }
 
 void layer_norm_rows(const float* in, float* out, const float* gain, const float* bias,
@@ -140,11 +178,7 @@ void fill_bias_rows(float* y, const float* bias, std::size_t rows, std::size_t d
 }
 
 void add_bias_row(float* row, const float* bias, std::size_t d) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::add_bias_row_avx2(row, bias, d);
-        return;
-    }
-    for (std::size_t j = 0; j < d; ++j) row[j] += bias[j];
+    tier_kernels().add_bias_row(row, bias, d);
 }
 
 void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t d) {
@@ -152,11 +186,7 @@ void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t 
 }
 
 void bias_gelu_row(float* row, const float* bias, std::size_t d) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::bias_gelu_row_avx2(row, bias, d);
-        return;
-    }
-    for (std::size_t j = 0; j < d; ++j) row[j] = gelu_scalar(row[j] + bias[j]);
+    tier_kernels().bias_gelu_row(row, bias, d);
 }
 
 void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d) {
@@ -171,34 +201,19 @@ void softmax_backward_row_ref(const float* y, const float* g, float* dx, std::si
     for (std::size_t j = 0; j < valid; ++j) dx[j] += y[j] * (g[j] - dot);
 }
 
-namespace {
-
-inline void softmax_backward_row(const float* y, const float* g, float* dx, std::size_t valid,
-                                 bool avx2) {
-    if (avx2 && valid >= 8) {
-        detail::softmax_backward_row_avx2(y, g, dx, valid);
-    } else {
-        softmax_backward_row_ref(y, g, dx, valid);
-    }
-}
-
-}  // namespace
-
 void softmax_backward_rows(const float* y, const float* g, float* dx, std::size_t rows,
                            std::size_t d) {
-    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
-    for (std::size_t r = 0; r < rows; ++r) {
-        softmax_backward_row(y + r * d, g + r * d, dx + r * d, d, avx2);
-    }
+    const auto row = tier_kernels().softmax_backward_row;
+    for (std::size_t r = 0; r < rows; ++r) row(y + r * d, g + r * d, dx + r * d, d);
 }
 
 void softmax_backward_causal(const float* y, const float* g, float* dx, std::size_t mats,
                              std::size_t t) {
-    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
+    const auto row = tier_kernels().softmax_backward_row;
     for (std::size_t m = 0; m < mats; ++m) {
         for (std::size_t r = 0; r < t; ++r) {
             const std::size_t off = (m * t + r) * t;
-            softmax_backward_row(y + off, g + off, dx + off, r + 1, avx2);
+            row(y + off, g + off, dx + off, r + 1);
         }
     }
 }
@@ -255,17 +270,10 @@ void layer_norm_backward_row_ref(const float* x, const float* gain, const float*
 void layer_norm_backward_rows(const float* x, const float* gain, const float* g,
                               const float* stats2, float* dx, float* dgain, float* dbias,
                               std::size_t rows, std::size_t d) {
-    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
     if (dx != nullptr) {
+        const auto row = tier_kernels().layer_norm_backward_row;
         for (std::size_t r = 0; r < rows; ++r) {
-            if (avx2) {
-                detail::layer_norm_backward_row_avx2(x + r * d, gain, g + r * d,
-                                                     stats2[r * 2], stats2[r * 2 + 1],
-                                                     dx + r * d, d);
-            } else {
-                layer_norm_backward_row_ref(x + r * d, gain, g + r * d, stats2[r * 2],
-                                            stats2[r * 2 + 1], dx + r * d, d);
-            }
+            row(x + r * d, gain, g + r * d, stats2[r * 2], stats2[r * 2 + 1], dx + r * d, d);
         }
     }
     if (dgain == nullptr && dbias == nullptr) return;
@@ -298,36 +306,16 @@ void col_sum_rows(const float* src, float* dst, std::size_t rows, std::size_t d)
 
 void bias_gelu_backward_rows(const float* x, const float* bias, const float* g, float* dx,
                              float* scratch, std::size_t rows, std::size_t d) {
-    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
+    const auto row = tier_kernels().bias_gelu_backward_row;
     for (std::size_t r = 0; r < rows; ++r) {
-        const float* xrow = x + r * d;
-        const float* grow = g + r * d;
-        float* srow = scratch + r * d;
-        if (avx2) {
-            detail::bias_gelu_backward_row_avx2(xrow, bias, grow,
-                                                dx != nullptr ? dx + r * d : nullptr, srow, d);
-        } else if (dx != nullptr) {
-            float* dxrow = dx + r * d;
-            for (std::size_t j = 0; j < d; ++j) {
-                const float t = grow[j] * gelu_grad_scalar(xrow[j] + bias[j]);
-                srow[j] = t;
-                dxrow[j] += t;
-            }
-        } else {
-            for (std::size_t j = 0; j < d; ++j) {
-                srow[j] = grow[j] * gelu_grad_scalar(xrow[j] + bias[j]);
-            }
-        }
+        row(x + r * d, bias, g + r * d, dx != nullptr ? dx + r * d : nullptr, scratch + r * d, d);
     }
 }
 
 // ---- Optimizer kernels --------------------------------------------------------
 
 double sqnorm(const float* x, std::size_t n, double carry) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) return carry + detail::sqnorm_avx2(x, n);
-    double s = carry;
-    for (std::size_t i = 0; i < n; ++i) s += static_cast<double>(x[i]) * x[i];
-    return s;
+    return carry + tier_kernels().sqnorm(x, n);
 }
 
 void adam_update_ref(float* w, const float* g, float* m, float* v, std::size_t n, float lr,
@@ -346,12 +334,8 @@ void adam_update_ref(float* w, const float* g, float* m, float* v, std::size_t n
 void adam_update(float* w, const float* g, float* m, float* v, std::size_t n, float lr,
                  float beta1, float beta2, float eps, float weight_decay, float bc1, float bc2,
                  float gscale) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::adam_update_avx2(w, g, m, v, n, lr, beta1, beta2, eps, weight_decay, bc1, bc2,
-                                 gscale);
-        return;
-    }
-    adam_update_ref(w, g, m, v, n, lr, beta1, beta2, eps, weight_decay, bc1, bc2, gscale);
+    tier_kernels().adam_update(w, g, m, v, n, lr, beta1, beta2, eps, weight_decay, bc1, bc2,
+                               gscale);
 }
 
 }  // namespace cpt::nn::kernels

@@ -1,18 +1,15 @@
 // Fused elementwise kernels shared by the autograd forward pass (autograd.cpp,
 // modules.cpp) and the inference decoder (infer.cpp), dispatched on the active
 // SIMD tier (util/cpu.hpp). Keeping one implementation per op is what makes
-// the decoder-vs-forward equivalence tests tight and the tier parity tests
-// meaningful. Every kernel runs on its caller's thread: training parallelism
-// is the trainer's data-parallel shards, decode parallelism the sampler lanes
-// and serve engines.
+// the decoder-vs-forward equivalence tests tight. Every kernel runs on its
+// caller's thread: training parallelism is the trainer's data-parallel
+// shards, decode parallelism the sampler lanes and serve engines.
 //
-// Numerics: softmax and decode attention follow one defined operation order
-// on every tier and give the same bits on scalar and avx2 (the block below).
-// For the other kernels the scalar tier performs the exact per-element
-// operation order the pre-dispatch code performed, while the avx2 tier may
-// reassociate reductions, use FMA, and evaluate GELU through a vectorised
-// exp; within that tier results are still a pure function of (element
-// index, shape).
+// Numerics: every kernel gives the same bits on scalar and avx2. Both tiers
+// run one body (kernels_inl.hpp) eight lanes wide: IEEE operations rounded
+// one by one, fused multiply-adds only where the body writes them, and
+// reductions in fixed trees. The bits are a pure function of (element index,
+// shape).
 #pragma once
 
 #include <cmath>
@@ -20,8 +17,8 @@
 
 namespace cpt::nn::kernels {
 
-// GELU (tanh approximation) — the single definition of the activation's math,
-// used by the autograd op, the fused bias+GELU kernel, and the decoder.
+// GELU (tanh approximation): the autograd gelu op and the tests' reference.
+// The fused bias+GELU kernels evaluate it as x * sigmoid(2u) through an exp.
 inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 inline constexpr float kGeluA = 0.044715f;
 
@@ -37,12 +34,7 @@ inline float gelu_grad_scalar(float x) {
     return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
 }
 
-// ---- Attention and softmax: one operation order on every tier ---------------
-// The kernels in this block give the same bits on scalar and avx2. Every step
-// is a fixed sequence of IEEE adds and multiplies (each correctly rounded, no
-// FMA), which the avx2 tier runs eight lanes wide and the scalar tier runs
-// one lane at a time; both translation units build with -ffp-contract=off so
-// the compiler cannot fuse a multiply into the add after it.
+// ---- Attention and softmax: adds and multiplies only -------------------------
 
 // The exp polynomial: n = round(x log2 e) by adding and subtracting 1.5 * 2^23,
 // r = (x - n ln2_hi) - n ln2_lo, p = ((((c0 r + c1) r + c2) r + c3) r + c4) r
@@ -58,15 +50,14 @@ inline constexpr float kExpLn2Hi = 0.693359375f;
 inline constexpr float kExpLn2Lo = -2.12194440e-4f;
 inline constexpr float kExpPoly[6] = {1.9875691500e-4f, 1.3981999507e-3f, 8.3334519073e-3f,
                                       4.1665795894e-2f, 1.6666665459e-1f, 5.0000001201e-1f};
-// The scalar form of that exp (the avx2 tier evaluates the same sequence per
-// lane). Out of line, so every caller gets the uncontracted code.
+// That exp on one value (softmax and attention run it eight lanes wide).
 float exp_addmul(float x);
 
 // Stable softmax over the first `valid` of `len` entries; entries past
 // `valid` are zeroed, and in == out aliasing is allowed. Order: mx = max of
 // the entries (NaN entries are skipped); e_j = exp_addmul(in_j - mx); the
 // normaliser sums e_j into eight lane partials (lane j mod 8, ascending j,
-// each from +0) and adds the partials as hsum8 does,
+// each from +0) and adds the partials as
 // ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)); out_j = e_j * (1 / total),
 // or 0 when total is not positive. A NaN entry yields NaN there and 0
 // elsewhere.
@@ -93,9 +84,8 @@ void layer_norm_row(const float* in, float* out, const float* gain, const float*
                     std::size_t d, float eps, float* stats2);
 // row[j] += bias[j].
 void add_bias_row(float* row, const float* bias, std::size_t d);
-// Fused epilogue for fc1: row[j] = gelu(row[j] + bias[j]). gelu_scalar bit
-// for bit on scalar; on avx2 an 8-wide x * sigmoid(2u) with a
-// vectorised exp, within 1e-6 of gelu_scalar (pinned over [-10, 10]).
+// Fused epilogue for fc1: row[j] = gelu(row[j] + bias[j]), x * sigmoid(2u)
+// through an 8-lane exp, within 1e-6 of gelu_scalar (pinned over [-10, 10]).
 void bias_gelu_row(float* row, const float* bias, std::size_t d);
 // y[r,:] = bias (GEMM-accumulate prologue for the decode linear layers).
 void fill_bias_rows(float* y, const float* bias, std::size_t rows, std::size_t d);
@@ -109,8 +99,8 @@ void add_bias_rows(float* dst, const float* bias, std::size_t rows, std::size_t 
 void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d);
 
 // ---- Backward kernels (training path) ----------------------------------------
-// Each dispatched kernel keeps a scalar reference (*_ref) beside it, like the
-// gemm_*_ref kernels, pinned by tests/nn_train_kernels_test.cpp. Reductions
+// A serial *_ref beside a kernel is its test oracle
+// (tests/nn_train_kernels_test.cpp); the kernel stays within tolerance. Reductions
 // that cross rows (bias-style gradients) accumulate each column in ascending
 // row order.
 
@@ -160,17 +150,15 @@ void col_sum_rows(const float* src, float* dst, std::size_t rows, std::size_t d)
 // Fused bias+GELU backward: recomputes u = x[r,j] + bias[j] (no stored
 // pre-activation), writes t = g[r,j] * gelu'(u) into scratch [rows, d] and
 // accumulates dx[r,j] += t (dx may be null). The caller reduces scratch with
-// col_sum_rows for dbias. avx2 uses the forward's sigmoid form (within 1e-4
+// col_sum_rows for dbias. Uses the forward's sigmoid form (within 1e-4
 // relative of gelu_grad_scalar).
 void bias_gelu_backward_rows(const float* x, const float* bias, const float* g, float* dx,
                              float* scratch, std::size_t rows, std::size_t d);
 
 // ---- Optimizer kernels --------------------------------------------------------
 
-// carry + sum(x[i]^2) with double-precision ascending accumulation on the
-// scalar tier — chaining calls over parameter tensors reproduces the
-// historical clip_grad_norm loop bit-for-bit. avx2 uses four double lanes
-// with a fixed combine order (tolerance vs the reference).
+// carry + sum(x[i]^2) in double: 8-element blocks into two 4-lane
+// accumulators combined in a fixed tree, then the tail, then the carry.
 double sqnorm(const float* x, std::size_t n, double carry = 0.0);
 
 // Fused Adam/AdamW update over one parameter segment; single pass, with the
@@ -179,8 +167,7 @@ double sqnorm(const float* x, std::size_t n, double carry = 0.0);
 //   m[j] = beta1*m[j] + (1-beta1)*g'
 //   v[j] = beta2*v[j] + (1-beta2)*g'*g'
 //   w[j] -= lr * ((m[j]/bc1) / (sqrt(v[j]/bc2) + eps) + weight_decay*w[j])
-// On scalar this is bit-identical to scaling the gradient in place and
-// running the historical per-element Adam loop.
+// Bit-identical to scaling the gradient first and passing gscale = 1.
 void adam_update(float* w, const float* g, float* m, float* v, std::size_t n, float lr,
                  float beta1, float beta2, float eps, float weight_decay, float bc1, float bc2,
                  float gscale);
