@@ -1,7 +1,6 @@
 #include "trace_lint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "trace/columnar.hpp"
@@ -43,28 +42,6 @@ FirstOffender locate_first_offender(const cellular::StateMachine& m,
     // The caller only asks for streams the replayer reported as violating.
     CPT_CHECK(false, "locate_first_offender: stream ", ue_id,
               " has no violation on re-walk (replayer disagreement)");
-}
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
 }
 
 }  // namespace
@@ -176,23 +153,23 @@ std::string TraceLintReport::to_json() const {
     for (std::size_t i = 0; i < cats.size(); ++i) {
         if (i) out << ",";
         out << "{\"state\":\"" << to_string(cats[i].state) << "\",\"event\":\""
-            << json_escape(vocab.name(cats[i].event)) << "\",\"count\":" << cats[i].count
+            << util::json_escape(vocab.name(cats[i].event)) << "\",\"count\":" << cats[i].count
             << ",\"event_fraction\":" << cats[i].event_fraction << "}";
     }
     out << "]";
     if (first_offender) {
         const auto& f = *first_offender;
         out << ",\"first_offender\":{\"stream_index\":" << f.stream_index << ",\"ue_id\":\""
-            << json_escape(f.ue_id) << "\",\"event_index\":" << f.event_index
+            << util::json_escape(f.ue_id) << "\",\"event_index\":" << f.event_index
             << ",\"timestamp\":" << f.timestamp << ",\"state\":\"" << to_string(f.state)
-            << "\",\"event\":\"" << json_escape(vocab.name(f.event)) << "\"}";
+            << "\",\"event\":\"" << util::json_escape(vocab.name(f.event)) << "\"}";
     }
     if (!per_ue.empty()) {
         out << ",\"per_ue\":[";
         for (std::size_t i = 0; i < per_ue.size(); ++i) {
             const auto& u = per_ue[i];
             if (i) out << ",";
-            out << "{\"ue_id\":\"" << json_escape(u.ue_id) << "\",\"events\":" << u.events
+            out << "{\"ue_id\":\"" << util::json_escape(u.ue_id) << "\",\"events\":" << u.events
                 << ",\"counted_events\":" << u.counted_events
                 << ",\"violations\":" << u.violations
                 << ",\"bootstrapped\":" << (u.bootstrapped ? "true" : "false") << "}";

@@ -154,6 +154,11 @@ TEST(TraceLintTest, JsonCarriesCountsAndOffender) {
           "\"ue_id\":\"ue-dirty\"", "\"top_categories\"", "\"S1_REL_S\""}) {
         EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n" << json;
     }
+    // A control character in a UE id is escaped (util::json_escape).
+    auto odd = two_stream_dataset();
+    odd.streams[1].ue_id = "ue-\r\x01" "dirty";
+    const std::string odd_json = TraceLinter(odd.generation).lint(odd).to_json();
+    EXPECT_NE(odd_json.find("\"ue_id\":\"ue-\\r\\u0001dirty\""), std::string::npos) << odd_json;
 }
 
 }  // namespace
