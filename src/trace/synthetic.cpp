@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <functional>
+#include <limits>
 #include <numbers>
 
 #include "columnar.hpp"
@@ -368,41 +369,64 @@ Stream SyntheticWorldGenerator::generate_stream(DeviceType d, const std::string&
     return stream;
 }
 
+namespace {
+
+// The world's streams in UE order, `chunk_ues` UEs at a time: fork the
+// chunk's RNGs serially (salt = absolute UE index, so the parent RNG sees one
+// fixed mutation sequence whatever the chunk size), generate on the pool,
+// then hand the kept streams (two events or more) to `sink` in UE order.
+// Peak memory is O(chunk_ues); the output is bit-identical for every thread
+// count and chunk size. Returns the number of kept streams.
+std::size_t generate_chunks(const SyntheticWorldGenerator& gen, std::size_t chunk_ues,
+                            const std::function<void(Stream&&)>& sink) {
+    const SyntheticWorldConfig& config = gen.config();
+    util::Rng rng(config.seed ^
+                  (0x5bd1e995ULL * static_cast<std::uint64_t>(config.hour_of_day + 1)));
+    // Populations are laid out device-major: UE i has the device d with
+    // cum[d] <= i < cum[d + 1].
+    std::array<std::size_t, kNumDeviceTypes + 1> cum{};
+    for (std::size_t d = 0; d < kNumDeviceTypes; ++d) cum[d + 1] = cum[d] + config.population[d];
+    const std::size_t total = cum[kNumDeviceTypes];
+    const auto device_of = [&](std::size_t i) {
+        std::size_t d = 0;
+        while (i >= cum[d + 1]) ++d;
+        return static_cast<DeviceType>(d);
+    };
+
+    std::size_t kept = 0;
+    std::vector<util::Rng> rngs;
+    std::vector<Stream> streams;
+    rngs.reserve(std::min(chunk_ues, total));
+    for (std::size_t base = 0; base < total;) {
+        const std::size_t n = std::min(chunk_ues, total - base);
+        rngs.clear();
+        for (std::size_t i = 0; i < n; ++i) rngs.push_back(rng.fork(base + i));
+        streams.resize(n);
+        util::global_pool().parallel_for(n, 1, [&](std::size_t i0, std::size_t i1) {
+            for (std::size_t i = i0; i < i1; ++i) {
+                streams[i] = gen.generate_stream(device_of(base + i), ue_id("ue", base + i),
+                                                 rngs[i]);
+            }
+        });
+        for (auto& st : streams) {
+            if (st.events.size() >= 2) {
+                sink(std::move(st));
+                ++kept;
+            }
+        }
+        base += n;
+    }
+    return kept;
+}
+
+}  // namespace
+
 Dataset SyntheticWorldGenerator::generate() const {
     Dataset ds;
     ds.generation = config_.generation;
-    util::Rng rng(config_.seed ^ (0x5bd1e995ULL * static_cast<std::uint64_t>(config_.hour_of_day + 1)));
-
-    // Fork one RNG per UE serially (fork() mutates the parent, so the fork
-    // order must stay fixed), then generate streams in parallel into
-    // preallocated slots and filter in serial order. This is bit-identical to
-    // the sequential loop for every thread count.
-    struct Job {
-        DeviceType device;
-        util::Rng rng;
-    };
-    std::size_t total = 0;
-    for (std::size_t d = 0; d < kNumDeviceTypes; ++d) total += config_.population[d];
-    std::vector<Job> jobs;
-    jobs.reserve(total);
-    for (std::size_t d = 0; d < kNumDeviceTypes; ++d) {
-        const auto device = static_cast<DeviceType>(d);
-        for (std::size_t i = 0; i < config_.population[d]; ++i) {
-            jobs.push_back({device, rng.fork(jobs.size())});
-        }
-    }
-
-    std::vector<Stream> streams(total);
-    util::global_pool().parallel_for(total, 1, [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            char id[32];
-            std::snprintf(id, sizeof(id), "ue-%06zu", i);
-            streams[i] = generate_stream(jobs[i].device, id, jobs[i].rng);
-        }
-    });
-    for (auto& s : streams) {
-        if (s.events.size() >= 2) ds.streams.push_back(std::move(s));
-    }
+    // The whole population in one chunk.
+    generate_chunks(*this, std::numeric_limits<std::size_t>::max(),
+                    [&](Stream&& st) { ds.streams.push_back(std::move(st)); });
     return ds;
 }
 
@@ -411,48 +435,8 @@ std::size_t SyntheticWorldGenerator::generate_to(ColumnarWriter& writer,
     CPT_CHECK_GE(chunk_ues, std::size_t{1}, " generate_to: chunk_ues must be >= 1");
     CPT_CHECK(writer.generation() == config_.generation,
               "generate_to: writer generation does not match the configured generation");
-    util::Rng rng(config_.seed ^
-                  (0x5bd1e995ULL * static_cast<std::uint64_t>(config_.hour_of_day + 1)));
-
-    // Device of UE i: populations are laid out device-major, exactly as in
-    // generate()'s jobs vector.
-    std::array<std::size_t, kNumDeviceTypes + 1> cum{};
-    for (std::size_t d = 0; d < kNumDeviceTypes; ++d) cum[d + 1] = cum[d] + config_.population[d];
-    const std::size_t total = cum[kNumDeviceTypes];
-    const auto device_of = [&](std::size_t i) {
-        std::size_t d = 0;
-        while (i >= cum[d + 1]) ++d;
-        return static_cast<DeviceType>(d);
-    };
-
-    // Chunk-by-chunk: fork this chunk's RNGs serially (salt = absolute UE
-    // index, so the parent RNG sees the same mutation sequence as generate()'s
-    // single pre-fork loop), generate on the pool, append kept streams in
-    // serial UE order. Peak memory is O(chunk_ues), not O(total).
-    std::size_t kept = 0;
-    std::vector<util::Rng> rngs;
-    std::vector<Stream> streams;
-    rngs.reserve(std::min(chunk_ues, total));
-    for (std::size_t base = 0; base < total; base += chunk_ues) {
-        const std::size_t n = std::min(chunk_ues, total - base);
-        rngs.clear();
-        for (std::size_t i = 0; i < n; ++i) rngs.push_back(rng.fork(base + i));
-        streams.resize(n);
-        util::global_pool().parallel_for(n, 1, [&](std::size_t i0, std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i) {
-                char id[32];
-                std::snprintf(id, sizeof(id), "ue-%06zu", base + i);
-                streams[i] = generate_stream(device_of(base + i), id, rngs[i]);
-            }
-        });
-        for (auto& s : streams) {
-            if (s.events.size() >= 2) {
-                writer.append(std::move(s));
-                ++kept;
-            }
-        }
-    }
-    return kept;
+    return generate_chunks(*this, chunk_ues,
+                           [&](Stream&& st) { writer.append(std::move(st)); });
 }
 
 std::vector<Dataset> SyntheticWorldGenerator::generate_hours(int hours) const {
