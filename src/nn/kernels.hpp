@@ -35,13 +35,14 @@ inline float gelu_grad_scalar(float x) {
 }
 
 // ---- Attention and softmax: adds and multiplies only -------------------------
+// The operation orders are DESIGN.md §9's.
 
 // The exp polynomial: n = round(x log2 e) by adding and subtracting 1.5 * 2^23,
 // r = (x - n ln2_hi) - n ln2_lo, p = ((((c0 r + c1) r + c2) r + c3) r + c4) r
 // + c5, exp(r) = (p r^2 + r) + 1, scaled by 2^n through the exponent bits.
 // Inputs below kExpMin give exactly 0 (so -inf gives 0), inputs above kExpMax
 // saturate at exp(kExpMax), NaN gives NaN and exp(0) == 1. The result is
-// never subnormal.
+// never subnormal. GELU's exp shares the constants but rounds n and fuses.
 inline constexpr float kExpMin = -87.3f;
 inline constexpr float kExpMax = 88.3f;
 inline constexpr float kExpLog2e = 1.44269504088896341f;
@@ -54,26 +55,16 @@ inline constexpr float kExpPoly[6] = {1.9875691500e-4f, 1.3981999507e-3f, 8.3334
 float exp_addmul(float x);
 
 // Stable softmax over the first `valid` of `len` entries; entries past
-// `valid` are zeroed, and in == out aliasing is allowed. Order: mx = max of
-// the entries (NaN entries are skipped); e_j = exp_addmul(in_j - mx); the
-// normaliser sums e_j into eight lane partials (lane j mod 8, ascending j,
-// each from +0) and adds the partials as
-// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)); out_j = e_j * (1 / total),
-// or 0 when total is not positive. A NaN entry yields NaN there and 0
-// elsewhere.
+// `valid` are zeroed, and in == out aliasing is allowed. out_j =
+// exp_addmul(in_j - max) * (1 / total), or 0 when total is not positive; the
+// max skips NaN entries, so a NaN entry yields NaN there and 0 elsewhere.
 void softmax_row(const float* in, float* out, std::size_t len, std::size_t valid);
 // Softmax over [rows, d] (full rows valid).
 void softmax_rows(const float* in, float* out, std::size_t rows, std::size_t d);
 
 // One decode attention head over n cached keys: ctx[0, dh) = sum_p w_p v_p
 // with w = softmax(scale * q . k_p), K and V rows of dh elements, contiguous.
-// `scores` is caller scratch of n floats. Order:
-//   scores: lane l of key p sums q_i * k_i over i = l (mod 8) in ascending i,
-//     the first product as is and each later one added (i >= dh contributes
-//     0 * 0); the eight lanes reduce as ((l0 + l1) + (l2 + l3)) + ((l4 + l5)
-//     + (l6 + l7)), and the sum is multiplied by `scale`;
-//   softmax: softmax_row's order over the n scores;
-//   mix: ctx_i = +0, then ctx_i = ctx_i + w_p * v_p,i in ascending p.
+// `scores` is caller scratch of n floats.
 void attention_head(const float* q, const float* krows, const float* vrows, float* scores,
                     float* ctx, std::size_t n, std::size_t dh, float scale);
 

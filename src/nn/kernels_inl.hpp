@@ -298,8 +298,11 @@ void softmax_backward_row(const float* y, const float* g, float* dx, std::size_t
 }
 
 // ---- Decode attention --------------------------------------------------------------
-// The order of kernels::attention_head. Key and head tails go through masked
-// loads and stores or lanes assembled in a register.
+// Scores: lane l of key p sums q_i * k_i over i = l (mod 8) in ascending i,
+// the first product as is (i >= dh gives 0 * 0); sum_keys reduces the lanes
+// and the sum is multiplied by the scale. Then softmax_row's exp and
+// normaliser, and the mix: ctx_i = +0, then ctx_i + w_p * v_p,i in ascending
+// p. Key and head tails go through masked loads and stores.
 
 // Eight keys' scores before the scale, key j's row at k + j * C * 8 (C whole
 // vectors per row): the keys of one block are consecutive cache rows, so
