@@ -3,10 +3,11 @@
 // binary support, overridable with CPT_SIMD=scalar|avx2 — and logged on first
 // use so a generation run records which kernels produced it.
 //
-// Determinism contract (see DESIGN.md "SIMD dispatch"): within a fixed tier,
-// every kernel performs identical per-element arithmetic regardless of thread
-// count, so generation output is byte-stable across CPT_THREADS. Changing the
-// tier may change low-order bits (AVX2 uses FMA and wider reductions).
+// Determinism contract (see DESIGN.md §9): within a fixed tier, every kernel
+// performs identical per-element arithmetic regardless of thread count, so
+// generation output is byte-stable across CPT_THREADS. Changing the tier
+// changes only the GEMMs' low-order bits (avx2 fuses each multiply-add into
+// one FMA rounding); every other kernel gives the same bits on every tier.
 #pragma once
 
 #include <cstddef>
