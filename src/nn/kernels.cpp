@@ -21,7 +21,7 @@ struct Lanes8 {
         float v[8];
     };
     struct Mask {
-        bool on[8];
+        bool v[8];
     };
     struct IReg {
         std::uint32_t v[8];
@@ -29,9 +29,10 @@ struct Lanes8 {
     struct DReg {
         double v[4];
     };
-    template <class F>
-    static Reg map(F f) {
-        Reg r;
+    // Lane l of the result is f(l).
+    template <class R = Reg, class F>
+    static R map(F f) {
+        R r;
         for (std::size_t l = 0; l < 8; ++l) r.v[l] = f(l);
         return r;
     }
@@ -39,35 +40,23 @@ struct Lanes8 {
     static Reg zip(Reg a, Reg b, F f) {
         return map([&](auto l) { return f(a.v[l], b.v[l]); });
     }
-    template <class F>
-    static Mask map_mask(F f) {
-        Mask m;
-        for (std::size_t l = 0; l < 8; ++l) m.on[l] = f(l);
-        return m;
-    }
-    template <class F>
-    static IReg map_int(F f) {
-        IReg r;
-        for (std::size_t l = 0; l < 8; ++l) r.v[l] = f(l);
-        return r;
-    }
     static Reg zero() { return set1(0.0f); }
     static Reg set1(float x) { return map([&](auto) { return x; }); }
     static Reg load(const float* p) { return map([&](auto l) { return p[l]; }); }
     static void store(float* p, Reg a) { std::copy_n(a.v, 8, p); }
-    static Mask mask(std::size_t count) { return map_mask([&](auto l) { return l < count; }); }
+    static Mask mask(std::size_t count) { return map<Mask>([&](auto l) { return l < count; }); }
     static Reg load_masked(const float* p, Mask m) {
-        return map([&](auto l) { return m.on[l] ? p[l] : 0.0f; });
+        return map([&](auto l) { return m.v[l] ? p[l] : 0.0f; });
     }
     static void store_masked(float* p, Reg a, Mask m) {
         for (std::size_t l = 0; l < 8; ++l) {
-            if (m.on[l]) p[l] = a.v[l];
+            if (m.v[l]) p[l] = a.v[l];
         }
     }
-    static Reg keep(Mask m, Reg a) { return map([&](auto l) { return m.on[l] ? a.v[l] : 0.0f; }); }
-    static Reg drop(Mask m, Reg a) { return map([&](auto l) { return m.on[l] ? 0.0f : a.v[l]; }); }
+    static Reg keep(Mask m, Reg a) { return map([&](auto l) { return m.v[l] ? a.v[l] : 0.0f; }); }
+    static Reg drop(Mask m, Reg a) { return map([&](auto l) { return m.v[l] ? 0.0f : a.v[l]; }); }
     static Reg blend(Reg a, Reg b, Mask m) {
-        return map([&](auto l) { return m.on[l] ? b.v[l] : a.v[l]; });
+        return map([&](auto l) { return m.v[l] ? b.v[l] : a.v[l]; });
     }
     static Reg add(Reg a, Reg b) { return zip(a, b, std::plus<>()); }
     static Reg sub(Reg a, Reg b) { return zip(a, b, std::minus<>()); }
@@ -84,13 +73,13 @@ struct Lanes8 {
     static float max1(float x, float y) { return x > y ? x : y; }
     static Reg min(Reg a, Reg b) { return zip(a, b, min1); }
     static Reg max(Reg a, Reg b) { return zip(a, b, max1); }
-    static Mask lt(Reg a, Reg b) { return map_mask([&](auto l) { return a.v[l] < b.v[l]; }); }
+    static Mask lt(Reg a, Reg b) { return map<Mask>([&](auto l) { return a.v[l] < b.v[l]; }); }
     static Reg round(Reg a) { return map([&](auto l) { return std::nearbyint(a.v[l]); }); }
     static IReg to_int(Reg a) {
-        return map_int([&](auto l) { return static_cast<std::uint32_t>(std::int32_t(a.v[l])); });
+        return map<IReg>([&](auto l) { return static_cast<std::int32_t>(a.v[l]); });
     }
     static IReg bits_minus(Reg a, Reg b) {
-        return map_int([&](auto l) {
+        return map<IReg>([&](auto l) {
             return std::bit_cast<std::uint32_t>(a.v[l]) - std::bit_cast<std::uint32_t>(b.v[l]);
         });
     }
@@ -134,9 +123,12 @@ namespace cpt::nn::kernels {
 namespace {
 
 // The active tier's kernels: the avx2 set or the same bodies over Lanes8.
+// The avx2 set is looked up once, so a call costs no more than the tier load.
 const detail::KernelSet& tier_kernels() {
     static constexpr detail::KernelSet kScalar = detail::kernel_set<detail::Lanes8>();
-    return util::active_simd_tier() == util::SimdTier::kAvx2 ? detail::kernels_avx2() : kScalar;
+    if (util::active_simd_tier() != util::SimdTier::kAvx2) return kScalar;
+    static const detail::KernelSet& avx2 = detail::kernels_avx2();
+    return avx2;
 }
 
 }  // namespace
