@@ -91,9 +91,9 @@ void bias_gelu_rows(float* y, const float* bias, std::size_t rows, std::size_t d
 
 // ---- Backward kernels (training path) ----------------------------------------
 // A serial *_ref beside a kernel is its test oracle
-// (tests/nn_train_kernels_test.cpp); the kernel stays within tolerance. Reductions
-// that cross rows (bias-style gradients) accumulate each column in ascending
-// row order.
+// (tests/nn_train_kernels_test.cpp); the kernel stays within tolerance of it.
+// Reductions that cross rows (bias-style gradients) accumulate each column in
+// ascending row order.
 
 // Softmax backward for one row restricted to the first `valid` entries:
 // dx_j += y_j * (g_j - sum_k g_k y_k), with an ascending serial dot.

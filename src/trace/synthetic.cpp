@@ -408,9 +408,9 @@ std::size_t generate_chunks(const SyntheticWorldGenerator& gen, std::size_t chun
                                                  rngs[i]);
             }
         });
-        for (auto& st : streams) {
-            if (st.events.size() >= 2) {
-                sink(std::move(st));
+        for (auto& s : streams) {
+            if (s.events.size() >= 2) {
+                sink(std::move(s));
                 ++kept;
             }
         }
@@ -426,7 +426,7 @@ Dataset SyntheticWorldGenerator::generate() const {
     ds.generation = config_.generation;
     // The whole population in one chunk.
     generate_chunks(*this, std::numeric_limits<std::size_t>::max(),
-                    [&](Stream&& st) { ds.streams.push_back(std::move(st)); });
+                    [&](Stream&& s) { ds.streams.push_back(std::move(s)); });
     return ds;
 }
 
@@ -435,8 +435,7 @@ std::size_t SyntheticWorldGenerator::generate_to(ColumnarWriter& writer,
     CPT_CHECK_GE(chunk_ues, std::size_t{1}, " generate_to: chunk_ues must be >= 1");
     CPT_CHECK(writer.generation() == config_.generation,
               "generate_to: writer generation does not match the configured generation");
-    return generate_chunks(*this, chunk_ues,
-                           [&](Stream&& st) { writer.append(std::move(st)); });
+    return generate_chunks(*this, chunk_ues, [&](Stream&& s) { writer.append(std::move(s)); });
 }
 
 std::vector<Dataset> SyntheticWorldGenerator::generate_hours(int hours) const {
