@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cellular/state_machine.hpp"
+#include "lint/trace_lint.hpp"
 #include "util/rng.hpp"
 
 namespace cpt::cellular {
@@ -232,6 +233,8 @@ TEST_P(ViolationInjectionTest, SingleInjectionCountsOnce) {
     events.push_back({0.0, lte::kSrvReq});
     double t = 0.0;
     bool injected = false;
+    SubState injected_in = kConnActive;
+    EventId injected_event = 0;
     for (std::size_t i = 0; i < 60; ++i) {
         std::vector<EventId> legal;
         std::vector<EventId> illegal;
@@ -244,7 +247,9 @@ TEST_P(ViolationInjectionTest, SingleInjectionCountsOnce) {
         }
         t += rng.uniform(0.1, 30.0);
         if (!injected && i == 30 && !illegal.empty()) {
-            events.push_back({t, illegal[rng.uniform_index(illegal.size())]});
+            injected_event = illegal[rng.uniform_index(illegal.size())];
+            injected_in = state;
+            events.push_back({t, injected_event});
             injected = true;  // state unchanged: replayer stays put on violation
             continue;
         }
@@ -256,6 +261,18 @@ TEST_P(ViolationInjectionTest, SingleInjectionCountsOnce) {
     StateMachineReplayer rep(m);
     const auto r = rep.replay(events);
     EXPECT_EQ(r.violations, 1u);
+
+    // The linter names the injected event as the first offender: index 31
+    // (the bootstrap SRV_REQ is event 0, the injection is loop step 30).
+    trace::Dataset ds;
+    ds.streams.push_back({"ue-injected", trace::DeviceType::kPhone, 0, events});
+    const auto report = lint::TraceLinter(Generation::kLte4G).lint(ds);
+    ASSERT_TRUE(report.first_offender.has_value());
+    EXPECT_EQ(report.first_offender->stream_index, 0u);
+    EXPECT_EQ(report.first_offender->event_index, 31u);
+    EXPECT_EQ(report.first_offender->timestamp, events[31].timestamp);
+    EXPECT_EQ(report.first_offender->state, injected_in);
+    EXPECT_EQ(report.first_offender->event, injected_event);
 }
 
 INSTANTIATE_TEST_SUITE_P(Injections, ViolationInjectionTest,

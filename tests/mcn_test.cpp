@@ -54,6 +54,47 @@ TEST(SimulatorTest, ProcessesEveryEvent) {
     EXPECT_LE(r.peak_connected_ues, ds.streams.size());
 }
 
+// Hand-built LTE streams whose CONNECTED intervals are known exactly:
+//   a: TAU before bootstrap, SRV_REQ boots CONNECTED at 10, an illegal
+//      SRV_REQ at 20 stays put, release at 30; SRV_REQ 40, DTCH 100
+//      -> [10,30) and [40,100)
+//   b: ATCH boots CONNECTED at 5, HO/TAU stay CONNECTED, release at 50
+//      -> [5,50)
+//   c: S1_CONN_REL before bootstrap, SRV_REQ at 35, still CONNECTED at its
+//      last event (120) -> [35,120)
+// Three intervals overlap on [40,50).
+TEST(SimulatorTest, PeakConnectedUesFollowsTheReplayRule) {
+    trace::Dataset ds;
+    ds.streams.push_back({"a", trace::DeviceType::kPhone, 0,
+                          {{0.0, lte::kTau},
+                           {10.0, lte::kSrvReq},
+                           {20.0, lte::kSrvReq},
+                           {30.0, lte::kS1ConnRel},
+                           {40.0, lte::kSrvReq},
+                           {100.0, lte::kDtch}}});
+    ds.streams.push_back({"b", trace::DeviceType::kPhone, 0,
+                          {{5.0, lte::kAtch},
+                           {25.0, lte::kHo},
+                           {26.0, lte::kTau},
+                           {50.0, lte::kS1ConnRel}}});
+    ds.streams.push_back({"c", trace::DeviceType::kPhone, 0,
+                          {{15.0, lte::kS1ConnRel},
+                           {35.0, lte::kSrvReq},
+                           {45.0, lte::kHo},
+                           {120.0, lte::kTau}}});
+    EXPECT_EQ(simulate(ds).peak_connected_ues, 3u);
+
+    // Without c the peak is 2; dropping b's release keeps it open to its
+    // last event (26) and leaves the peak at 2.
+    ds.streams.pop_back();
+    EXPECT_EQ(simulate(ds).peak_connected_ues, 2u);
+    ds.streams[1].events.pop_back();
+    EXPECT_EQ(simulate(ds).peak_connected_ues, 2u);
+    // a alone never holds two intervals at once.
+    ds.streams.pop_back();
+    EXPECT_EQ(simulate(ds).peak_connected_ues, 1u);
+}
+
 TEST(SimulatorTest, FewerWorkersRaiseLatency) {
     const auto ds = world(300);
     McnConfig scarce;

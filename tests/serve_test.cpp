@@ -420,6 +420,48 @@ TEST_F(ServeFixture, MissingSliceReportsSliceAndHubDirectory) {
     EXPECT_NE(resp.error.find(dir), std::string::npos) << resp.error;
 }
 
+// ServeConfig::nearest_hour_fallback: a hub holding only phone/h23 serves a
+// request for hour 1 (two hours away across midnight) from the h23 release
+// and labels its streams hour 23; without the flag the request has no model.
+TEST(ServeNearestHourTest, FallbackServesTheNearestPublishedHour) {
+    const std::string dir = (std::filesystem::temp_directory_path() /
+                             ("cpt_serve_nearest_hub_" + std::to_string(::getpid())))
+                                .string();
+    std::filesystem::remove_all(dir);
+    {
+        trace::SyntheticWorldConfig w;
+        w.population = {30, 0, 0};
+        const auto data = trace::SyntheticWorldGenerator(w).generate();
+        const auto tok = core::Tokenizer::fit(data);
+        util::Rng rng(23);
+        const core::CptGpt model(tok, tiny_config(), rng);
+        core::ModelHub hub(dir);
+        hub.publish(model, tok, data.initial_event_distribution(), trace::DeviceType::kPhone, 23);
+    }
+    serve::GenerateRequest req;
+    req.device = trace::DeviceType::kPhone;
+    req.hour_of_day = 1;
+    req.count = 3;
+    req.seed = 5;
+    req.deterministic = true;
+
+    auto cfg = base_config(dir);
+    cfg.nearest_hour_fallback = true;
+    {
+        serve::Server server(cfg);
+        const auto resp = server.generate(req);
+        ASSERT_EQ(resp.status, serve::Status::kOk) << resp.error;
+        ASSERT_EQ(resp.streams.size(), 3u);
+        for (const auto& s : resp.streams) EXPECT_EQ(s.hour_of_day, 23) << s.ue_id;
+    }
+    cfg.nearest_hour_fallback = false;
+    {
+        serve::Server server(cfg);
+        EXPECT_EQ(server.generate(req).status, serve::Status::kNoModel);
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST_F(ServeFixture, BadRequestsAreRejectedUpFront) {
     serve::Server server(base_config(dir));
     serve::GenerateRequest req;

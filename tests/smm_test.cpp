@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "metrics/fidelity.hpp"
 #include "smm/cluster.hpp"
@@ -101,6 +102,77 @@ TEST(SemiMarkovTest, CountsCdfs) {
     const auto model = SemiMarkovModel::fit(world);
     EXPECT_GT(model.num_cdfs(), 5u);
     EXPECT_GT(model.num_fitted_streams(), 100u);
+}
+
+// FNV-1a 64 over every byte a generated dataset carries: ids, slice labels,
+// timestamp bit patterns and event ids.
+std::uint64_t fnv1a64(const trace::Dataset& ds) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&](const void* p, std::size_t n) {
+        const auto* b = static_cast<const unsigned char*>(p);
+        for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 0x100000001b3ULL;
+    };
+    for (const auto& s : ds.streams) {
+        mix(s.ue_id.data(), s.ue_id.size());
+        mix(&s.device, sizeof(s.device));
+        mix(&s.hour_of_day, sizeof(s.hour_of_day));
+        for (const auto& e : s.events) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &e.timestamp, sizeof(bits));
+            mix(&bits, sizeof(bits));
+            mix(&e.type, sizeof(e.type));
+        }
+    }
+    return h;
+}
+
+// Pins the fitter's walk of the machine on streams with events before the
+// bootstrap, illegal events after it, and one stream that never bootstraps:
+// the first are skipped, the second leave the state as it was, the third
+// fits nothing.
+TEST(SemiMarkovTest, FitOnHandBuiltStreamsIsPinned) {
+    trace::Dataset ds;
+    const auto tablet = trace::DeviceType::kTablet;
+    ds.streams.push_back({"s1", tablet, 7,
+                          {{0.0, lte::kTau},
+                           {3.0, lte::kS1ConnRel},
+                           {10.0, lte::kSrvReq},
+                           {12.0, lte::kSrvReq},
+                           {20.0, lte::kTau},
+                           {40.0, lte::kS1ConnRel},
+                           {45.0, lte::kHo},
+                           {100.0, lte::kSrvReq},
+                           {110.0, lte::kHo},
+                           {111.0, lte::kTau},
+                           {200.0, lte::kS1ConnRel},
+                           {260.0, lte::kTau},
+                           {400.0, lte::kSrvReq}}});
+    ds.streams.push_back({"s2", tablet, 7,
+                          {{0.0, lte::kAtch},
+                           {5.0, lte::kS1ConnRel},
+                           {6.0, lte::kS1ConnRel},
+                           {50.0, lte::kSrvReq},
+                           {60.0, lte::kS1ConnRel},
+                           {300.0, lte::kDtch}}});
+    ds.streams.push_back({"s3", tablet, 7,
+                          {{2.0, lte::kHo},
+                           {3.0, lte::kTau},
+                           {30.0, lte::kS1ConnRel},
+                           {90.0, lte::kTau},
+                           {190.0, lte::kTau},
+                           {250.0, lte::kSrvReq},
+                           {280.0, lte::kS1ConnRel}}});
+    ds.streams.push_back({"s4", tablet, 7, {{1.0, lte::kS1ConnRel}, {4.0, lte::kTau}}});
+
+    const auto model = SemiMarkovModel::fit(ds);
+    EXPECT_EQ(model.num_fitted_streams(), 3u);
+    EXPECT_EQ(model.num_cdfs(), 9u);
+    util::Rng rng(2024);
+    const auto generated = model.generate(40, rng, "pin");
+    ASSERT_FALSE(generated.streams.empty());
+    EXPECT_EQ(generated.streams.front().device, tablet);
+    EXPECT_EQ(generated.streams.front().hour_of_day, 7);
+    EXPECT_EQ(fnv1a64(generated), 0xec373e675cff02c5ULL) << std::hex << fnv1a64(generated);
 }
 
 TEST(ClusterTest, FeaturesReflectStreamShape) {
