@@ -6,15 +6,6 @@
 
 namespace cpt::cellular {
 
-std::string_view to_string(TopState s) {
-    switch (s) {
-        case TopState::kDeregistered: return "DEREGISTERED";
-        case TopState::kConnected: return "CONNECTED";
-        case TopState::kIdle: return "IDLE";
-    }
-    return "?";
-}
-
 std::string_view to_string(SubState s) {
     switch (s) {
         case SubState::kDeregistered: return "DEREGISTERED";
@@ -52,20 +43,6 @@ void StateMachine::add(SubState from, EventId event, SubState to) {
 
 void StateMachine::set_bootstrap(EventId event, SubState to) {
     bootstrap_[event] = static_cast<std::int8_t>(to);
-}
-
-std::optional<SubState> StateMachine::step(SubState from, EventId event) const {
-    if (event >= num_events_) return std::nullopt;
-    const std::int8_t to = table_[static_cast<std::size_t>(from) * num_events_ + event];
-    if (to < 0) return std::nullopt;
-    return static_cast<SubState>(to);
-}
-
-std::optional<SubState> StateMachine::bootstrap_state(EventId event) const {
-    if (event >= num_events_) return std::nullopt;
-    const std::int8_t to = bootstrap_[event];
-    if (to < 0) return std::nullopt;
-    return static_cast<SubState>(to);
 }
 
 bool StateMachine::event_ever_legal(EventId event) const {
@@ -131,59 +108,44 @@ const StateMachine& StateMachine::for_generation(Generation gen) {
 }
 
 ReplayResult StateMachineReplayer::replay(std::span<const ControlEvent> events) const {
-    const auto& m = *machine_;
-    ReplayResult r;
-    r.violation_by_state_event.assign(
-        static_cast<std::size_t>(SubState::kNumSubStates) * m.num_events(), 0);
+    struct Replay : WalkVisitor {
+        ReplayResult& r;
+        std::size_t num_events;
+        TopState top = TopState::kDeregistered;
+        double top_entered_at = 0.0;
 
-    SubState state = SubState::kDeregistered;
-    bool bootstrapped = false;
-    double top_state_entered_at = 0.0;
-    TopState top = TopState::kDeregistered;
-
-    auto record_sojourn = [&](TopState s, double duration) {
-        switch (s) {
-            case TopState::kConnected: r.sojourn_connected.push_back(duration); break;
-            case TopState::kIdle: r.sojourn_idle.push_back(duration); break;
-            case TopState::kDeregistered: r.sojourn_deregistered.push_back(duration); break;
+        void pre_bootstrap(const ControlEvent&) { ++r.pre_bootstrap_events; }
+        void bootstrap(const ControlEvent& ev, SubState s) {
+            top = top_state_of(s);
+            top_entered_at = ev.timestamp;
+        }
+        void step(const ControlEvent& ev, SubState, SubState to) {
+            ++r.counted_events;
+            const TopState next_top = top_state_of(to);
+            if (next_top == top) return;
+            const double sojourn = ev.timestamp - top_entered_at;
+            switch (top) {
+                case TopState::kConnected: r.sojourn_connected.push_back(sojourn); break;
+                case TopState::kIdle: r.sojourn_idle.push_back(sojourn); break;
+                case TopState::kDeregistered: r.sojourn_deregistered.push_back(sojourn); break;
+            }
+            top = next_top;
+            top_entered_at = ev.timestamp;
+        }
+        void violation(std::size_t index, const ControlEvent& ev, SubState at) {
+            ++r.counted_events;
+            ++r.violations;
+            ++r.violation_by_state_event[static_cast<std::size_t>(at) * num_events + ev.type];
+            if (!r.first_violation) r.first_violation = ReplayResult::FirstViolation{index, at};
         }
     };
 
-    for (const ControlEvent& ev : events) {
-        if (!bootstrapped) {
-            const auto boot = m.bootstrap_state(ev.type);
-            if (!boot) {
-                ++r.pre_bootstrap_events;
-                continue;
-            }
-            bootstrapped = true;
-            state = *boot;
-            top = top_state_of(state);
-            top_state_entered_at = ev.timestamp;
-            // The bootstrap event itself is excluded from violation counting —
-            // it defines the initial state rather than being checked against
-            // one (§5.2.1 counts events "preceding the state machine
-            // bootstrapping" as excluded; the bootstrap event produces the
-            // initial state).
-            continue;
-        }
-        ++r.counted_events;
-        const auto next = m.step(state, ev.type);
-        if (!next) {
-            ++r.violations;
-            ++r.violation_by_state_event[static_cast<std::size_t>(state) * m.num_events() + ev.type];
-            continue;  // violation: stay in the same state (§5.2.1)
-        }
-        const TopState next_top = top_state_of(*next);
-        if (next_top != top) {
-            record_sojourn(top, ev.timestamp - top_state_entered_at);
-            top = next_top;
-            top_state_entered_at = ev.timestamp;
-        }
-        state = *next;
-    }
-    r.bootstrapped = bootstrapped;
-    r.final_state = state;
+    ReplayResult r;
+    r.violation_by_state_event.assign(
+        static_cast<std::size_t>(SubState::kNumSubStates) * machine_->num_events(), 0);
+    const auto final_state = walk(*machine_, events, Replay{{}, r, machine_->num_events()});
+    r.bootstrapped = final_state.has_value();
+    r.final_state = final_state.value_or(SubState::kDeregistered);
     return r;
 }
 

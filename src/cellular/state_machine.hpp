@@ -15,6 +15,10 @@
 //     the CONN_AFTER_HO sub-state;
 //   * the bootstrap heuristic (§5.2.1) requires ATCH, DTCH, SRV_REQ and HO to
 //     have source-independent destination states.
+//
+// walk() below is the one place that replays a recorded stream through a
+// machine (§5.2.1): the replayer, the trace linter, the SMM fitter and the
+// MCN simulator all run it with their own visitor.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +37,6 @@ enum class TopState : std::uint8_t {
     kConnected,
     kIdle,
 };
-
-std::string_view to_string(TopState s);
 
 // Bottom-level (full) states. Not every generation uses every value.
 enum class SubState : std::uint8_t {
@@ -60,12 +62,22 @@ public:
 
     // Destination state for `event` taken from `from`; nullopt when the event
     // violates the machine (the replayer then stays in `from`, per §5.2.1).
-    std::optional<SubState> step(SubState from, EventId event) const;
+    std::optional<SubState> step(SubState from, EventId event) const {
+        if (event >= num_events_) return std::nullopt;
+        const std::int8_t to = table_[static_cast<std::size_t>(from) * num_events_ + event];
+        if (to < 0) return std::nullopt;
+        return static_cast<SubState>(to);
+    }
 
     // Bootstrap heuristic (§5.2.1): returns the deterministic destination
     // state for events whose destination does not depend on the source state
     // (ATCH/REGISTER, DTCH/DEREGISTER, SRV_REQ, HO), nullopt otherwise.
-    std::optional<SubState> bootstrap_state(EventId event) const;
+    std::optional<SubState> bootstrap_state(EventId event) const {
+        if (event >= num_events_) return std::nullopt;
+        const std::int8_t to = bootstrap_[event];
+        if (to < 0) return std::nullopt;
+        return static_cast<SubState>(to);
+    }
 
     // True when `event` can legally occur in at least one state.
     bool event_ever_legal(EventId event) const;
@@ -91,6 +103,52 @@ private:
     std::vector<Transition> transitions_;
 };
 
+// The callbacks walk() makes, as no-ops; a visitor derives from this and
+// hides the ones it needs. The visitor is a template parameter of walk(), so
+// the calls resolve statically and inline.
+struct WalkVisitor {
+    // An event before the bootstrap (excluded from accounting, §5.2.1).
+    void pre_bootstrap(const ControlEvent&) {}
+    // The first event with a source-independent destination: it sets the
+    // initial state and is itself not checked against one.
+    void bootstrap(const ControlEvent&, SubState) {}
+    // A legal event after the bootstrap, taking `from` to `to`.
+    void step(const ControlEvent&, SubState /*from*/, SubState /*to*/) {}
+    // An illegal event: events[index] in state `at`, which the walk keeps.
+    void violation(std::size_t /*index*/, const ControlEvent&, SubState /*at*/) {}
+};
+
+// The §5.2.1 replay rule: skip events until one fixes a state (bootstrap),
+// then step the machine event by event, staying put on an illegal event.
+// Returns the final state, or nullopt when no event bootstrapped the stream.
+template <class Visitor>
+std::optional<SubState> walk(const StateMachine& machine, std::span<const ControlEvent> events,
+                             Visitor&& visitor) {
+    std::size_t k = 0;
+    std::optional<SubState> boot;
+    for (; !boot && k < events.size(); ++k) {
+        boot = machine.bootstrap_state(events[k].type);
+        if (boot) {
+            visitor.bootstrap(events[k], *boot);
+        } else {
+            visitor.pre_bootstrap(events[k]);
+        }
+    }
+    if (!boot) return std::nullopt;
+    SubState state = *boot;
+    for (; k < events.size(); ++k) {
+        const ControlEvent& ev = events[k];
+        const auto next = machine.step(state, ev.type);
+        if (!next) {
+            visitor.violation(k, ev, state);
+            continue;
+        }
+        visitor.step(ev, state, *next);
+        state = *next;
+    }
+    return state;
+}
+
 // Result of replaying one stream through a state machine.
 struct ReplayResult {
     // Events before the bootstrap heuristic fires (excluded from violation
@@ -102,6 +160,13 @@ struct ReplayResult {
     // Per-(sub-state, event) violation counts, keyed as
     // state * num_events + event. Used for the Table 3 top-3 breakdown.
     std::vector<std::size_t> violation_by_state_event;
+
+    // Where the first violation happened, when there is one.
+    struct FirstViolation {
+        std::size_t event_index = 0;  // position within the stream
+        SubState state = SubState::kDeregistered;
+    };
+    std::optional<FirstViolation> first_violation;
 
     // Completed sojourn intervals per *top-level* state, in seconds. A sojourn
     // completes when the top-level state changes; the trailing open interval

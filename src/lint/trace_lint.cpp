@@ -16,32 +16,47 @@ namespace {
 
 constexpr std::size_t kNumSubStates = static_cast<std::size_t>(SubState::kNumSubStates);
 
-// Re-walks one stream with the replayer's exact semantics (bootstrap scan,
-// stay-in-state on violation) to recover the position of its first violation.
-FirstOffender locate_first_offender(const cellular::StateMachine& m,
-                                    std::span<const cellular::ControlEvent> events,
-                                    const std::string& ue_id, std::size_t stream_index) {
-    SubState state = SubState::kDeregistered;
-    bool bootstrapped = false;
-    for (std::size_t k = 0; k < events.size(); ++k) {
-        const auto& ev = events[k];
-        if (!bootstrapped) {
-            const auto boot = m.bootstrap_state(ev.type);
-            if (boot) {
-                bootstrapped = true;
-                state = *boot;
+// A report with no streams folded in yet.
+TraceLintReport empty_report(const cellular::StateMachine& m, const TraceLintConfig& config) {
+    TraceLintReport report;
+    report.generation = m.generation();
+    report.top_k = config.top_k;
+    report.violations_by_state_event.assign(kNumSubStates * m.num_events(), 0);
+    return report;
+}
+
+// Replays one chunk of streams (the next ones in dataset order) and folds it
+// into `report`: the single aggregation behind both lint() overloads.
+void fold_chunk(const cellular::StateMachine& m,
+                std::span<const std::span<const cellular::ControlEvent>> streams,
+                std::span<const std::string_view> ue_ids, bool per_ue, TraceLintReport& report) {
+    const auto results = StateMachineReplayer(m).replay_all(streams);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto& r = results[i];
+        const std::size_t stream_index = report.total_streams++;
+        report.total_events += streams[i].size();
+        report.pre_bootstrap_events += r.pre_bootstrap_events;
+        report.counted_events += r.counted_events;
+        report.violating_events += r.violations;
+        if (r.has_violation()) {
+            ++report.violating_streams;
+            if (!report.first_offender) {
+                const auto& ev = streams[i][r.first_violation->event_index];
+                report.first_offender =
+                    FirstOffender{stream_index, std::string(ue_ids[i]),
+                                  r.first_violation->event_index, ev.timestamp,
+                                  r.first_violation->state, ev.type};
             }
-            continue;
         }
-        const auto next = m.step(state, ev.type);
-        if (!next) {
-            return {stream_index, ue_id, k, ev.timestamp, state, ev.type};
+        if (!r.bootstrapped) ++report.unbootstrapped_streams;
+        for (std::size_t k = 0; k < report.violations_by_state_event.size(); ++k) {
+            report.violations_by_state_event[k] += r.violation_by_state_event[k];
         }
-        state = *next;
+        if (per_ue) {
+            report.per_ue.push_back({std::string(ue_ids[i]), streams[i].size(), r.counted_events,
+                                     r.violations, r.bootstrapped});
+        }
     }
-    // The caller only asks for streams the replayer reported as violating.
-    CPT_CHECK(false, "locate_first_offender: stream ", ue_id,
-              " has no violation on re-walk (replayer disagreement)");
 }
 
 }  // namespace
@@ -181,93 +196,42 @@ std::string TraceLintReport::to_json() const {
 }
 
 TraceLintReport TraceLinter::lint(const trace::Dataset& ds, const TraceLintConfig& config) const {
-    const auto& m = *machine_;
-    CPT_CHECK(ds.generation == m.generation(),
+    CPT_CHECK(ds.generation == machine_->generation(),
               "TraceLinter::lint: dataset generation does not match the linter's machine");
-
-    TraceLintReport report;
-    report.generation = ds.generation;
-    report.total_streams = ds.streams.size();
-    report.top_k = config.top_k;
-    report.violations_by_state_event.assign(kNumSubStates * m.num_events(), 0);
-
+    TraceLintReport report = empty_report(*machine_, config);
     std::vector<std::span<const cellular::ControlEvent>> streams;
+    std::vector<std::string_view> ue_ids;
     streams.reserve(ds.streams.size());
-    for (const auto& s : ds.streams) streams.emplace_back(s.events);
-    const auto results = StateMachineReplayer(m).replay_all(streams);
-
-    std::optional<std::size_t> first_violating_stream;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto& r = results[i];
-        report.total_events += ds.streams[i].events.size();
-        report.pre_bootstrap_events += r.pre_bootstrap_events;
-        report.counted_events += r.counted_events;
-        report.violating_events += r.violations;
-        if (r.has_violation()) {
-            ++report.violating_streams;
-            if (!first_violating_stream) first_violating_stream = i;
-        }
-        if (!r.bootstrapped) ++report.unbootstrapped_streams;
-        for (std::size_t k = 0; k < report.violations_by_state_event.size(); ++k) {
-            report.violations_by_state_event[k] += r.violation_by_state_event[k];
-        }
-        if (config.per_ue) {
-            report.per_ue.push_back({ds.streams[i].ue_id, ds.streams[i].events.size(),
-                                     r.counted_events, r.violations, r.bootstrapped});
-        }
+    ue_ids.reserve(ds.streams.size());
+    for (const auto& s : ds.streams) {
+        streams.emplace_back(s.events);
+        ue_ids.emplace_back(s.ue_id);
     }
-    if (first_violating_stream) {
-        const auto& s = ds.streams[*first_violating_stream];
-        report.first_offender =
-            locate_first_offender(m, s.events, s.ue_id, *first_violating_stream);
-    }
+    fold_chunk(*machine_, streams, ue_ids, config.per_ue, report);
     return report;
 }
 
 TraceLintReport TraceLinter::lint(trace::ColumnarReader& reader,
                                   const TraceLintConfig& config) const {
-    const auto& m = *machine_;
-    CPT_CHECK(reader.generation() == m.generation(),
+    CPT_CHECK(reader.generation() == machine_->generation(),
               "TraceLinter::lint: trace generation does not match the linter's machine");
     CPT_CHECK(!config.per_ue,
               "TraceLinter::lint(ColumnarReader): per-UE summaries are O(streams) and not "
               "available on the streaming path");
-
-    TraceLintReport report;
-    report.generation = reader.generation();
-    report.top_k = config.top_k;
-    report.violations_by_state_event.assign(kNumSubStates * m.num_events(), 0);
-
+    TraceLintReport report = empty_report(*machine_, config);
     reader.rewind();
     trace::StreamBatch batch;
     std::vector<std::span<const cellular::ControlEvent>> streams;
-    std::size_t base = 0;
+    std::vector<std::string_view> ue_ids;
     while (reader.next(batch)) {
         streams.clear();
-        streams.reserve(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) streams.push_back(batch.events_of(i));
-        const auto results = StateMachineReplayer(m).replay_all(streams);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto& r = results[i];
-            report.total_events += streams[i].size();
-            report.pre_bootstrap_events += r.pre_bootstrap_events;
-            report.counted_events += r.counted_events;
-            report.violating_events += r.violations;
-            if (r.has_violation()) {
-                ++report.violating_streams;
-                if (!report.first_offender) {
-                    report.first_offender = locate_first_offender(m, streams[i], batch.ue_ids[i],
-                                                                  base + i);
-                }
-            }
-            if (!r.bootstrapped) ++report.unbootstrapped_streams;
-            for (std::size_t k = 0; k < report.violations_by_state_event.size(); ++k) {
-                report.violations_by_state_event[k] += r.violation_by_state_event[k];
-            }
+        ue_ids.clear();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            streams.push_back(batch.events_of(i));
+            ue_ids.emplace_back(batch.ue_ids[i]);
         }
-        base += batch.size();
+        fold_chunk(*machine_, streams, ue_ids, false, report);
     }
-    report.total_streams = base;
     return report;
 }
 

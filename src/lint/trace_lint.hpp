@@ -1,12 +1,15 @@
 // Semantic linter for control-plane event streams (§5.2.1).
 //
 // TraceLinter replays every stream of a dataset through the generation's
-// hierarchical UE state machine and produces a structured report: violation
-// counts per (sub-state, event) category, the first offending event with its
-// full context, optional per-UE summaries, and text/JSON renderings. It is
-// the single source of truth for violation accounting — the Table 3/5 benches
-// and metrics::semantic_violations both delegate to it, so a CSV trace linted
-// with the cpt_lint CLI shows exactly the numbers the paper tables report.
+// hierarchical UE state machine (cellular::StateMachineReplayer) and folds
+// the results into a structured report: violation counts per (sub-state,
+// event) category, the first offending event with its full context (from the
+// replayer's first-violation record), optional per-UE summaries, and
+// text/JSON renderings. Both lint() overloads run the same per-chunk fold.
+// It is the single source of truth for violation accounting: the Table 3/5
+// benches call it and metrics::evaluate_fidelity reads its two fractions, so
+// a CSV trace linted with the cpt_lint CLI shows exactly the numbers the
+// paper tables report.
 #pragma once
 
 #include <cstddef>

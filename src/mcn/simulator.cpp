@@ -177,26 +177,19 @@ McnReport simulate(const trace::Dataset& ds, const McnConfig& config) {
     report.mean_utilization = avail > 0.0 ? busy_time / avail : 0.0;
 
     // ---- Peak concurrent CONNECTED UEs (per-UE state table load). ----
-    const auto& machine = cellular::StateMachine::for_generation(ds.generation);
-    const cellular::StateMachineReplayer replayer(machine);
-    std::vector<std::pair<double, int>> deltas;
-    for (const auto& s : ds.streams) {
-        // Walk the machine tracking CONNECTED intervals.
-        std::optional<cellular::SubState> state;
+    // Each UE's CONNECTED spells become [enter, exit) intervals; a spell
+    // still open at the UE's last event closes there.
+    struct ConnectedSpells : cellular::WalkVisitor {
+        std::vector<std::pair<double, int>>& deltas;
         double entered = 0.0;
         bool in_conn = false;
-        for (const auto& e : s.events) {
-            if (!state) {
-                state = machine.bootstrap_state(e.type);
-                if (state && top_state_of(*state) == cellular::TopState::kConnected) {
-                    in_conn = true;
-                    entered = e.timestamp;
-                }
-                continue;
-            }
-            const auto next = machine.step(*state, e.type);
-            if (!next) continue;
-            const bool next_conn = top_state_of(*next) == cellular::TopState::kConnected;
+
+        void bootstrap(const cellular::ControlEvent& e, cellular::SubState s) {
+            in_conn = top_state_of(s) == cellular::TopState::kConnected;
+            entered = e.timestamp;
+        }
+        void step(const cellular::ControlEvent& e, cellular::SubState, cellular::SubState to) {
+            const bool next_conn = top_state_of(to) == cellular::TopState::kConnected;
             if (next_conn && !in_conn) {
                 entered = e.timestamp;
             } else if (!next_conn && in_conn) {
@@ -204,10 +197,15 @@ McnReport simulate(const trace::Dataset& ds, const McnConfig& config) {
                 deltas.push_back({e.timestamp, -1});
             }
             in_conn = next_conn;
-            state = *next;
         }
-        if (in_conn && !s.events.empty()) {
-            deltas.push_back({entered, +1});
+    };
+    const auto& machine = cellular::StateMachine::for_generation(ds.generation);
+    std::vector<std::pair<double, int>> deltas;
+    for (const auto& s : ds.streams) {
+        ConnectedSpells spells{{}, deltas};
+        cellular::walk(machine, s.events, spells);
+        if (spells.in_conn) {
+            deltas.push_back({spells.entered, +1});
             deltas.push_back({s.events.back().timestamp, -1});
         }
     }

@@ -13,24 +13,6 @@ namespace cpt::metrics {
 using cellular::StateMachine;
 using cellular::StateMachineReplayer;
 
-ViolationStats semantic_violations(const trace::Dataset& ds, std::size_t top_k) {
-    // The trace linter owns violation accounting; this wrapper only re-labels
-    // its category ids with names for the report structs.
-    const auto report = lint::TraceLinter(ds.generation).lint(ds);
-    const auto& vocab = cellular::vocabulary(ds.generation);
-
-    ViolationStats stats;
-    stats.total_streams = report.total_streams;
-    stats.counted_events = report.counted_events;
-    stats.violating_events = report.violating_events;
-    stats.violating_streams = report.violating_streams;
-    for (const auto& cat : report.top_categories(top_k)) {
-        stats.top_categories.push_back(
-            {std::string(to_string(cat.state)), vocab.name(cat.event), cat.event_fraction});
-    }
-    return stats;
-}
-
 SojournSamples collect_sojourns(const trace::Dataset& ds) {
     const auto& machine = StateMachine::for_generation(ds.generation);
     const StateMachineReplayer replayer(machine);
@@ -60,9 +42,9 @@ double FidelityReport::max_breakdown_diff() const {
 
 FidelityReport evaluate_fidelity(const trace::Dataset& synthesized, const trace::Dataset& real) {
     FidelityReport r;
-    const ViolationStats v = semantic_violations(synthesized);
-    r.event_violation_fraction = v.event_fraction();
-    r.stream_violation_fraction = v.stream_fraction();
+    const auto violations = lint::TraceLinter(synthesized.generation).lint(synthesized);
+    r.event_violation_fraction = violations.event_fraction();
+    r.stream_violation_fraction = violations.stream_fraction();
 
     const SojournSamples ss = collect_sojourns(synthesized);
     const SojournSamples sr = collect_sojourns(real);

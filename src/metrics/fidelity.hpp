@@ -1,6 +1,7 @@
-// The paper's fidelity metric suite (Table 2): semantic violations, sojourn
-// time distributions, event-type breakdown, flow-length distributions, and
-// report aggregation used by every evaluation bench.
+// The paper's fidelity metric suite (Table 2): semantic violations (counted
+// by lint::TraceLinter), sojourn time distributions, event-type breakdown,
+// flow-length distributions, and report aggregation used by every evaluation
+// bench.
 #pragma once
 
 #include <string>
@@ -13,33 +14,6 @@
 #include "util/stats.hpp"
 
 namespace cpt::metrics {
-
-// ---- Semantic violations (evaluates C2) ---------------------------------------
-
-struct ViolationCategory {
-    std::string state;   // sub-state name at the point of violation
-    std::string event;   // violating event name
-    double event_fraction = 0.0;  // share of counted events
-};
-
-struct ViolationStats {
-    std::size_t counted_events = 0;
-    std::size_t violating_events = 0;
-    std::size_t total_streams = 0;
-    std::size_t violating_streams = 0;
-    std::vector<ViolationCategory> top_categories;  // descending
-
-    double event_fraction() const {
-        return counted_events ? static_cast<double>(violating_events) / counted_events : 0.0;
-    }
-    double stream_fraction() const {
-        return total_streams ? static_cast<double>(violating_streams) / total_streams : 0.0;
-    }
-};
-
-// Replays every stream against the generation's state machine (§5.2.1) and
-// aggregates violation statistics. `top_k` bounds top_categories.
-ViolationStats semantic_violations(const trace::Dataset& ds, std::size_t top_k = 3);
 
 // ---- Sojourn times (evaluates C3) ----------------------------------------------
 

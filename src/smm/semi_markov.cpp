@@ -1,6 +1,5 @@
 #include "semi_markov.hpp"
 
-
 #include "util/check.hpp"
 
 namespace cpt::smm {
@@ -26,33 +25,30 @@ SemiMarkovModel SemiMarkovModel::fit(const trace::Dataset& ds, const SmmConfig& 
     m.transition_counts_.assign(kNumSubStates * m.num_events_, 0.0);
     std::vector<std::vector<double>> delays(kNumSubStates * m.num_events_);
 
-    for (const auto& stream : ds.streams) {
-        if (stream.length() < config.min_stream_length) continue;
-        // Walk the machine; identical bootstrap rule as the replayer.
-        std::optional<SubState> state;
+    // Counts each legal transition and the delay since the previous legal
+    // event; pre-bootstrap and violating events are skipped.
+    struct Fit : cellular::WalkVisitor {
+        SemiMarkovModel& m;
+        std::vector<std::vector<double>>& delays;
         double prev_t = 0.0;
-        bool counted_stream = false;
-        for (const auto& ev : stream.events) {
-            if (!state) {
-                state = machine.bootstrap_state(ev.type);
-                if (state) {
-                    prev_t = ev.timestamp;
-                    m.initial_state_counts_[static_cast<std::size_t>(*state)] += 1.0;
-                    counted_stream = true;
-                    m.device_ = stream.device;
-                    m.hour_ = stream.hour_of_day;
-                }
-                continue;
-            }
-            const auto next = machine.step(*state, ev.type);
-            if (!next) continue;  // real traces contain none; skip defensively
-            const std::size_t key = m.index(*state, ev.type);
+
+        void bootstrap(const cellular::ControlEvent& ev, SubState s) {
+            prev_t = ev.timestamp;
+            m.initial_state_counts_[static_cast<std::size_t>(s)] += 1.0;
+        }
+        void step(const cellular::ControlEvent& ev, SubState from, SubState) {
+            const std::size_t key = m.index(from, ev.type);
             m.transition_counts_[key] += 1.0;
             delays[key].push_back(ev.timestamp - prev_t);
             prev_t = ev.timestamp;
-            state = *next;
         }
-        if (counted_stream) ++m.fitted_streams_;
+    };
+    for (const auto& stream : ds.streams) {
+        if (stream.length() < config.min_stream_length) continue;
+        if (!cellular::walk(machine, stream.events, Fit{{}, m, delays})) continue;
+        ++m.fitted_streams_;
+        m.device_ = stream.device;
+        m.hour_ = stream.hour_of_day;
     }
     CPT_CHECK_GT(m.fitted_streams_, std::size_t{0},
                  " SemiMarkovModel::fit: no usable streams in dataset");

@@ -261,6 +261,9 @@ TEST_P(ViolationInjectionTest, SingleInjectionCountsOnce) {
     StateMachineReplayer rep(m);
     const auto r = rep.replay(events);
     EXPECT_EQ(r.violations, 1u);
+    ASSERT_TRUE(r.first_violation.has_value());
+    EXPECT_EQ(r.first_violation->event_index, 31u);
+    EXPECT_EQ(r.first_violation->state, injected_in);
 
     // The linter names the injected event as the first offender: index 31
     // (the bootstrap SRV_REQ is event 0, the injection is loop step 30).

@@ -15,6 +15,7 @@
 #include "core/model.hpp"
 #include "core/sampler.hpp"
 #include "core/trainer.hpp"
+#include "lint/trace_lint.hpp"
 #include "metrics/fidelity.hpp"
 #include "trace/synthetic.hpp"
 #include "util/log.hpp"
@@ -469,8 +470,9 @@ TEST(CptGptIntegrationTest, TrainingReducesViolations) {
     util::Rng g2(15);
     const auto before = Sampler(untrained, tok, dist).generate(60, g1);
     const auto after = Sampler(trained, tok, dist).generate(60, g2);
-    const double v_before = metrics::semantic_violations(before).event_fraction();
-    const double v_after = metrics::semantic_violations(after).event_fraction();
+    const lint::TraceLinter linter(world.generation);
+    const double v_before = linter.lint(before).event_fraction();
+    const double v_after = linter.lint(after).event_fraction();
     EXPECT_LT(v_after, v_before * 0.5)
         << "training should cut violations sharply (before " << v_before << ", after " << v_after
         << ")";

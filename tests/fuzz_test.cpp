@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "lint/trace_lint.hpp"
 #include "metrics/fidelity.hpp"
 #include "trace/io.hpp"
 #include "trace/ngram.hpp"
@@ -60,7 +61,7 @@ TEST_P(FuzzTest, MetricsPipelineHandlesArbitraryEventSequences) {
     }
     // Violations, sojourns, breakdowns, n-grams: must all be well defined for
     // arbitrary (including heavily violating or empty) streams.
-    const auto v = metrics::semantic_violations(ds);
+    const auto v = lint::TraceLinter(ds.generation).lint(ds);
     EXPECT_LE(v.violating_events, v.counted_events);
     EXPECT_LE(v.violating_streams, v.total_streams);
     const auto s = metrics::collect_sojourns(ds);

@@ -11,6 +11,7 @@
 #include "core/trainer.hpp"
 #include "gan/netshare.hpp"
 #include "mcn/simulator.hpp"
+#include "lint/trace_lint.hpp"
 #include "metrics/fidelity.hpp"
 #include "smm/ensemble.hpp"
 #include "trace/io.hpp"
@@ -40,7 +41,7 @@ TEST(PipelineTest, CsvToSmmToValidatedTrace) {
     const auto model = smm::SemiMarkovModel::fit(reloaded);
     util::Rng rng(62);
     const auto generated = model.generate(200, rng);
-    EXPECT_EQ(metrics::semantic_violations(generated).violating_events, 0u);
+    EXPECT_EQ(lint::TraceLinter(generated.generation).lint(generated).violating_events, 0u);
     const auto report = metrics::evaluate_fidelity(generated, original);
     EXPECT_LT(report.max_breakdown_diff(), 0.08);
 }

@@ -1,6 +1,7 @@
 // Tests for the order-k Markov baseline.
 #include <gtest/gtest.h>
 
+#include "lint/trace_lint.hpp"
 #include "metrics/fidelity.hpp"
 #include "smm/markov.hpp"
 #include "trace/synthetic.hpp"
@@ -66,7 +67,7 @@ TEST(MarkovTest, LearnsBreakdownButOrder1Violates) {
     const auto markov1 = MarkovGenerator::fit(world, c1);
     util::Rng rng1(94);
     const auto synth1 = markov1.generate(300, rng1);
-    const auto v = metrics::semantic_violations(synth1);
+    const auto v = lint::TraceLinter(synth1.generation).lint(synth1);
     EXPECT_GT(v.counted_events, 1000u);
     EXPECT_GT(v.event_fraction(), 0.0);
 }
@@ -81,8 +82,9 @@ TEST(MarkovTest, HigherOrderReducesViolations) {
     const auto m3 = MarkovGenerator::fit(world, c3);
     util::Rng g1(96);
     util::Rng g3(96);
-    const double v1 = metrics::semantic_violations(m1.generate(300, g1)).event_fraction();
-    const double v3 = metrics::semantic_violations(m3.generate(300, g3)).event_fraction();
+    const lint::TraceLinter linter(world.generation);
+    const double v1 = linter.lint(m1.generate(300, g1)).event_fraction();
+    const double v3 = linter.lint(m3.generate(300, g3)).event_fraction();
     // More context -> fewer illegal transitions (longer dependencies are the
     // whole reason the paper reaches for attention).
     EXPECT_LE(v3, v1 + 0.01);

@@ -2,6 +2,7 @@
 // known violation counts and distributions.
 #include <gtest/gtest.h>
 
+#include "lint/trace_lint.hpp"
 #include "metrics/fidelity.hpp"
 #include "trace/synthetic.hpp"
 
@@ -33,16 +34,17 @@ TEST(ViolationsTest, CountsEventsAndStreams) {
     ds.streams.push_back(stream_of({{0, lte::kSrvReq},
                                     {5, lte::kS1ConnRel},
                                     {6, lte::kS1ConnRel}}));
-    const auto v = semantic_violations(ds);
+    const auto v = lint::TraceLinter(ds.generation).lint(ds);
     EXPECT_EQ(v.total_streams, 2u);
     EXPECT_EQ(v.violating_streams, 1u);
     EXPECT_EQ(v.counted_events, 5u);  // 3 + 2 (bootstrap events excluded)
     EXPECT_EQ(v.violating_events, 1u);
     EXPECT_DOUBLE_EQ(v.stream_fraction(), 0.5);
     EXPECT_DOUBLE_EQ(v.event_fraction(), 0.2);
-    ASSERT_FALSE(v.top_categories.empty());
-    EXPECT_EQ(v.top_categories[0].state, "S1_REL_S");
-    EXPECT_EQ(v.top_categories[0].event, "S1_CONN_REL");
+    const auto cats = v.top_categories(3);
+    ASSERT_FALSE(cats.empty());
+    EXPECT_EQ(to_string(cats[0].state), "S1_REL_S");
+    EXPECT_EQ(cellular::vocabulary(ds.generation).name(cats[0].event), "S1_CONN_REL");
 }
 
 TEST(ViolationsTest, TopCategoriesSorted) {
@@ -51,11 +53,11 @@ TEST(ViolationsTest, TopCategoriesSorted) {
     ds.streams.push_back(stream_of(
         {{0, lte::kSrvReq}, {1, lte::kS1ConnRel}, {2, lte::kHo}, {3, lte::kHo}}));
     ds.streams.push_back(stream_of({{0, lte::kSrvReq}, {1, lte::kSrvReq}}));
-    const auto v = semantic_violations(ds);
-    ASSERT_GE(v.top_categories.size(), 2u);
-    EXPECT_EQ(v.top_categories[0].state, "S1_REL_S");
-    EXPECT_EQ(v.top_categories[0].event, "HO");
-    EXPECT_GE(v.top_categories[0].event_fraction, v.top_categories[1].event_fraction);
+    const auto cats = lint::TraceLinter(ds.generation).lint(ds).top_categories(3);
+    ASSERT_GE(cats.size(), 2u);
+    EXPECT_EQ(to_string(cats[0].state), "S1_REL_S");
+    EXPECT_EQ(cellular::vocabulary(ds.generation).name(cats[0].event), "HO");
+    EXPECT_GE(cats[0].event_fraction, cats[1].event_fraction);
 }
 
 TEST(SojournTest, PerUeMeansMatchHandComputation) {

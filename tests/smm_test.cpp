@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "lint/trace_lint.hpp"
 #include "metrics/fidelity.hpp"
 #include "smm/cluster.hpp"
 #include "smm/ensemble.hpp"
@@ -55,7 +56,7 @@ TEST(SemiMarkovTest, GeneratedStreamsNeverViolate) {
     util::Rng rng(5);
     const auto generated = model.generate(300, rng);
     ASSERT_GT(generated.streams.size(), 250u);
-    const auto v = metrics::semantic_violations(generated);
+    const auto v = lint::TraceLinter(generated.generation).lint(generated);
     EXPECT_EQ(v.violating_events, 0u);  // the machine is built in (paper §5.2.1)
     EXPECT_EQ(v.violating_streams, 0u);
 }
@@ -238,7 +239,7 @@ TEST(EnsembleTest, GeneratesValidStreamsAndBeatsSmm1OnFlowLength) {
     util::Rng g2(12);
     const auto from_ensemble = ensemble.generate(400, g1);
     const auto from_smm1 = smm1.generate(400, g2);
-    const auto v = metrics::semantic_violations(from_ensemble);
+    const auto v = lint::TraceLinter(from_ensemble.generation).lint(from_ensemble);
     EXPECT_EQ(v.violating_events, 0u);
 
     const auto re = metrics::evaluate_fidelity(from_ensemble, world);

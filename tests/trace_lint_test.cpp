@@ -1,5 +1,5 @@
 // Tests for the trace semantic linter: counts agree with hand-replayed
-// streams and with metrics::semantic_violations (which delegates to it),
+// streams and with metrics::evaluate_fidelity (which reads them from it),
 // first-offender context is exact, and the text/JSON renderings carry the
 // expected content.
 #include <gtest/gtest.h>
@@ -117,20 +117,20 @@ TEST(TraceLintTest, PerUeSummariesWhenRequested) {
 }
 
 TEST(TraceLintTest, AgreesWithMetricsSemanticViolations) {
-    // metrics::semantic_violations delegates to the linter; pin the contract
-    // from the caller's side on a nontrivial synthetic dataset.
+    // evaluate_fidelity reads its two violation fractions from the linter;
+    // pin the contract from the caller's side on a nontrivial synthetic
+    // dataset with violating streams mixed in.
     trace::SyntheticWorldConfig cfg;
     cfg.population = {120, 40, 15};
     cfg.seed = 33;
-    const auto ds = trace::SyntheticWorldGenerator(cfg).generate();
+    auto ds = trace::SyntheticWorldGenerator(cfg).generate();
+    for (auto& s : two_stream_dataset().streams) ds.streams.push_back(std::move(s));
 
     const auto report = TraceLinter(ds.generation).lint(ds);
-    const auto v = metrics::semantic_violations(ds);
-    EXPECT_EQ(v.total_streams, report.total_streams);
-    EXPECT_EQ(v.counted_events, report.counted_events);
-    EXPECT_EQ(v.violating_events, report.violating_events);
-    EXPECT_EQ(v.violating_streams, report.violating_streams);
-    EXPECT_DOUBLE_EQ(v.event_fraction(), report.event_fraction());
+    ASSERT_GT(report.violating_events, 0u);
+    const auto fidelity = metrics::evaluate_fidelity(ds, ds);
+    EXPECT_EQ(fidelity.event_violation_fraction, report.event_fraction());
+    EXPECT_EQ(fidelity.stream_violation_fraction, report.stream_fraction());
 }
 
 TEST(TraceLintTest, RenderMentionsTotalsAndCategories) {
