@@ -1,6 +1,5 @@
-// Microbenchmarks for the nn substrate: a GEMM GFLOP/s suite comparing the
-// seed's naive kernels against the blocked kernels and a ns-per-call suite for
-// the elementwise, softmax, attention and optimizer kernels (kernels.hpp) at
+// Microbenchmarks for the nn substrate: a GEMM GFLOP/s suite for the blocked
+// kernels and a ns-per-call suite for the elementwise, softmax, attention and optimizer kernels (kernels.hpp) at
 // decode and training-shard shapes, both single-threaded per SIMD tier
 // (emitted as tables and as machine-readable BENCH_micro_nn.json), followed by
 // the google-benchmark micro suite for the composite kernels.
@@ -27,55 +26,6 @@ namespace {
 using namespace cpt;
 
 // ---- GEMM GFLOP/s suite ------------------------------------------------------
-
-// The seed's GEMM kernels, verbatim (axpy-style inner loops with branchy
-// zero-skips), kept here as the perf baseline the blocked kernels are
-// measured against.
-namespace seed {
-
-void gemm_nn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-             std::size_t n_dim) {
-    for (std::size_t m = 0; m < m_dim; ++m) {
-        const float* arow = a + m * k_dim;
-        float* crow = c + m * n_dim;
-        for (std::size_t k = 0; k < k_dim; ++k) {
-            const float av = arow[k];
-            if (av == 0.0f) continue;
-            const float* brow = b + k * n_dim;
-            for (std::size_t n = 0; n < n_dim; ++n) crow[n] += av * brow[n];
-        }
-    }
-}
-
-void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-             std::size_t n_dim) {
-    for (std::size_t m = 0; m < m_dim; ++m) {
-        const float* arow = a + m * k_dim;
-        float* crow = c + m * n_dim;
-        for (std::size_t n = 0; n < n_dim; ++n) {
-            const float* brow = b + n * k_dim;
-            float acc = 0.0f;
-            for (std::size_t k = 0; k < k_dim; ++k) acc += arow[k] * brow[k];
-            crow[n] += acc;
-        }
-    }
-}
-
-void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-             std::size_t n_dim) {
-    for (std::size_t k = 0; k < k_dim; ++k) {
-        const float* arow = a + k * m_dim;
-        const float* brow = b + k * n_dim;
-        for (std::size_t m = 0; m < m_dim; ++m) {
-            const float av = arow[m];
-            if (av == 0.0f) continue;
-            float* crow = c + m * n_dim;
-            for (std::size_t n = 0; n < n_dim; ++n) crow[n] += av * brow[n];
-        }
-    }
-}
-
-}  // namespace seed
 
 struct GemmShape {
     std::size_t m, k, n;
@@ -133,7 +83,6 @@ double time_gflops(const std::function<void(float*)>& run, std::size_t m, std::s
 struct GemmRow {
     const char* op;
     GemmShape shape;
-    double gflops_seed = 0.0;
     // Single-thread GFLOP/s per SIMD tier, indexed by SimdTier; 0 when the
     // tier is unavailable on this host/build.
     double gflops_tier_t1[static_cast<int>(util::SimdTier::kAvx2) + 1] = {};
@@ -144,14 +93,13 @@ std::vector<GemmRow> run_gemm_suite() {
                             std::size_t);
     struct Op {
         const char* name;
-        GemmFn seed;
         GemmFn blocked;  // null: gemm_nt_decode over a panel packed before timing
     };
     const Op ops[] = {
-        {"nn", seed::gemm_nn, nn::gemm_nn},
-        {"nt", seed::gemm_nt, nn::gemm_nt},
-        {"nt_decode", seed::gemm_nt, nullptr},
-        {"tn", seed::gemm_tn, nn::gemm_tn},
+        {"nn", nn::gemm_nn},
+        {"nt", nn::gemm_nt},
+        {"nt_decode", nullptr},
+        {"tn", nn::gemm_tn},
     };
     const auto tiers = util::available_simd_tiers();
     const util::SimdTier best = tiers.back();
@@ -169,9 +117,6 @@ std::vector<GemmRow> run_gemm_suite() {
             for (float& x : b) x = dist(gen);
 
             GemmRow row{op.name, s};
-            row.gflops_seed = time_gflops(
-                [&](float* pc) { op.seed(a.data(), b.data(), pc, s.m, s.k, s.n); }, s.m, s.k,
-                s.n, c);
             // A decoder packs its panels once, when it is built, so the
             // decode rows time the product over a panel packed here.
             const nn::DecodePanel panel(b.data(), s.n, s.k);
@@ -189,11 +134,9 @@ std::vector<GemmRow> run_gemm_suite() {
             }
             rows.push_back(row);
 
-            std::printf("gemm_%s %4zux%4zux%4zu  seed %7.2f  scalar %7.2f  "
-                        "avx2 %7.2f GFLOP/s  (%s x%.2f seed)  %s\n",
-                        op.name, s.m, s.k, s.n, row.gflops_seed, row.gflops_tier_t1[0],
-                        row.gflops_tier_t1[1], util::simd_tier_name(best),
-                        row.gflops_tier_t1[static_cast<int>(best)] / row.gflops_seed, s.note);
+            std::printf("gemm_%s %4zux%4zux%4zu  scalar %7.2f  avx2 %7.2f GFLOP/s  %s\n",
+                        op.name, s.m, s.k, s.n, row.gflops_tier_t1[0], row.gflops_tier_t1[1],
+                        s.note);
             std::fflush(stdout);
         }
     }
@@ -355,7 +298,6 @@ void write_json(const std::vector<GemmRow>& rows, const std::vector<KernelRow>& 
         return;
     }
     const auto tiers = util::available_simd_tiers();
-    const int best = static_cast<int>(tiers.back());
     std::fprintf(f, "{\n  \"bench\": \"micro_nn_gemm\",\n");
     std::fprintf(f, "  \"simd_tiers\": [");
     for (std::size_t i = 0; i < tiers.size(); ++i) {
@@ -370,14 +312,9 @@ void write_json(const std::vector<GemmRow>& rows, const std::vector<KernelRow>& 
         std::fprintf(
             f,
             "    {\"op\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, \"note\": \"%s\", "
-            "\"gflops_seed\": %.3f, "
-            "\"gflops_scalar_t1\": %.3f, \"gflops_avx2_t1\": %.3f, "
-            "\"speedup_scalar_vs_seed\": %.3f, \"speedup_avx2_vs_seed\": %.3f, "
-            "\"speedup_best_vs_seed\": %.3f}%s\n",
-            r.op, r.shape.m, r.shape.k, r.shape.n, r.shape.note, r.gflops_seed,
-            r.gflops_tier_t1[0], r.gflops_tier_t1[1], r.gflops_tier_t1[0] / r.gflops_seed,
-            r.gflops_tier_t1[1] / r.gflops_seed, r.gflops_tier_t1[best] / r.gflops_seed,
-            i + 1 < rows.size() ? "," : "");
+            "\"gflops_scalar_t1\": %.3f, \"gflops_avx2_t1\": %.3f}%s\n",
+            r.op, r.shape.m, r.shape.k, r.shape.n, r.shape.note, r.gflops_tier_t1[0],
+            r.gflops_tier_t1[1], i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"kernels\": [\n");
     for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
@@ -472,7 +409,7 @@ BENCHMARK(BM_CptGptSampleToken)->Arg(16)->Arg(64)->Arg(192);
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::printf("== GEMM GFLOP/s (seed naive kernels vs blocked, one thread per tier) ==\n");
+    std::printf("== GEMM GFLOP/s (blocked kernels, one thread per tier) ==\n");
     const auto rows = run_gemm_suite();
     std::printf("== kernels, ns per call (one thread per tier) ==\n");
     const auto kernel_rows = run_kernel_suite();

@@ -16,9 +16,11 @@
 #   scripts/check.sh train       # train-labeled tests, then rerun determinism with CPT_THREADS=2 and 3
 #   scripts/check.sh scale       # scale-labeled tests + 50k-UE streaming smoke under an RSS bound
 #
-# Any subset may be requested by name (`scripts/check.sh sa tsan`). Each stage
-# configures into its own build directory (build-check-<stage>) so repeat runs
-# are incremental. All requested stages run even after a failure; the script
+# Any subset may be requested by name (`scripts/check.sh sa tsan`). The
+# werror, annotate and sanitizer stages each configure their own build
+# directory (build-check-<stage>); sa, simd, serve, router, train and scale
+# share one plain Release tree (build-check-release). Repeat runs are
+# incremental. All requested stages run even after a failure; the script
 # ends with a per-stage PASS/FAIL summary table and exits nonzero naming the
 # first failed stage. The two clang-only stages (tidy, annotate) pass
 # vacuously — with a notice — when no clang is installed, so the gate stays
@@ -27,6 +29,7 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+RELEASE_DIR="$ROOT/build-check-release"
 
 configure_and_build() { # <dir> <extra cmake flags...>
     local dir="$1"
@@ -97,7 +100,7 @@ stage_annotate() {
 
 stage_sa() {
     echo "== stage: sa (cpt_sa project-invariant linter + static-labeled tests) =="
-    local dir="$ROOT/build-check-sa"
+    local dir="$RELEASE_DIR"
     configure_and_build "$dir"
     run_ctest "$dir" -L static
     # The real tree must lint clean: sync-types, avx2-isolation,
@@ -149,7 +152,7 @@ host_has_avx512f() {
 
 stage_simd() {
     echo "== stage: simd (kernel parity + determinism under each forced tier) =="
-    configure_and_build "$ROOT/build-check-simd"
+    configure_and_build "$RELEASE_DIR"
     local tiers
     tiers="$(host_simd_tiers)"
     echo "host tiers: $tiers (avx512f: $(host_has_avx512f))"
@@ -161,14 +164,14 @@ stage_simd() {
     # default.
     for t in $tiers; do
         echo "-- CPT_SIMD=$t: parity + determinism suites"
-        CPT_SIMD="$t" run_ctest "$ROOT/build-check-simd" -R \
+        CPT_SIMD="$t" run_ctest "$RELEASE_DIR" -R \
             'SimdParity|GemmBitExact|DecodeGemm|ParallelDeterminism|ChurnRowMap|SlotBatchInvariance|TrainKernels|SamplerTest\.(GenerateBatchStopsExactlyAtTheLengthCap|GreedyStreamsDependOnlyOnTheBootstrapEvent)'
     done
 }
 
 stage_serve() {
     echo "== stage: serve (labeled tests + daemon smoke: loadtest, malformed request, graceful drain) =="
-    local dir="$ROOT/build-check-serve"
+    local dir="$RELEASE_DIR"
     configure_and_build "$dir"
     run_ctest "$dir" -L serve
 
@@ -247,7 +250,7 @@ await_listen_port() { # <log> <pid> <daemon name as printed>
 
 stage_router() {
     echo "== stage: router (sharded serving: 2 backends + router, mid-load backend kill) =="
-    local dir="$ROOT/build-check-serve"
+    local dir="$RELEASE_DIR"
     configure_and_build "$dir"
 
     local b1log="$dir/router_backend1.log" b2log="$dir/router_backend2.log"
@@ -363,7 +366,7 @@ stage_router() {
 
 stage_train() {
     echo "== stage: train (labeled tests, then determinism rerun with CPT_THREADS=2 and 3) =="
-    local dir="$ROOT/build-check-train"
+    local dir="$RELEASE_DIR"
     configure_and_build "$dir"
     run_ctest "$dir" -L train
     # The training-path determinism contract says CPT_THREADS is a pure
@@ -375,7 +378,7 @@ stage_train() {
 
 stage_scale() {
     echo "== stage: scale (scale-labeled tests + 50k-UE streaming smoke with RSS bound) =="
-    local dir="$ROOT/build-check-scale"
+    local dir="$RELEASE_DIR"
     configure_and_build "$dir"
     run_ctest "$dir" -L scale
     # End-to-end streaming smoke: generate a 50k-UE world straight to the

@@ -80,9 +80,8 @@ CptGpt::Package ModelHub::load(trace::DeviceType device, int hour_of_day,
                             "'");
 }
 
-std::optional<CptGpt::Package> ModelHub::load_nearest(trace::DeviceType device, int hour_of_day,
-                                                      const CptGptConfig& config) const {
-    const ModelHubEntry* best = nullptr;
+std::optional<int> ModelHub::nearest_hour(trace::DeviceType device, int hour_of_day) const {
+    std::optional<int> best;
     int best_dist = 25;
     for (const auto& e : entries_) {
         if (e.device != device) continue;
@@ -90,12 +89,10 @@ std::optional<CptGpt::Package> ModelHub::load_nearest(trace::DeviceType device, 
         const int dist = std::min(raw, 24 - raw);  // cyclic hour distance
         if (dist < best_dist) {
             best_dist = dist;
-            best = &e;
+            best = e.hour_of_day;
         }
     }
-    if (!best) return std::nullopt;
-    return CptGpt::load_package(directory_ + "/" + best->file, cellular::Generation::kLte4G,
-                                config);
+    return best;
 }
 
 }  // namespace cpt::core

@@ -41,12 +41,12 @@ public:
     CptGpt::Package load(trace::DeviceType device, int hour_of_day,
                          const CptGptConfig& config) const;
 
-    // Loads the release for the slice, falling back to the nearest published
-    // hour for the same device (cyclic distance); nullopt if the device has
-    // no releases at all. Mirrors how an operator would serve "the 3am model"
-    // when only peak hours were retrained.
-    std::optional<CptGpt::Package> load_nearest(trace::DeviceType device, int hour_of_day,
-                                                const CptGptConfig& config) const;
+    // The published hour nearest to `hour_of_day` for the same device
+    // (cyclic distance; `hour_of_day` itself when published, the first in
+    // manifest order on a tie); nullopt if the device has no releases at
+    // all. Mirrors how an operator would serve "the 3am model" when only
+    // peak hours were retrained.
+    std::optional<int> nearest_hour(trace::DeviceType device, int hour_of_day) const;
 
     const std::vector<ModelHubEntry>& entries() const { return entries_; }
     const std::string& directory() const { return directory_; }

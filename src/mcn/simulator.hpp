@@ -8,7 +8,8 @@
 // control-plane worker pool is modeled as a G/G/c queue; an optional
 // autoscaler resizes the pool at fixed intervals based on observed
 // utilization, which is exactly the capability whose evaluation requires
-// traces with realistic diurnal drift (challenge C5).
+// traces with realistic diurnal drift (challenge C5). Per-UE CONNECTED spells
+// come from cellular::walk(), the replayer's own §5.2.1 walk of the machine.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +69,8 @@ struct McnReport {
     std::size_t peak_queue_depth = 0;
 
     // Peak number of UEs simultaneously in CONNECTED state (per-UE session
-    // state an MCN must hold; challenge C3's sojourn realism feeds this).
+    // state an MCN must hold; challenge C3's sojourn realism feeds this). A
+    // spell still open at a UE's last event ends there.
     std::size_t peak_connected_ues = 0;
 
     // (time, worker count) autoscaling trajectory; single entry when

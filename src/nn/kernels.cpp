@@ -13,8 +13,8 @@ namespace cpt::nn::detail {
 namespace {
 
 // The scalar tier's trait for kernels_inl.hpp: eight lanes in an array, each
-// op one IEEE operation per lane (one std::fma per lane for each fused op)
-// in the order Avx2Lanes' instructions define. Structs, not vector types, so
+// op one IEEE operation per lane (one std::fma per lane for each fused float
+// op) in the order Avx2Lanes' instructions define. Structs, not vector types, so
 // the baseline ISA passes them by value without an ABI change.
 struct Lanes8 {
     struct Reg {
@@ -107,9 +107,12 @@ struct Lanes8 {
     static DReg dadd(DReg a, DReg b) {
         return {a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2], a.v[3] + b.v[3]};
     }
+    // The products are of widened floats, so exact in double: a multiply
+    // then an add (no contraction in this TU) gives the fused bits without
+    // a libm fma call per lane.
     static DReg dfma(DReg a, DReg b, DReg c) {
         DReg r;
-        for (std::size_t l = 0; l < 4; ++l) r.v[l] = std::fma(a.v[l], b.v[l], c.v[l]);
+        for (std::size_t l = 0; l < 4; ++l) r.v[l] = a.v[l] * b.v[l] + c.v[l];
         return r;
     }
     static double dhsum(DReg a) { return (a.v[0] + a.v[2]) + (a.v[1] + a.v[3]); }

@@ -17,7 +17,8 @@
 //   hsum(v) = ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)), hmax(v) the
 //   same tree of max; sum_keys(acc[8]), whose lane j is ((a0 + a1) + (a2 +
 //   a3)) + ((a4 + a5) + (a6 + a7)) over the lanes a of acc[j];
-//   DReg (4 doubles): dzero, widen_lo/widen_hi (lanes 0-3 / 4-7), dadd, dfma,
+//   DReg (4 doubles): dzero, widen_lo/widen_hi (lanes 0-3 / 4-7), dadd, dfma
+//   (only ever given widened floats, whose products are exact in double),
 //   dhsum(v) = (d0 + d2) + (d1 + d3).
 #pragma once
 

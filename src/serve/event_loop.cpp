@@ -86,11 +86,6 @@ public:
         if (thread_.joinable()) thread_.join();
     }
 
-    std::size_t connections() const {
-        util::LockGuard lk(mail_->mu);
-        return mail_->conn_count;
-    }
-
 private:
     // Cross-thread inbox. Kept in a shared_ptr because generate_async
     // completion callbacks capture it: a completion that fires after the
@@ -103,7 +98,6 @@ private:
         // (connection serial, finished response) from engine threads
         std::vector<std::pair<std::uint64_t, GenerateResponse>> done CPT_GUARDED_BY(mu);
         bool stopping CPT_GUARDED_BY(mu) = false;
-        std::size_t conn_count CPT_GUARDED_BY(mu) = 0;  // mirror for connections()
         util::WakeFd wake;
     };
 
@@ -157,8 +151,6 @@ private:
         serial_to_fd_[c.serial] = fd;
         c.armed = interest(c);
         epoll_.add(fd, c.armed);
-        util::LockGuard lk(mail_->mu);
-        ++mail_->conn_count;
     }
 
     void close_conn(int fd) {
@@ -169,8 +161,6 @@ private:
         epoll_.del(fd);
         ::close(fd);
         conns_.erase(it);
-        util::LockGuard lk(mail_->mu);
-        --mail_->conn_count;
     }
 
     // Appends `bytes` to the connection's write buffer and pushes as much as
@@ -553,12 +543,6 @@ void TcpServer::stop() {
         stopping_ = true;
     }
     for (auto& w : workers_) w->begin_stop();
-}
-
-std::size_t TcpServer::connections() const {
-    std::size_t total = 0;
-    for (const auto& w : workers_) total += w->connections();
-    return total;
 }
 
 void TcpServer::join_workers() {

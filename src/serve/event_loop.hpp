@@ -77,9 +77,6 @@ public:
     // or more than once. serve_forever unblocks within one tick.
     void stop();
 
-    // Live connection count across workers (tests and bench).
-    std::size_t connections() const;
-
 private:
     class Worker;
 

@@ -344,30 +344,20 @@ Server::Engine* Server::engine_for(trace::DeviceType device, int hour,
     }
     // Resolve the slice, applying the nearest-published-hour fallback the hub
     // offers (an operator that only retrained peak hours still serves 3am).
-    int serve_hour = hour;
-    if (!hub_.has(device, hour)) {
-        int best = -1;
-        int best_dist = 25;
-        if (config_.nearest_hour_fallback) {
-            for (const auto& e : hub_.entries()) {
-                if (e.device != device) continue;
-                const int raw = std::abs(e.hour_of_day - hour);
-                const int dist = std::min(raw, 24 - raw);
-                if (dist < best_dist) {
-                    best_dist = dist;
-                    best = e.hour_of_day;
-                }
-            }
-        }
-        if (best < 0) {
-            *reject = {Status::kNoModel,
-                       "no release for slice " + slice_name(device, hour) + " in hub '" +
-                           hub_.directory() + "'",
-                       {}};
-            return nullptr;
-        }
-        serve_hour = best;
+    std::optional<int> resolved;
+    if (config_.nearest_hour_fallback) {
+        resolved = hub_.nearest_hour(device, hour);
+    } else if (hub_.has(device, hour)) {
+        resolved = hour;
     }
+    if (!resolved) {
+        *reject = {Status::kNoModel,
+                   "no release for slice " + slice_name(device, hour) + " in hub '" +
+                       hub_.directory() + "'",
+                   {}};
+        return nullptr;
+    }
+    const int serve_hour = *resolved;
     const int key = static_cast<int>(device) * 24 + serve_hour;
     auto it = engines_.find(key);
     if (it == engines_.end()) {

@@ -1,7 +1,8 @@
 // Semi-Markov model over the two-level 3GPP UE state machine: per-sub-state
 // next-event probabilities plus a per-(sub-state, event) empirical sojourn
-// CDF, both fitted by replaying real streams (the SMM baseline of the paper,
-// originally Meng et al. IMC'23).
+// CDF, both fitted by walking real streams through the machine with
+// cellular::walk(), the replayer's own §5.2.1 rule (the SMM baseline of the
+// paper, originally Meng et al. IMC'23).
 #pragma once
 
 #include <array>
@@ -24,8 +25,10 @@ struct SmmConfig {
 class SemiMarkovModel {
 public:
     // Fits transition counts and sojourn CDFs from the streams of `ds`
-    // (replayed through the generation's state machine; violating events are
-    // skipped). Throws if the dataset contains no usable streams.
+    // (walked through the generation's state machine: events before the
+    // bootstrap and violating events are skipped, a stream that never
+    // bootstraps fits nothing). Throws if the dataset contains no usable
+    // streams.
     static SemiMarkovModel fit(const trace::Dataset& ds, const SmmConfig& config = {});
 
     // Generates one stream. Because the model embeds the state machine, the

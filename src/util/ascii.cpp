@@ -87,10 +87,6 @@ std::string fmt(double value, int precision) {
 
 std::string fmt_pct(double fraction, int precision) { return fmt(fraction * 100.0, precision) + "%"; }
 
-std::string fmt_permille(double fraction, int precision) {
-    return fmt(fraction * 1000.0, precision) + "permil";
-}
-
 std::string render_cdf_plot(const std::vector<std::pair<std::string, Ecdf>>& curves,
                             std::size_t width, std::size_t height, bool log_x) {
     if (curves.empty() || width < 8 || height < 4) return "(empty plot)\n";

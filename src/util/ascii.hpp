@@ -31,8 +31,6 @@ private:
 std::string fmt(double value, int precision = 2);
 // Percentage with a trailing '%'.
 std::string fmt_pct(double fraction, int precision = 2);
-// Per-mille with a trailing char sequence "permil".
-std::string fmt_permille(double fraction, int precision = 2);
 
 // printf-style append to `out` at whatever length the result needs (the
 // size is measured first), so no fixed buffer can truncate it.

@@ -42,21 +42,6 @@ Xoshiro256pp::result_type Xoshiro256pp::operator()() {
     return result;
 }
 
-void Xoshiro256pp::jump() {
-    static constexpr std::uint64_t kJump[] = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-                                              0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-    std::array<std::uint64_t, 4> acc{};
-    for (std::uint64_t mask : kJump) {
-        for (int b = 0; b < 64; ++b) {
-            if (mask & (1ULL << b)) {
-                for (std::size_t i = 0; i < 4; ++i) acc[i] ^= s_[i];
-            }
-            (*this)();
-        }
-    }
-    s_ = acc;
-}
-
 Rng Rng::fork(std::uint64_t salt) {
     // Mix the parent's stream with the salt so forks with different salts are
     // decorrelated even when taken from the same parent state.
@@ -80,13 +65,6 @@ std::size_t Rng::uniform_index(std::size_t n) {
         x = engine_();
     } while (x >= limit);
     return static_cast<std::size_t>(x % n);
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-    if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    if (span == 0) return static_cast<std::int64_t>(engine_());  // full 64-bit range
-    return lo + static_cast<std::int64_t>(uniform_index(static_cast<std::size_t>(span)));
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
@@ -119,17 +97,6 @@ double Rng::exponential(double rate) {
         u = uniform();
     } while (u <= 0.0);
     return -std::log(u) / rate;
-}
-
-double Rng::pareto(double scale, double shape) {
-    if (scale <= 0.0 || shape <= 0.0) {
-        throw std::invalid_argument("Rng::pareto: scale and shape must be > 0");
-    }
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return scale / std::pow(u, 1.0 / shape);
 }
 
 namespace {

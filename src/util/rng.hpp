@@ -27,10 +27,6 @@ public:
 
     result_type operator()();
 
-    // Jump function: advances the state by 2^128 steps. Used to derive
-    // independent sub-streams for parallel components.
-    void jump();
-
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ULL; }
 
@@ -55,8 +51,6 @@ public:
     double uniform(double lo, double hi);
     // Uniform integer in [0, n). Requires n > 0.
     std::size_t uniform_index(std::size_t n);
-    // Uniform integer in [lo, hi] inclusive.
-    std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
     bool bernoulli(double p);
 
@@ -65,8 +59,6 @@ public:
     double normal(double mean, double stddev);
     double lognormal(double mu, double sigma);
     double exponential(double rate);
-    // Bounded Pareto-ish heavy tail used by the synthetic world generator.
-    double pareto(double scale, double shape);
 
     // Samples an index from unnormalized non-negative weights. Requires at
     // least one strictly positive weight.

@@ -23,8 +23,4 @@ void install_shutdown_handlers() {
 
 bool shutdown_requested() { return g_shutdown != 0; }
 
-void request_shutdown() { g_shutdown = 1; }
-
-void reset_shutdown_flag() { g_shutdown = 0; }
-
 }  // namespace cpt::util

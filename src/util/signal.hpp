@@ -12,13 +12,7 @@ namespace cpt::util {
 // Registers SIGINT and SIGTERM handlers that set the shutdown flag.
 void install_shutdown_handlers();
 
-// True once a handled signal arrived or request_shutdown() was called.
+// True once a handled signal arrived.
 bool shutdown_requested();
-
-// Sets the flag from regular code (in-process drain, tests).
-void request_shutdown();
-
-// Clears the flag (tests that exercise the drain path repeatedly).
-void reset_shutdown_flag();
 
 }  // namespace cpt::util

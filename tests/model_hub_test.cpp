@@ -136,11 +136,11 @@ TEST_F(HubFixture, NearestHourFallbackIsCyclic) {
     ModelHub hub(dir);
     hub.publish(model, tok, data.initial_event_distribution(), trace::DeviceType::kPhone, 23);
 
-    // Hour 1 is distance 2 from 23 across midnight: must resolve.
-    const auto pkg = hub.load_nearest(trace::DeviceType::kPhone, 1, tiny_config());
-    EXPECT_TRUE(pkg.has_value());
+    // Hour 1 is distance 2 from 23 across midnight: must resolve, and load.
+    EXPECT_EQ(hub.nearest_hour(trace::DeviceType::kPhone, 1), 23);
+    EXPECT_NO_THROW(hub.load(trace::DeviceType::kPhone, 23, tiny_config()));
     // No releases for cars at all.
-    EXPECT_FALSE(hub.load_nearest(trace::DeviceType::kConnectedCar, 1, tiny_config()).has_value());
+    EXPECT_FALSE(hub.nearest_hour(trace::DeviceType::kConnectedCar, 1).has_value());
 }
 
 }  // namespace
