@@ -177,8 +177,10 @@ stage_serve() {
 
     local log="$dir/cpt_serve.log"
     rm -rf "$dir/serve-hub"
-    "$dir/examples/cpt_serve" --hub="$dir/serve-hub" --bootstrap --ues=40 --port=0 \
-        >"$log" 2>&1 &
+    # Four decode lanes per slice whatever the host's core count, so the
+    # concurrent loadtest below can open more than one.
+    CPT_THREADS=4 "$dir/examples/cpt_serve" --hub="$dir/serve-hub" --bootstrap --ues=40 \
+        --port=0 >"$log" 2>&1 &
     local daemon=$!
     # The daemon picks an ephemeral port and prints it on the listening line.
     local port=""
@@ -198,8 +200,10 @@ stage_serve() {
         kill "$daemon" 2>/dev/null || true
         return 1
     fi
-    if ! "$dir/examples/serve_loadtest" --port="$port" --requests=6 --count=4 --threads=2 \
-        --max-len=16; then
+    # Four connections keep four requests on the one slice at once, so the
+    # slice decodes them on several lanes.
+    if ! "$dir/examples/serve_loadtest" --port="$port" --requests=16 --count=8 --threads=4 \
+        --max-len=64; then
         echo "serve_loadtest failed against the smoke daemon" >&2
         kill "$daemon" 2>/dev/null || true
         return 1
@@ -232,7 +236,16 @@ stage_serve() {
         cat "$log" >&2
         return 1
     fi
-    echo "serve smoke: loadtest ok, malformed request rejected, clean drain confirmed on port $port"
+    # The drained stats: all 16 loadtest requests completed, on 2+ lanes.
+    local lanes
+    lanes="$(sed -n 's/.*"lanes": \([0-9]*\)}.*/\1/p' "$log" | head -n 1)"
+    if ! grep -q '"completed": 16,' "$log" || [ -z "$lanes" ] || [ "$lanes" -lt 2 ]; then
+        echo "drained stats lack 16 completed requests on 2 or more lanes:" >&2
+        cat "$log" >&2
+        return 1
+    fi
+    echo "serve smoke: loadtest ok on $lanes lanes, malformed request rejected, clean drain" \
+        "confirmed on port $port"
 }
 
 # Waits for a daemon to print its "listening on" line and echoes the port.

@@ -65,8 +65,12 @@ std::vector<ViolationCategory> TraceLintReport::top_categories(std::size_t k) co
     const std::size_t num_events = violations_by_state_event.size() / kNumSubStates;
     std::vector<std::size_t> order(violations_by_state_event.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    // Equal counts rank by ascending key, so the order (and render()/to_json())
+    // does not depend on the standard library's sort.
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return violations_by_state_event[a] > violations_by_state_event[b];
+        const std::size_t ca = violations_by_state_event[a];
+        const std::size_t cb = violations_by_state_event[b];
+        return ca > cb || (ca == cb && a < b);
     });
     std::vector<ViolationCategory> out;
     for (std::size_t rank = 0; rank < k && rank < order.size(); ++rank) {

@@ -88,7 +88,8 @@ struct TraceLintReport {
                                    static_cast<double>(total_streams)
                              : 0.0;
     }
-    // The k largest non-zero categories, by descending count.
+    // The k largest non-zero categories, by descending count; equal counts
+    // in ascending key (state * num_events + event) order.
     std::vector<ViolationCategory> top_categories(std::size_t k) const;
 
     // Aligned text rendering (tables: totals, top categories, worst UEs).

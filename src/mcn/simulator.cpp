@@ -1,7 +1,7 @@
 #include "simulator.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <sstream>
 
 #include "cellular/messages.hpp"
@@ -97,9 +97,11 @@ McnReport simulate(const trace::Dataset& ds, const McnConfig& config) {
     util::Rng rng(config.seed);
 
     // ---- G/G/c queue: worker free times in a min-heap. ----
-    std::priority_queue<double, std::vector<double>, std::greater<>> workers;
+    // A plain vector kept as a heap (the ops std::priority_queue runs), so the
+    // busy-worker count below can read its storage.
+    const auto later = std::greater<>();
+    std::vector<double> workers(config.workers, 0.0);
     std::size_t pool = config.workers;
-    for (std::size_t i = 0; i < pool; ++i) workers.push(0.0);
 
     std::vector<double> latencies_ms;
     latencies_ms.reserve(arrivals.size());
@@ -123,15 +125,15 @@ McnReport simulate(const trace::Dataset& ds, const McnConfig& config) {
             if (desired != pool) {
                 // Rebuild the pool: carry over backlog conservatively by
                 // keeping the latest free times.
-                std::vector<double> free_times;
-                while (!workers.empty()) {
-                    free_times.push_back(workers.top());
-                    workers.pop();
-                }
+                std::vector<double> free_times = workers;
                 std::sort(free_times.begin(), free_times.end());
                 free_times.resize(std::min(free_times.size(), desired), a.t);
                 while (free_times.size() < desired) free_times.push_back(a.t);
-                for (double f : free_times) workers.push(f);
+                workers.clear();
+                for (double f : free_times) {
+                    workers.push_back(f);
+                    std::push_heap(workers.begin(), workers.end(), later);
+                }
                 pool = desired;
                 report.worker_trajectory.push_back({a.t, pool});
             }
@@ -143,11 +145,12 @@ McnReport simulate(const trace::Dataset& ds, const McnConfig& config) {
         const double service_s =
             (config.stochastic_service ? rng.exponential(1.0 / mean_us) : mean_us) * 1e-6;
 
-        const double free_at = workers.top();
-        workers.pop();
+        std::pop_heap(workers.begin(), workers.end(), later);
+        const double free_at = workers.back();
         const double start = std::max(free_at, a.t);
         const double done = start + service_s;
-        workers.push(done);
+        workers.back() = done;
+        std::push_heap(workers.begin(), workers.end(), later);
 
         latencies_ms.push_back((done - a.t) * 1e3);
         busy_time += service_s;
@@ -157,12 +160,8 @@ McnReport simulate(const trace::Dataset& ds, const McnConfig& config) {
         // Queue depth proxy: how many workers are busy past this arrival.
         // (Exact queue tracking would need an event list; busy-count is the
         // standard G/G/c occupancy proxy.)
-        std::size_t busy = 0;
-        std::priority_queue<double, std::vector<double>, std::greater<>> copy = workers;
-        while (!copy.empty()) {
-            if (copy.top() > a.t) ++busy;
-            copy.pop();
-        }
+        const auto busy = static_cast<std::size_t>(std::count_if(
+            workers.begin(), workers.end(), [&](double free_at) { return free_at > a.t; }));
         peak_queue = std::max(peak_queue, busy);
     }
 

@@ -27,9 +27,10 @@ TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t bat
     for (std::size_t r = 0; r < batch; ++r) phys_[r] = r;
     free_.reserve(batch);
     const std::size_t dh = cfg.d_model / cfg.heads;
+    const std::size_t cache_floats = batch * cfg.heads * cfg.max_seq_len * dh;
     for (auto& c : caches_) {
-        c.k = Tensor({batch, cfg.heads, cfg.max_seq_len, dh});
-        c.v = Tensor({batch, cfg.heads, cfg.max_seq_len, dh});
+        c.k = std::make_unique_for_overwrite<float[]>(cache_floats);
+        c.v = std::make_unique_for_overwrite<float[]>(cache_floats);
     }
     std::size_t mlp_hidden = 0;
     for (const auto& block : model.blocks()) {
@@ -116,9 +117,9 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
         // New K/V rows go straight into the cache before attention runs, so
         // each row's token attends to itself.
         pb.wk.forward_rows(pscratch, kv_.data().data(), m);
-        append_kv(kv_.data().data(), cache.k.data().data());
+        append_kv(kv_.data().data(), cache.k.get());
         pb.wv.forward_rows(pscratch, kv_.data().data(), m);
-        append_kv(kv_.data().data(), cache.v.data().data());
+        append_kv(kv_.data().data(), cache.v.get());
         // Per-row, per-head attention over the row's own causal window
         // [0, len(r)]: one kernel call per (row, head) runs scores, softmax
         // and the value mix in kernels::attention_head's order, the same
@@ -138,9 +139,8 @@ const Tensor& TransformerDecoder::step(const Tensor& x) {
                     const std::size_t win = (phys_[r] * h + head) * max_t * dh;
                     const float* qrow = pq + r * d + head * dh;
                     float* crow = ctx + r * d + head * dh;
-                    kernels::attention_head(qrow, cache.k.data().data() + win,
-                                            cache.v.data().data() + win, scores, crow, n, dh,
-                                            scale);
+                    kernels::attention_head(qrow, cache.k.get() + win, cache.v.get() + win,
+                                            scores, crow, n, dh, scale);
                 }
             }
         }

@@ -22,9 +22,9 @@
 // Threading: a decoder runs entirely on its caller's thread. Nothing under
 // step() opens a thread-pool region, so a step never waits on, or
 // contends for, the process-wide pool. Parallel decode lives one level up: the
-// sampler runs one SlotBatch per pool lane and cpt-serve one Engine thread
-// per slice, each with its own decoder. The output therefore cannot depend
-// on CPT_THREADS.
+// sampler runs one SlotBatch per pool lane and cpt-serve one thread per
+// decode lane of a slice, each with its own decoder. The output therefore
+// cannot depend on CPT_THREADS.
 //
 // Continuous batching: admit() re-activates freed rows mid-decode. Each row
 // carries its own context length and its K/V is stored at row-local
@@ -37,6 +37,7 @@
 // by tests/serve_test.cpp).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "modules.hpp"
@@ -92,9 +93,11 @@ public:
 private:
     struct BlockCache {
         // K/V laid out [capacity, H, maxT, Dh] (row-major, preallocated);
-        // only the first batch_ rows are live.
-        Tensor k;
-        Tensor v;
+        // only the first batch_ rows are live. Left uninitialised: step()
+        // writes each position before any attention reads it, so untouched
+        // rows cost no resident memory and construction no memset.
+        std::unique_ptr<float[]> k;
+        std::unique_ptr<float[]> v;
     };
 
     // The projections of one block, packed at construction.

@@ -12,6 +12,7 @@
 #include "util/check.hpp"
 #include "util/stats.hpp"
 #include "util/sync.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cpt::serve {
 
@@ -29,64 +30,58 @@ std::string slice_name(trace::DeviceType device, int hour) {
     return std::string(trace::to_string(device)) + "/h" + std::to_string(hour);
 }
 
+// A request placed whole on one lane. Stream i decodes from base_rng.fork(i),
+// the forks taken in index order; base_rng is Rng(seed) for a deterministic
+// request, else one fork of the slice's server RNG drawn at submission.
+struct Request {
+    GenerateRequest req;
+    std::uint64_t serial = 0;  // lane-local; the high bits of its tickets
+    Clock::time_point submitted;
+    Clock::time_point deadline;
+    util::Rng base_rng{1};
+    std::size_t admitted = 0;     // streams admitted into slots so far
+    std::size_t outstanding = 0;  // admitted but neither finished nor evicted
+    std::vector<std::pair<std::size_t, trace::Stream>> done;  // (index, stream)
+    Service::Done callback;
+};
+using RequestPtr = std::shared_ptr<Request>;
+
+// A completion staged under a lane's lock and fired after it is released (a
+// callback may re-enter the service or block; neither is safe under it).
+struct Fire {
+    Service::Done callback;
+    GenerateResponse resp;
+};
+
 }  // namespace
 
-// ---- Engine: one slice's continuous-batching worker ------------------------
+// ---- Lane: one decode thread of a slice -------------------------------------
 
-class Server::Engine {
+class Server::Lane {
 public:
-    Engine(const ServeConfig& cfg, core::CptGpt::Package pkg, trace::DeviceType device,
-           int hour)
-        : cfg_(&cfg),
-          device_(device),
-          hour_(hour),
-          pkg_(std::move(pkg)),
-          sampler_(*pkg_.model, pkg_.tokenizer, pkg_.initial_event_dist,
-                   make_sampler_config(cfg, device, hour)),
-          server_rng_(cfg.server_seed ^ (static_cast<std::uint64_t>(device) * 24 + hour)),
-          worker_([this] { run(); }) {}
+    Lane(const ServeConfig& cfg, const core::Sampler& sampler)
+        : cfg_(&cfg), sampler_(&sampler), worker_([this] { run(); }) {}
 
-    ~Engine() { stop_and_join(); }
+    ~Lane() { stop_and_join(); }
+    Lane(const Lane&) = delete;
+    Lane& operator=(const Lane&) = delete;
 
-    // Non-blocking submit: `done` fires from the engine worker when the
-    // request completes or expires, or synchronously here when it is rejected
-    // before admission. The callback never runs under mu_.
-    void submit_async(const GenerateRequest& req, Service::Done done) CPT_EXCLUDES(mu_) {
-        GenerateResponse reject;
-        bool rejected = false;
+    void enqueue(RequestPtr rq) CPT_EXCLUDES(mu_) {
         {
             util::LockGuard lk(mu_);
-            if (stop_) {
-                reject = {Status::kShuttingDown, "server is draining", {}};
-                rejected = true;
-            } else if (queue_.size() + inflight_.size() >= cfg_->queue_capacity) {
-                ++requests_rejected_;
-                reject = {Status::kQueueFull,
-                          "admission queue at capacity (" +
-                              std::to_string(cfg_->queue_capacity) + ")",
-                          {}};
-                rejected = true;
-            } else {
-                auto rq = std::make_shared<Request>();
-                rq->req = req;
-                rq->serial = next_serial_++;
-                rq->submitted = Clock::now();
-                const std::uint32_t deadline_ms =
-                    req.deadline_ms != 0 ? req.deadline_ms : cfg_->default_deadline_ms;
-                rq->deadline = rq->submitted + std::chrono::milliseconds(deadline_ms);
-                rq->deterministic = cfg_->deterministic || req.deterministic;
-                rq->base_rng = util::Rng(req.seed);
-                rq->callback = std::move(done);
-                queue_.push_back(std::move(rq));
-            }
-        }
-        if (rejected) {
-            done(std::move(reject));
-            return;
+            rq->serial = next_serial_++;
+            queue_.push_back(std::move(rq));
         }
         cv_.notify_one();
     }
 
+    // Requests queued or in flight.
+    std::size_t load() const CPT_EXCLUDES(mu_) {
+        util::LockGuard lk(mu_);
+        return load_locked();
+    }
+
+    // Finishes queued and in-flight work, then joins the worker.
     void stop_and_join() CPT_EXCLUDES(mu_) {
         {
             util::LockGuard lk(mu_);
@@ -97,55 +92,28 @@ public:
         if (worker_.joinable()) worker_.join();
     }
 
-    using StatsSnapshot = Server::SliceStats;
-
-    StatsSnapshot stats() const CPT_EXCLUDES(mu_) {
+    // This lane's counters; device, hour, lanes and rejections are the
+    // slice's.
+    SliceStats stats() const CPT_EXCLUDES(mu_) {
         util::LockGuard lk(mu_);
-        StatsSnapshot s;
-        s.device = device_;
-        s.hour = hour_;
+        SliceStats s;
         s.decode_seconds = times_.decode;
         s.steps = times_.steps;
         s.streams = streams_done_;
         s.tokens = tokens_done_;
         s.requests_done = requests_done_;
         s.requests_timeout = requests_timeout_;
-        s.requests_rejected = requests_rejected_;
-        s.queue_depth = queue_.size() + inflight_.size();
+        s.queue_depth = load_locked();
         s.latency = latency_;
         return s;
     }
 
 private:
-    struct Request {
-        GenerateRequest req;
-        std::uint64_t serial = 0;
-        Clock::time_point submitted;
-        Clock::time_point deadline;
-        bool deterministic = false;
-        util::Rng base_rng{1};
-        std::size_t admitted = 0;     // streams admitted into slots so far
-        std::size_t outstanding = 0;  // admitted but neither finished nor evicted
-        std::vector<std::pair<std::size_t, trace::Stream>> done;  // (index, stream)
-        Service::Done callback;
-    };
-    using RequestPtr = std::shared_ptr<Request>;
-
-    // A completion staged under mu_ and fired after the lock is released (a
-    // callback may re-enter the service or block; neither is safe under mu_).
-    struct Fire {
-        Service::Done callback;
-        GenerateResponse resp;
-    };
-
-    static core::SamplerConfig make_sampler_config(const ServeConfig& cfg,
-                                                   trace::DeviceType device, int hour) {
-        core::SamplerConfig sc;
-        sc.batch = cfg.slot_capacity;
-        sc.device = device;
-        sc.hour_of_day = hour;
-        sc.max_stream_len = std::min<std::size_t>(500, cfg.model.max_seq_len);
-        return sc;
+    // A partly admitted head request is both queued and in flight; count it
+    // once.
+    std::size_t load_locked() const CPT_REQUIRES(mu_) {
+        const bool head_in_flight = !queue_.empty() && queue_.front()->admitted > 0;
+        return queue_.size() + inflight_.size() - (head_in_flight ? 1 : 0);
     }
 
     // Completes a request: sorts its streams back into submission order and
@@ -220,9 +188,7 @@ private:
             // the config cap, so a clamped max_len always fits — no need to
             // wait for the batch to drain before admitting the head stream.
             const std::size_t idx = rq->admitted;
-            util::Rng rng = rq->deterministic ? rq->base_rng.fork(idx)
-                                              : server_rng_.fork(stream_salt_++);
-            batch.admit(std::move(rng), trace::ue_id(rq->req.ue_prefix, idx),
+            batch.admit(rq->base_rng.fork(idx), trace::ue_id(rq->req.ue_prefix, idx),
                         (rq->serial << kStreamIndexBits) | idx, params);
             ++rq->admitted;
             ++rq->outstanding;
@@ -234,7 +200,7 @@ private:
     void deliver_locked(core::Sampler::SlotBatch::Finished&& f) CPT_REQUIRES(mu_) {
         const std::uint64_t serial = f.ticket >> kStreamIndexBits;
         const auto it = inflight_.find(serial);
-        CPT_CHECK(it != inflight_.end(), "serve::Engine: finished stream for unknown request ",
+        CPT_CHECK(it != inflight_.end(), "serve::Lane: finished stream for unknown request ",
                   serial);
         const RequestPtr rq = it->second;
         --rq->outstanding;
@@ -248,7 +214,7 @@ private:
     }
 
     void run() CPT_EXCLUDES(mu_) {
-        core::Sampler::SlotBatch batch = sampler_.make_slot_batch(cfg_->slot_capacity);
+        core::Sampler::SlotBatch batch = sampler_->make_slot_batch(cfg_->slot_capacity);
         std::vector<core::Sampler::SlotBatch::Finished> finished;
         std::vector<core::Sampler::SlotBatch::Finished> evict_scratch;
         std::vector<Fire> fire;  // completions drained from fire_, run unlocked
@@ -291,10 +257,7 @@ private:
     }
 
     const ServeConfig* cfg_;
-    trace::DeviceType device_;
-    int hour_;
-    core::CptGpt::Package pkg_;
-    core::Sampler sampler_;
+    const core::Sampler* sampler_;  // the slice's; shared read-only by its lanes
     // Snapshot of the batch's stage clock (folded in run(), read by stats()).
     core::Sampler::StageTimes times_ CPT_GUARDED_BY(mu_);
 
@@ -310,22 +273,152 @@ private:
     std::vector<Fire> fire_ CPT_GUARDED_BY(mu_);
     bool stop_ CPT_GUARDED_BY(mu_) = false;
     std::uint64_t next_serial_ CPT_GUARDED_BY(mu_) = 0;
-    util::Rng server_rng_ CPT_GUARDED_BY(mu_);
-    std::uint64_t stream_salt_ CPT_GUARDED_BY(mu_) = 0;
 
     std::uint64_t streams_done_ CPT_GUARDED_BY(mu_) = 0;
     std::uint64_t tokens_done_ CPT_GUARDED_BY(mu_) = 0;
     std::uint64_t requests_done_ CPT_GUARDED_BY(mu_) = 0;
     std::uint64_t requests_timeout_ CPT_GUARDED_BY(mu_) = 0;
-    std::uint64_t requests_rejected_ CPT_GUARDED_BY(mu_) = 0;
     util::LatencyHistogram latency_ CPT_GUARDED_BY(mu_);
 
     std::thread worker_;  // last member: starts after every field it reads
 };
 
+// ---- Slice: one (device, hour) package and its decode lanes -----------------
+
+class Server::Slice {
+public:
+    Slice(const ServeConfig& cfg, core::CptGpt::Package pkg, trace::DeviceType device, int hour,
+          std::size_t max_lanes)
+        : cfg_(&cfg),
+          device_(device),
+          hour_(hour),
+          max_lanes_(max_lanes),
+          pkg_(std::move(pkg)),
+          sampler_(*pkg_.model, pkg_.tokenizer, pkg_.initial_event_dist,
+                   make_sampler_config(cfg, device, hour)),
+          server_rng_(cfg.server_seed ^ (static_cast<std::uint64_t>(device) * 24 + hour)) {}
+
+    ~Slice() { stop_and_join(); }
+    Slice(const Slice&) = delete;
+    Slice& operator=(const Slice&) = delete;
+
+    // Non-blocking submit: places the request whole on one lane, whose
+    // worker fires `done` when it completes or expires; a request rejected
+    // here gets `done` synchronously. The callback never runs under a lock.
+    void submit_async(const GenerateRequest& req, Service::Done done) CPT_EXCLUDES(mu_) {
+        GenerateResponse reject;
+        {
+            util::LockGuard lk(mu_);
+            std::vector<std::size_t> loads;
+            std::size_t total = 0;
+            for (const auto& lane : lanes_) total += loads.emplace_back(lane->load());
+            if (stop_) {
+                reject = {Status::kShuttingDown, "server is draining", {}};
+            } else if (total >= cfg_->queue_capacity) {
+                ++requests_rejected_;
+                reject = {Status::kQueueFull,
+                          "admission queue at capacity (" +
+                              std::to_string(cfg_->queue_capacity) + ")",
+                          {}};
+            } else {
+                auto rq = std::make_shared<Request>();
+                rq->req = req;
+                rq->submitted = Clock::now();
+                const std::uint32_t deadline_ms =
+                    req.deadline_ms != 0 ? req.deadline_ms : cfg_->default_deadline_ms;
+                rq->deadline = rq->submitted + std::chrono::milliseconds(deadline_ms);
+                rq->base_rng = cfg_->deterministic || req.deterministic
+                                   ? util::Rng(req.seed)
+                                   : server_rng_.fork(stream_salt_++);
+                rq->callback = std::move(done);
+                place_locked(loads).enqueue(std::move(rq));
+                return;
+            }
+        }
+        done(std::move(reject));
+    }
+
+    // Stops admission, then lets every lane finish its queued and in-flight
+    // work and joins it.
+    void stop_and_join() CPT_EXCLUDES(mu_) {
+        std::vector<Lane*> lanes;
+        {
+            util::LockGuard lk(mu_);
+            stop_ = true;
+            for (const auto& lane : lanes_) lanes.push_back(lane.get());
+        }
+        // Unlocked: a completion callback may re-enter submit_async.
+        for (Lane* lane : lanes) lane->stop_and_join();
+    }
+
+    // The slice's counters: its lanes' work summed, plus its own rejections.
+    SliceStats stats() const CPT_EXCLUDES(mu_) {
+        util::LockGuard lk(mu_);
+        SliceStats s;
+        s.device = device_;
+        s.hour = hour_;
+        s.lanes = lanes_.size();
+        s.requests_rejected = requests_rejected_;
+        for (const auto& lane : lanes_) {
+            const SliceStats l = lane->stats();
+            s.streams += l.streams;
+            s.tokens += l.tokens;
+            s.requests_done += l.requests_done;
+            s.requests_timeout += l.requests_timeout;
+            s.queue_depth += l.queue_depth;
+            s.decode_seconds += l.decode_seconds;
+            s.steps += l.steps;
+            s.latency.merge(l.latency);
+        }
+        return s;
+    }
+
+private:
+    static core::SamplerConfig make_sampler_config(const ServeConfig& cfg,
+                                                   trace::DeviceType device, int hour) {
+        core::SamplerConfig sc;
+        sc.batch = cfg.slot_capacity;
+        sc.device = device;
+        sc.hour_of_day = hour;
+        sc.max_stream_len = std::min<std::size_t>(500, cfg.model.max_seq_len);
+        return sc;
+    }
+
+    // The lane for a new request, given each lane's load: an idle lane, else
+    // a new lane while there are fewer than max_lanes_, else the least
+    // loaded lane (lowest index on ties).
+    Lane& place_locked(const std::vector<std::size_t>& loads) CPT_REQUIRES(mu_) {
+        const auto least = std::min_element(loads.begin(), loads.end());
+        if (least != loads.end() && *least == 0) return *lanes_[least - loads.begin()];
+        if (lanes_.size() < max_lanes_) {
+            return *lanes_.emplace_back(std::make_unique<Lane>(*cfg_, sampler_));
+        }
+        return *lanes_[least - loads.begin()];
+    }
+
+    const ServeConfig* cfg_;
+    trace::DeviceType device_;
+    int hour_;
+    std::size_t max_lanes_;
+    core::CptGpt::Package pkg_;
+    core::Sampler sampler_;
+
+    mutable util::Mutex mu_;
+    // Grows up to max_lanes_ and never shrinks; declared after sampler_,
+    // which every lane reads until it is joined.
+    std::vector<std::unique_ptr<Lane>> lanes_ CPT_GUARDED_BY(mu_);
+    bool stop_ CPT_GUARDED_BY(mu_) = false;
+    util::Rng server_rng_ CPT_GUARDED_BY(mu_);
+    std::uint64_t stream_salt_ CPT_GUARDED_BY(mu_) = 0;
+    std::uint64_t requests_rejected_ CPT_GUARDED_BY(mu_) = 0;
+};
+
 // ---- Server ----------------------------------------------------------------
 
-Server::Server(ServeConfig config) : config_(std::move(config)), hub_(config_.hub_dir) {
+Server::Server(ServeConfig config)
+    : config_(std::move(config)),
+      hub_(config_.hub_dir),
+      lanes_per_slice_(util::configured_threads()) {
     CPT_CHECK_GT(config_.slot_capacity, std::size_t{0}, " serve::Server: slot_capacity");
     CPT_CHECK_GT(config_.queue_capacity, std::size_t{0}, " serve::Server: queue_capacity");
     start_ns_ = static_cast<std::uint64_t>(
@@ -335,9 +428,9 @@ Server::Server(ServeConfig config) : config_(std::move(config)), hub_(config_.hu
 
 Server::~Server() { drain(); }
 
-Server::Engine* Server::engine_for(trace::DeviceType device, int hour,
+Server::Slice* Server::slice_for(trace::DeviceType device, int hour,
                                    GenerateResponse* reject) {
-    util::LockGuard lk(engines_mutex_);
+    util::LockGuard lk(slices_mutex_);
     if (draining_) {
         *reject = {Status::kShuttingDown, "server is draining", {}};
         return nullptr;
@@ -359,20 +452,20 @@ Server::Engine* Server::engine_for(trace::DeviceType device, int hour,
     }
     const int serve_hour = *resolved;
     const int key = static_cast<int>(device) * 24 + serve_hour;
-    auto it = engines_.find(key);
-    if (it == engines_.end()) {
-        it = engines_
-                 .emplace(key, std::make_unique<Engine>(
+    auto it = slices_.find(key);
+    if (it == slices_.end()) {
+        it = slices_
+                 .emplace(key, std::make_unique<Slice>(
                                    config_, hub_.load(device, serve_hour, config_.model),
-                                   device, serve_hour))
+                                   device, serve_hour, lanes_per_slice_))
                  .first;
     }
     return it->second.get();
 }
 
-// Validates the request and resolves its slice engine. On failure fills
+// Validates the request and resolves its slice. On failure fills
 // `reject` and returns nullptr.
-Server::Engine* Server::route(const GenerateRequest& request, GenerateResponse* reject) {
+Server::Slice* Server::route(const GenerateRequest& request, GenerateResponse* reject) {
     if (request.count == 0 || request.count > kMaxRequestStreams) {
         *reject = {Status::kBadRequest,
                    "count must be in [1, " + std::to_string(kMaxRequestStreams) + "]", {}};
@@ -407,33 +500,33 @@ Server::Engine* Server::route(const GenerateRequest& request, GenerateResponse* 
                    {}};
         return nullptr;
     }
-    // 0 means the engine's cap; a stream needs its start event plus one more.
+    // 0 means the slice's cap; a stream needs its start event plus one more.
     if (request.max_stream_len == 1) {
         *reject = {Status::kBadRequest, "max_stream_len must be 0 (default) or >= 2", {}};
         return nullptr;
     }
-    return engine_for(request.device, request.hour_of_day, reject);
+    return slice_for(request.device, request.hour_of_day, reject);
 }
 
 void Server::generate_async(const GenerateRequest& request, Done done) {
     GenerateResponse reject;
-    Engine* engine = route(request, &reject);
-    if (engine == nullptr) {
+    Slice* slice = route(request, &reject);
+    if (slice == nullptr) {
         done(std::move(reject));
         return;
     }
-    engine->submit_async(request, std::move(done));
+    slice->submit_async(request, std::move(done));
 }
 
 HealthInfo Server::health() const {
     HealthInfo h;
     {
-        util::LockGuard lk(engines_mutex_);
+        util::LockGuard lk(slices_mutex_);
         h.draining = draining_;
         h.ok = !draining_;
-        h.engines = static_cast<std::uint32_t>(engines_.size());
-        for (const auto& [key, engine] : engines_) {
-            const auto s = engine->stats();
+        h.engines = static_cast<std::uint32_t>(slices_.size());
+        for (const auto& [key, slice] : slices_) {
+            const auto s = slice->stats();
             h.active_requests += static_cast<std::uint32_t>(s.queue_depth);
             h.streams_done += s.streams;
         }
@@ -447,27 +540,27 @@ HealthInfo Server::health() const {
 }
 
 void Server::drain() {
-    std::map<int, std::unique_ptr<Engine>> engines;
+    std::map<int, std::unique_ptr<Slice>> slices;
     {
-        util::LockGuard lk(engines_mutex_);
-        if (draining_ && engines_.empty()) return;
+        util::LockGuard lk(slices_mutex_);
+        if (draining_ && slices_.empty()) return;
         draining_ = true;
-        engines.swap(engines_);
+        slices.swap(slices_);
     }
-    for (auto& [key, engine] : engines) engine->stop_and_join();
+    for (auto& [key, slice] : slices) slice->stop_and_join();
     // Keep the final per-slice counters so the stats surface survives the
     // drain (the daemon prints stats_json() after SIGTERM).
-    util::LockGuard lk(engines_mutex_);
-    for (auto& [key, engine] : engines) drained_stats_.push_back(engine->stats());
+    util::LockGuard lk(slices_mutex_);
+    for (auto& [key, slice] : slices) drained_stats_.push_back(slice->stats());
 }
 
 std::string Server::stats_json() const {
-    std::vector<Engine::StatsSnapshot> slices;
+    std::vector<SliceStats> slices;
     {
-        util::LockGuard lk(engines_mutex_);
-        slices.reserve(engines_.size() + drained_stats_.size());
+        util::LockGuard lk(slices_mutex_);
+        slices.reserve(slices_.size() + drained_stats_.size());
         slices = drained_stats_;
-        for (const auto& [key, engine] : engines_) slices.push_back(engine->stats());
+        for (const auto& [key, slice] : slices_) slices.push_back(slice->stats());
     }
     const auto now_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now().time_since_epoch())
@@ -493,7 +586,7 @@ std::string Server::stats_json() const {
                       "%s\n    {\"device\": \"%.*s\", \"hour\": %d, \"streams\": %llu, "
                       "\"tokens\": %llu, \"streams_per_sec\": %.2f, \"tokens_per_sec\": %.2f, "
                       "\"decode_ms_per_step\": %.3f, \"steps\": %llu, "
-                      "\"queue_depth\": %zu}",
+                      "\"queue_depth\": %zu, \"lanes\": %zu}",
                       i == 0 ? "" : ",",
                       static_cast<int>(trace::to_string(s.device).size()),
                       trace::to_string(s.device).data(), s.hour,
@@ -501,7 +594,7 @@ std::string Server::stats_json() const {
                       static_cast<unsigned long long>(s.tokens),
                       static_cast<double>(s.streams) / rate_div,
                       static_cast<double>(s.tokens) / rate_div, decode_ms_per_step,
-                      static_cast<unsigned long long>(s.steps), s.queue_depth);
+                      static_cast<unsigned long long>(s.steps), s.queue_depth, s.lanes);
     }
     json += slices.empty() ? "],\n" : "\n  ],\n";
     const auto pct = latency.percentiles();

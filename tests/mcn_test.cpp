@@ -135,6 +135,36 @@ TEST(SimulatorTest, DeterministicWithoutStochasticService) {
     EXPECT_EQ(a.peak_connected_ues, b.peak_connected_ues);
 }
 
+// FNV-1a over a report's rendered table.
+std::uint64_t render_digest(const McnReport& r) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : r.render()) h = (h ^ c) * 0x100000001b3ULL;
+    return h;
+}
+
+// The rendered report of a fixed world, pinned byte for byte for a loaded
+// fixed pool and for an autoscaled pool whose resizes rebuild the worker
+// heap. Its "peak busy workers" row is the busy-worker count over the heap.
+TEST(SimulatorTest, RenderIsPinned) {
+    const auto ds = world(200);
+    McnConfig fixed;
+    fixed.workers = 8;
+    fixed.costs.srv_req_us = 50000.0;
+    fixed.costs.s1_rel_us = 50000.0;
+    McnConfig scaled = fixed;
+    scaled.workers = 1;
+    scaled.costs.srv_req_us = 200000.0;
+    scaled.costs.s1_rel_us = 200000.0;
+    scaled.autoscale = true;
+    scaled.autoscale_interval_s = 120.0;
+    scaled.target_utilization = 0.3;
+    const auto a = simulate(ds, fixed);
+    const auto b = simulate(ds, scaled);
+    EXPECT_GT(b.worker_trajectory.size(), 2u);
+    EXPECT_EQ(render_digest(a), 0xf326c3ace8d88422ULL) << a.render();
+    EXPECT_EQ(render_digest(b), 0x31a2d4e690c0e06eULL) << b.render();
+}
+
 TEST(SimulatorTest, RejectsZeroWorkers) {
     McnConfig cfg;
     cfg.workers = 0;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <map>
 #include <set>
@@ -20,6 +21,7 @@
 #include "serve/net.hpp"
 #include "serve/server.hpp"
 #include "trace/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cpt {
 namespace {
@@ -585,6 +587,170 @@ TEST_F(ServeFixture, QueueFullAppliesBackpressure) {
     EXPECT_EQ(resp.status, serve::Status::kQueueFull);
     first.join();
     server.drain();
+}
+
+// ---- decode lanes -----------------------------------------------------------
+
+// A Server reads its lanes per slice, W, from util::configured_threads() when
+// it is built; this sets W for servers built in its scope.
+class ScopedThreads {
+public:
+    explicit ScopedThreads(std::size_t n) : saved_(util::configured_threads()) {
+        util::set_global_threads(n);
+    }
+    ~ScopedThreads() { util::set_global_threads(saved_); }
+    ScopedThreads(const ScopedThreads&) = delete;
+    ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+private:
+    std::size_t saved_;
+};
+
+// The "lanes" of the first slice in a stats document; 0 when absent.
+std::size_t slice_lanes(const std::string& stats) {
+    const auto pos = stats.find("\"lanes\": ");
+    return pos == std::string::npos ? 0 : std::stoul(stats.substr(pos + 9));
+}
+
+// Submits without waiting for the response.
+std::future<serve::GenerateResponse> submit(serve::Server& server,
+                                            const serve::GenerateRequest& req) {
+    auto promise = std::make_shared<std::promise<serve::GenerateResponse>>();
+    auto future = promise->get_future();
+    server.generate_async(req, [promise](serve::GenerateResponse&& r) {
+        promise->set_value(std::move(r));
+    });
+    return future;
+}
+
+serve::GenerateRequest phone9_request(std::uint32_t count, std::uint64_t seed,
+                                      const std::string& prefix) {
+    serve::GenerateRequest req;
+    req.device = trace::DeviceType::kPhone;
+    req.hour_of_day = 9;
+    req.count = count;
+    req.seed = seed;
+    req.deterministic = true;
+    req.ue_prefix = prefix;
+    return req;
+}
+
+// What a deterministic request must return: generate_batch over the same
+// forks, in stream-index order.
+std::vector<trace::Stream> reference_streams(const serve::GenerateRequest& req) {
+    const auto pkg = ServeFixture::load_package();
+    const core::Sampler ref(*pkg.model, pkg.tokenizer, pkg.initial_event_dist,
+                            ServeFixture::slice_sampler_config(req.count));
+    util::Rng root(req.seed);
+    std::vector<util::Rng> rngs;
+    for (std::size_t i = 0; i < req.count; ++i) rngs.push_back(root.fork(i));
+    return sorted_by_ue(ref.generate_batch(std::span(rngs), req.ue_prefix, 0));
+}
+
+void expect_response_is_reference(const serve::GenerateResponse& resp,
+                                  const serve::GenerateRequest& req) {
+    ASSERT_EQ(resp.status, serve::Status::kOk) << resp.error;
+    const auto want = reference_streams(req);
+    ASSERT_EQ(resp.streams.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        expect_streams_identical(resp.streams[i], want[i]);
+    }
+}
+
+// 2048 streams through one slot keep the first lane busy for thousands of
+// steps, so the second request arrives while the first is queued or in
+// flight and opens a second lane. Lane and co-residents do not change a deterministic stream.
+TEST_F(ServeFixture, ConcurrentRequestOpensASecondLaneWithTheSameBytes) {
+    const ScopedThreads threads(2);
+    auto cfg = base_config(dir);
+    cfg.slot_capacity = 1;
+    serve::Server server(cfg);
+    auto first = phone9_request(2048, 42, "first");
+    first.max_stream_len = 128;  // above the model's context: clamped to it
+    const auto second = phone9_request(8, 43, "second");
+    auto first_resp = submit(server, first);
+    auto second_resp = submit(server, second);
+    expect_response_is_reference(first_resp.get(), first);
+    expect_response_is_reference(second_resp.get(), second);
+    const std::string stats = server.stats_json();
+    EXPECT_EQ(slice_lanes(stats), 2u) << stats;
+    EXPECT_NE(stats.find("\"streams\": 2056"), std::string::npos) << stats;
+    EXPECT_EQ(server.health().engines, 1u);  // engines counts slices
+}
+
+// The lanes of a slice draw non-deterministic requests from one server RNG,
+// so two concurrent requests on two lanes do not repeat each other. Lanes
+// seeding their own RNGs from the slice key would make stream i of one
+// request equal stream i of the other for every i. The fixture's untrained
+// model ends most streams after two to four events with clamped gaps, so
+// distinct RNGs still give equal streams now and then (about 1% of pairs);
+// the bound leaves room for that.
+TEST_F(ServeFixture, ConcurrentNondeterministicRequestsDoNotRepeatEachOther) {
+    const ScopedThreads threads(2);
+    auto cfg = base_config(dir);
+    cfg.slot_capacity = 1;
+    serve::Server server(cfg);
+    auto req = phone9_request(2048, 7, "nd");
+    req.deterministic = false;
+    auto a = submit(server, req);
+    auto b = submit(server, req);
+    const auto ra = a.get();
+    const auto rb = b.get();
+    ASSERT_EQ(ra.status, serve::Status::kOk) << ra.error;
+    ASSERT_EQ(rb.status, serve::Status::kOk) << rb.error;
+    ASSERT_EQ(ra.streams.size(), req.count);
+    ASSERT_EQ(rb.streams.size(), req.count);
+    EXPECT_EQ(slice_lanes(server.stats_json()), 2u);
+    std::size_t same = 0;
+    for (std::size_t i = 0; i < req.count; ++i) {
+        same += ra.streams[i].events == rb.streams[i].events ? 1 : 0;
+    }
+    EXPECT_LT(same, req.count / 4);
+}
+
+// drain() answers every queued and in-flight request on every lane.
+TEST_F(ServeFixture, DrainAnswersRequestsOnEveryLane) {
+    const ScopedThreads threads(3);
+    auto cfg = base_config(dir);
+    cfg.slot_capacity = 1;
+    serve::Server server(cfg);
+    std::vector<serve::GenerateRequest> reqs;
+    std::vector<std::future<serve::GenerateResponse>> pending;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        reqs.push_back(phone9_request(1024, 100 + seed, "drain" + std::to_string(seed)));
+        pending.push_back(submit(server, reqs.back()));
+    }
+    EXPECT_GE(slice_lanes(server.stats_json()), 2u);
+    server.drain();
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        ASSERT_EQ(pending[i].wait_for(std::chrono::seconds(0)), std::future_status::ready) << i;
+        expect_response_is_reference(pending[i].get(), reqs[i]);
+    }
+    const std::string stats = server.stats_json();
+    EXPECT_NE(stats.find("\"completed\": 4"), std::string::npos) << stats;
+    EXPECT_GE(slice_lanes(stats), 2u) << stats;
+}
+
+// A request placed on the second lane, because the first is busy, is
+// evicted there at its deadline.
+TEST_F(ServeFixture, DeadlineEvictsFromTheSecondLane) {
+    const ScopedThreads threads(2);
+    auto cfg = base_config(dir);
+    cfg.slot_capacity = 4;
+    serve::Server server(cfg);
+    auto busy = phone9_request(1000000, 1, "busy");
+    busy.deadline_ms = 300;
+    auto late = phone9_request(1000000, 2, "late");
+    late.deadline_ms = 1;
+    auto busy_resp = submit(server, busy);
+    auto late_resp = submit(server, late);
+    const auto rl = late_resp.get();
+    EXPECT_EQ(rl.status, serve::Status::kDeadline) << rl.error;
+    EXPECT_LT(rl.streams.size(), late.count);
+    EXPECT_EQ(slice_lanes(server.stats_json()), 2u);
+    EXPECT_EQ(busy_resp.get().status, serve::Status::kDeadline);
+    const std::string stats = server.stats_json();
+    EXPECT_NE(stats.find("\"timed_out\": 2"), std::string::npos) << stats;
 }
 
 TEST_F(ServeFixture, TcpTransportMatchesInProcess) {

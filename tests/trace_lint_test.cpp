@@ -61,6 +61,36 @@ TEST(TraceLintTest, CountsMatchHandReplay) {
     EXPECT_DOUBLE_EQ(top[0].event_fraction, 0.2);
 }
 
+// Equal counts rank by ascending (state, event) key.
+TEST(TraceLintTest, TiedCategoriesRankByKey) {
+    TraceLintReport report;
+    const std::size_t num_events = cellular::vocabulary(report.generation).size();
+    report.violations_by_state_event.assign(
+        static_cast<std::size_t>(cellular::SubState::kNumSubStates) * num_events, 0);
+    report.counted_events = 100;
+    const auto key = [&](cellular::SubState s, cellular::EventId e) {
+        return static_cast<std::size_t>(s) * num_events + e;
+    };
+    report.violations_by_state_event[key(cellular::SubState::kIdleS1RelS, lte::kS1ConnRel)] = 2;
+    report.violations_by_state_event[key(cellular::SubState::kIdleS1RelS, lte::kSrvReq)] = 5;
+    report.violations_by_state_event[key(cellular::SubState::kIdleS1RelS, lte::kAtch)] = 2;
+    report.violations_by_state_event[key(cellular::SubState::kDeregistered, lte::kHo)] = 2;
+
+    // Of the three tied at 2, the two lowest keys follow the 5, and the
+    // highest (kIdleS1RelS, kS1ConnRel) is cut.
+    const auto top = report.top_categories(3);
+    ASSERT_EQ(top.size(), 3u);
+    EXPECT_EQ(top[0].state, cellular::SubState::kIdleS1RelS);
+    EXPECT_EQ(top[0].event, lte::kSrvReq);
+    EXPECT_EQ(top[0].count, 5u);
+    EXPECT_EQ(top[1].state, cellular::SubState::kDeregistered);
+    EXPECT_EQ(top[1].event, lte::kHo);
+    EXPECT_EQ(top[1].count, 2u);
+    EXPECT_EQ(top[2].state, cellular::SubState::kIdleS1RelS);
+    EXPECT_EQ(top[2].event, lte::kAtch);
+    EXPECT_EQ(top[2].count, 2u);
+}
+
 TEST(TraceLintTest, FirstOffenderPinpointsEvent) {
     const auto ds = two_stream_dataset();
     const auto report = TraceLinter(ds.generation).lint(ds);
